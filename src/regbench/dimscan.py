@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .datagen import Basis, add_noise
-from .linop import DenseOperator, apply, compute_svd
+from .linop import DenseOperator, apply, compute_svd, filtered_solve
 from .tikhonov import reconstruct
 from .truncated import subspace_solver
 
@@ -81,21 +82,31 @@ def scan(op: DenseOperator, basis: Basis, x_true: np.ndarray,
     """Mean reconstruction error per (truncation level, noise level) and
     the resulting dimension estimate.
 
-    Within one (noise level, realization) cell every truncation level sees
-    the same noise vector; ties in the per-level means break toward the
-    smallest level.  The consensus estimate is the mode of the per-level
-    argmins over noise levels at or above ``consensus_delta_min`` (all
-    levels when none qualify).
+    For the ``"svd"`` basis, which must hold this operator's right singular
+    vectors, each level is one call of the spectral-filter kernel; other
+    bases solve the restricted normal equations.  Within one (noise level,
+    realization) cell every truncation level sees the same noise vector;
+    ties in the per-level means break toward the smallest level.  The
+    consensus estimate is the mode of the per-level argmins over noise
+    levels at or above ``consensus_delta_min`` (all levels when none
+    qualify).
     """
     x_true = np.asarray(x_true, dtype=float)
-    compute_svd(op)
+    svd = compute_svd(op)
     if config.use_exact_truth:
         reference = x_true
     else:
         reference = reference_reconstruction(op, x_true, config.alpha_ref,
                                              config.delta_ref, config.seed)
     y_true = apply(op, x_true)
-    solvers = [subspace_solver(op, basis, m, config.alpha) for m in config.m_grid]
+    if basis.kind == "svd":
+        # restricted to the operator's own right singular vectors, the
+        # solve is the truncated spectral filter
+        s = svd.sigma
+        solvers = [partial(filtered_solve, svd, s[:m] / (s[:m] * s[:m] + config.alpha))
+                   for m in config.m_grid]
+    else:
+        solvers = [subspace_solver(op, basis, m, config.alpha) for m in config.m_grid]
     root_n = np.sqrt(op.n)
 
     mean_errors = np.zeros((len(config.m_grid), len(config.delta_list)))

@@ -4,6 +4,12 @@ Experiments are pure functions of (config, master seed).  Per-cell noise is
 keyed by (seed, delta_bar index, delta index, sample, realization), so grid
 cells can run on any number of threads and still produce byte-identical
 CSV output.
+
+Each CLI command builds its operator once (with at most one SVD, see
+:func:`~regbench.linop.spectral_normalize`), hands it to the ``run_*``
+function and checksums the same operator for the manifest.  Tikhonov grid
+cells reconstruct through the batched filter kernel
+:func:`~regbench.linop.filtered_solve`.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .linop import (
     build_integration_operator,
     build_radon_operator,
     compute_svd,
+    filtered_solve,
     load_operator,
     save_operator,
     weighted_norm,
@@ -279,19 +286,18 @@ class ErrorGrid:
     min_margin: float
 
 
-def _wc_vector(alpha: float, realized: np.ndarray, rho: float) -> np.ndarray:
-    if alpha <= 1.0:
-        return 0.5 * (realized / np.sqrt(alpha) + np.sqrt(alpha) * rho)
-    return (realized + alpha * rho) / (1.0 + alpha)
-
-
 def _tikhonov_cell(op, samples, x_mat, y_mat, rho_values, bi, delta_bar, di,
                    delta, realizations, seed, check_bounds):
     """One grid cell: mean error over samples x realizations, realized-noise
-    bound checks, and sentinel accounting."""
+    bound checks, and sentinel accounting.
+
+    The noise columns of several samples go through one filter-kernel call:
+    as many samples as keep the noise block no larger than the operator.
+    """
     svd = compute_svd(op)
-    u, v, s = svd.left_vectors, svd.right_vectors, svd.sigma
+    s = svd.sigma
     root_n, root_m = np.sqrt(op.n), np.sqrt(op.m)
+    per_call = max(1, op.entries.size // (op.m * realizations))
     err_sum = 0.0
     realized_sum = 0.0
     sentinels = 0
@@ -299,40 +305,53 @@ def _tikhonov_cell(op, samples, x_mat, y_mat, rho_values, bi, delta_bar, di,
     checked = 0
     min_margin = np.inf
     count = 0
-    for si in range(len(samples)):
-        rho_s = rho_values[si]
-        rule_alpha = optimal_alpha(delta_bar, rho_s)
+    for first in range(0, len(samples), per_call):
+        block = range(first, min(first + per_call, len(samples)))
         noisy = np.column_stack([
             add_noise(y_mat[:, si], delta, (seed, bi, di, si, r)).y_noisy
-            for r in range(realizations)
+            for si in block for r in range(realizations)
         ])
-        if rule_alpha is ZERO_RECONSTRUCTION:
-            sentinels += 1
-            errors = np.full(realizations, weighted_norm(x_mat[:, si]))
-        else:
-            filt = s / (s * s + rule_alpha)
-            rec = v @ (filt[:, None] * (u.T @ noisy))
-            errors = np.linalg.norm(rec - x_mat[:, si][:, None], axis=0) / root_n
-        realized = np.linalg.norm(noisy - y_mat[:, si][:, None], axis=0) / root_m
-        err_sum += errors.sum()
-        realized_sum += realized.sum()
-        count += errors.size
-        if check_bounds:
+        rule_alphas = [optimal_alpha(delta_bar, rho_values[si]) for si in block]
+        if any(a is not ZERO_RECONSTRUCTION for a in rule_alphas):
+            # sentinel samples get a zero filter; their errors are set below
+            filt = np.column_stack([
+                np.zeros_like(s) if a is ZERO_RECONSTRUCTION else s / (s * s + a)
+                for a in rule_alphas])
+            rec = filtered_solve(svd, np.repeat(filt, realizations, axis=1), noisy)
+            truth = np.repeat(x_mat[:, block.start:block.stop], realizations, axis=1)
+            rec_errors = np.linalg.norm(rec - truth, axis=0) / root_n
+        for k, si in enumerate(block):
+            rho_s, rule_alpha = rho_values[si], rule_alphas[k]
+            cols = slice(k * realizations, (k + 1) * realizations)
+            realized = np.linalg.norm(noisy[:, cols] - y_mat[:, si][:, None], axis=0) / root_m
             if rule_alpha is ZERO_RECONSTRUCTION:
-                bounds = np.full(realizations, rho_s)
+                sentinels += 1
+                errors = np.full(realizations, weighted_norm(x_mat[:, si]))
             else:
-                bounds = _wc_vector(rule_alpha, realized, rho_s)
-            margin = bounds - errors
-            violations += int((margin < -1e-9).sum())
-            checked += errors.size
-            min_margin = min(min_margin, float(margin.min()))
+                errors = rec_errors[cols]
+            err_sum += errors.sum()
+            realized_sum += realized.sum()
+            count += errors.size
+            if check_bounds:
+                if rule_alpha is ZERO_RECONSTRUCTION:
+                    bounds = np.full(realizations, rho_s)
+                else:
+                    bounds = wc_bound(rule_alpha, realized, rho_s)
+                margin = bounds - errors
+                violations += int((margin < -1e-9).sum())
+                checked += errors.size
+                min_margin = min(min_margin, float(margin.min()))
     return (err_sum / count, realized_sum / count, sentinels / len(samples),
             violations, checked, min_margin)
 
 
-def run_mismatch_grid(config: ExperimentConfig) -> ErrorGrid:
+def run_mismatch_grid(config: ExperimentConfig,
+                      op: DenseOperator | None = None) -> ErrorGrid:
     """Mean reconstruction errors when the rule is tuned at one noise level
     and applied at another, with the analytic worst-case overlay.
+
+    ``op`` is the configured operator when the caller has already built
+    it; otherwise it is built here.
 
     The source constant is either estimated from the data through the
     adjoint pseudoinverse, supplied as a number, or taken per sample from
@@ -341,11 +360,12 @@ def run_mismatch_grid(config: ExperimentConfig) -> ErrorGrid:
     the zero reconstruction and are flagged through the sentinel fraction
     and an ``inf`` alpha in the CSV.
     """
-    if config.method.kind == "lasso":
-        return _run_lasso_grid(config)
-    if config.method.kind != "tikhonov":
+    if config.method.kind not in ("tikhonov", "lasso"):
         raise ConfigError(f"mismatch grid supports tikhonov or lasso, not {config.method.kind!r}")
-    op = build_operator(config.operator)
+    if op is None:
+        op = build_operator(config.operator)
+    if config.method.kind == "lasso":
+        return _run_lasso_grid(config, op)
     samples = build_dataset(op, config.data, config.seed)
     compute_svd(op)
 
@@ -401,10 +421,9 @@ def run_mismatch_grid(config: ExperimentConfig) -> ErrorGrid:
                           violations, checked, min_margin)
 
 
-def _run_lasso_grid(config: ExperimentConfig) -> ErrorGrid:
+def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     """Mismatch grid for the sparse method; alpha comes from the tuned rule
     evaluated at the training noise level."""
-    op = build_operator(config.operator)
     samples = build_dataset(op, config.data, config.seed)
     transform = _build_transform(config.method.transform, op)
     if config.method.alpha_rule:
@@ -487,13 +506,19 @@ def _build_transform(kind: str, op: DenseOperator) -> SparsifyingTransform:
     raise ConfigError(f"unknown transform kind {kind!r}")
 
 
-def run_dim_experiment(config: ExperimentConfig) -> DimScanResult:
-    """Dimension scan of the first configured sample over the noise grid."""
+def run_dim_experiment(config: ExperimentConfig,
+                       op: DenseOperator | None = None) -> DimScanResult:
+    """Dimension scan of the first configured sample over the noise grid.
+
+    ``op`` is the configured operator when the caller has already built
+    it; otherwise it is built here.
+    """
     if config.method.kind not in ("subspace", "truncated"):
         raise ConfigError("dim scan needs a subspace or truncated method")
     if config.method.alpha is None or config.method.alpha <= 0:
         raise ConfigError("dim scan needs an explicit positive alpha")
-    op = build_operator(config.operator)
+    if op is None:
+        op = build_operator(config.operator)
     samples = build_dataset(op, config.data, config.seed)
     if config.method.basis == "svd":
         basis = svd_basis(op)
@@ -680,12 +705,12 @@ def _cmd_wc_curve(args) -> int:
 def _cmd_mismatch_grid(args) -> int:
     config = _require_config(args)
     start = time.perf_counter()
-    grid = run_mismatch_grid(config)
+    op = build_operator(config.operator)
+    grid = run_mismatch_grid(config, op)
     wall = time.perf_counter() - start
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     emit_mismatch_csv(grid, out / "mismatch_grid.csv")
-    op = build_operator(config.operator)
     make_manifest(config, op, wall).write(out / "manifest.json")
     print(f"wrote {out / 'mismatch_grid.csv'} (rho={_fmt(grid.rho_overlay)})")
     if grid.checked:
@@ -697,12 +722,12 @@ def _cmd_mismatch_grid(args) -> int:
 def _cmd_dim_scan(args) -> int:
     config = _require_config(args)
     start = time.perf_counter()
-    result = run_dim_experiment(config)
+    op = build_operator(config.operator)
+    result = run_dim_experiment(config, op)
     wall = time.perf_counter() - start
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     emit_dimscan_csv(result, config.method.basis, out / "dim_scan.csv")
-    op = build_operator(config.operator)
     make_manifest(config, op, wall).write(out / "manifest.json")
     print(f"estimated_N={result.estimated_n}")
     return 0

@@ -3,6 +3,10 @@
 Everything here is plain float64 dense algebra.  Operators are immutable
 after construction; the singular value decomposition is computed once,
 sign-fixed for reproducibility, and cached on the operator.
+:func:`spectral_normalize` reuses the raw operator's SVD (singular values
+divided by the norm, same vectors) instead of factorizing again, and every
+spectral-filter reconstruction goes through one kernel,
+:func:`filtered_solve`.
 """
 
 from __future__ import annotations
@@ -171,12 +175,35 @@ def pinv_adjoint_apply(op: DenseOperator, x: np.ndarray, rel_tol: float = 1e-12)
     return svd.left_vectors[:, keep] @ coeff
 
 
+def filtered_solve(svd: SvdSystem, filt: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Spectral-filter reconstruction ``sum_j filt_j (u_j^T y) v_j``.
+
+    Uses the first ``k = len(filt)`` modes.  ``y`` is one data vector or an
+    (m, B) stack of columns; ``filt`` is ``(k,)``, shared by every column,
+    or ``(k, B)``, one filter per column.
+    """
+    filt = np.asarray(filt, dtype=float)
+    k = filt.shape[0]
+    coeff = svd.left_vectors[:, :k].T @ np.asarray(y, dtype=float)
+    if filt.ndim < coeff.ndim:
+        filt = filt[:, None]
+    return svd.right_vectors[:, :k] @ (filt * coeff)
+
+
 def spectral_normalize(op: DenseOperator) -> DenseOperator:
-    """Divide the operator by its spectral norm.  Idempotent up to 1e-12."""
-    top = operator_norm(op)
+    """Divide the operator by its spectral norm.  Idempotent up to 1e-12.
+
+    The result carries the input's SVD with the singular values divided by
+    the norm, so normalizing costs one factorization, not two.
+    """
+    svd = compute_svd(op)
+    top = float(svd.sigma[0])
     if top == 0.0:
         raise ValueError("cannot normalize the zero operator")
-    return DenseOperator(op.entries / top, spectral_normalized=True)
+    return DenseOperator(op.entries / top, spectral_normalized=True,
+                         _svd=SvdSystem(sigma=svd.sigma / top,
+                                        left_vectors=svd.left_vectors,
+                                        right_vectors=svd.right_vectors))
 
 
 def integration_matrix(n: int) -> np.ndarray:
@@ -191,37 +218,6 @@ def build_integration_operator(n: int) -> DenseOperator:
     return spectral_normalize(DenseOperator(integration_matrix(n)))
 
 
-def _ray_trace(point_x: float, point_y: float, dir_x: float, dir_y: float,
-               side: int, row: np.ndarray) -> None:
-    """Accumulate exact ray/pixel intersection lengths into ``row``.
-
-    The pixel grid covers [-side/2, side/2]^2 with unit cells; pixel (i, j)
-    occupies x in [i - side/2, i + 1 - side/2] and likewise in y, stored at
-    flat index j * side + i.
-    """
-    half = side / 2.0
-    eps = 1e-12
-    taus = []
-    if abs(dir_x) > eps:
-        for i in range(side + 1):
-            taus.append((i - half - point_x) / dir_x)
-    if abs(dir_y) > eps:
-        for j in range(side + 1):
-            taus.append((j - half - point_y) / dir_y)
-    taus = np.unique(np.asarray(taus))
-    for a, b in zip(taus[:-1], taus[1:]):
-        length = b - a
-        if length <= eps:
-            continue
-        mid = 0.5 * (a + b)
-        x = point_x + mid * dir_x
-        y = point_y + mid * dir_y
-        i = int(math.floor(x + half))
-        j = int(math.floor(y + half))
-        if 0 <= i < side and 0 <= j < side:
-            row[j * side + i] += length
-
-
 def radon_matrix(img_side: int, n_angles: int, n_offsets: int) -> np.ndarray:
     """Raw (unnormalized) parallel-beam projector matrix.
 
@@ -229,24 +225,61 @@ def radon_matrix(img_side: int, n_angles: int, n_offsets: int) -> np.ndarray:
     lengths of each ray with each pixel of the img_side^2 grid.  Angles are
     equispaced in [0, pi); detector offsets are equispaced across the image
     diagonal and centered at the image center.
+
+    The pixel grid covers [-side/2, side/2]^2 with unit cells; pixel (i, j)
+    occupies x in [i - side/2, i + 1 - side/2] and likewise in y, stored at
+    flat index j * side + i.  Each ray is cut at its crossings with the grid
+    lines, taken in increasing ray parameter; every piece longer than 1e-12
+    is credited to the pixel holding its midpoint.  Grid lines parallel to
+    the ray (direction component within 1e-12 of zero) are never crossed.
     """
     if img_side < 2:
         raise ValueError("img_side must be at least 2")
     if n_angles < 1 or n_offsets < 1:
         raise ValueError("n_angles and n_offsets must be at least 1")
-    diag = img_side * math.sqrt(2.0)
+    side = img_side
+    half = side / 2.0
+    eps = 1e-12
+    diag = side * math.sqrt(2.0)
     if n_offsets == 1:
         offsets = np.array([0.0])
     else:
         offsets = np.linspace(-diag / 2.0, diag / 2.0, n_offsets)
-    mat = np.zeros((n_angles * n_offsets, img_side * img_side))
-    for ai in range(n_angles):
-        theta = ai * math.pi / n_angles
-        nx, ny = math.cos(theta), math.sin(theta)
-        dir_x, dir_y = -ny, nx
-        for oi, t in enumerate(offsets):
-            _ray_trace(t * nx, t * ny, dir_x, dir_y, img_side,
-                       mat[ai * n_offsets + oi])
+    thetas = [ai * math.pi / n_angles for ai in range(n_angles)]
+    # math.cos/sin, not their numpy forms, which may round differently
+    nx = np.repeat([math.cos(t) for t in thetas], n_offsets)
+    ny = np.repeat([math.sin(t) for t in thetas], n_offsets)
+    t = np.tile(offsets, n_angles)
+    point_x, point_y = t * nx, t * ny
+    dir_x, dir_y = -ny, nx
+
+    # ray parameters of every grid-line crossing, one row per ray; lines
+    # the ray runs parallel to get +inf and fall out below
+    grid = np.arange(side + 1) - half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau_x = (grid[None, :] - point_x[:, None]) / dir_x[:, None]
+        tau_y = (grid[None, :] - point_y[:, None]) / dir_y[:, None]
+    tau_x[np.abs(dir_x) <= eps] = np.inf
+    tau_y[np.abs(dir_y) <= eps] = np.inf
+    taus = np.sort(np.concatenate([tau_x, tau_y], axis=1), axis=1)
+
+    a, b = taus[:, :-1], taus[:, 1:]
+    with np.errstate(invalid="ignore"):
+        length = b - a
+    keep = np.isfinite(length) & (length > eps)
+    ray = np.nonzero(keep)[0]
+    a, b, length = a[keep], b[keep], length[keep]
+    mid = 0.5 * (a + b)
+    i = np.floor(point_x[ray] + mid * dir_x[ray] + half).astype(np.int64)
+    j = np.floor(point_y[ray] + mid * dir_y[ray] + half).astype(np.int64)
+    inside = (i >= 0) & (i < side) & (j >= 0) & (j < side)
+
+    mat = np.zeros((n_angles * n_offsets, side * side))
+    # np.add.at adds in index order, so each entry sums its pieces in the
+    # order they lie along the ray
+    np.add.at(mat.reshape(-1),
+              ray[inside] * (side * side) + j[inside] * side + i[inside],
+              length[inside])
     return mat
 
 
@@ -279,6 +312,8 @@ def load_matrix(path) -> np.ndarray:
     need = start + rows * cols * 8
     if len(data) < need:
         raise ValueError(f"{path}: truncated container payload")
+    if len(data) > need:
+        raise ValueError(f"{path}: {len(data) - need} trailing bytes after the payload")
     flat = np.frombuffer(data[start:need], dtype="<f8")
     return flat.reshape(rows, cols).astype(float)
 
@@ -303,28 +338,36 @@ def save_operator(path, op: DenseOperator, include_svd: bool = True) -> None:
 def load_operator(path) -> DenseOperator:
     """Read an operator container, attaching the SVD sidecar if present.
 
-    The normalization flag is recovered by checking the spectral norm, so
-    loading may trigger one SVD when no sidecar exists.
+    The sidecar must hold the full singular system of this operator
+    (``min(m, n)`` finite modes) and nothing after it.  The normalization
+    flag is recovered by checking the spectral norm, so loading may trigger
+    one SVD when no sidecar exists.
     """
     entries = load_matrix(path)
     op = DenseOperator(entries)
     sidecar = _svd_sidecar(path)
     if sidecar.exists():
         data = sidecar.read_bytes()
+        if len(data) < 4 + _SVD_HEADER.size:
+            raise ValueError(f"{sidecar}: truncated SVD header")
         if data[:4] != MAGIC:
             raise ValueError(f"{sidecar}: bad container magic")
         m, n, k = _SVD_HEADER.unpack_from(data, 4)
         if (m, n) != op.shape:
             raise ValueError(f"{sidecar}: SVD shape {(m, n)} does not match operator {op.shape}")
+        if k != min(m, n):
+            raise ValueError(f"{sidecar}: {k} singular modes, expected {min(m, n)}")
         start = 4 + _SVD_HEADER.size
         need = start + 8 * (k + m * k + n * k)
         if len(data) < need:
             raise ValueError(f"{sidecar}: truncated SVD payload")
-        sigma = np.frombuffer(data[start:start + 8 * k], dtype="<f8").astype(float)
-        start += 8 * k
-        left = np.frombuffer(data[start:start + 8 * m * k], dtype="<f8").reshape(m, k).astype(float)
-        start += 8 * m * k
-        right = np.frombuffer(data[start:start + 8 * n * k], dtype="<f8").reshape(n, k).astype(float)
-        op._svd = SvdSystem(sigma=sigma, left_vectors=left, right_vectors=right)
+        if len(data) > need:
+            raise ValueError(f"{sidecar}: {len(data) - need} trailing bytes after the SVD payload")
+        payload = np.frombuffer(data[start:need], dtype="<f8").astype(float)
+        if not np.isfinite(payload).all():
+            raise ValueError(f"{sidecar}: non-finite SVD payload")
+        sigma, left, right = np.split(payload, [k, k + m * k])
+        op._svd = SvdSystem(sigma=sigma, left_vectors=left.reshape(m, k),
+                            right_vectors=right.reshape(n, k))
     op.spectral_normalized = bool(abs(operator_norm(op) - 1.0) <= 1e-10)
     return op

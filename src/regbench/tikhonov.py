@@ -2,8 +2,8 @@
 
 The worst-case bound, the mismatch ratio, and the subspace-refined bound
 are evaluated exactly from their piecewise closed forms; reconstruction is
-done through the SVD filter with an independent direct-solve path for
-cross-checking.
+done through the SVD filter kernel :func:`~regbench.linop.filtered_solve`
+with an independent direct-solve path for cross-checking.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linop import DenseOperator, compute_svd
+from .linop import DenseOperator, compute_svd, filtered_solve
 
 
 class _ZeroReconstruction:
@@ -56,8 +56,7 @@ def reconstruct(op: DenseOperator, y: np.ndarray, alpha: float,
     if method == "svd":
         svd = compute_svd(op)
         s = svd.sigma
-        coeff = s / (s * s + alpha) * (svd.left_vectors.T @ y)
-        return svd.right_vectors @ coeff
+        return filtered_solve(svd, s / (s * s + alpha), y)
     if method == "direct":
         a = op.entries
         gram = a.T @ a + alpha * np.eye(op.n)
@@ -66,16 +65,23 @@ def reconstruct(op: DenseOperator, y: np.ndarray, alpha: float,
     raise ValueError(f"unknown method {method!r}")
 
 
-def wc_bound(alpha: float, delta: float, rho: float) -> float:
+def wc_bound(alpha: float, delta, rho: float):
     """Closed-form worst-case reconstruction error for noise level ``delta``
-    and source constant ``rho`` at regularization strength ``alpha``."""
+    and source constant ``rho`` at regularization strength ``alpha``.
+
+    ``delta`` may be an array of noise levels; the result then has its
+    shape, otherwise it is a float.
+    """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if delta < 0 or rho <= 0:
+    delta_arr = np.asarray(delta, dtype=float)
+    if (delta_arr < 0).any() or rho <= 0:
         raise ValueError("need delta >= 0 and rho > 0")
     if alpha <= 1.0:
-        return 0.5 * (delta / math.sqrt(alpha) + math.sqrt(alpha) * rho)
-    return (delta + alpha * rho) / (1.0 + alpha)
+        out = 0.5 * (delta_arr / math.sqrt(alpha) + math.sqrt(alpha) * rho)
+    else:
+        out = (delta_arr + alpha * rho) / (1.0 + alpha)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .datagen import Basis
-from .linop import DenseOperator, compute_svd
+from .linop import DenseOperator, compute_svd, filtered_solve
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,10 @@ def truncated_reconstruct(op: DenseOperator, y: np.ndarray,
     y = np.asarray(y, dtype=float)
     if y.shape[0] != op.m:
         raise ValueError(f"expected data of length {op.m}, got {y.shape[0]}")
-    if scheme.m == 0:
-        return np.zeros(op.n)
     s = svd.sigma[:scheme.m]
-    if scheme.alpha == 0.0 and s[-1] <= 0.0:
+    if scheme.alpha == 0.0 and scheme.m and s[-1] <= 0.0:
         raise ValueError("truncation level exceeds the operator rank")
-    coeff = s / (s * s + scheme.alpha) * (svd.left_vectors[:, :scheme.m].T @ y)
-    return svd.right_vectors[:, :scheme.m] @ coeff
+    return filtered_solve(svd, s / (s * s + scheme.alpha), y)
 
 
 def truncated_wc_bound(m: int, n_dim: int, alpha: float, delta: float,

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from regbench.datagen import sample_basis_coefficient_data, svd_basis
+from regbench.datagen import Basis, sample_basis_coefficient_data, svd_basis
 from regbench.dimscan import DimScanConfig, reference_reconstruction, scan
-from regbench.linop import apply, compute_svd, weighted_norm
+from regbench.linop import apply, build_radon_operator, compute_svd, weighted_norm
 from regbench.truncated import ExpectedErrorModel, alpha_threshold, argmin_expected_level
 
 
@@ -55,6 +55,29 @@ def test_scan_is_reproducible(op50, planted_sample):
     b = scan(op50, basis, x, config)
     assert np.array_equal(a.mean_errors, b.mean_errors)
     assert a.estimated_n == b.estimated_n
+
+
+@pytest.mark.parametrize("use_exact_truth", [True, False])
+def test_svd_kernel_matches_restricted_normal_equations(op50, planted_sample, use_exact_truth):
+    # the same vectors under another kind take the Cholesky path
+    basis, x = planted_sample
+    config = DimScanConfig(m_grid=(0, 2, 8, 20, 50), alpha=0.05, delta_list=(0.0, 0.1, 0.5),
+                           realizations=6, use_exact_truth=use_exact_truth, seed=2)
+    kernel = scan(op50, basis, x, config)
+    cholesky = scan(op50, Basis(kind="pca", vectors=basis.vectors), x, config)
+    assert np.abs(kernel.mean_errors - cholesky.mean_errors).max() <= 1e-10
+    assert kernel.argmin_m == cholesky.argmin_m
+
+
+def test_svd_kernel_matches_cholesky_on_radon():
+    op = build_radon_operator(6, 5, 9)
+    basis = svd_basis(op)
+    x = sample_basis_coefficient_data(basis, 5, 1, seed=3)[0]
+    config = DimScanConfig(m_grid=(1, 5, 12, 36), alpha=0.01, delta_list=(0.05, 0.2),
+                           realizations=4, seed=4)
+    kernel = scan(op, basis, x, config)
+    cholesky = scan(op, Basis(kind="coordinate", vectors=basis.vectors), x, config)
+    assert np.abs(kernel.mean_errors - cholesky.mean_errors).max() <= 1e-10
 
 
 def test_reference_shift_is_bounded_by_reference_error(op50, planted_sample):

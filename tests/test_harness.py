@@ -298,6 +298,77 @@ class TestManifest:
         assert payload["config_hash"] == config_hash(small_config)
 
 
+RADON_SMALL = """
+[operator]
+kind = radon
+side = 8
+angles = 6
+offsets = 9
+
+[data]
+kind = phantom
+count = 3
+"""
+
+RADON_GRID_TAIL = """
+[grid]
+delta_bar = 0.01 0.1
+delta = 0.01 0.1
+realizations = 4
+
+[method]
+kind = tikhonov
+rho = estimate
+"""
+
+RADON_DIM_TAIL = """
+[grid]
+delta = 0.01 0.1
+realizations = 4
+
+[method]
+kind = truncated
+basis = svd
+alpha = 0.01
+m_grid = 2 4 8
+"""
+
+
+class TestBuildOnce:
+    """A command builds its operator once, factorizes it once, and
+    checksums that same operator for the manifest."""
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        counts = {"build_operator": 0, "svd": 0}
+        real_build, real_svd = harness.build_operator, np.linalg.svd
+
+        def build(spec):
+            counts["build_operator"] += 1
+            return real_build(spec)
+
+        def svd(*args, **kwargs):
+            counts["svd"] += 1
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_operator", build)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        return counts
+
+    @pytest.mark.parametrize("command, tail", [("mismatch-grid", RADON_GRID_TAIL),
+                                               ("dim-scan", RADON_DIM_TAIL)],
+                             ids=["mismatch-grid", "dim-scan"])
+    def test_one_build_one_svd(self, tmp_path, counts, command, tail):
+        cfg = tmp_path / "radon.cfg"
+        cfg.write_text(RADON_SMALL + tail)
+        out = tmp_path / "run"
+        assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert counts == {"build_operator": 1, "svd": 1}
+        manifest = json.loads((out / "manifest.json").read_text())
+        op = build_operator(OperatorSpec(kind="radon", side=8, angles=6, offsets=9))
+        assert manifest["operator_checksum"] == harness.operator_checksum(op)
+
+
 class TestCli:
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0

@@ -12,6 +12,7 @@ from regbench.linop import (
     build_integration_operator,
     build_radon_operator,
     compute_svd,
+    filtered_solve,
     integration_matrix,
     load_matrix,
     load_operator,
@@ -80,6 +81,45 @@ class TestIntegrationOperator:
             integration_matrix(0)
 
 
+def loop_radon_matrix(img_side, n_angles, n_offsets):
+    """Reference projector traced one ray and one grid crossing at a time;
+    the array implementation must reproduce it bit for bit."""
+    side = img_side
+    half = side / 2.0
+    eps = 1e-12
+    diag = side * math.sqrt(2.0)
+    if n_offsets == 1:
+        offsets = np.array([0.0])
+    else:
+        offsets = np.linspace(-diag / 2.0, diag / 2.0, n_offsets)
+    mat = np.zeros((n_angles * n_offsets, side * side))
+    for ai in range(n_angles):
+        theta = ai * math.pi / n_angles
+        nx, ny = math.cos(theta), math.sin(theta)
+        dir_x, dir_y = -ny, nx
+        for oi, t in enumerate(offsets):
+            point_x, point_y = t * nx, t * ny
+            row = mat[ai * n_offsets + oi]
+            taus = []
+            if abs(dir_x) > eps:
+                for i in range(side + 1):
+                    taus.append((i - half - point_x) / dir_x)
+            if abs(dir_y) > eps:
+                for j in range(side + 1):
+                    taus.append((j - half - point_y) / dir_y)
+            taus = np.unique(np.asarray(taus))
+            for a, b in zip(taus[:-1], taus[1:]):
+                length = b - a
+                if length <= eps:
+                    continue
+                mid = 0.5 * (a + b)
+                i = int(math.floor(point_x + mid * dir_x + half))
+                j = int(math.floor(point_y + mid * dir_y + half))
+                if 0 <= i < side and 0 <= j < side:
+                    row[j * side + i] += length
+    return mat
+
+
 @pytest.fixture(scope="module")
 def small_raw():
     return radon_matrix(8, 6, 9)
@@ -115,6 +155,12 @@ class TestRadonOperator:
         rng = np.random.default_rng(1)
         x, y = rng.standard_normal(op.n), rng.standard_normal(op.m)
         assert abs(apply(op, x) @ y - x @ apply_adjoint(op, y)) <= 1e-10
+
+    # angle 0 runs parallel to the x grid lines, which exercises the
+    # skipped-direction branch; (7, 5, 9) has an odd side
+    @pytest.mark.parametrize("shape", [(28, 30, 41), (8, 6, 9), (8, 6, 1), (7, 5, 9)])
+    def test_matches_loop_reference(self, shape):
+        assert np.array_equal(radon_matrix(*shape), loop_radon_matrix(*shape))
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -213,7 +259,64 @@ class TestPinvAdjoint:
         assert np.allclose(out, [1.0, 0.0])
 
 
+class TestFilteredSolve:
+    def test_batched_equals_columnwise(self, op50):
+        svd = compute_svd(op50)
+        rng = np.random.default_rng(13)
+        y = rng.standard_normal((50, 7))
+        filt = rng.uniform(0.0, 2.0, size=(30, 7))
+        batched = filtered_solve(svd, filt, y)
+        for c in range(7):
+            single = filtered_solve(svd, filt[:, c], y[:, c])
+            assert np.abs(batched[:, c] - single).max() <= 1e-12 * np.abs(single).max()
+
+    def test_shared_filter_broadcasts_over_columns(self, op50):
+        svd = compute_svd(op50)
+        rng = np.random.default_rng(17)
+        y = rng.standard_normal((50, 4))
+        filt = rng.uniform(0.0, 2.0, size=50)
+        assert np.array_equal(filtered_solve(svd, filt, y),
+                              filtered_solve(svd, np.repeat(filt[:, None], 4, axis=1), y))
+
+    def test_inverse_filter_inverts_the_operator(self, op50):
+        svd = compute_svd(op50)
+        x = np.random.default_rng(19).standard_normal(50)
+        recovered = filtered_solve(svd, 1.0 / svd.sigma, apply(op50, x))
+        assert np.abs(recovered - x).max() <= 1e-8
+
+    def test_empty_filter_gives_zero(self, op50):
+        svd = compute_svd(op50)
+        out = filtered_solve(svd, np.zeros(0), np.ones((50, 3)))
+        assert np.array_equal(out, np.zeros((50, 3)))
+
+
 class TestNormalization:
+    def test_reuses_the_raw_svd(self, monkeypatch):
+        raw = DenseOperator(radon_matrix(6, 4, 7))
+        raw_svd = compute_svd(raw)
+        calls = []
+        real_svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real_svd(*a, **k))
+        op = spectral_normalize(raw)
+        svd = compute_svd(op)
+        assert calls == []
+        top = raw_svd.sigma[0]
+        assert np.array_equal(op.entries, raw.entries / top)
+        assert np.array_equal(svd.sigma, raw_svd.sigma / top)
+        assert svd.sigma[0] == 1.0
+        assert svd.left_vectors is raw_svd.left_vectors
+        assert svd.right_vectors is raw_svd.right_vectors
+
+    def test_attached_svd_is_a_singular_system(self):
+        op = build_radon_operator(6, 4, 7)
+        svd = compute_svd(op)
+        rebuilt = svd.left_vectors @ np.diag(svd.sigma) @ svd.right_vectors.T
+        assert np.abs(rebuilt - op.entries).max() <= 1e-12
+
+    def test_zero_operator_rejected(self):
+        with pytest.raises(ValueError, match="zero operator"):
+            spectral_normalize(DenseOperator(np.zeros((2, 3))))
+
     def test_idempotent(self):
         op = build_integration_operator(20)
         again = spectral_normalize(op)
@@ -267,6 +370,13 @@ class TestContainer:
         with pytest.raises(ValueError, match="magic"):
             load_matrix(tmp_path / "bad.rgb")
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        save_matrix(tmp_path / "m.rgb", np.ones((2, 2)))
+        blob = (tmp_path / "m.rgb").read_bytes()
+        (tmp_path / "long.rgb").write_bytes(blob + bytes(8))
+        with pytest.raises(ValueError, match="trailing"):
+            load_matrix(tmp_path / "long.rgb")
+
     def test_truncated_payload(self, tmp_path):
         save_matrix(tmp_path / "m.rgb", np.ones((4, 4)))
         blob = (tmp_path / "m.rgb").read_bytes()
@@ -278,3 +388,43 @@ class TestContainer:
 def test_operator_entries_are_readonly(op50):
     with pytest.raises(ValueError):
         op50.entries[0, 0] = 5.0
+
+
+class TestSvdSidecar:
+    """The ``.svd`` sidecar must describe exactly one full singular system."""
+
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        op = build_integration_operator(4)
+        compute_svd(op)
+        save_operator(tmp_path / "op.rgb", op)
+        return tmp_path / "op.rgb", tmp_path / "op.rgb.svd"
+
+    def test_too_many_modes_rejected(self, saved):
+        # k = 5 for a 4x4 operator, payload sized to match the claim
+        path, sidecar = saved
+        header = b"RGB1" + linop._SVD_HEADER.pack(4, 4, 5)
+        sidecar.write_bytes(header + np.ones(5 + 4 * 5 + 4 * 5).astype("<f8").tobytes())
+        with pytest.raises(ValueError, match="singular modes"):
+            load_operator(path)
+
+    def test_nonfinite_payload_rejected(self, saved):
+        path, sidecar = saved
+        blob = bytearray(sidecar.read_bytes())
+        start = 4 + linop._SVD_HEADER.size
+        blob[start + 8:start + 16] = np.array([np.nan]).astype("<f8").tobytes()
+        sidecar.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="non-finite"):
+            load_operator(path)
+
+    def test_trailing_bytes_rejected(self, saved):
+        path, sidecar = saved
+        sidecar.write_bytes(sidecar.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="trailing"):
+            load_operator(path)
+
+    def test_truncated_header_rejected(self, saved):
+        path, sidecar = saved
+        sidecar.write_bytes(b"RGB1" + bytes(8))
+        with pytest.raises(ValueError, match="truncated"):
+            load_operator(path)

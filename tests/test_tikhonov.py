@@ -92,6 +92,24 @@ class TestWcBound:
     def test_record_form(self):
         assert WcBound(alpha=0.5, delta=0.1, rho=1.0).value() == wc_bound(0.5, 0.1, 1.0)
 
+    @pytest.mark.parametrize("alpha", [0.03, 1.0, 4.0])
+    def test_array_delta_matches_scalar(self, alpha):
+        deltas = np.array([0.0, 0.01, 0.2, 1.5])
+        values = wc_bound(alpha, deltas, 0.8)
+        assert isinstance(values, np.ndarray) and values.shape == deltas.shape
+        assert values.tolist() == [wc_bound(alpha, float(d), 0.8) for d in deltas]
+
+    def test_scalar_delta_returns_float(self):
+        assert type(wc_bound(0.5, 0.1, 1.0)) is float
+
+    def test_array_delta_validated(self):
+        with pytest.raises(ValueError):
+            wc_bound(0.5, np.array([0.1, -1e-3]), 1.0)
+        with pytest.raises(ValueError):
+            wc_bound(0.0, np.array([0.1]), 1.0)
+        with pytest.raises(ValueError):
+            wc_bound(0.5, np.array([0.1]), 0.0)
+
 
 class TestOptimalAlpha:
     def test_rule_value(self):
