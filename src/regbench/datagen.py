@@ -150,11 +150,29 @@ def sample_basis_coefficient_data(basis: Basis, n_dim: int, count: int,
     return [b @ rng_for(seed, i).uniform(-1.0, 1.0, size=n_dim) for i in range(count)]
 
 
+# Key position of the measurement-noise streams: ``(seed, NOISE_TAG, sample)``.
+# Data streams are keyed ``(seed, sample)`` and other streams by small
+# indices, so no other path starts with this value.
+NOISE_TAG = 0x6E6F6973
+
+
+def noise_block(seed: int, sample: int, realizations: int, size: int) -> np.ndarray:
+    """Standard-normal measurement noise of one sample; row r is realization r.
+
+    The block comes from the stream ``(seed, NOISE_TAG, sample)`` and is
+    filled row-major, so a block with more realizations starts with the rows
+    of a smaller one.  Every noise level applied to the sample scales the
+    same rows (common random numbers).
+    """
+    return rng_for(seed, NOISE_TAG, sample).standard_normal((realizations, size))
+
+
 def add_noise(y_true: np.ndarray, delta: float, seed_path) -> NoisyMeasurement:
     """Add componentwise i.i.d. Gaussian noise of standard deviation ``delta``.
 
-    The realization is a pure function of ``seed_path``; the underlying
-    standard-normal draw is shared across noise levels for a fixed path.
+    The standard-normal draw comes from the stream ``rng_for(*seed_path)``,
+    so the same path gives the same draw at every noise level; callers pick
+    a path that no other stream of their run uses.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")

@@ -4,7 +4,8 @@ For each noise level, reconstructions restricted to the first M basis
 vectors are averaged over independent noise realizations and compared
 against a reference; the minimizing M estimates the intrinsic dimension.
 Noise realizations are keyed by (seed, noise-level index, realization), so
-the scan result is independent of evaluation order.
+the scan result is independent of evaluation order; the reference's noise
+is the first realization of sample 0's noise block.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ from functools import partial
 
 import numpy as np
 
-from .datagen import Basis, add_noise
+from .datagen import Basis, add_noise, noise_block
 from .linop import DenseOperator, apply, compute_svd, filtered_solve
 from .tikhonov import reconstruct
 from .truncated import subspace_solver
 
-_REF_TAG = 0
 _CELL_TAG = 1
 
 
@@ -71,10 +71,10 @@ def reference_reconstruction(op: DenseOperator, x_true: np.ndarray,
                              alpha_ref: float, delta_ref: float,
                              seed: int) -> np.ndarray:
     """Full (untruncated) reconstruction of lightly perturbed clean data,
-    used as a truth stand-in."""
+    used as a truth stand-in.  The scan reconstructs the first sample, so
+    the perturbation is realization 0 of sample 0's noise block."""
     y = apply(op, x_true)
-    meas = add_noise(y, delta_ref, (seed, _REF_TAG))
-    return reconstruct(op, meas.y_noisy, alpha_ref)
+    return reconstruct(op, y + delta_ref * noise_block(seed, 0, 1, op.m)[0], alpha_ref)
 
 
 def scan(op: DenseOperator, basis: Basis, x_true: np.ndarray,

@@ -1,15 +1,17 @@
 """Experiment configuration, mismatch grids, CSV emission, and the CLI.
 
-Experiments are pure functions of (config, master seed).  Per-cell noise is
-keyed by (seed, delta_bar index, delta index, sample, realization), so grid
-cells can run on any number of threads and still produce byte-identical
-CSV output.
+Experiments are pure functions of (config, master seed).  Noise keying is
+``crn-v1`` (the manifest's ``noise_scheme``): sample s owns the block
+:func:`~regbench.datagen.noise_block` draws from the stream
+``(seed, NOISE_TAG, s)``, and realization r at level delta is
+``y_s + delta * block[r]`` in every cell of both mismatch grids (common
+random numbers); ``lasso-solve`` uses row 0.  ``alpha-tune`` keys noise by
+(seed, level index, sample), ``dim-scan`` by (seed, 1, level index,
+realization).
 
 Each CLI command builds its operator once (with at most one SVD, see
 :func:`~regbench.linop.spectral_normalize`), hands it to the ``run_*``
-function and checksums the same operator for the manifest.  Tikhonov grid
-cells reconstruct through the batched filter kernel
-:func:`~regbench.linop.filtered_solve`.
+function and checksums the same operator for the manifest.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from .datagen import (
     coordinate_basis,
     estimate_source_constant,
     load_idx_images,
+    noise_block,
     pca_basis,
     phantom_images,
     sample_source_data,
@@ -48,7 +50,6 @@ from .linop import (
     build_integration_operator,
     build_radon_operator,
     compute_svd,
-    filtered_solve,
     load_operator,
     save_operator,
     weighted_norm,
@@ -286,65 +287,6 @@ class ErrorGrid:
     min_margin: float
 
 
-def _tikhonov_cell(op, samples, x_mat, y_mat, rho_values, bi, delta_bar, di,
-                   delta, realizations, seed, check_bounds):
-    """One grid cell: mean error over samples x realizations, realized-noise
-    bound checks, and sentinel accounting.
-
-    The noise columns of several samples go through one filter-kernel call:
-    as many samples as keep the noise block no larger than the operator.
-    """
-    svd = compute_svd(op)
-    s = svd.sigma
-    root_n, root_m = np.sqrt(op.n), np.sqrt(op.m)
-    per_call = max(1, op.entries.size // (op.m * realizations))
-    err_sum = 0.0
-    realized_sum = 0.0
-    sentinels = 0
-    violations = 0
-    checked = 0
-    min_margin = np.inf
-    count = 0
-    for first in range(0, len(samples), per_call):
-        block = range(first, min(first + per_call, len(samples)))
-        noisy = np.column_stack([
-            add_noise(y_mat[:, si], delta, (seed, bi, di, si, r)).y_noisy
-            for si in block for r in range(realizations)
-        ])
-        rule_alphas = [optimal_alpha(delta_bar, rho_values[si]) for si in block]
-        if any(a is not ZERO_RECONSTRUCTION for a in rule_alphas):
-            # sentinel samples get a zero filter; their errors are set below
-            filt = np.column_stack([
-                np.zeros_like(s) if a is ZERO_RECONSTRUCTION else s / (s * s + a)
-                for a in rule_alphas])
-            rec = filtered_solve(svd, np.repeat(filt, realizations, axis=1), noisy)
-            truth = np.repeat(x_mat[:, block.start:block.stop], realizations, axis=1)
-            rec_errors = np.linalg.norm(rec - truth, axis=0) / root_n
-        for k, si in enumerate(block):
-            rho_s, rule_alpha = rho_values[si], rule_alphas[k]
-            cols = slice(k * realizations, (k + 1) * realizations)
-            realized = np.linalg.norm(noisy[:, cols] - y_mat[:, si][:, None], axis=0) / root_m
-            if rule_alpha is ZERO_RECONSTRUCTION:
-                sentinels += 1
-                errors = np.full(realizations, weighted_norm(x_mat[:, si]))
-            else:
-                errors = rec_errors[cols]
-            err_sum += errors.sum()
-            realized_sum += realized.sum()
-            count += errors.size
-            if check_bounds:
-                if rule_alpha is ZERO_RECONSTRUCTION:
-                    bounds = np.full(realizations, rho_s)
-                else:
-                    bounds = wc_bound(rule_alpha, realized, rho_s)
-                margin = bounds - errors
-                violations += int((margin < -1e-9).sum())
-                checked += errors.size
-                min_margin = min(min_margin, float(margin.min()))
-    return (err_sum / count, realized_sum / count, sentinels / len(samples),
-            violations, checked, min_margin)
-
-
 def run_mismatch_grid(config: ExperimentConfig,
                       op: DenseOperator | None = None) -> ErrorGrid:
     """Mean reconstruction errors when the rule is tuned at one noise level
@@ -359,6 +301,13 @@ def run_mismatch_grid(config: ExperimentConfig,
     data).  Cells where the tuning level exceeds the source constant use
     the zero reconstruction and are flagged through the sentinel fraction
     and an ``inf`` alpha in the CSV.
+
+    Every cell works in spectral coefficients: with ``f = s / (s^2 + alpha)``
+    the error of sample x at noise level delta and noise draw g is
+    ``sqrt(||f (U^T y + delta U^T g) - V^T x||^2 + ||(I - V V^T) x||^2) / sqrt(n)``,
+    the last term being the part of x outside the operator's row space.
+    Realized noise levels are checked against the worst-case bound one
+    realization at a time when the samples carry their source elements.
     """
     if config.method.kind not in ("tikhonov", "lasso"):
         raise ConfigError(f"mismatch grid supports tikhonov or lasso, not {config.method.kind!r}")
@@ -367,11 +316,10 @@ def run_mismatch_grid(config: ExperimentConfig,
     if config.method.kind == "lasso":
         return _run_lasso_grid(config, op)
     samples = build_dataset(op, config.data, config.seed)
-    compute_svd(op)
+    svd = compute_svd(op)
 
     have_z = bool(samples) and isinstance(samples[0], SourceSample)
     x_mat = np.column_stack([np.asarray(getattr(s, "x_true", s), dtype=float) for s in samples])
-    y_mat = op.entries @ x_mat
 
     rho_spec = config.method.rho
     if rho_spec == "per-sample":
@@ -387,43 +335,55 @@ def run_mismatch_grid(config: ExperimentConfig,
         rho_values = [float(rho_spec)] * len(samples)
         rho_overlay = float(rho_spec)
 
-    bars, deltas = config.grid.delta_bar, config.grid.delta
-    cells = [(bi, di) for bi in range(len(bars)) for di in range(len(deltas))]
+    bars, deltas = config.grid.delta_bar, np.asarray(config.grid.delta)
+    realizations = config.grid.realizations
+    s, u, v = svd.sigma, svd.left_vectors, svd.right_vectors
+    root_n, root_m = np.sqrt(op.n), np.sqrt(op.m)
+    x_coeff = v.T @ x_mat
+    y_coeff = u.T @ (op.entries @ x_mat)
+    outside = np.sum((x_mat - v @ x_coeff) ** 2, axis=0)
 
-    def work(cell):
-        bi, di = cell
-        return _tikhonov_cell(op, samples, x_mat, y_mat, rho_values, bi,
-                              bars[bi], di, deltas[di],
-                              config.grid.realizations, config.seed, have_z)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = dict(zip(cells, pool.map(work, cells)))
-    else:
-        results = {cell: work(cell) for cell in cells}
-
-    shape = (len(bars), len(deltas))
-    mean_errors = np.zeros(shape)
-    realized = np.zeros(shape)
-    sentinel = np.zeros(shape)
-    violations = 0
-    checked = 0
+    err_sum = np.zeros((len(bars), len(deltas)))
+    sentinels = np.zeros((len(bars), 1))
+    level_sum = 0.0
+    violations = checked = 0
     min_margin = np.inf
-    for (bi, di), (err, rel_delta, sent, viol, chk, margin) in results.items():
-        mean_errors[bi, di] = err
-        realized[bi, di] = rel_delta
-        sentinel[bi, di] = sent
-        violations += viol
-        checked += chk
-        min_margin = min(min_margin, margin)
+    for si in range(len(samples)):
+        block = noise_block(config.seed, si, realizations, op.m)
+        noise_coeff = u.T @ block.T
+        level = np.linalg.norm(block, axis=1) / root_m
+        level_sum += level.sum()
+        realized = deltas[:, None] * level  # per (delta, realization)
+        for bi, delta_bar in enumerate(bars):
+            rule_alpha = optimal_alpha(delta_bar, rho_values[si])
+            if rule_alpha is ZERO_RECONSTRUCTION:
+                sentinels[bi] += 1
+                errors = np.full(realized.shape, weighted_norm(x_mat[:, si]))
+                bounds = np.full(realized.shape, rho_values[si])
+            else:
+                f = s / (s * s + rule_alpha)
+                diff = ((f * y_coeff[:, si] - x_coeff[:, si])[None, :, None]
+                        + deltas[:, None, None] * (f[:, None] * noise_coeff))
+                errors = np.sqrt(np.sum(diff * diff, axis=1) + outside[si]) / root_n
+                bounds = wc_bound(rule_alpha, realized, rho_values[si])
+            err_sum[bi] += errors.sum(axis=1)
+            if have_z:
+                margin = bounds - errors
+                violations += int((margin < -1e-9).sum())
+                checked += margin.size
+                min_margin = min(min_margin, float(margin.min()))
 
-    return _assemble_grid(config, mean_errors, realized, sentinel, rho_overlay,
-                          violations, checked, min_margin)
+    count = len(samples) * realizations
+    return _assemble_grid(config, err_sum / count,
+                          np.tile(deltas * level_sum / count, (len(bars), 1)),
+                          np.tile(sentinels / len(samples), (1, len(deltas))), rho_overlay,
+                          violations=violations, checked=checked, min_margin=min_margin)
 
 
 def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     """Mismatch grid for the sparse method; alpha comes from the tuned rule
-    evaluated at the training noise level."""
+    evaluated at the training noise level.  The noise blocks are the
+    Tikhonov grid's."""
     samples = build_dataset(op, config.data, config.seed)
     transform = _build_transform(config.method.transform, op)
     if config.method.alpha_rule:
@@ -436,55 +396,54 @@ def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     x_mat = np.column_stack([np.asarray(getattr(s, "x_true", s), dtype=float) for s in samples])
     y_mat = op.entries @ x_mat
     bars, deltas = config.grid.delta_bar, config.grid.delta
-    shape = (len(bars), len(deltas))
-    mean_errors = np.zeros(shape)
-    realized = np.zeros(shape)
-    alphas = np.zeros(shape)
-    root_n, root_m = np.sqrt(op.n), np.sqrt(op.m)
-    for bi, delta_bar in enumerate(bars):
-        alpha = alpha_for_delta(rule, delta_bar)
-        alphas[bi, :] = alpha
-        for di, delta in enumerate(deltas):
-            errs = []
-            rel = []
-            for si in range(x_mat.shape[1]):
-                for r in range(config.grid.realizations):
-                    meas = add_noise(y_mat[:, si], delta, (config.seed, bi, di, si, r))
-                    sol = solve(LassoProblem(op, meas.y_noisy, alpha, transform))
-                    errs.append(np.linalg.norm(sol.x - x_mat[:, si]) / root_n)
-                    rel.append(np.linalg.norm(meas.y_noisy - y_mat[:, si]) / root_m)
-            mean_errors[bi, di] = float(np.mean(errs))
-            realized[bi, di] = float(np.mean(rel))
+    realizations = config.grid.realizations
+    alphas = np.array([alpha_for_delta(rule, delta_bar) for delta_bar in bars])
+    errors = np.zeros((len(bars), len(deltas), len(samples), realizations))
+    level_sum = 0.0
+    for si in range(len(samples)):
+        block = noise_block(config.seed, si, realizations, op.m)
+        level_sum += np.linalg.norm(block, axis=1).sum() / np.sqrt(op.m)
+        for bi, alpha in enumerate(alphas):
+            for di, delta in enumerate(deltas):
+                for r in range(realizations):
+                    sol = solve(LassoProblem(op, y_mat[:, si] + delta * block[r], alpha, transform))
+                    errors[bi, di, si, r] = weighted_norm(sol.x - x_mat[:, si])
 
+    realized = np.asarray(deltas) * level_sum / (len(samples) * realizations)
     est = estimate_source_constant(op, samples, config.method.pinv_rel_tol)
-    grid = _assemble_grid(config, mean_errors, realized, np.zeros(shape),
-                          est.mean, 0, 0, np.inf)
-    # keep the actually used sparse alphas in the log
-    grid.alphas[:, :] = alphas
-    return grid
+    return _assemble_grid(config, errors.mean(axis=(2, 3)), np.tile(realized, (len(bars), 1)),
+                          np.zeros(errors.shape[:2]), est.mean,
+                          alphas=np.tile(alphas[:, None], (1, len(deltas))))
 
 
-def _assemble_grid(config, mean_errors, realized, sentinel, rho_overlay,
-                   violations, checked, min_margin) -> ErrorGrid:
+def _assemble_grid(config, mean_errors, realized, sentinel, rho_overlay, alphas=None,
+                   violations=0, checked=0, min_margin=np.inf) -> ErrorGrid:
+    """Relative errors against the diagonal cell plus the overlays.
+
+    Without ``alphas`` (the Tikhonov grid) the rule's alphas and the
+    worst-case overlay come from ``rho_overlay``; with them (the sparse
+    grid) the overlay, which does not bound the sparse method, is NaN.
+    """
     bars, deltas = config.grid.delta_bar, config.grid.delta
     shape = mean_errors.shape
     relative = np.full(shape, np.nan)
     for di, delta in enumerate(deltas):
-        if delta in bars:
-            denom = mean_errors[bars.index(delta), di]
-            if denom > 0:
-                relative[:, di] = mean_errors[:, di] / denom
-    wc_overlay = np.zeros(shape)
-    alphas = np.zeros(shape)
-    for bi, delta_bar in enumerate(bars):
-        rule_alpha = optimal_alpha(delta_bar, rho_overlay)
-        for di, delta in enumerate(deltas):
+        diagonal = np.flatnonzero(np.isclose(bars, delta, rtol=1e-9, atol=0.0))
+        if diagonal.size and mean_errors[diagonal[0], di] > 0:
+            relative[:, di] = mean_errors[:, di] / mean_errors[diagonal[0], di]
+    if alphas is not None:
+        wc_overlay = np.full(shape, np.nan)
+    else:
+        wc_overlay = np.zeros(shape)
+        alphas = np.zeros(shape)
+        for bi, delta_bar in enumerate(bars):
+            rule_alpha = optimal_alpha(delta_bar, rho_overlay)
             if rule_alpha is ZERO_RECONSTRUCTION:
-                alphas[bi, di] = np.inf
-                wc_overlay[bi, di] = rho_overlay
+                alphas[bi] = np.inf
+                wc_overlay[bi] = rho_overlay
             else:
-                alphas[bi, di] = rule_alpha
-                wc_overlay[bi, di] = wc_bound(rule_alpha, delta, rho_overlay)
+                alphas[bi] = rule_alpha
+                wc_overlay[bi] = wc_bound(rule_alpha, np.asarray(deltas), rho_overlay)
     return ErrorGrid(delta_bar=bars, delta=deltas, mean_errors=mean_errors,
                      relative_errors=relative, wc_overlay=wc_overlay,
                      alphas=alphas, sentinel_fraction=sentinel,
@@ -577,13 +536,24 @@ def emit_wc_curve_csv(alphas, bounds, path) -> None:
             fh.write(f"{_fmt(a)},{_fmt(b)}\n")
 
 
+NOISE_SCHEME = "crn-v1"
+
+
 @dataclass(frozen=True)
 class RunManifest:
+    """Run provenance.  The bound-check totals are those of a Tikhonov
+    mismatch grid and stay ``None`` for other commands; ``min_margin`` is
+    also ``None`` when nothing was checked."""
+
     master_seed: int
     config_hash: str
     operator_checksum: str
     tool_version: str
     wall_time_s: float
+    noise_scheme: str = NOISE_SCHEME
+    checked: int | None = None
+    violations: int | None = None
+    min_margin: float | None = None
 
     def write(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -601,14 +571,20 @@ def operator_checksum(op: DenseOperator) -> str:
 
 
 def make_manifest(config: ExperimentConfig, op: DenseOperator,
-                  wall_time_s: float) -> RunManifest:
+                  wall_time_s: float, grid: ErrorGrid | None = None) -> RunManifest:
+    checks = {} if grid is None else dict(
+        checked=grid.checked, violations=grid.violations,
+        min_margin=grid.min_margin if grid.checked else None)
     return RunManifest(master_seed=config.seed, config_hash=config_hash(config),
                        operator_checksum=operator_checksum(op),
-                       tool_version=__version__, wall_time_s=wall_time_s)
+                       tool_version=__version__, wall_time_s=wall_time_s, **checks)
 
 
 # ---------------------------------------------------------------------------
 # CLI
+
+THREADS_HELP = "accepted for compatibility; has no effect (grids run on one thread)"
+
 
 def _shared_flags() -> argparse.ArgumentParser:
     # subparsers carry the global flags with SUPPRESS defaults so a flag
@@ -617,7 +593,7 @@ def _shared_flags() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="master seed")
     p.add_argument("--config", type=str, default=argparse.SUPPRESS, help="config file")
     p.add_argument("--out", type=str, default=argparse.SUPPRESS, help="output directory")
-    p.add_argument("--threads", type=int, default=argparse.SUPPRESS, help="worker threads")
+    p.add_argument("--threads", type=int, default=argparse.SUPPRESS, help=THREADS_HELP)
     return p
 
 
@@ -630,7 +606,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--config", type=str, default=None, help="config file")
     parser.add_argument("--out", type=str, default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
+    parser.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     sub = parser.add_subparsers(dest="command")
 
     sub.add_parser("operator", parents=[shared],
@@ -711,7 +687,7 @@ def _cmd_mismatch_grid(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     emit_mismatch_csv(grid, out / "mismatch_grid.csv")
-    make_manifest(config, op, wall).write(out / "manifest.json")
+    make_manifest(config, op, wall, grid).write(out / "manifest.json")
     print(f"wrote {out / 'mismatch_grid.csv'} (rho={_fmt(grid.rho_overlay)})")
     if grid.checked:
         print(f"bound checks: {grid.checked - grid.violations}/{grid.checked} "
@@ -744,8 +720,8 @@ def _cmd_lasso_solve(args) -> int:
     if alpha is None:
         raise ConfigError("lasso-solve needs --alpha or a method alpha")
     x_true = np.asarray(getattr(samples[args.sample], "x_true", samples[args.sample]), dtype=float)
-    meas = add_noise(apply(op, x_true), args.delta, (config.seed, args.sample))
-    sol = solve(LassoProblem(op, meas.y_noisy, alpha, transform))
+    noise = noise_block(config.seed, args.sample, 1, op.m)[0]
+    sol = solve(LassoProblem(op, apply(op, x_true) + args.delta * noise, alpha, transform))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "lasso_solution.csv", "w", newline="\n") as fh:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .datagen import Basis
 from .linop import DenseOperator, compute_svd, filtered_solve
@@ -196,15 +195,18 @@ def subspace_solver(op: DenseOperator, basis: Basis, m: int, alpha: float):
     b, composed = problem.basis_matrix, problem.composed
     if m == 0:
         return lambda y: np.zeros((op.n,) + np.shape(y)[1:])
+    # imported here: scipy.linalg adds ~0.3 s to every command's start-up
+    from scipy.linalg import cho_factor, cho_solve
+
     gram = composed.T @ composed + alpha * (b.T @ b)
     try:
-        factor = scipy.linalg.cho_factor(gram)
-    except scipy.linalg.LinAlgError as exc:
+        factor = cho_factor(gram)
+    except np.linalg.LinAlgError as exc:
         raise ValueError("restricted normal matrix is singular") from exc
 
     def solve(y):
         y = np.asarray(y, dtype=float)
-        return b @ scipy.linalg.cho_solve(factor, composed.T @ y)
+        return b @ cho_solve(factor, composed.T @ y)
 
     return solve
 

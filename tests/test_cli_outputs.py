@@ -1,10 +1,13 @@
 """Small CLI runs at seed 0, pinned to recorded outputs.
 
-The expected CSVs were recorded before the batched spectral-filter kernel
-replaced the per-sample and Cholesky paths.  Every number must agree with
-them to 1e-12 relative; labels, grid levels, ``estimated_N`` and the
-bound-check tally must agree exactly.  A kernel change that moves results
-further than rounding fails here.
+The expected CSVs come from references independent of the code under
+test: the mismatch grids from a data-space reconstruction of every cell
+(``reference_grid`` in test_crn.py) on the ``crn-v1`` noise blocks, the
+dimension scan from the previous scan code with only its reference's noise
+moved to realization 0 of sample 0's noise block.  Every
+number must agree with them to 1e-12 relative; labels, grid levels,
+``estimated_N`` and the bound-check tally must agree exactly.  A change
+that moves results further than rounding fails here.
 """
 
 import math
@@ -40,19 +43,19 @@ rho = estimate
 
 RADON_GRID_CSV = """\
 delta_bar,delta,mean_error,relative_error,wc_bound,alpha
-0.01,0.01,0.04540025544619246,1.0,0.08923680490325389,0.012557754132607206
-0.01,0.1,0.2911513089689076,1.7472655713248457,0.4908024269678964,0.012557754132607206
-0.01,0.5,1.3971556757240982,4.91828422762042,2.275538525032974,0.012557754132607206
-0.1,0.01,0.11273852102871285,2.483213363465068,0.15520535503570013,0.12557754132607207
-0.1,0.1,0.16663254501612207,1.0,0.2821915546103639,0.12557754132607207
-0.1,0.5,0.5956777806710357,2.0969120938509023,0.8465746638310916,0.12557754132607207
-0.5,0.01,0.19675852938119812,4.333863927580599,0.32180974438041005,0.6278877066303603
-0.5,0.1,0.2014655523744926,1.2090408410613926,0.3785996992710706,0.6278877066303603
-0.5,0.5,0.284073797093275,1.0,0.6309994987851177,0.6278877066303603
+0.01,0.01,0.04549923722921366,1.0,0.08923680490325403,0.012557754132607166
+0.01,0.1,0.29745665436261437,1.7835328734285676,0.49080242696789717,0.012557754132607166
+0.01,0.5,1.4785011163854163,5.096892182409248,2.2755385250329776,0.012557754132607166
+0.1,0.01,0.1125935722790857,2.4746254912333527,0.15520535503570038,0.12557754132607166
+0.1,0.1,0.16677946271368674,1.0,0.2821915546103643,0.12557754132607166
+0.1,0.5,0.6301031938526319,2.172178300893069,0.8465746638310929,0.12557754132607166
+0.5,0.01,0.19676783654916727,4.324640335351132,0.32180974438041055,0.6278877066303583
+0.5,0.1,0.20119677999210955,1.2063642412465834,0.37859969927107123,0.6278877066303583
+0.5,0.5,0.2900789468311931,1.0,0.6309994987851187,0.6278877066303583
 """
 
 # per-sample source constants straddle delta_bar = 0.6, so two of the five
-# samples take the zero reconstruction inside batches with the others
+# samples take the zero reconstruction
 INTEGRATION_GRID = """
 [operator]
 kind = integration
@@ -74,15 +77,15 @@ rho = per-sample
 
 INTEGRATION_GRID_CSV = """\
 delta_bar,delta,mean_error,relative_error,wc_bound,alpha
-0.01,0.01,0.03994256479332157,1.0,0.07771735275612499,0.01655632724608668
-0.01,0.1,0.2754854021683391,3.8251230866986883,0.42744544015868746,0.01655632724608668
-0.01,0.6,1.6541676531403187,12.427783304346555,2.370379259061812,0.01655632724608668
-0.1,0.01,0.04950431675476966,1.239387530843959,0.13517011663546571,0.16556327246086683
-0.1,0.1,0.07202000979427295,1.0,0.2457638484281195,0.16556327246086683
-0.1,0.6,0.3158704896167946,2.3731391372228554,0.8601734694984182,0.16556327246086683
-0.6,0.01,0.11712359746495338,2.932300368566631,0.3060146464847292,0.9933796347652009
-0.6,0.1,0.11877802263525217,1.6492364132488277,0.3511643484250991,0.9933796347652009
-0.6,0.6,0.1331023894310888,1.0,0.6019960258715984,0.9933796347652009
+0.01,0.01,0.03609352002120389,1.0,0.07771735275612499,0.01655632724608668
+0.01,0.1,0.26372982216779023,3.879723353360532,0.42744544015868746,0.01655632724608668
+0.01,0.6,1.5884615642538893,12.382041068349741,2.370379259061812,0.01655632724608668
+0.1,0.01,0.04974729779269792,1.378288894058347,0.13517011663546571,0.16556327246086683
+0.1,0.1,0.06797645041864987,1.0,0.2457638484281195,0.16556327246086683
+0.1,0.6,0.2917973620591933,2.2745573465292637,0.8601734694984182,0.16556327246086683
+0.6,0.01,0.11708701926888725,3.2439900347791526,0.3060146464847292,0.9933796347652009
+0.6,0.1,0.11684279333963844,1.718871647754966,0.3511643484250991,0.9933796347652009
+0.6,0.6,0.1282875380145704,1.0,0.6019960258715984,0.9933796347652009
 """
 
 RADON_DIMSCAN = RADON + """
@@ -103,21 +106,21 @@ m_grid = 2 4 8 16 32
 
 RADON_DIMSCAN_CSV = """\
 basis,M,delta,mean_error
-svd,2,0.01,0.22859371505744958
-svd,2,0.1,0.22954794379170804
-svd,2,0.5,0.2600682770347545
-svd,4,0.01,0.18111780650314596
-svd,4,0.1,0.18522201500454558
-svd,4,0.5,0.24935776689618255
-svd,8,0.01,0.1738638468348515
-svd,8,0.1,0.18799758099677735
-svd,8,0.5,0.3199973798217166
-svd,16,0.01,0.13141998142024036
-svd,16,0.1,0.1680521790500188
-svd,16,0.5,0.5140649611642324
-svd,32,0.01,0.08027011337830021
-svd,32,0.1,0.18406396632687755
-svd,32,0.5,0.791986783527697
+svd,2,0.01,0.23265625933379097
+svd,2,0.1,0.2335690211197886
+svd,2,0.5,0.26390706128885333
+svd,4,0.01,0.18745696923084018
+svd,4,0.1,0.19143633440399616
+svd,4,0.5,0.25380999084924794
+svd,8,0.01,0.18123796351656268
+svd,8,0.1,0.19526492777450105
+svd,8,0.5,0.3225812871196939
+svd,16,0.01,0.13597525520849424
+svd,16,0.1,0.17197841463262706
+svd,16,0.5,0.5145972317666576
+svd,32,0.01,0.08859475822237077
+svd,32,0.1,0.18656220139327043
+svd,32,0.5,0.7939518468410776
 """
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +221,31 @@ class TestMismatchGrid:
         assert grid.mean_errors.shape == (2, 2)
         assert np.abs(np.diag(grid.relative_errors) - 1.0).max() <= 1e-12
 
+    def test_lasso_grid_has_no_worst_case_overlay(self):
+        # the Tikhonov worst-case bound says nothing about the sparse method
+        config = ExperimentConfig(
+            operator=OperatorSpec(kind="integration", n=12),
+            data=DataSpec(kind="source", count=1),
+            grid=GridSpec(delta_bar=(0.01, 0.1), delta=(0.1,), realizations=1),
+            method=MethodSpec(kind="lasso", transform="identity", alpha=0.05),
+            seed=3)
+        grid = run_mismatch_grid(config)
+        assert np.isnan(grid.wc_overlay).all()
+        assert (grid.alphas == 0.05).all()
+
+    def test_diagonal_found_despite_float_rounding(self):
+        # 0.1 + 0.2 != 0.3 in binary floating point
+        config = ExperimentConfig(
+            operator=OperatorSpec(kind="integration", n=12),
+            data=DataSpec(kind="source", count=2),
+            grid=GridSpec(delta_bar=(0.1, 0.1 + 0.2), delta=(0.3, 0.1), realizations=2),
+            method=MethodSpec(kind="tikhonov", rho=2.0),
+            seed=3)
+        grid = run_mismatch_grid(config)
+        assert grid.relative_errors[1, 0] == 1.0
+        assert grid.relative_errors[0, 1] == 1.0
+        assert grid.relative_errors[0, 0] == grid.mean_errors[0, 0] / grid.mean_errors[1, 0]
+
 
 class TestCsvEmission:
     def test_schema_and_row_count(self, tmp_path):
@@ -296,6 +325,45 @@ class TestManifest:
         assert payload["tool_version"] == harness.__version__
         assert len(payload["operator_checksum"]) == 64
         assert payload["config_hash"] == config_hash(small_config)
+
+    def test_noise_scheme_without_grid(self, tmp_path, small_config):
+        op = build_operator(small_config.operator)
+        make_manifest(small_config, op, wall_time_s=1.5).write(tmp_path / "manifest.json")
+        payload = json.loads((tmp_path / "manifest.json").read_text())
+        assert payload["noise_scheme"] == "crn-v1"
+        assert payload["checked"] is None and payload["min_margin"] is None
+
+    def test_mismatch_grid_records_bound_checks(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CONFIG)
+        out = tmp_path / "run"
+        assert cli_main(["--seed", "7", "--config", str(cfg), "--out", str(out),
+                         "mismatch-grid"]) == 0
+        payload = json.loads((out / "manifest.json").read_text())
+        assert payload["noise_scheme"] == "crn-v1"
+        assert payload["checked"] == 6 * 10 * 9
+        assert payload["violations"] == 0
+        assert 0.0 < payload["min_margin"] < 1.0
+        printed = capsys.readouterr().out
+        assert (f"bound checks: {payload['checked']}/{payload['checked']} within bound, "
+                f"min margin {payload['min_margin']:.3e}") in printed
+
+    def test_unchecked_grid_writes_no_margin(self, tmp_path):
+        cfg = tmp_path / "radon.cfg"
+        cfg.write_text(RADON_SMALL + RADON_GRID_TAIL)
+        out = tmp_path / "run"
+        assert cli_main(["--config", str(cfg), "--out", str(out), "mismatch-grid"]) == 0
+        payload = json.loads((out / "manifest.json").read_text())
+        assert (payload["checked"], payload["violations"], payload["min_margin"]) == (0, 0, None)
+
+
+def test_harness_import_leaves_scipy_unloaded():
+    # scipy.linalg is imported only by the Cholesky paths that need it
+    src = Path(harness.__file__).resolve().parents[1]
+    code = "import sys, regbench.harness; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 RADON_SMALL = """
