@@ -43,7 +43,7 @@ from .datagen import (
     SubspaceSpec,
 )
 from .dimscan import DimScanConfig, DimScanResult, scan
-from .lasso import AlphaRule, ConvergenceError, LassoProblem, SparsifyingTransform, alpha_for_delta, grid_search_alpha, solve
+from .lasso import AlphaRule, ConvergenceError, LassoProblem, SparsifyingTransform, alpha_for_delta, grid_search_alphas, solve, solve_batch
 from .linop import (
     DenseOperator,
     apply,
@@ -285,6 +285,7 @@ class ErrorGrid:
     violations: int
     checked: int
     min_margin: float
+    solver: dict | None = None
 
 
 def run_mismatch_grid(config: ExperimentConfig,
@@ -383,7 +384,13 @@ def run_mismatch_grid(config: ExperimentConfig,
 def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     """Mismatch grid for the sparse method; alpha comes from the tuned rule
     evaluated at the training noise level.  The noise blocks are the
-    Tikhonov grid's."""
+    Tikhonov grid's.
+
+    Each sample's (delta_bar, delta, realization) problems are one
+    :func:`~regbench.lasso.solve_batch` call.  A cell averages its
+    converged solves only; a cell with none reads NaN.  ``solver`` holds
+    the totals over every solve.
+    """
     samples = build_dataset(op, config.data, config.seed)
     transform = _build_transform(config.method.transform, op)
     if config.method.alpha_rule:
@@ -395,29 +402,41 @@ def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
 
     x_mat = np.column_stack([np.asarray(getattr(s, "x_true", s), dtype=float) for s in samples])
     y_mat = op.entries @ x_mat
-    bars, deltas = config.grid.delta_bar, config.grid.delta
+    bars, deltas = config.grid.delta_bar, np.asarray(config.grid.delta)
     realizations = config.grid.realizations
     alphas = np.array([alpha_for_delta(rule, delta_bar) for delta_bar in bars])
-    errors = np.zeros((len(bars), len(deltas), len(samples), realizations))
+    shape = (len(bars), len(deltas), realizations)
+    column_alphas = np.repeat(alphas, len(deltas) * realizations)  # columns (bar, delta, r)
+    err_sum, solved = np.zeros(shape[:2]), np.zeros(shape[:2])
+    stats = []
     level_sum = 0.0
     for si in range(len(samples)):
         block = noise_block(config.seed, si, realizations, op.m)
         level_sum += np.linalg.norm(block, axis=1).sum() / np.sqrt(op.m)
-        for bi, alpha in enumerate(alphas):
-            for di, delta in enumerate(deltas):
-                for r in range(realizations):
-                    sol = solve(LassoProblem(op, y_mat[:, si] + delta * block[r], alpha, transform))
-                    errors[bi, di, si, r] = weighted_norm(sol.x - x_mat[:, si])
+        noisy = y_mat[:, si] + deltas[:, None, None] * block  # (delta, r, m)
+        data = np.tile(noisy.reshape(-1, op.m).T, len(bars))
+        sol = solve_batch(op, transform, data, column_alphas)
+        errors = (np.linalg.norm(sol.x - x_mat[:, si, None], axis=0) / np.sqrt(op.n)).reshape(shape)
+        converged = sol.converged.reshape(shape)
+        err_sum += np.where(converged, errors, 0.0).sum(axis=2)
+        solved += converged.sum(axis=2)
+        stats.append((sol.iterations, sol.converged, sol.kkt_residual))
 
-    realized = np.asarray(deltas) * level_sum / (len(samples) * realizations)
+    iterations, converged, kkt = (np.concatenate(v) for v in zip(*stats))
+    solver = {"solves": int(iterations.size), "failures": int((~converged).sum()),
+              "iterations_median": float(np.median(iterations)),
+              "iterations_max": int(iterations.max()), "kkt_max": float(kkt.max())}
+    realized = deltas * level_sum / (len(samples) * realizations)
     est = estimate_source_constant(op, samples, config.method.pinv_rel_tol)
-    return _assemble_grid(config, errors.mean(axis=(2, 3)), np.tile(realized, (len(bars), 1)),
-                          np.zeros(errors.shape[:2]), est.mean,
-                          alphas=np.tile(alphas[:, None], (1, len(deltas))))
+    with np.errstate(invalid="ignore"):
+        mean_errors = err_sum / solved
+    return _assemble_grid(config, mean_errors, np.tile(realized, (len(bars), 1)),
+                          np.zeros(shape[:2]), est.mean,
+                          alphas=np.tile(alphas[:, None], (1, len(deltas))), solver=solver)
 
 
 def _assemble_grid(config, mean_errors, realized, sentinel, rho_overlay, alphas=None,
-                   violations=0, checked=0, min_margin=np.inf) -> ErrorGrid:
+                   violations=0, checked=0, min_margin=np.inf, solver=None) -> ErrorGrid:
     """Relative errors against the diagonal cell plus the overlays.
 
     Without ``alphas`` (the Tikhonov grid) the rule's alphas and the
@@ -449,7 +468,7 @@ def _assemble_grid(config, mean_errors, realized, sentinel, rho_overlay, alphas=
                      alphas=alphas, sentinel_fraction=sentinel,
                      mean_realized_delta=realized, rho_overlay=rho_overlay,
                      violations=violations, checked=checked,
-                     min_margin=float(min_margin))
+                     min_margin=float(min_margin), solver=solver)
 
 
 def _build_transform(kind: str, op: DenseOperator) -> SparsifyingTransform:
@@ -543,7 +562,9 @@ NOISE_SCHEME = "crn-v1"
 class RunManifest:
     """Run provenance.  The bound-check totals are those of a Tikhonov
     mismatch grid and stay ``None`` for other commands; ``min_margin`` is
-    also ``None`` when nothing was checked."""
+    also ``None`` when nothing was checked.  ``solver`` holds the LASSO
+    grid's solver totals (solves, failures, median and max iterations,
+    max KKT residual) and is ``None`` otherwise."""
 
     master_seed: int
     config_hash: str
@@ -554,6 +575,7 @@ class RunManifest:
     checked: int | None = None
     violations: int | None = None
     min_margin: float | None = None
+    solver: dict | None = None
 
     def write(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -562,7 +584,11 @@ class RunManifest:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    payload = json.dumps(asdict(config), sort_keys=True, default=str)
+    """sha256 of the config, leaving out ``threads``, which has no effect
+    on any output."""
+    fields = asdict(config)
+    del fields["threads"]
+    payload = json.dumps(fields, sort_keys=True, default=str)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -574,7 +600,7 @@ def make_manifest(config: ExperimentConfig, op: DenseOperator,
                   wall_time_s: float, grid: ErrorGrid | None = None) -> RunManifest:
     checks = {} if grid is None else dict(
         checked=grid.checked, violations=grid.violations,
-        min_margin=grid.min_margin if grid.checked else None)
+        min_margin=grid.min_margin if grid.checked else None, solver=grid.solver)
     return RunManifest(master_seed=config.seed, config_hash=config_hash(config),
                        operator_checksum=operator_checksum(op),
                        tool_version=__version__, wall_time_s=wall_time_s, **checks)
@@ -692,6 +718,9 @@ def _cmd_mismatch_grid(args) -> int:
     if grid.checked:
         print(f"bound checks: {grid.checked - grid.violations}/{grid.checked} "
               f"within bound, min margin {grid.min_margin:.3e}")
+    if grid.solver:
+        print(f"solver: {grid.solver['failures']}/{grid.solver['solves']} solves "
+              f"did not converge")
     return 0
 
 
@@ -739,16 +768,14 @@ def _cmd_alpha_tune(args) -> int:
     op = build_operator(config.operator)
     samples = build_dataset(op, config.data, config.seed)[:args.tuples]
     transform = _build_transform(config.method.transform, op)
-    delta_grid = _floats(args.delta_grid)
-    alpha_grid = _floats(args.alpha_grid)
+    deltas = sorted(_floats(args.delta_grid))
+    truths = [np.asarray(getattr(sample, "x_true", sample), dtype=float) for sample in samples]
+    tuple_sets = [[(x, add_noise(apply(op, x), delta, (config.seed, di, si)).y_noisy)
+                   for si, x in enumerate(truths)]
+                  for di, delta in enumerate(deltas)]
     knots = []
-    for di, delta in enumerate(sorted(delta_grid)):
-        tuples = []
-        for si, sample in enumerate(samples):
-            x = np.asarray(getattr(sample, "x_true", sample), dtype=float)
-            meas = add_noise(apply(op, x), delta, (config.seed, di, si))
-            tuples.append((x, meas.y_noisy))
-        result = grid_search_alpha(op, transform, tuples, alpha_grid)
+    for delta, result in zip(deltas, grid_search_alphas(op, transform, tuple_sets,
+                                                        _floats(args.alpha_grid))):
         knots.append((delta, result.alpha_star))
         print(f"delta={_fmt(delta)} alpha={_fmt(result.alpha_star)}")
     rule = AlphaRule(tuple(knots))

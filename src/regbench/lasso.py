@@ -1,12 +1,17 @@
 """Generalized-LASSO reconstruction with a fixed sparsifying transform.
 
 Minimizes ``||Ax - y||_2^2 + alpha ||Wx||_1`` (no 1/2 on the data term, so
-the optimality relation carries a factor 2) by a primal-dual splitting
-scheme: explicit gradient steps on the quadratic, proximal steps on the
-l1 term composed with W.  Ships KKT residuals, the dual subgradient bound,
-solution-set invariance probing, alpha fine-tuning by grid search with
-spline interpolation, and empirical stability estimation of the solution
-map.
+the optimality relation carries a factor 2) by the Condat-Vu primal-dual
+splitting: explicit gradient steps on the quadratic, proximal steps on the
+l1 term composed with W.  :func:`solve_batch` iterates on an n x B block of
+independent problems, each column with its own data and alpha (the dual
+clip broadcasts alpha per column).  The step sizes depend only on A and W,
+so one set serves the batch.  A column whose relative fixed-point residual
+reaches ``tol`` is frozen: stored and dropped from the working block.
+:func:`solve` is the one-column case that records the objective trace.
+Ships KKT residuals, the dual subgradient bound, solution-set invariance
+probing, alpha tuning by grid search with piecewise-linear interpolation,
+and empirical stability estimation of the solution map.
 """
 
 from __future__ import annotations
@@ -17,16 +22,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datagen import rng_for
-from .linop import DenseOperator, operator_norm, weighted_norm
+from .linop import DenseOperator, operator_norm
 
 
 @dataclass(frozen=True)
 class SparsifyingTransform:
     """Row-sparsifying matrix W; one of identity, 1-D difference, 2-D image
-    gradient, or a custom externally supplied matrix."""
+    gradient, or a custom externally supplied matrix.
+
+    ``norm`` is the spectral norm of W: closed forms for the built-in
+    kinds, computed once at construction otherwise.
+    """
 
     kind: str
     matrix: np.ndarray
+    norm: float | None = None
 
     def __post_init__(self):
         w = np.ascontiguousarray(np.asarray(self.matrix, dtype=float))
@@ -34,46 +44,32 @@ class SparsifyingTransform:
             raise ValueError("transform matrix must be 2-D")
         w.setflags(write=False)
         object.__setattr__(self, "matrix", w)
+        if self.norm is None:
+            object.__setattr__(self, "norm", float(np.linalg.norm(w, 2)) if w.size else 0.0)
 
     @classmethod
     def identity(cls, n: int) -> "SparsifyingTransform":
-        return cls("identity", np.eye(n))
+        return cls("identity", np.eye(n), 1.0 if n else 0.0)
 
     @classmethod
     def diff1d(cls, n: int) -> "SparsifyingTransform":
-        """Forward differences of adjacent entries, (n-1) x n."""
+        """Forward differences of adjacent entries, (n-1) x n; the norm is
+        ``2 cos(pi / (2n))``."""
         if n < 2:
             raise ValueError("need at least two entries for differences")
-        w = np.zeros((n - 1, n))
-        idx = np.arange(n - 1)
-        w[idx, idx] = -1.0
-        w[idx, idx + 1] = 1.0
-        return cls("diff1d", w)
+        eye = np.eye(n)
+        return cls("diff1d", eye[1:] - eye[:-1], 2.0 * math.cos(math.pi / (2 * n)))
 
     @classmethod
     def grad2d(cls, side: int) -> "SparsifyingTransform":
         """Stacked horizontal and vertical first differences of a square
-        image flattened row-major."""
+        image flattened row-major; the norm is ``2 sqrt(2) cos(pi / (2 side))``."""
         if side < 2:
             raise ValueError("need at least a 2x2 image")
-        n = side * side
-        rows = []
-        horiz = np.zeros((side * (side - 1), n))
-        k = 0
-        for r in range(side):
-            for c in range(side - 1):
-                horiz[k, r * side + c] = -1.0
-                horiz[k, r * side + c + 1] = 1.0
-                k += 1
-        vert = np.zeros((side * (side - 1), n))
-        k = 0
-        for r in range(side - 1):
-            for c in range(side):
-                vert[k, r * side + c] = -1.0
-                vert[k, (r + 1) * side + c] = 1.0
-                k += 1
-        rows = np.vstack([horiz, vert])
-        return cls("grad2d", rows)
+        diff, eye = cls.diff1d(side).matrix, np.eye(side)
+        # "+ 0.0" turns the -0.0 entries of the Kronecker products into 0.0
+        rows = np.vstack([np.kron(eye, diff), np.kron(diff, eye)]) + 0.0
+        return cls("grad2d", rows, 2.0 * math.sqrt(2.0) * math.cos(math.pi / (2 * side)))
 
     @classmethod
     def custom(cls, matrix: np.ndarray) -> "SparsifyingTransform":
@@ -129,8 +125,39 @@ class ConvergenceError(RuntimeError):
         self.last = last
 
 
-def _support(wx: np.ndarray, scale: float) -> np.ndarray:
-    return np.nonzero(np.abs(wx) > 1e-6 * (1.0 + scale))[0]
+@dataclass(frozen=True)
+class BatchSolution:
+    """Per-column results of :func:`solve_batch`; column j solves problem j.
+
+    ``residual`` is the relative fixed-point residual at the last
+    iteration; a column is ``converged`` when it reached ``tol`` within
+    ``max_iter`` iterations.
+    """
+
+    x: np.ndarray
+    gamma: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    residual: np.ndarray
+    kkt_residual: np.ndarray
+
+
+def _on_support(wx: np.ndarray) -> np.ndarray:
+    """Entries of Wx (per column) significantly nonzero relative to the
+    column's largest."""
+    mag = np.abs(wx)
+    return mag > 1e-6 * (1.0 + mag.max(axis=0, initial=0.0))
+
+
+def _col_norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->j", v, v))
+
+
+def _kkt_residuals(a, w, x, y, gamma, alphas) -> np.ndarray:
+    wx = w @ x
+    g = np.where(_on_support(wx), np.sign(wx), np.clip(gamma, -1.0, 1.0))
+    grad = 2.0 * (a.T @ (a @ x - y))
+    return _col_norms(grad + alphas * (w.T @ g))
 
 
 def kkt_residual(problem: LassoProblem, x: np.ndarray, gamma: np.ndarray) -> float:
@@ -140,69 +167,108 @@ def kkt_residual(problem: LassoProblem, x: np.ndarray, gamma: np.ndarray) -> flo
     by the sign pattern of Wx: it is pinned to the sign on the support and
     clipped to [-1, 1] elsewhere.
     """
-    a = problem.operator.entries
-    w = problem.transform.matrix
-    wx = w @ x
-    g = np.clip(np.asarray(gamma, dtype=float), -1.0, 1.0)
-    on = _support(wx, float(np.abs(wx).max(initial=0.0)))
-    g[on] = np.sign(wx[on])
-    grad = 2.0 * (a.T @ (a @ x - problem.y))
-    return float(np.linalg.norm(grad + problem.alpha * (w.T @ g)))
+    return float(_kkt_residuals(problem.operator.entries, problem.transform.matrix,
+                                np.asarray(x, dtype=float)[:, None], problem.y[:, None],
+                                np.asarray(gamma, dtype=float)[:, None],
+                                np.array([problem.alpha]))[0])
+
+
+def solve_batch(op: DenseOperator, transform: SparsifyingTransform, Y: np.ndarray,
+                alphas, tol: float = 1e-8, max_iter: int = 20000,
+                x0: np.ndarray | None = None, trace: np.ndarray | None = None) -> BatchSolution:
+    """Primal-dual splitting on the columns of ``Y`` (m x B), column j with
+    penalty ``alphas[j]``, started from ``x0`` (n x B) or zero.
+
+    Step sizes satisfy ``tau * (L/2 + s ||W||^2) <= 1`` with ``L = 2||A||^2``.
+    A column stops once its relative fixed-point residual drops below
+    ``tol``.  ``trace``, allowed only for a single column, receives the
+    objective after every iteration.  KKT residuals are evaluated in one
+    pass at the end.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    a, w = op.entries, transform.matrix
+    y, alpha = np.asarray(Y, dtype=float), np.asarray(alphas, dtype=float)
+    if y.ndim != 2 or y.shape[0] != op.m or alpha.shape != y.shape[1:] or w.shape[1] != op.n:
+        raise ValueError("need (m, B) data, B penalties and a transform as wide as the operator")
+    batch = y.shape[1]
+    if (alpha <= 0).any():
+        raise ValueError("alpha must be positive")
+    if trace is not None and batch != 1:
+        raise ValueError("an objective trace needs a single column")
+
+    lip = 2.0 * operator_norm(op) ** 2
+    w_norm = transform.norm
+    s = 1.0 / w_norm if w_norm > 0 else 1.0
+    tau = 1.0 / (lip / 2.0 + s * w_norm ** 2) if (lip > 0 or w_norm > 0) else 1.0
+
+    x = np.zeros((op.n, batch)) if x0 is None else np.array(x0, dtype=float).reshape(op.n, batch)
+    dual = np.zeros((w.shape[0], batch))
+    out_x, out_dual = np.empty_like(x), np.empty_like(dual)
+    iterations = np.full(batch, max_iter)
+    residual = np.full(batch, np.inf)
+    rel = residual.copy()
+    live = np.arange(batch)
+    y_all, alpha_all = y, alpha
+    for k in range(max_iter):
+        if not live.size:
+            break
+        grad = 2.0 * (a.T @ (a @ x - y))
+        x_new = x - tau * (grad + w.T @ dual)
+        # the dual clip to [-alpha, alpha], per column (np.clip is slower)
+        dual_new = np.minimum(np.maximum(dual + s * (w @ (2.0 * x_new - x)), -alpha), alpha)
+        step = np.hypot(_col_norms(x_new - x) / tau, _col_norms(dual_new - dual) / s)
+        rel = step / (1.0 + np.hypot(_col_norms(x_new), _col_norms(dual_new)))
+        x, dual = x_new, dual_new
+        if trace is not None:
+            r = a @ x[:, 0] - y[:, 0]
+            trace[k] = r @ r + alpha[0] * np.abs(w @ x[:, 0]).sum()
+        done = rel <= tol
+        if done.any():
+            # freeze the converged columns and keep the block contiguous
+            out_x[:, live[done]] = x[:, done]
+            out_dual[:, live[done]] = dual[:, done]
+            iterations[live[done]] = k + 1
+            residual[live[done]] = rel[done]
+            keep = ~done
+            live, x, dual, y, alpha, rel = (live[keep], x[:, keep], dual[:, keep],
+                                            y[:, keep], alpha[keep], rel[keep])
+    out_x[:, live] = x
+    out_dual[:, live] = dual
+    residual[live] = rel
+
+    gamma = out_dual / alpha_all
+    return BatchSolution(x=out_x, gamma=gamma, iterations=iterations,
+                         converged=residual <= tol, residual=residual,
+                         kkt_residual=_kkt_residuals(a, w, out_x, y_all, gamma, alpha_all))
+
+
+def _no_convergence(max_iter: int, residual: float) -> str:
+    return f"no convergence after {max_iter} iterations (residual {residual:.3e})"
 
 
 def solve(problem: LassoProblem, tol: float = 1e-8, max_iter: int = 20000,
           x0: np.ndarray | None = None) -> PdSolution:
-    """Primal-dual splitting for the generalized LASSO.
+    """One generalized-LASSO problem through :func:`solve_batch`.
 
-    Step sizes satisfy ``tau * (L/2 + s ||W||^2) <= 1`` with ``L = 2||A||^2``.
-    Terminates once the relative fixed-point residual drops below ``tol``;
-    hitting ``max_iter`` first raises :class:`ConvergenceError` carrying the
-    last iterate.
+    Hitting ``max_iter`` before the residual reaches ``tol`` raises
+    :class:`ConvergenceError` carrying the last iterate.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    a = problem.operator.entries
-    w = problem.transform.matrix
-    y, alpha = problem.y, problem.alpha
-
-    lip = 2.0 * operator_norm(problem.operator) ** 2
-    w_norm = float(np.linalg.norm(w, 2)) if w.size else 0.0
-    s = 1.0 / w_norm if w_norm > 0 else 1.0
-    tau = 1.0 / (lip / 2.0 + s * w_norm ** 2) if (lip > 0 or w_norm > 0) else 1.0
-
-    x = np.zeros(problem.operator.n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    dual = np.zeros(w.shape[0])
     trace = np.empty(max_iter)
-    rel = math.inf
-    iterations = 0
-    for k in range(max_iter):
-        grad = 2.0 * (a.T @ (a @ x - y))
-        x_new = x - tau * (grad + w.T @ dual)
-        dual_new = np.clip(dual + s * (w @ (2.0 * x_new - x)), -alpha, alpha)
-        step = math.hypot(np.linalg.norm(x_new - x) / tau,
-                          np.linalg.norm(dual_new - dual) / s)
-        scale = 1.0 + math.hypot(np.linalg.norm(x_new), np.linalg.norm(dual_new))
-        rel = step / scale
-        x, dual = x_new, dual_new
-        trace[k] = problem.objective(x)
-        iterations = k + 1
-        if rel <= tol:
-            break
-
-    gamma = dual / alpha
+    batch = solve_batch(problem.operator, problem.transform, problem.y[:, None],
+                        [problem.alpha], tol, max_iter, x0, trace)
+    x, iterations = batch.x[:, 0], int(batch.iterations[0])
     solution = PdSolution(
         x=x,
-        gamma=gamma,
+        gamma=batch.gamma[:, 0],
         iterations=iterations,
-        kkt_residual=kkt_residual(problem, x, gamma),
+        kkt_residual=float(batch.kkt_residual[0]),
         objective=problem.objective(x),
         objective_trace=trace[:iterations].copy(),
-        support=_support(w @ x, float(np.abs(w @ x).max(initial=0.0))),
+        support=np.nonzero(_on_support(problem.transform.matrix @ x))[0],
     )
-    if rel > tol:
-        raise ConvergenceError(
-            f"no convergence after {max_iter} iterations (residual {rel:.3e})",
-            solution)
+    if not batch.converged[0]:
+        raise ConvergenceError(_no_convergence(max_iter, batch.residual[0]), solution)
     return solution
 
 
@@ -263,33 +329,48 @@ def grid_search_alpha(op: DenseOperator, transform: SparsifyingTransform,
                       tuples, grid, tol: float = 1e-8,
                       max_iter: int = 20000) -> GridSearchResult:
     """Pick the grid alpha minimizing the mean reconstruction error over the
-    supplied (truth, data) tuples.  Failed solves skip their cell; ties and
-    duplicate entries resolve to the earliest grid position."""
+    supplied (truth, data) tuples.  A cell with any failed solve is
+    recorded as failed and skipped; ties and duplicate entries resolve to
+    the earliest grid position."""
+    return grid_search_alphas(op, transform, [tuples], grid, tol, max_iter)[0]
+
+
+def grid_search_alphas(op: DenseOperator, transform: SparsifyingTransform,
+                       tuple_sets, grid, tol: float = 1e-8,
+                       max_iter: int = 20000) -> tuple[GridSearchResult, ...]:
+    """:func:`grid_search_alpha` for each set of tuples (one per noise
+    level, say), with every (set, alpha, tuple) solve in one batch."""
     grid = [float(g) for g in grid]
     if not grid:
         raise ValueError("alpha grid must be nonempty")
-    if not tuples:
+    if not tuple_sets or not all(tuple_sets):
         raise ValueError("need at least one (x, y) tuple")
-    errors, failures = [], []
-    best_alpha, best_err = None, math.inf
-    for alpha in grid:
-        try:
-            errs = [
-                weighted_norm(solve(LassoProblem(op, y, alpha, transform),
-                                    tol=tol, max_iter=max_iter).x - np.asarray(x, dtype=float))
-                for x, y in tuples
-            ]
-        except ConvergenceError as exc:
-            failures.append((alpha, str(exc)))
-            continue
-        mean_err = float(np.mean(errs))
-        errors.append((alpha, mean_err))
-        if mean_err < best_err:
-            best_alpha, best_err = alpha, mean_err
-    if best_alpha is None:
-        raise RuntimeError("every grid cell failed to converge")
-    return GridSearchResult(alpha_star=best_alpha, errors=tuple(errors),
-                            failures=tuple(failures))
+    # columns ordered (set, alpha, tuple)
+    pairs = [pair for tuples in tuple_sets for _ in grid for pair in tuples]
+    alphas = [alpha for tuples in tuple_sets for alpha in grid for _ in tuples]
+    truth = np.column_stack([np.asarray(x, dtype=float) for x, _ in pairs])
+    batch = solve_batch(op, transform, np.column_stack([y for _, y in pairs]), alphas,
+                        tol, max_iter)
+    errors = _col_norms(batch.x - truth) / math.sqrt(op.n)
+
+    results, start = [], 0
+    for tuples in tuple_sets:
+        cells, failures = [], []
+        for alpha in grid:
+            cell = slice(start, start + len(tuples))
+            start += len(tuples)
+            failed = np.flatnonzero(~batch.converged[cell])
+            if failed.size:
+                failures.append((alpha, _no_convergence(max_iter, batch.residual[cell][failed[0]])))
+            else:
+                cells.append((alpha, float(np.mean(errors[cell]))))
+        if not cells:
+            raise RuntimeError("every grid cell failed to converge")
+        # min keeps the first of equal errors, so ties go to the earlier alpha
+        best = min(cells, key=lambda cell: cell[1])
+        results.append(GridSearchResult(alpha_star=best[0], errors=tuple(cells),
+                                        failures=tuple(failures)))
+    return tuple(results)
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,18 @@ moved to realization 0 of sample 0's noise block.  Every
 number must agree with them to 1e-12 relative; labels, grid levels,
 ``estimated_N`` and the bound-check tally must agree exactly.  A change
 that moves results further than rounding fails here.
+
+The ``alpha-tune`` pins (seeds 0, 1 and 2) come from the earlier tuning
+code, which ran one primal-dual solve per problem and one grid search per
+noise level; knots and failed cells must agree exactly, per-cell mean
+errors to 1e-10 relative.
 """
 
 import math
 
 import pytest
 
+from regbench import harness
 from regbench.harness import cli_main
 
 REL_TOL = 1e-12
@@ -123,12 +129,49 @@ svd,32,0.1,0.18656220139327043
 svd,32,0.5,0.7939518468410776
 """
 
+LASSO_TUNE = """
+[operator]
+kind = integration
+n = 30
 
-def run_cli(tmp_path, capsys, subcommand, config_text):
+[data]
+kind = source
+count = 50
+
+[method]
+kind = lasso
+transform = diff1d
+"""
+
+LASSO_TUNE_ARGS = ("--delta-grid", "0.1 0.2 0.5", "--alpha-grid", "0.001 0.1 1", "--tuples", "10")
+
+# per seed and delta: the knot's alpha and the mean error of every cell
+# that converged; the alpha 0.001 cell fails at every delta
+ALPHA_TUNE_PINS = {
+    0: [
+        (0.1, 1.0, {0.1: 0.06890842241685255, 1.0: 0.06748505124981323}),
+        (0.2, 1.0, {0.1: 0.22554044241680735, 1.0: 0.07647366911239012}),
+        (0.5, 1.0, {0.1: 1.013512079184712, 1.0: 0.10283692620045096}),
+    ],
+    1: [
+        (0.1, 1.0, {0.1: 0.0800775448895213, 1.0: 0.07238275737624549}),
+        (0.2, 1.0, {0.1: 0.17854083997810688, 1.0: 0.06997870163665801}),
+        (0.5, 1.0, {0.1: 1.0951118986722885, 1.0: 0.11416489185729232}),
+    ],
+    2: [
+        (0.1, 0.1, {0.1: 0.06945868800902236, 1.0: 0.07491580351582076}),
+        (0.2, 1.0, {0.1: 0.2089558302051358, 1.0: 0.08342146145873677}),
+        (0.5, 1.0, {0.1: 0.897470410445125, 1.0: 0.16148931801977634}),
+    ],
+}
+
+
+def run_cli(tmp_path, capsys, subcommand, config_text, *args, seed=0):
     config = tmp_path / "exp.cfg"
     config.write_text(config_text)
     out = tmp_path / "out"
-    code = cli_main([subcommand, "--config", str(config), "--out", str(out), "--seed", "0"])
+    code = cli_main([subcommand, "--config", str(config), "--out", str(out),
+                     "--seed", str(seed), *args])
     assert code == 0
     return out, capsys.readouterr().out
 
@@ -172,3 +215,26 @@ def test_pin_check_rejects_a_moved_value(tmp_path, text):
     (tmp_path / "moved.csv").write_text("\n".join([rows[0], ",".join(fields)] + rows[2:]) + "\n")
     with pytest.raises(AssertionError):
         assert_csv_matches(tmp_path / "moved.csv", text)
+
+
+@pytest.mark.parametrize("seed", sorted(ALPHA_TUNE_PINS))
+def test_alpha_tune_matches_sequential_solves(tmp_path, capsys, monkeypatch, seed):
+    results = []
+    search = harness.grid_search_alphas
+
+    def recording(*args, **kwargs):
+        results.extend(search(*args, **kwargs))
+        return tuple(results)
+
+    monkeypatch.setattr(harness, "grid_search_alphas", recording)
+    out, _ = run_cli(tmp_path, capsys, "alpha-tune", LASSO_TUNE, *LASSO_TUNE_ARGS, seed=seed)
+    pins = ALPHA_TUNE_PINS[seed]
+    knots = "".join(f"{delta!r},{alpha!r}\n" for delta, alpha, _ in pins)
+    assert (out / "alpha_rule.csv").read_text() == "delta,alpha\n" + knots
+    assert len(results) == len(pins)
+    for result, (_, alpha_star, cells) in zip(results, pins):
+        assert result.alpha_star == alpha_star
+        assert [alpha for alpha, _ in result.failures] == [0.001]
+        assert [alpha for alpha, _ in result.errors] == list(cells)
+        for alpha, mean_error in result.errors:
+            assert math.isclose(mean_error, cells[alpha], rel_tol=1e-10, abs_tol=0.0)

@@ -348,6 +348,25 @@ class TestManifest:
         assert (f"bound checks: {payload['checked']}/{payload['checked']} within bound, "
                 f"min margin {payload['min_margin']:.3e}") in printed
 
+    def test_threads_leave_config_hash_unchanged(self, tmp_path):
+        # --threads has no effect on any output, so it is not hashed
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CONFIG)
+        hashes = []
+        for threads in ("1", "8"):
+            out = tmp_path / f"t{threads}"
+            assert cli_main(["--seed", "7", "--config", str(cfg), "--threads", threads,
+                             "--out", str(out), "mismatch-grid"]) == 0
+            hashes.append(json.loads((out / "manifest.json").read_text())["config_hash"])
+        assert hashes[0] == hashes[1]
+
+    def test_tikhonov_grid_has_no_solver_totals(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMALL_CONFIG)
+        assert cli_main(["--seed", "7", "--config", str(cfg), "--out", str(tmp_path),
+                         "mismatch-grid"]) == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["solver"] is None
+
     def test_unchecked_grid_writes_no_margin(self, tmp_path):
         cfg = tmp_path / "radon.cfg"
         cfg.write_text(RADON_SMALL + RADON_GRID_TAIL)
@@ -538,6 +557,49 @@ alpha = 0.05
         rule = (out / "alpha_rule.csv").read_text().splitlines()
         assert rule[0] == "delta,alpha"
         assert len(rule) == 3
+
+    def test_lasso_grid_records_failures_instead_of_aborting(self, tmp_path, capsys):
+        # the rule alpha-tune writes at seed 0 gives a grid in which some
+        # solves reach the iteration cap; the grid used to exit 2 at the first
+        cfg = tmp_path / "lasso.cfg"
+        rule = tmp_path / "rule" / "alpha_rule.csv"
+        cfg.write_text(f"""
+[operator]
+kind = integration
+n = 50
+
+[data]
+kind = source
+count = 4
+
+[grid]
+delta_bar = 0.001 0.01 0.1
+delta = 0.001 0.01 0.1
+realizations = 3
+
+[method]
+kind = lasso
+transform = diff1d
+alpha_rule = {rule}
+""")
+        assert cli_main(["--seed", "0", "--config", str(cfg), "--out", str(rule.parent),
+                         "alpha-tune"]) == 0
+        assert rule.read_text() == "delta,alpha\n0.001,0.001\n0.01,0.01\n0.1,0.1\n"
+        out = tmp_path / "grid"
+        assert cli_main(["--seed", "0", "--config", str(cfg), "--out", str(out),
+                         "mismatch-grid"]) == 0
+        solver = json.loads((out / "manifest.json").read_text())["solver"]
+        assert solver["solves"] == 3 * 3 * 4 * 3
+        assert 0 < solver["failures"] < solver["solves"]
+        assert solver["iterations_max"] == 20000
+        assert 0 < solver["iterations_median"] <= 20000
+        assert 0 <= solver["kkt_max"] < 1e-2
+        assert f"solver: {solver['failures']}/108 solves did not converge" in capsys.readouterr().out
+        rows = [line.split(",") for line in (out / "mismatch_grid.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 9
+        # a cell whose solves all failed reads nan; the others average their converged solves
+        assert any(row[2] == "nan" for row in rows)
+        assert all(row[2] == "nan" or float(row[2]) > 0 for row in rows)
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # tiny penalty on the ill-conditioned operator stalls the solver

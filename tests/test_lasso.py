@@ -11,9 +11,11 @@ from regbench.lasso import (
     alpha_for_delta,
     empirical_lipschitz,
     grid_search_alpha,
+    grid_search_alphas,
     kkt_residual,
     solution_invariance_check,
     solve,
+    solve_batch,
     subgradient_bound_check,
 )
 from regbench.linop import DenseOperator, compute_svd
@@ -61,6 +63,25 @@ class TestTransforms:
     def test_custom_passthrough(self):
         w = np.array([[1.0, -2.0]])
         assert np.array_equal(SparsifyingTransform.custom(w).matrix, w)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 30, 50])
+    def test_diff1d_and_identity_norms_are_exact(self, n):
+        identity = SparsifyingTransform.identity(n)
+        assert abs(identity.norm - np.linalg.norm(identity.matrix, 2)) <= 1e-12
+        if n >= 2:
+            t = SparsifyingTransform.diff1d(n)
+            assert abs(t.norm - np.linalg.norm(t.matrix, 2)) <= 1e-12
+
+    @pytest.mark.parametrize("side", [2, 3, 5, 8, 12])
+    def test_grad2d_norm_is_exact(self, side):
+        t = SparsifyingTransform.grad2d(side)
+        assert abs(t.norm - np.linalg.norm(t.matrix, 2)) <= 1e-12
+
+    def test_custom_norm_computed_at_build(self):
+        w = rng_for(9).standard_normal((5, 4))
+        t = SparsifyingTransform.custom(w)
+        assert t.norm == float(np.linalg.norm(w, 2))
+        assert SparsifyingTransform.custom(np.zeros((0, 3))).norm == 0.0
 
     def test_problem_validation(self):
         op = DenseOperator(np.eye(3))
@@ -125,6 +146,80 @@ class TestSolve:
             problem = random_problem(trial + 40)
             sol = solve(problem, tol=1e-8)
             assert sol.kkt_residual <= 10 * 1e-8 * (1 + np.linalg.norm(problem.y))
+
+
+def batch_case(kind):
+    """Operator, transform, data block, mixed alphas, start block and
+    iteration cap of one batch; the "diff1d" case's cap stops some columns."""
+    rng = rng_for(77, len(kind))
+    if kind == "identity":
+        n = m = 6
+        op = DenseOperator(np.eye(n))
+        transform = SparsifyingTransform.identity(n)
+    else:
+        n = 16
+        m = 24 if kind == "diff1d" else 12
+        a = rng.standard_normal((m, n))
+        op = DenseOperator(a / np.linalg.norm(a, 2), spectral_normalized=True)
+        transform = (SparsifyingTransform.diff1d(n) if kind == "diff1d"
+                     else SparsifyingTransform.grad2d(4))
+    y = rng.standard_normal((m, 5))
+    y[:, 1] = 0.0
+    alphas = np.array([0.01, 0.3, 0.05, 1.0, 0.1])
+    x0 = rng.standard_normal((n, 5)) if kind == "grad2d" else None
+    return op, transform, y, alphas, x0, 300 if kind == "diff1d" else 20000
+
+
+class TestSolveBatch:
+    @pytest.mark.parametrize("kind", ["diff1d", "grad2d", "identity"])
+    def test_matches_column_by_column_solve(self, kind):
+        op, transform, y, alphas, x0, max_iter = batch_case(kind)
+        batch = solve_batch(op, transform, y, alphas, tol=1e-9, max_iter=max_iter, x0=x0)
+        for j, alpha in enumerate(alphas):
+            start = None if x0 is None else x0[:, j]
+            try:
+                single, converged = solve(LassoProblem(op, y[:, j], alpha, transform),
+                                          tol=1e-9, max_iter=max_iter, x0=start), True
+            except ConvergenceError as exc:
+                single, converged = exc.last, False
+            assert batch.converged[j] == converged
+            assert batch.iterations[j] == single.iterations
+            assert np.abs(batch.x[:, j] - single.x).max() <= 1e-8
+            assert np.abs(batch.gamma[:, j] - single.gamma).max() <= 1e-8
+            assert batch.kkt_residual[j] == pytest.approx(single.kkt_residual, rel=1e-6, abs=1e-12)
+        if kind == "diff1d":
+            assert not batch.converged.all() and batch.converged.any()
+            assert (batch.iterations[~batch.converged] == max_iter).all()
+            assert (batch.residual[~batch.converged] > 1e-9).all()
+
+    def test_kkt_within_tolerance_bound_per_column(self):
+        for trial in range(5):
+            problem = random_problem(trial + 40)
+            y = np.column_stack([random_problem(trial + 40 + k).y for k in range(4)])
+            batch = solve_batch(problem.operator, problem.transform, y,
+                                [0.01, 0.1, 0.5, 2.0], tol=1e-8)
+            assert batch.converged.all()
+            bound = 10 * 1e-8 * (1 + np.linalg.norm(y, axis=0))
+            assert (batch.kkt_residual <= bound).all()
+
+    def test_converged_column_is_frozen(self):
+        # the zero-data column is solved in one iteration and must not move
+        # while the others keep iterating
+        op, transform, y, alphas, _, _ = batch_case("diff1d")
+        batch = solve_batch(op, transform, y, alphas, tol=1e-9)
+        assert batch.iterations[1] == 1 and batch.iterations.max() > 100
+        assert np.array_equal(batch.x[:, 1], np.zeros(op.n))
+
+    def test_rejects_bad_input(self):
+        op, transform, y, alphas, _, _ = batch_case("identity")
+        with pytest.raises(ValueError):
+            solve_batch(op, transform, y, alphas[:-1])
+        with pytest.raises(ValueError):
+            solve_batch(op, transform, y, -alphas)
+        with pytest.raises(ValueError):
+            solve_batch(op, transform, y[:, 0], alphas[:1])
+        with pytest.raises(ValueError, match="single column"):
+            solve_batch(op, transform, y, alphas, trace=np.empty(20000))
 
 
 class TestKktResidual:
@@ -226,6 +321,33 @@ class TestGridSearch:
         assert not result.failures
         with pytest.raises(RuntimeError, match="failed"):
             grid_search_alpha(op, transform, tuples, [0.1], tol=1e-14, max_iter=2)
+
+    def test_one_failing_tuple_fails_the_cell(self):
+        # at alpha 0.01 the second tuple needs ~490 iterations, the others
+        # fewer than 450; at alphas 0.1 and 1 every tuple needs fewer
+        problem = random_problem(55)
+        op, transform = problem.operator, problem.transform
+        tuples = [(np.zeros(16), np.zeros(24)), (np.zeros(16), problem.y),
+                  (np.ones(16), 0.1 * problem.y)]
+        result = grid_search_alpha(op, transform, tuples, [0.01, 0.1, 1.0], max_iter=450)
+        assert [alpha for alpha, _ in result.failures] == [0.01]
+        assert result.failures[0][1].startswith("no convergence after 450 iterations (residual ")
+        assert [alpha for alpha, _ in result.errors] == [0.1, 1.0]
+        for alpha, mean_err in result.errors:
+            errs = [np.linalg.norm(solve(LassoProblem(op, y, alpha, transform)).x - x) / 4.0
+                    for x, y in tuples]
+            assert mean_err == pytest.approx(np.mean(errs), rel=1e-12)
+
+    def test_sets_share_one_batch_and_match_separate_searches(self):
+        problem = random_problem(56)
+        op, transform = problem.operator, problem.transform
+        sets = [[(np.zeros(16), problem.y)],
+                [(np.zeros(16), 0.5 * problem.y), (np.ones(16), -problem.y)]]
+        together = grid_search_alphas(op, transform, sets, [0.05, 0.5])
+        for tuples, result in zip(sets, together):
+            alone = grid_search_alpha(op, transform, tuples, [0.05, 0.5])
+            assert (result.alpha_star, result.failures) == (alone.alpha_star, alone.failures)
+            assert np.allclose(result.errors, alone.errors, rtol=1e-12, atol=0.0)
 
     def test_empty_inputs_rejected(self, op50):
         transform = SparsifyingTransform.identity(50)
