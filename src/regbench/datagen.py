@@ -7,6 +7,7 @@ or parallel scheduling.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -204,13 +205,11 @@ def estimate_source_constant(op: DenseOperator, samples, rel_tol: float = 1e-10)
     """Estimate the source constant as the mean (and max) of per-sample norms."""
     if len(samples) == 0:
         raise ValueError("need at least one sample")
-    values = np.empty(len(samples))
-    residuals = np.empty(len(samples))
-    for i, sample in enumerate(samples):
-        x = np.asarray(getattr(sample, "x_true", sample), dtype=float)
-        z_min = pinv_adjoint_apply(op, x, rel_tol)
-        values[i] = weighted_norm(z_min)
-        residuals[i] = float(np.linalg.norm(x - apply_adjoint(op, z_min)))
+    x = np.column_stack([np.asarray(getattr(sample, "x_true", sample), dtype=float)
+                         for sample in samples])
+    z_min = pinv_adjoint_apply(op, x, rel_tol)
+    values = np.linalg.norm(z_min, axis=0) / math.sqrt(op.m)
+    residuals = np.linalg.norm(x - apply_adjoint(op, z_min), axis=0)
     return SourceConstantEstimate(mean=float(values.mean()), maximum=float(values.max()),
                                   values=values, residuals=residuals)
 

@@ -63,6 +63,10 @@ class ConfigError(ValueError):
 
 DEFAULT_LEVELS = (0.001, 0.01, 0.1, 0.2, 0.5, 1.0)
 
+# Column budget of one LASSO-grid solve: whole samples are batched up to
+# about one default-grid sample (6 x 6 cells x 100 realizations = 3,600).
+LASSO_BATCH_COLUMNS = 4096
+
 
 @dataclass(frozen=True)
 class OperatorSpec:
@@ -386,10 +390,13 @@ def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     evaluated at the training noise level.  The noise blocks are the
     Tikhonov grid's.
 
-    Each sample's (delta_bar, delta, realization) problems are one
-    :func:`~regbench.lasso.solve_batch` call.  A cell averages its
-    converged solves only; a cell with none reads NaN.  ``solver`` holds
-    the totals over every solve.
+    The (delta_bar, delta, realization) problems of consecutive whole
+    samples share one :func:`~regbench.lasso.solve_batch` call of at most
+    ``LASSO_BATCH_COLUMNS`` columns (one sample when a sample alone is
+    larger), so columns that run to the iteration cap pay that tail once
+    per call, not once per sample.  A cell averages its converged solves
+    only; a cell with none reads NaN.  ``solver`` holds the totals over
+    every solve.
     """
     samples = build_dataset(op, config.data, config.seed)
     transform = _build_transform(config.method.transform, op)
@@ -407,19 +414,25 @@ def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     alphas = np.array([alpha_for_delta(rule, delta_bar) for delta_bar in bars])
     shape = (len(bars), len(deltas), realizations)
     column_alphas = np.repeat(alphas, len(deltas) * realizations)  # columns (bar, delta, r)
+    per_call = max(1, LASSO_BATCH_COLUMNS // column_alphas.size)
     err_sum, solved = np.zeros(shape[:2]), np.zeros(shape[:2])
     stats = []
     level_sum = 0.0
-    for si in range(len(samples)):
-        block = noise_block(config.seed, si, realizations, op.m)
-        level_sum += np.linalg.norm(block, axis=1).sum() / np.sqrt(op.m)
-        noisy = y_mat[:, si] + deltas[:, None, None] * block  # (delta, r, m)
-        data = np.tile(noisy.reshape(-1, op.m).T, len(bars))
-        sol = solve_batch(op, transform, data, column_alphas)
-        errors = (np.linalg.norm(sol.x - x_mat[:, si, None], axis=0) / np.sqrt(op.n)).reshape(shape)
-        converged = sol.converged.reshape(shape)
-        err_sum += np.where(converged, errors, 0.0).sum(axis=2)
-        solved += converged.sum(axis=2)
+    for first in range(0, len(samples), per_call):
+        chunk = range(first, min(first + per_call, len(samples)))
+        data = []
+        for si in chunk:
+            block = noise_block(config.seed, si, realizations, op.m)
+            level_sum += np.linalg.norm(block, axis=1).sum() / np.sqrt(op.m)
+            noisy = y_mat[:, si] + deltas[:, None, None] * block  # (delta, r, m)
+            data.append(np.tile(noisy.reshape(-1, op.m).T, len(bars)))
+        sol = solve_batch(op, transform, np.hstack(data), np.tile(column_alphas, len(chunk)))
+        truth = np.repeat(x_mat[:, chunk], column_alphas.size, axis=1)
+        errors = (np.linalg.norm(sol.x - truth, axis=0) / np.sqrt(op.n)).reshape((-1,) + shape)
+        converged = sol.converged.reshape((-1,) + shape)
+        for sample_errors, sample_converged in zip(errors, converged):
+            err_sum += np.where(sample_converged, sample_errors, 0.0).sum(axis=2)
+            solved += sample_converged.sum(axis=2)
         stats.append((sol.iterations, sol.converged, sol.kkt_residual))
 
     iterations, converged, kkt = (np.concatenate(v) for v in zip(*stats))
@@ -777,6 +790,8 @@ def _cmd_alpha_tune(args) -> int:
     for delta, result in zip(deltas, grid_search_alphas(op, transform, tuple_sets,
                                                         _floats(args.alpha_grid))):
         knots.append((delta, result.alpha_star))
+        for alpha, message in result.failures:
+            print(f"delta={_fmt(delta)} alpha={_fmt(alpha)}: {message}", file=sys.stderr)
         print(f"delta={_fmt(delta)} alpha={_fmt(result.alpha_star)}")
     rule = AlphaRule(tuple(knots))
     out = Path(args.out)

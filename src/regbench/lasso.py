@@ -6,9 +6,15 @@ splitting: explicit gradient steps on the quadratic, proximal steps on the
 l1 term composed with W.  :func:`solve_batch` iterates on an n x B block of
 independent problems, each column with its own data and alpha (the dual
 clip broadcasts alpha per column).  The step sizes depend only on A and W,
-so one set serves the batch.  A column whose relative fixed-point residual
-reaches ``tol`` is frozen: stored and dropped from the working block.
-:func:`solve` is the one-column case that records the objective trace.
+so one set serves the batch, and so does the fused primal step: one
+product of the precomputed ``[I - 2 tau A^T A | -tau W^T]`` with the
+stacked state ``[x; dual]``, plus a per-column shift.  The loop does only
+these updates, in chunks of at most 32 steps whose states fit a fixed
+byte budget (``HISTORY_BYTES``); convergence is found once per chunk, in
+one vectorized pass over its residuals.  A column whose relative
+fixed-point residual reaches ``tol`` is frozen at its first converged
+step: stored and dropped from the working block.  :func:`solve` is the
+one-column case that records the objective trace.
 Ships KKT residuals, the dual subgradient bound, solution-set invariance
 probing, alpha tuning by grid search with piecewise-linear interpolation,
 and empirical stability estimation of the solution map.
@@ -23,6 +29,11 @@ import numpy as np
 
 from .datagen import rng_for
 from .linop import DenseOperator, operator_norm
+
+# Chunk sizing of solve_batch: the history of states and its differences
+# share this byte budget, and a chunk runs at most MAX_CHUNK steps.
+HISTORY_BYTES = 256 * 1024
+MAX_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -180,10 +191,20 @@ def solve_batch(op: DenseOperator, transform: SparsifyingTransform, Y: np.ndarra
     penalty ``alphas[j]``, started from ``x0`` (n x B) or zero.
 
     Step sizes satisfy ``tau * (L/2 + s ||W||^2) <= 1`` with ``L = 2||A||^2``.
-    A column stops once its relative fixed-point residual drops below
-    ``tol``.  ``trace``, allowed only for a single column, receives the
-    objective after every iteration.  KKT residuals are evaluated in one
-    pass at the end.
+    The state is one stacked block ``z = [x; dual]`` ((n + p) x B).  One
+    fused step is ``x' = P z + 2 tau A^T y`` with the precomputed
+    ``P = [I - 2 tau A^T A | -tau W^T]``, then ``dual' = clip(dual +
+    s W (2x' - x), -alpha, alpha)``.  Steps run in chunks of K into a
+    history of K + 1 states; after each chunk one vectorized pass computes
+    all K relative fixed-point residuals, and a column whose residual
+    reached ``tol`` at step i of the chunk is stored as it was after that
+    step (so iteration counts are those of a per-step test) and dropped
+    from the working block.  K is at most 32, at most the iterations left,
+    and as large as lets the history and its differences fit in
+    ``HISTORY_BYTES`` (at least 1).  ``trace``, allowed only for a single
+    column, receives the objective after every iteration, filled from the
+    history one chunk at a time.  KKT residuals are evaluated in one pass
+    at the end.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -202,45 +223,71 @@ def solve_batch(op: DenseOperator, transform: SparsifyingTransform, Y: np.ndarra
     s = 1.0 / w_norm if w_norm > 0 else 1.0
     tau = 1.0 / (lip / 2.0 + s * w_norm ** 2) if (lip > 0 or w_norm > 0) else 1.0
 
-    x = np.zeros((op.n, batch)) if x0 is None else np.array(x0, dtype=float).reshape(op.n, batch)
-    dual = np.zeros((w.shape[0], batch))
-    out_x, out_dual = np.empty_like(x), np.empty_like(dual)
+    n = op.n
+    step_x = np.hstack([np.eye(n) - 2.0 * tau * (a.T @ a), -tau * w.T])
+    s_w = s * w
+    shift = 2.0 * tau * (a.T @ y)
+    # squared residual weights: x differences by 1/tau, dual ones by 1/s
+    weight = np.concatenate([np.full(n, tau ** -2), np.full(w.shape[0], s ** -2)])
+    ones = np.ones(weight.size)
+    z = np.zeros((n + w.shape[0], batch))
+    if x0 is not None:
+        z[:n] = np.asarray(x0, dtype=float).reshape(n, batch)
+    out_z = z.copy()
     iterations = np.full(batch, max_iter)
     residual = np.full(batch, np.inf)
-    rel = residual.copy()
+    rel_last = residual.copy()
     live = np.arange(batch)
-    y_all, alpha_all = y, alpha
-    for k in range(max_iter):
-        if not live.size:
-            break
-        grad = 2.0 * (a.T @ (a @ x - y))
-        x_new = x - tau * (grad + w.T @ dual)
-        # the dual clip to [-alpha, alpha], per column (np.clip is slower)
-        dual_new = np.minimum(np.maximum(dual + s * (w @ (2.0 * x_new - x)), -alpha), alpha)
-        step = np.hypot(_col_norms(x_new - x) / tau, _col_norms(dual_new - dual) / s)
-        rel = step / (1.0 + np.hypot(_col_norms(x_new), _col_norms(dual_new)))
-        x, dual = x_new, dual_new
+    alpha_all = alpha
+    k = 0
+    while live.size and k < max_iter:
+        steps = min(MAX_CHUNK, max_iter - k, max(1, (HISTORY_BYTES // z.nbytes - 1) // 2))
+        hist = np.empty((steps + 1,) + z.shape)
+        hist[0] = z
+        x_bar = np.empty((n, z.shape[1]))
+        for cur, nxt in zip(hist[:-1], hist[1:]):
+            x_new, dual_new = nxt[:n], nxt[n:]
+            np.matmul(step_x, cur, out=x_new)
+            x_new += shift
+            np.multiply(x_new, 2.0, out=x_bar)
+            x_bar -= cur[:n]
+            np.matmul(s_w, x_bar, out=dual_new)
+            dual_new += cur[n:]
+            # the dual clip to [-alpha, alpha], per column (np.clip is slower)
+            np.maximum(dual_new, -alpha, out=dual_new)
+            np.minimum(dual_new, alpha, out=dual_new)
+        # (K, B) residuals: weighted sums of squares over the rows
+        sq = np.square(np.subtract(hist[1:], hist[:-1]))
+        step = np.sqrt(weight @ sq)
+        rel = step / (1.0 + np.sqrt(ones @ np.square(hist[1:], out=sq)))
         if trace is not None:
-            r = a @ x[:, 0] - y[:, 0]
-            trace[k] = r @ r + alpha[0] * np.abs(w @ x[:, 0]).sum()
+            xs = hist[1:, :n, 0]
+            r = xs @ a.T - y[:, 0]
+            trace[k:k + steps] = (np.einsum("km,km->k", r, r)
+                                  + alpha[0] * np.abs(xs @ w.T).sum(axis=1))
         done = rel <= tol
-        if done.any():
-            # freeze the converged columns and keep the block contiguous
-            out_x[:, live[done]] = x[:, done]
-            out_dual[:, live[done]] = dual[:, done]
-            iterations[live[done]] = k + 1
-            residual[live[done]] = rel[done]
-            keep = ~done
-            live, x, dual, y, alpha, rel = (live[keep], x[:, keep], dual[:, keep],
-                                            y[:, keep], alpha[keep], rel[keep])
-    out_x[:, live] = x
-    out_dual[:, live] = dual
-    residual[live] = rel
+        hit = done.any(axis=0)
+        z, rel_last = hist[-1], rel[-1]
+        if hit.any():
+            # store each converged column as it was after its first
+            # converged step, then keep the block contiguous
+            cols = np.flatnonzero(hit)
+            first = done[:, cols].argmax(axis=0)
+            out_z[:, live[cols]] = hist[first + 1, :, cols].T
+            iterations[live[cols]] = k + first + 1
+            residual[live[cols]] = rel[first, cols]
+            keep = ~hit
+            live, z, alpha, shift, rel_last = (live[keep], z[:, keep], alpha[keep],
+                                               shift[:, keep], rel_last[keep])
+        k += steps
+    out_z[:, live] = z
+    residual[live] = rel_last
 
+    out_x, out_dual = out_z[:n], out_z[n:]
     gamma = out_dual / alpha_all
     return BatchSolution(x=out_x, gamma=gamma, iterations=iterations,
                          converged=residual <= tol, residual=residual,
-                         kkt_residual=_kkt_residuals(a, w, out_x, y_all, gamma, alpha_all))
+                         kkt_residual=_kkt_residuals(a, w, out_x, y, gamma, alpha_all))
 
 
 def _no_convergence(max_iter: int, residual: float) -> str:

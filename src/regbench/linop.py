@@ -159,20 +159,22 @@ def apply_adjoint(op: DenseOperator, y: np.ndarray) -> np.ndarray:
 
 
 def pinv_adjoint_apply(op: DenseOperator, x: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
-    """Apply the pseudoinverse of the adjoint: ``(A*)^+ x``.
+    """Apply the pseudoinverse of the adjoint, ``(A*)^+ x``, to one vector
+    (n,) or to the columns of an (n, B) block.
 
     Modes with ``sigma_j <= rel_tol * sigma_1`` are truncated, never
     inverted, so the map is well defined for rank-deficient operators.
+    ``sigma`` is sorted, so the kept modes are a prefix, and the map is
+    :func:`filtered_solve` with the roles of U and V swapped and the filter
+    ``1 / sigma_j``.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[0] != op.n:
         raise ValueError(f"expected input of length {op.n}, got {x.shape[0]}")
     svd = compute_svd(op)
-    if svd.sigma[0] == 0.0:
-        return np.zeros(op.m)
-    keep = svd.sigma > rel_tol * svd.sigma[0]
-    coeff = (svd.right_vectors[:, keep].T @ x) / svd.sigma[keep]
-    return svd.left_vectors[:, keep] @ coeff
+    k = int(np.count_nonzero(svd.sigma > rel_tol * svd.sigma[0]))
+    adjoint = SvdSystem(svd.sigma, svd.right_vectors, svd.left_vectors)
+    return filtered_solve(adjoint, 1.0 / svd.sigma[:k], x)
 
 
 def filtered_solve(svd: SvdSystem, filt: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -339,7 +341,8 @@ def load_operator(path) -> DenseOperator:
     """Read an operator container, attaching the SVD sidecar if present.
 
     The sidecar must hold the full singular system of this operator
-    (``min(m, n)`` finite modes) and nothing after it.  The normalization
+    (``min(m, n)`` finite modes, singular values nonnegative and
+    nonincreasing) and nothing after it.  The normalization
     flag is recovered by checking the spectral norm, so loading may trigger
     one SVD when no sidecar exists.
     """
@@ -367,6 +370,9 @@ def load_operator(path) -> DenseOperator:
         if not np.isfinite(payload).all():
             raise ValueError(f"{sidecar}: non-finite SVD payload")
         sigma, left, right = np.split(payload, [k, k + m * k])
+        # truncation keeps a prefix of the modes, so they must be ordered
+        if (sigma < 0).any() or (np.diff(sigma) > 0).any():
+            raise ValueError(f"{sidecar}: singular values are not nonnegative and nonincreasing")
         op._svd = SvdSystem(sigma=sigma, left_vectors=left.reshape(m, k),
                             right_vectors=right.reshape(n, k))
     op.spectral_normalized = bool(abs(operator_norm(op) - 1.0) <= 1e-10)

@@ -238,3 +238,20 @@ def test_alpha_tune_matches_sequential_solves(tmp_path, capsys, monkeypatch, see
         assert [alpha for alpha, _ in result.errors] == list(cells)
         for alpha, mean_error in result.errors:
             assert math.isclose(mean_error, cells[alpha], rel_tol=1e-10, abs_tol=0.0)
+
+
+def test_alpha_tune_reports_failed_cells_on_stderr(tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_text(LASSO_TUNE)
+    out = tmp_path / "out"
+    assert cli_main(["alpha-tune", "--config", str(config), "--out", str(out),
+                     "--seed", "0", *LASSO_TUNE_ARGS]) == 0
+    captured = capsys.readouterr()
+    knots = [(delta, alpha) for delta, alpha, _ in ALPHA_TUNE_PINS[0]]
+    assert captured.out == "".join(f"delta={delta!r} alpha={alpha!r}\n" for delta, alpha in knots) \
+        + f"wrote {out / 'alpha_rule.csv'}\n"
+    lines = captured.err.splitlines()
+    assert len(lines) == 3
+    for line, (delta, _) in zip(lines, knots):
+        assert line.startswith(f"delta={delta!r} alpha=0.001: no convergence after 20000 "
+                               "iterations (residual ")

@@ -168,6 +168,28 @@ class TestSourceConstant:
         with pytest.raises(ValueError):
             estimate_source_constant(op50, [])
 
+    @pytest.mark.parametrize("case", ["integration", "rank-deficient"])
+    def test_block_matches_per_sample_loop(self, op50, case):
+        if case == "integration":
+            op, rel_tol = op50, 1e-10
+            samples = sample_source_data(op50, 12, seed=4)
+        else:
+            # wide operator of rank 4 with one mode below the cut
+            rng = np.random.default_rng(21)
+            a = rng.standard_normal((6, 4)) @ np.diag([3.0, 1.0, 0.2, 1e-13]) @ rng.standard_normal((4, 9))
+            op, rel_tol = DenseOperator(a), 1e-10
+            samples = list(rng.standard_normal((5, 9)))
+        est = estimate_source_constant(op, samples, rel_tol)
+        svd = compute_svd(op)
+        keep = svd.sigma > rel_tol * svd.sigma[0]
+        assert 0 < keep.sum() < svd.sigma.size or case == "integration"
+        for i, sample in enumerate(samples):
+            x = np.asarray(getattr(sample, "x_true", sample), dtype=float)
+            z = svd.left_vectors[:, keep] @ ((svd.right_vectors[:, keep].T @ x) / svd.sigma[keep])
+            assert est.values[i] == pytest.approx(weighted_norm(z), rel=1e-12, abs=0.0)
+            residual = float(np.linalg.norm(x - op.entries.T @ z))
+            assert est.residuals[i] == pytest.approx(residual, rel=1e-9, abs=1e-12)
+
 
 class TestPcaBasis:
     def test_orthonormal_columns(self):

@@ -558,6 +558,52 @@ alpha = 0.05
         assert rule[0] == "delta,alpha"
         assert len(rule) == 3
 
+    def test_lasso_grid_batches_samples_like_per_sample_calls(self, tmp_path, monkeypatch):
+        # alpha 1e-4 at delta_bar 0.001 leaves the delta 0.1 cell with no
+        # converged solve; all three samples fit one call of the default budget
+        rule = tmp_path / "rule.csv"
+        rule.write_text("delta,alpha\n0.001,0.0001\n0.1,0.1\n")
+        cfg = tmp_path / "lasso.cfg"
+        cfg.write_text(f"""
+[operator]
+kind = integration
+n = 30
+
+[data]
+kind = source
+count = 3
+
+[grid]
+delta_bar = 0.001 0.1
+delta = 0.001 0.1
+realizations = 2
+
+[method]
+kind = lasso
+transform = diff1d
+alpha_rule = {rule}
+""")
+        config = load_config(cfg, seed=0)
+        calls, solve_batch = [], harness.solve_batch
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].shape[1])
+            return solve_batch(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_batch", counting)
+        together = run_mismatch_grid(config)
+        monkeypatch.setattr(harness, "LASSO_BATCH_COLUMNS", 1)
+        per_sample = run_mismatch_grid(config)
+        assert calls == [24, 8, 8, 8]
+        assert together.solver["failures"] == per_sample.solver["failures"] > 0
+        assert together.solver["solves"] == per_sample.solver["solves"] == 24
+        assert together.solver["iterations_max"] == per_sample.solver["iterations_max"] == 20000
+        assert np.array_equal(np.isnan(together.mean_errors), np.isnan(per_sample.mean_errors))
+        assert np.isnan(together.mean_errors).any()
+        assert np.allclose(together.mean_errors, per_sample.mean_errors,
+                           rtol=1e-10, atol=0.0, equal_nan=True)
+        assert np.array_equal(together.mean_realized_delta, per_sample.mean_realized_delta)
+
     def test_lasso_grid_records_failures_instead_of_aborting(self, tmp_path, capsys):
         # the rule alpha-tune writes at seed 0 gives a grid in which some
         # solves reach the iteration cap; the grid used to exit 2 at the first

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from regbench import lasso
 from regbench.datagen import rng_for
 from regbench.lasso import (
     AlphaRule,
@@ -18,7 +21,7 @@ from regbench.lasso import (
     solve_batch,
     subgradient_bound_check,
 )
-from regbench.linop import DenseOperator, compute_svd
+from regbench.linop import DenseOperator, compute_svd, operator_norm
 
 
 def soft(v, threshold):
@@ -220,6 +223,146 @@ class TestSolveBatch:
             solve_batch(op, transform, y[:, 0], alphas[:1])
         with pytest.raises(ValueError, match="single column"):
             solve_batch(op, transform, y, alphas, trace=np.empty(20000))
+
+
+def _col_norms(v):
+    return np.sqrt(np.einsum("ij,ij->j", v, v))
+
+
+def reference_solve_batch(op, transform, y, alphas, tol=1e-8, max_iter=20000, x0=None):
+    """The step-by-step engine: one Condat-Vu iteration and one residual
+    test per loop pass, converged columns frozen and dropped at once.
+    Returns (x, gamma, iterations, converged, residual, objective trace of
+    column 0)."""
+    a, w = op.entries, transform.matrix
+    y, alpha = np.asarray(y, dtype=float), np.asarray(alphas, dtype=float)
+    batch = y.shape[1]
+    lip = 2.0 * operator_norm(op) ** 2
+    w_norm = transform.norm
+    s = 1.0 / w_norm if w_norm > 0 else 1.0
+    tau = 1.0 / (lip / 2.0 + s * w_norm ** 2) if (lip > 0 or w_norm > 0) else 1.0
+    x = np.zeros((op.n, batch)) if x0 is None else np.array(x0, dtype=float).reshape(op.n, batch)
+    dual = np.zeros((w.shape[0], batch))
+    out_x, out_dual = np.empty_like(x), np.empty_like(dual)
+    iterations = np.full(batch, max_iter)
+    residual = np.full(batch, np.inf)
+    rel = residual.copy()
+    live = np.arange(batch)
+    alpha_all, trace = alpha, []
+    for k in range(max_iter):
+        if not live.size:
+            break
+        grad = 2.0 * (a.T @ (a @ x - y))
+        x_new = x - tau * (grad + w.T @ dual)
+        dual_new = np.minimum(np.maximum(dual + s * (w @ (2.0 * x_new - x)), -alpha), alpha)
+        step = np.hypot(_col_norms(x_new - x) / tau, _col_norms(dual_new - dual) / s)
+        rel = step / (1.0 + np.hypot(_col_norms(x_new), _col_norms(dual_new)))
+        x, dual = x_new, dual_new
+        if live[0] == 0:
+            r = a @ x[:, 0] - y[:, 0]
+            trace.append(r @ r + alpha[0] * np.abs(w @ x[:, 0]).sum())
+        done = rel <= tol
+        if done.any():
+            out_x[:, live[done]] = x[:, done]
+            out_dual[:, live[done]] = dual[:, done]
+            iterations[live[done]] = k + 1
+            residual[live[done]] = rel[done]
+            keep = ~done
+            live, x, dual, y, alpha, rel = (live[keep], x[:, keep], dual[:, keep],
+                                            y[:, keep], alpha[keep], rel[keep])
+    out_x[:, live] = x
+    out_dual[:, live] = dual
+    residual[live] = rel
+    return (out_x, out_dual / alpha_all, iterations, residual <= tol, residual,
+            np.array(trace))
+
+
+def assert_matches_reference(batch, reference):
+    x, gamma, iterations, converged, residual, _ = reference
+    assert np.array_equal(batch.iterations, iterations)
+    assert np.array_equal(batch.converged, converged)
+    assert np.abs(batch.x - x).max(initial=0.0) <= 1e-10
+    assert np.abs(batch.gamma - gamma).max(initial=0.0) <= 1e-10
+    finite = np.isfinite(residual)
+    assert np.array_equal(np.isfinite(batch.residual), finite)
+    assert np.abs(batch.residual[finite] - residual[finite]).max(initial=0.0) <= 1e-10
+
+
+def staggered_case():
+    """Twenty columns on a small diff1d problem whose convergence steps
+    spread over a few hundred iterations, so several land in one chunk."""
+    rng = rng_for(78)
+    a = rng.standard_normal((9, 7))
+    op = DenseOperator(a / np.linalg.norm(a, 2), spectral_normalized=True)
+    y = rng.standard_normal((9, 20)) * np.geomspace(0.01, 10.0, 20)
+    alphas = np.geomspace(0.02, 3.0, 20)
+    return op, SparsifyingTransform.diff1d(7), y, alphas
+
+
+class TestEngineMatchesReference:
+    """The chunked engine against the step-by-step loop: equal iteration
+    counts and convergence, equal iterates to 1e-10.  Budgets of one
+    history slice (K = 1) and of a few slices exercise other chunk sizes."""
+
+    @pytest.fixture(params=[None, 1, 5000], ids=["default", "one-step", "few-steps"])
+    def budget(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(lasso, "HISTORY_BYTES", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("kind", ["diff1d", "grad2d", "identity"])
+    def test_batch_cases(self, kind, budget):
+        op, transform, y, alphas, x0, max_iter = batch_case(kind)
+        batch = solve_batch(op, transform, y, alphas, tol=1e-9, max_iter=max_iter, x0=x0)
+        reference = reference_solve_batch(op, transform, y, alphas, 1e-9, max_iter, x0)
+        assert_matches_reference(batch, reference)
+        if kind == "diff1d":
+            assert (reference[2] == max_iter).any()
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 5])
+    def test_short_caps(self, max_iter, budget):
+        op, transform, y, alphas, x0, _ = batch_case("grad2d")
+        batch = solve_batch(op, transform, y, alphas, tol=1e-9, max_iter=max_iter, x0=x0)
+        assert_matches_reference(batch, reference_solve_batch(op, transform, y, alphas, 1e-9,
+                                                              max_iter, x0))
+        if max_iter == 0:
+            assert np.array_equal(batch.x, x0) and np.isinf(batch.residual).all()
+
+    def test_columns_converging_inside_one_chunk(self, budget):
+        op, transform, y, alphas = staggered_case()
+        batch = solve_batch(op, transform, y, alphas, tol=1e-10)
+        reference = reference_solve_batch(op, transform, y, alphas, 1e-10)
+        assert_matches_reference(batch, reference)
+        # twenty 16-row columns fit MAX_CHUNK steps in the default budget, so
+        # chunks end at multiples of 32: several chunks hold more than one
+        # distinct convergence step
+        chunks = {}
+        for it in reference[2]:
+            chunks.setdefault((it - 1) // lasso.MAX_CHUNK, set()).add(it)
+        assert max(len(steps) for steps in chunks.values()) >= 3
+
+    def test_single_column_objective_trace(self, budget):
+        problem = random_problem(21, alpha=0.3)
+        sol = solve(problem, tol=1e-10)
+        reference = reference_solve_batch(problem.operator, problem.transform,
+                                          problem.y[:, None], [problem.alpha], 1e-10)
+        assert sol.iterations == reference[2][0]
+        assert sol.objective_trace.shape == reference[5].shape
+        assert np.allclose(sol.objective_trace, reference[5], rtol=1e-10, atol=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), m=st.integers(1, 7),
+           p=st.integers(0, 6), batch=st.integers(1, 5), max_iter=st.integers(0, 400))
+    def test_random_problems(self, seed, n, m, p, batch, max_iter):
+        rng = np.random.default_rng(seed)
+        op = DenseOperator(rng.standard_normal((m, n)))
+        transform = SparsifyingTransform.custom(rng.standard_normal((p, n)))
+        y = rng.standard_normal((m, batch))
+        alphas = rng.uniform(0.05, 2.0, batch)
+        x0 = rng.standard_normal((n, batch)) if seed % 2 else None
+        batch_sol = solve_batch(op, transform, y, alphas, tol=1e-9, max_iter=max_iter, x0=x0)
+        assert_matches_reference(batch_sol, reference_solve_batch(op, transform, y, alphas,
+                                                                  1e-9, max_iter, x0))
 
 
 class TestKktResidual:

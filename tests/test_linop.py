@@ -258,6 +258,37 @@ class TestPinvAdjoint:
         # second mode truncated, not inverted
         assert np.allclose(out, [1.0, 0.0])
 
+    @staticmethod
+    def masked_loop(op, x, rel_tol):
+        """Per-column reference: the kept modes selected by a mask."""
+        svd = compute_svd(op)
+        keep = svd.sigma > rel_tol * svd.sigma[0]
+        return np.column_stack([
+            svd.left_vectors[:, keep] @ ((svd.right_vectors[:, keep].T @ col) / svd.sigma[keep])
+            for col in x.T])
+
+    @pytest.mark.parametrize("rel_tol", [1e-12, 1e-3, 0.5])
+    def test_block_matches_column_loop(self, op50, rel_tol):
+        x = np.random.default_rng(8).standard_normal((50, 7))
+        block = pinv_adjoint_apply(op50, x, rel_tol)
+        reference = self.masked_loop(op50, x, rel_tol)
+        assert block.shape == (50, 7)
+        assert np.abs(block - reference).max() <= 1e-12 * np.abs(reference).max()
+        column = pinv_adjoint_apply(op50, x[:, 3], rel_tol)
+        assert np.abs(column - reference[:, 3]).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_block_truncates_rank_deficient_modes(self):
+        # a wide rank-2 operator: the zero and tiny modes are dropped
+        a = np.zeros((3, 5))
+        a[0, 0], a[1, 1], a[2, 2] = 2.0, 0.5, 1e-15
+        x = np.random.default_rng(9).standard_normal((5, 4))
+        out = pinv_adjoint_apply(DenseOperator(a), x, rel_tol=1e-10)
+        expected = np.zeros((3, 4))
+        expected[0], expected[1] = x[0] / 2.0, x[1] / 0.5
+        assert np.allclose(out, expected, rtol=1e-14, atol=0.0)
+        assert np.array_equal(pinv_adjoint_apply(DenseOperator(np.zeros((2, 3))), x[:3]),
+                              np.zeros((2, 4)))
+
 
 class TestFilteredSolve:
     def test_batched_equals_columnwise(self, op50):
@@ -421,6 +452,16 @@ class TestSvdSidecar:
         path, sidecar = saved
         sidecar.write_bytes(sidecar.read_bytes() + bytes(8))
         with pytest.raises(ValueError, match="trailing"):
+            load_operator(path)
+
+    def test_unsorted_singular_values_rejected(self, saved):
+        path, sidecar = saved
+        blob = bytearray(sidecar.read_bytes())
+        start = 4 + linop._SVD_HEADER.size
+        first, last = bytes(blob[start:start + 8]), bytes(blob[start + 24:start + 32])
+        blob[start:start + 8], blob[start + 24:start + 32] = last, first
+        sidecar.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="nonincreasing"):
             load_operator(path)
 
     def test_truncated_header_rejected(self, saved):
