@@ -1,8 +1,10 @@
-"""Source-condition data, subspace data, noise realizations, bases, images.
+"""Source-condition data, subspace data, measurement noise, bases, images.
 
 All sampling is keyed by (master seed, index path) through a counter-based
-generator, so datasets are bit-reproducible regardless of evaluation order
-or parallel scheduling.
+generator, so datasets are bit-reproducible regardless of evaluation order.
+Sample s is drawn from the stream ``(seed, s)``; its measurement noise is
+one standard-normal block from ``(seed, NOISE_TAG, s)`` (see
+:func:`noise_block`).
 """
 
 from __future__ import annotations
@@ -42,32 +44,6 @@ class SourceSample:
 
 
 @dataclass(frozen=True)
-class NoisyMeasurement:
-    y_true: np.ndarray
-    y_noisy: np.ndarray
-    delta: float
-    seed_path: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-mode second moments of the noise coefficients."""
-
-    beta2: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.beta2, dtype=float)
-        if not np.isfinite(b).all() or (b < 0).any():
-            raise ValueError("noise second moments must be finite and nonnegative")
-        b.setflags(write=False)
-        object.__setattr__(self, "beta2", b)
-
-    @classmethod
-    def isotropic(cls, delta: float, n_modes: int) -> "NoiseModel":
-        return cls(beta2=np.full(n_modes, float(delta) ** 2))
-
-
-@dataclass(frozen=True)
 class Basis:
     """Orthonormal column family used for restricted reconstruction."""
 
@@ -98,10 +74,6 @@ class SubspaceSpec:
         if any(i < 0 for i in idx):
             raise ValueError("subspace indices must be nonnegative")
         object.__setattr__(self, "indices", idx)
-
-    @classmethod
-    def first(cls, n_dim: int) -> "SubspaceSpec":
-        return cls(tuple(range(n_dim)))
 
     @property
     def n_dim(self) -> int:
@@ -166,24 +138,6 @@ def noise_block(seed: int, sample: int, realizations: int, size: int) -> np.ndar
     same rows (common random numbers).
     """
     return rng_for(seed, NOISE_TAG, sample).standard_normal((realizations, size))
-
-
-def add_noise(y_true: np.ndarray, delta: float, seed_path) -> NoisyMeasurement:
-    """Add componentwise i.i.d. Gaussian noise of standard deviation ``delta``.
-
-    The standard-normal draw comes from the stream ``rng_for(*seed_path)``,
-    so the same path gives the same draw at every noise level; callers pick
-    a path that no other stream of their run uses.
-    """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    path = tuple(int(p) for p in (seed_path if hasattr(seed_path, "__len__") else (seed_path,)))
-    if not path:
-        raise ValueError("seed_path must contain at least one integer")
-    y_true = np.asarray(y_true, dtype=float)
-    noise = rng_for(path[0], *path[1:]).standard_normal(y_true.size)
-    return NoisyMeasurement(y_true=y_true, y_noisy=y_true + delta * noise,
-                            delta=float(delta), seed_path=path)
 
 
 @dataclass(frozen=True)

@@ -1,27 +1,27 @@
 """Intrinsic-dimension estimation by scanning truncation levels.
 
 For each noise level, reconstructions restricted to the first M basis
-vectors are averaged over independent noise realizations and compared
-against a reference; the minimizing M estimates the intrinsic dimension.
-Noise realizations are keyed by (seed, noise-level index, realization), so
-the scan result is independent of evaluation order; the reference's noise
-is the first realization of sample 0's noise block.
+vectors are averaged over noise realizations and compared against a
+reference; the minimizing M estimates the intrinsic dimension.  A scan of
+R realizations draws one (R + 1)-row noise block of sample 0, the sample it
+reconstructs (:func:`~regbench.datagen.noise_block`): row 0 perturbs the
+reference and rows 1..R are the realizations, shared by every noise level
+(common random numbers), so the per-level argmins compare the same draws.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .datagen import Basis, add_noise, noise_block
+from .datagen import Basis, noise_block
 from .linop import DenseOperator, apply, compute_svd, filtered_solve
 from .tikhonov import reconstruct
 from .truncated import subspace_solver
-
-_CELL_TAG = 1
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,16 @@ class DimScanConfig:
         m_grid = tuple(int(m) for m in self.m_grid)
         if not m_grid or any(b <= a for a, b in zip(m_grid, m_grid[1:])):
             raise ValueError("m_grid must be nonempty and strictly increasing")
+        if m_grid[0] < 0:
+            raise ValueError("m_grid entries must be nonnegative")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.realizations < 1:
             raise ValueError("need at least one realization")
         if not self.delta_list:
             raise ValueError("delta_list must be nonempty")
+        if not all(0.0 <= d < math.inf for d in self.delta_list):
+            raise ValueError("noise levels must be finite and nonnegative")
         object.__setattr__(self, "m_grid", m_grid)
         object.__setattr__(self, "delta_list", tuple(float(d) for d in self.delta_list))
 
@@ -63,18 +67,15 @@ class DimScanResult:
     delta_list: tuple[float, ...]
     mean_errors: np.ndarray = field(repr=False)
     argmin_m: tuple[int, ...]
-    estimated_n_per_delta: tuple[int, ...]
     estimated_n: int
 
 
 def reference_reconstruction(op: DenseOperator, x_true: np.ndarray,
                              alpha_ref: float, delta_ref: float,
-                             seed: int) -> np.ndarray:
-    """Full (untruncated) reconstruction of lightly perturbed clean data,
-    used as a truth stand-in.  The scan reconstructs the first sample, so
-    the perturbation is realization 0 of sample 0's noise block."""
-    y = apply(op, x_true)
-    return reconstruct(op, y + delta_ref * noise_block(seed, 0, 1, op.m)[0], alpha_ref)
+                             noise: np.ndarray) -> np.ndarray:
+    """Full (untruncated) reconstruction of the clean data perturbed by
+    ``delta_ref * noise``, used as a truth stand-in."""
+    return reconstruct(op, apply(op, x_true) + delta_ref * noise, alpha_ref)
 
 
 def scan(op: DenseOperator, basis: Basis, x_true: np.ndarray,
@@ -84,8 +85,8 @@ def scan(op: DenseOperator, basis: Basis, x_true: np.ndarray,
 
     For the ``"svd"`` basis, which must hold this operator's right singular
     vectors, each level is one call of the spectral-filter kernel; other
-    bases solve the restricted normal equations.  Within one (noise level,
-    realization) cell every truncation level sees the same noise vector;
+    bases solve the restricted normal equations.  Realization r at noise
+    level delta is ``y + delta * block[r + 1]`` at every truncation level;
     ties in the per-level means break toward the smallest level.  The
     consensus estimate is the mode of the per-level argmins over noise
     levels at or above ``consensus_delta_min`` (all levels when none
@@ -93,12 +94,14 @@ def scan(op: DenseOperator, basis: Basis, x_true: np.ndarray,
     """
     x_true = np.asarray(x_true, dtype=float)
     svd = compute_svd(op)
+    block = noise_block(config.seed, 0, config.realizations + 1, op.m)
     if config.use_exact_truth:
         reference = x_true
     else:
         reference = reference_reconstruction(op, x_true, config.alpha_ref,
-                                             config.delta_ref, config.seed)
+                                             config.delta_ref, block[0])
     y_true = apply(op, x_true)
+    noise = block[1:].T
     if basis.kind == "svd":
         # restricted to the operator's own right singular vectors, the
         # solve is the truncated spectral filter
@@ -111,10 +114,7 @@ def scan(op: DenseOperator, basis: Basis, x_true: np.ndarray,
 
     mean_errors = np.zeros((len(config.m_grid), len(config.delta_list)))
     for di, delta in enumerate(config.delta_list):
-        noisy = np.column_stack([
-            add_noise(y_true, delta, (config.seed, _CELL_TAG, di, r)).y_noisy
-            for r in range(config.realizations)
-        ])
+        noisy = y_true[:, None] + delta * noise
         for mi, solve in enumerate(solvers):
             diffs = solve(noisy) - reference[:, None]
             mean_errors[mi, di] = np.linalg.norm(diffs, axis=0).mean() / root_n
@@ -141,6 +141,5 @@ def scan(op: DenseOperator, basis: Basis, x_true: np.ndarray,
         delta_list=config.delta_list,
         mean_errors=mean_errors,
         argmin_m=argmin_m,
-        estimated_n_per_delta=argmin_m,
         estimated_n=consensus,
     )

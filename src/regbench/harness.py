@@ -1,13 +1,19 @@
 """Experiment configuration, mismatch grids, CSV emission, and the CLI.
 
 Experiments are pure functions of (config, master seed).  Noise keying is
-``crn-v1`` (the manifest's ``noise_scheme``): sample s owns the block
+``crn-v2`` (the manifest's ``noise_scheme``).  Sample s owns the block
 :func:`~regbench.datagen.noise_block` draws from the stream
-``(seed, NOISE_TAG, s)``, and realization r at level delta is
-``y_s + delta * block[r]`` in every cell of both mismatch grids (common
-random numbers); ``lasso-solve`` uses row 0.  ``alpha-tune`` keys noise by
-(seed, level index, sample), ``dim-scan`` by (seed, 1, level index,
-realization).
+``(seed, NOISE_TAG, s)``; every noise level applied to a sample scales the
+same rows (common random numbers):
+
+- both mismatch grids: realization r at level delta is
+  ``y_s + delta * block[r]`` in every cell;
+- ``dim-scan`` (sample 0, R realizations) draws R + 1 rows: row 0 perturbs
+  the reference reconstruction, realization r is ``y_0 + delta * block[r + 1]``;
+- ``lasso-solve`` uses row 0 of the chosen sample's block.
+
+``alpha-tune`` draws the noise of tuple i at level index d from the stream
+``(seed, d, i)``.
 
 Each CLI command builds its operator once (with at most one SVD, see
 :func:`~regbench.linop.spectral_normalize`), hands it to the ``run_*``
@@ -20,6 +26,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, asdict
@@ -30,13 +37,13 @@ import numpy as np
 from . import __version__
 from .datagen import (
     SourceSample,
-    add_noise,
     coordinate_basis,
     estimate_source_constant,
     load_idx_images,
     noise_block,
     pca_basis,
     phantom_images,
+    rng_for,
     sample_source_data,
     sample_subspace_data,
     svd_basis,
@@ -88,6 +95,11 @@ class DataSpec:
     side: int = 16
 
 
+def _check_levels(levels) -> None:
+    if not all(0.0 <= d < math.inf for d in levels):
+        raise ConfigError("noise levels must be finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     delta_bar: tuple[float, ...] = DEFAULT_LEVELS
@@ -99,6 +111,7 @@ class GridSpec:
             raise ConfigError("noise-level grids must be nonempty")
         if self.realizations < 1:
             raise ConfigError("need at least one realization")
+        _check_levels(self.delta_bar + self.delta)
 
 
 @dataclass(frozen=True)
@@ -123,7 +136,6 @@ class ExperimentConfig:
     grid: GridSpec = GridSpec()
     method: MethodSpec = MethodSpec()
     seed: int = 0
-    threads: int = 1
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -140,7 +152,7 @@ def _ints(text: str) -> tuple[int, ...]:
         raise ConfigError(f"cannot parse integer list {text!r}") from exc
 
 
-def load_config(path, seed: int = 0, threads: int = 1) -> ExperimentConfig:
+def load_config(path, seed: int = 0) -> ExperimentConfig:
     """Read the flat sectioned key-value config file."""
     parser = configparser.ConfigParser()
     text = Path(path).read_text()
@@ -210,7 +222,7 @@ def load_config(path, seed: int = 0, threads: int = 1) -> ExperimentConfig:
 
     _validate(operator, data, method)
     return ExperimentConfig(operator=operator, data=data, grid=grid,
-                            method=method, seed=seed, threads=threads)
+                            method=method, seed=seed)
 
 
 def _validate(operator: OperatorSpec, data: DataSpec, method: MethodSpec) -> None:
@@ -226,6 +238,8 @@ def _validate(operator: OperatorSpec, data: DataSpec, method: MethodSpec) -> Non
         raise ConfigError(f"unknown method kind {method.kind!r}")
     if method.basis not in ("svd", "coordinate", "pca"):
         raise ConfigError(f"unknown basis kind {method.basis!r}")
+    if any(m < 0 for m in method.m_grid):
+        raise ConfigError("m_grid entries must be nonnegative")
     if method.transform not in ("identity", "diff1d", "grad2d"):
         raise ConfigError(f"unknown transform kind {method.transform!r}")
 
@@ -568,7 +582,7 @@ def emit_wc_curve_csv(alphas, bounds, path) -> None:
             fh.write(f"{_fmt(a)},{_fmt(b)}\n")
 
 
-NOISE_SCHEME = "crn-v1"
+NOISE_SCHEME = "crn-v2"
 
 
 @dataclass(frozen=True)
@@ -597,11 +611,8 @@ class RunManifest:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    """sha256 of the config, leaving out ``threads``, which has no effect
-    on any output."""
-    fields = asdict(config)
-    del fields["threads"]
-    payload = json.dumps(fields, sort_keys=True, default=str)
+    """sha256 of the config."""
+    payload = json.dumps(asdict(config), sort_keys=True, default=str)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -622,9 +633,6 @@ def make_manifest(config: ExperimentConfig, op: DenseOperator,
 # ---------------------------------------------------------------------------
 # CLI
 
-THREADS_HELP = "accepted for compatibility; has no effect (grids run on one thread)"
-
-
 def _shared_flags() -> argparse.ArgumentParser:
     # subparsers carry the global flags with SUPPRESS defaults so a flag
     # placed before the subcommand is not clobbered by a subparser default
@@ -632,7 +640,6 @@ def _shared_flags() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="master seed")
     p.add_argument("--config", type=str, default=argparse.SUPPRESS, help="config file")
     p.add_argument("--out", type=str, default=argparse.SUPPRESS, help="output directory")
-    p.add_argument("--threads", type=int, default=argparse.SUPPRESS, help=THREADS_HELP)
     return p
 
 
@@ -645,7 +652,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--config", type=str, default=None, help="config file")
     parser.add_argument("--out", type=str, default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     sub = parser.add_subparsers(dest="command")
 
     sub.add_parser("operator", parents=[shared],
@@ -681,7 +687,7 @@ def _require_config(args) -> ExperimentConfig:
         raise ConfigError("this subcommand needs --config")
     if not Path(args.config).exists():
         raise ConfigError(f"config file {args.config} not found")
-    return load_config(args.config, seed=args.seed, threads=args.threads)
+    return load_config(args.config, seed=args.seed)
 
 
 def _cmd_operator(args) -> int:
@@ -758,6 +764,7 @@ def _cmd_lasso_solve(args) -> int:
     if not 0 <= args.sample < len(samples):
         raise ConfigError(f"sample index {args.sample} out of range")
     transform = _build_transform(config.method.transform, op)
+    _check_levels((args.delta,))
     alpha = args.alpha if args.alpha is not None else config.method.alpha
     if alpha is None:
         raise ConfigError("lasso-solve needs --alpha or a method alpha")
@@ -779,11 +786,15 @@ def _cmd_lasso_solve(args) -> int:
 def _cmd_alpha_tune(args) -> int:
     config = _require_config(args)
     op = build_operator(config.operator)
-    samples = build_dataset(op, config.data, config.seed)[:args.tuples]
+    samples = build_dataset(op, config.data, config.seed)
+    if not 1 <= args.tuples <= len(samples):
+        raise ConfigError(f"--tuples {args.tuples} outside [1, {len(samples)}]")
     transform = _build_transform(config.method.transform, op)
     deltas = sorted(_floats(args.delta_grid))
-    truths = [np.asarray(getattr(sample, "x_true", sample), dtype=float) for sample in samples]
-    tuple_sets = [[(x, add_noise(apply(op, x), delta, (config.seed, di, si)).y_noisy)
+    _check_levels(deltas)
+    truths = [np.asarray(getattr(sample, "x_true", sample), dtype=float)
+              for sample in samples[:args.tuples]]
+    tuple_sets = [[(x, apply(op, x) + delta * rng_for(config.seed, di, si).standard_normal(op.m))
                    for si, x in enumerate(truths)]
                   for di, delta in enumerate(deltas)]
     knots = []

@@ -37,23 +37,6 @@ def weighted_norm(v: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class WeightedNorm:
-    """Norm functional ``w -> dimension**-0.5 * ||w||_2`` on R^dimension."""
-
-    dimension: int
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
-
-    def __call__(self, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dimension,):
-            raise ValueError(f"expected vector of length {self.dimension}, got shape {v.shape}")
-        return weighted_norm(v)
-
-
-@dataclass(frozen=True)
 class SvdSystem:
     """Full singular system: ``A v_j = sigma_j u_j`` with orthonormal columns.
 

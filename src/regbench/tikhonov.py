@@ -9,7 +9,6 @@ with an independent direct-solve path for cross-checking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,16 +84,6 @@ def wc_bound(alpha: float, delta, rho: float):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class WcBound:
-    alpha: float
-    delta: float
-    rho: float
-
-    def value(self) -> float:
-        return wc_bound(self.alpha, self.delta, self.rho)
-
-
 def optimal_alpha(delta: float, rho: float):
     """A-priori rule ``alpha = delta / rho``; returns the zero-reconstruction
     sentinel once the noise level exceeds the source bound."""
@@ -103,16 +92,6 @@ def optimal_alpha(delta: float, rho: float):
     if delta > rho:
         return ZERO_RECONSTRUCTION
     return delta / rho
-
-
-@dataclass(frozen=True)
-class ParamRule:
-    """Noise-level-to-alpha rule parameterized by the source constant."""
-
-    rho: float
-
-    def alpha_for(self, delta: float):
-        return optimal_alpha(delta, self.rho)
 
 
 def relative_wc(delta_bar: float, delta: float, rho: float) -> float:
@@ -141,15 +120,3 @@ def subspace_wc_bound(alpha: float, delta: float, rho: float, c: float,
     if root > 1.0 / (2.0 * c * n_dim):
         return data + 0.5 * root * rho
     return data + alpha * c * n_dim * rho
-
-
-@dataclass(frozen=True)
-class SubspaceWcBound:
-    alpha: float
-    delta: float
-    rho: float
-    c: float
-    n_dim: int
-
-    def value(self) -> float:
-        return subspace_wc_bound(self.alpha, self.delta, self.rho, self.c, self.n_dim)

@@ -167,23 +167,10 @@ def argmin_expected_level(model: ExpectedErrorModel, m_grid) -> int:
     return m_grid[0]
 
 
-@dataclass(frozen=True)
-class SubspaceProblem:
-    """Reconstruction basis block and its composition with the operator."""
-
-    basis_matrix: np.ndarray
-    composed: np.ndarray
-
-    @classmethod
-    def build(cls, op: DenseOperator, basis: Basis, m: int) -> "SubspaceProblem":
-        if m < 0 or m > basis.size:
-            raise ValueError("basis truncation level out of range")
-        b = basis.vectors[:, :m]
-        return cls(basis_matrix=b, composed=op.entries @ b)
-
-
 def subspace_solver(op: DenseOperator, basis: Basis, m: int, alpha: float):
-    """Prefactored map from data to the basis-restricted reconstruction.
+    """Prefactored map from data to the Tikhonov reconstruction restricted
+    to the first ``m`` basis vectors; for the singular-vector basis this is
+    the truncated scheme.
 
     The returned callable accepts a data vector or an (m_data, k) stack of
     columns.  Raises for a singular restricted system, which can only occur
@@ -191,8 +178,10 @@ def subspace_solver(op: DenseOperator, basis: Basis, m: int, alpha: float):
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    problem = SubspaceProblem.build(op, basis, m)
-    b, composed = problem.basis_matrix, problem.composed
+    if m < 0 or m > basis.size:
+        raise ValueError("basis truncation level out of range")
+    b = basis.vectors[:, :m]
+    composed = op.entries @ b
     if m == 0:
         return lambda y: np.zeros((op.n,) + np.shape(y)[1:])
     # imported here: scipy.linalg adds ~0.3 s to every command's start-up
@@ -209,15 +198,3 @@ def subspace_solver(op: DenseOperator, basis: Basis, m: int, alpha: float):
         return b @ cho_solve(factor, composed.T @ y)
 
     return solve
-
-
-def subspace_reconstruct(op: DenseOperator, basis: Basis, m: int,
-                         y: np.ndarray, alpha: float) -> np.ndarray:
-    """Tikhonov reconstruction restricted to the first ``m`` basis vectors.
-
-    For the singular-vector basis this coincides with the truncated scheme.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] != op.m:
-        raise ValueError(f"expected data of length {op.m}, got {y.shape[0]}")
-    return subspace_solver(op, basis, m, alpha)(y)

@@ -1,13 +1,14 @@
 """Small CLI runs at seed 0, pinned to recorded outputs.
 
 The expected CSVs come from references independent of the code under
-test: the mismatch grids from a data-space reconstruction of every cell
-(``reference_grid`` in test_crn.py) on the ``crn-v1`` noise blocks, the
-dimension scan from the previous scan code with only its reference's noise
-moved to realization 0 of sample 0's noise block.  Every
-number must agree with them to 1e-12 relative; labels, grid levels,
-``estimated_N`` and the bound-check tally must agree exactly.  A change
-that moves results further than rounding fails here.
+test, both in test_crn.py and both drawing the documented noise blocks:
+the mismatch grids from a data-space reconstruction of every cell
+(``reference_grid``), the dimension scan from a data-space scan that
+solves every (level, realization) through the restricted normal equations
+(``reference_scan``).  Every number must agree with them to 1e-12
+relative; labels, grid levels, ``estimated_N`` and the bound-check tally
+must agree exactly.  A change that moves results further than rounding
+fails here.
 
 The ``alpha-tune`` pins (seeds 0, 1 and 2) come from the earlier tuning
 code, which ran one primal-dual solve per problem and one grid search per
@@ -112,21 +113,21 @@ m_grid = 2 4 8 16 32
 
 RADON_DIMSCAN_CSV = """\
 basis,M,delta,mean_error
-svd,2,0.01,0.23265625933379097
-svd,2,0.1,0.2335690211197886
-svd,2,0.5,0.26390706128885333
-svd,4,0.01,0.18745696923084018
-svd,4,0.1,0.19143633440399616
-svd,4,0.5,0.25380999084924794
-svd,8,0.01,0.18123796351656268
-svd,8,0.1,0.19526492777450105
-svd,8,0.5,0.3225812871196939
-svd,16,0.01,0.13597525520849424
-svd,16,0.1,0.17197841463262706
-svd,16,0.5,0.5145972317666576
-svd,32,0.01,0.08859475822237077
-svd,32,0.1,0.18656220139327043
-svd,32,0.5,0.7939518468410776
+svd,2,0.01,0.23266054398233715
+svd,2,0.1,0.23417508584853072
+svd,2,0.5,0.269535497024733
+svd,4,0.01,0.18751392215456836
+svd,4,0.1,0.19134216594464093
+svd,4,0.5,0.26732083769080783
+svd,8,0.01,0.18126109342767846
+svd,8,0.1,0.1922659224426762
+svd,8,0.5,0.36534319832351814
+svd,16,0.01,0.13571629804384325
+svd,16,0.1,0.1651982984285859
+svd,16,0.5,0.4909828555149773
+svd,32,0.01,0.08811533292484225
+svd,32,0.1,0.17404937392773756
+svd,32,0.5,0.7605595721508295
 """
 
 LASSO_TUNE = """

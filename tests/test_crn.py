@@ -1,16 +1,22 @@
-"""Common-random-number noise and the coefficient-space Tikhonov grid.
+"""Common-random-number noise: the coefficient-space Tikhonov grid and the
+dimension scan.
 
-The reference below reconstructs every cell in data space with the filter
-kernel, on noise drawn exactly as the harness documents it: sample s owns
-the block ``rng_for(seed, NOISE_TAG, s).standard_normal((R, m))`` and
-realization r at level delta is ``y_s + delta * block[r]``.
+The references below work in data space on noise drawn exactly as the
+harness documents it: sample s owns the block
+``rng_for(seed, NOISE_TAG, s).standard_normal((rows, m))``.  In a grid cell
+realization r at level delta is ``y_s + delta * block[r]``; a scan of R
+realizations draws R + 1 rows of sample 0, perturbs its reference with row
+0 and sees ``y_0 + delta * block[r + 1]`` as realization r.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regbench import datagen, lasso
-from regbench.datagen import NOISE_TAG, noise_block, rng_for
+from regbench import datagen, dimscan, lasso
+from regbench.datagen import NOISE_TAG, Basis, noise_block, rng_for, svd_basis
+from regbench.dimscan import DimScanConfig, scan
 from regbench.harness import (
     DataSpec,
     ExperimentConfig,
@@ -20,10 +26,12 @@ from regbench.harness import (
     build_dataset,
     build_operator,
     cli_main,
+    run_dim_experiment,
     run_mismatch_grid,
 )
 from regbench.linop import compute_svd, filtered_solve, weighted_norm
-from regbench.tikhonov import ZERO_RECONSTRUCTION, optimal_alpha, wc_bound
+from regbench.tikhonov import ZERO_RECONSTRUCTION, optimal_alpha, reconstruct, wc_bound
+from regbench.truncated import subspace_solver
 
 REL_TOL = 1e-12
 
@@ -129,6 +137,112 @@ def test_grid_realizations_are_prefix_stable():
     mean_errors, _, _ = reference_grid(one, draw=INTEGRATION.grid.realizations)
     np.testing.assert_allclose(run_mismatch_grid(one).mean_errors, mean_errors,
                                rtol=REL_TOL, atol=0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 60), seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 6),
+       realizations=st.integers(1, 8),
+       bars=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=3),
+       deltas=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3))
+def test_grid_never_violates_the_worst_case_bound(n, seed, count, realizations, bars, deltas):
+    # with each sample's own source constant the bound holds for every
+    # realized noise level, including the zero-reconstruction cells
+    config = ExperimentConfig(
+        operator=OperatorSpec(kind="integration", n=n),
+        data=DataSpec(kind="source", count=count),
+        grid=GridSpec(delta_bar=tuple(bars), delta=tuple(deltas), realizations=realizations),
+        method=MethodSpec(kind="tikhonov", rho="per-sample"),
+        seed=seed)
+    grid = run_mismatch_grid(config)
+    assert grid.checked == len(bars) * len(deltas) * count * realizations
+    assert grid.violations == 0
+
+
+def reference_scan(config):
+    """Mean errors of ``dim-scan`` on the first sample: every (level,
+    realization) solved on its own through the restricted normal equations
+    of the right singular vectors."""
+    op = build_operator(config.operator)
+    first = build_dataset(op, config.data, config.seed)[0]
+    x = np.asarray(getattr(first, "x_true", first), dtype=float)
+    basis = Basis(kind="pca", vectors=compute_svd(op).right_vectors)
+    reps = config.grid.realizations
+    block = rng_for(config.seed, NOISE_TAG, 0).standard_normal((reps + 1, op.m))
+    y = op.entries @ x
+    if config.method.exact_truth:
+        truth = x
+    else:
+        truth = reconstruct(op, y + config.method.delta_ref * block[0], config.method.alpha_ref)
+    m_grid, deltas = config.method.m_grid, config.grid.delta
+    errors = np.zeros((len(m_grid), len(deltas), reps))
+    for mi, m in enumerate(m_grid):
+        solve = subspace_solver(op, basis, m, config.method.alpha)
+        for di, delta in enumerate(deltas):
+            for r in range(reps):
+                errors[mi, di, r] = weighted_norm(solve(y + delta * block[r + 1]) - truth)
+    return errors.mean(axis=2)
+
+
+SCAN_RADON = ExperimentConfig(
+    operator=OperatorSpec(kind="radon", side=8, angles=10, offsets=13),
+    data=DataSpec(kind="phantom", count=2),
+    grid=GridSpec(delta=(0.01, 0.1, 0.5), realizations=8),
+    method=MethodSpec(kind="truncated", basis="svd", alpha=0.01, m_grid=(2, 4, 8, 16, 32)),
+    seed=0)
+
+SCAN_INTEGRATION = ExperimentConfig(
+    operator=OperatorSpec(kind="integration", n=30),
+    data=DataSpec(kind="subspace", count=3, n_dim=6),
+    grid=GridSpec(delta=(0.0, 0.05, 0.3), realizations=7),
+    method=MethodSpec(kind="truncated", basis="svd", alpha=0.01, m_grid=(2, 4, 6, 8, 12),
+                      exact_truth=True),
+    seed=4)
+
+
+@pytest.mark.parametrize("config", [SCAN_RADON, SCAN_INTEGRATION], ids=["radon", "integration"])
+def test_scan_matches_data_space_reference(config):
+    result = run_dim_experiment(config)
+    np.testing.assert_allclose(result.mean_errors, reference_scan(config),
+                               rtol=REL_TOL, atol=0.0)
+
+
+@pytest.mark.parametrize("use_exact_truth", [True, False])
+def test_scan_draws_one_noise_block(op50, monkeypatch, use_exact_truth):
+    paths = []
+    real = datagen.rng_for
+
+    def recording(seed, *path):
+        paths.append((int(seed),) + tuple(int(p) for p in path))
+        return real(seed, *path)
+
+    monkeypatch.setattr(datagen, "rng_for", recording)
+    config = DimScanConfig(m_grid=(2, 4, 8), alpha=0.05, delta_list=(0.01, 0.1, 0.5),
+                           realizations=5, use_exact_truth=use_exact_truth, seed=6)
+    scan(op50, svd_basis(op50), np.linspace(0.0, 1.0, 50), config)
+    assert paths == [(6, NOISE_TAG, 0)]
+
+
+def test_scan_realization_r_is_row_r_plus_one(op50, monkeypatch):
+    # every truncation level at every noise level sees the same rows 1..R
+    calls = []
+    real = dimscan.filtered_solve
+
+    def recording(svd, filt, y):
+        calls.append(np.array(y))
+        return real(svd, filt, y)
+
+    monkeypatch.setattr(dimscan, "filtered_solve", recording)
+    x = np.linspace(0.0, 1.0, 50)
+    config = DimScanConfig(m_grid=(2, 4), alpha=0.05, delta_list=(0.0, 0.1, 0.5),
+                           realizations=4, seed=8)
+    scan(op50, svd_basis(op50), x, config)
+    block = noise_block(8, 0, 5, op50.m)
+    y = op50.entries @ x
+    assert len(calls) == 6
+    for call, delta in zip(calls, np.repeat(config.delta_list, 2)):
+        assert call.shape == (op50.m, 4)
+        for r in range(4):
+            assert np.array_equal(call[:, r], y + delta * block[r + 1])
 
 
 LASSO_CFG = """

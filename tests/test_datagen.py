@@ -3,16 +3,16 @@ import struct
 import numpy as np
 import pytest
 
-from regbench import datagen
+from regbench import datagen, dimscan
 from regbench.datagen import (
+    NOISE_TAG,
     Basis,
-    NoiseModel,
     SubspaceSpec,
-    add_noise,
     coordinate_basis,
     estimate_source_constant,
     export_samples_csv,
     load_idx_images,
+    noise_block,
     pca_basis,
     phantom_images,
     rng_for,
@@ -21,7 +21,10 @@ from regbench.datagen import (
     sample_subspace_data,
     svd_basis,
 )
+from regbench.dimscan import DimScanConfig
+from regbench.harness import ConfigError, GridSpec
 from regbench.linop import DenseOperator, apply_adjoint, compute_svd, weighted_norm
+from regbench.truncated import ExpectedErrorModel
 
 
 def write_idx(path, images):
@@ -70,7 +73,7 @@ class TestSourceData:
 class TestSubspaceData:
     def test_full_spec_matches_source_protocol(self, op50):
         # same coefficient draws, same construction (equal up to BLAS path)
-        full = SubspaceSpec.first(50)
+        full = SubspaceSpec(tuple(range(50)))
         a = sample_subspace_data(op50, full, 2, seed=4)
         b = sample_source_data(op50, 2, seed=4)
         for sa, sb in zip(a, b):
@@ -87,7 +90,7 @@ class TestSubspaceData:
 
     def test_mean_rho_scales_with_dimension(self, op50):
         # E[rho^2] = N / (3 n): for N=8, n=50 the mean is ~0.231
-        samples = sample_subspace_data(op50, SubspaceSpec.first(8), 50, seed=7)
+        samples = sample_subspace_data(op50, SubspaceSpec(tuple(range(8))), 50, seed=7)
         mean_rho = np.mean([s.rho for s in samples])
         assert 0.20 <= mean_rho <= 0.27
 
@@ -123,28 +126,49 @@ class TestBasisCoefficientData:
 
 
 class TestAddNoise:
-    def test_zero_delta_is_exact(self):
-        y = np.arange(5.0)
-        meas = add_noise(y, 0.0, (3, 1))
-        assert np.array_equal(meas.y_noisy, y)
+    """Measurement noise: realization r of a level delta is
+    ``y + delta * noise_block(...)[r]``."""
 
     def test_deterministic_given_path(self):
-        y = np.ones(10)
-        a = add_noise(y, 0.3, (8, 2, 1))
-        b = add_noise(y, 0.3, (8, 2, 1))
-        assert np.array_equal(a.y_noisy, b.y_noisy)
+        a = noise_block(8, 2, 3, 10)
+        assert np.array_equal(a, noise_block(8, 2, 3, 10))
+        assert not np.array_equal(a, noise_block(9, 2, 3, 10))
 
-    def test_negative_delta_rejected(self):
-        with pytest.raises(ValueError):
-            add_noise(np.ones(3), -0.1, (0,))
+    def test_stream_is_keyed_by_noise_tag(self):
+        block = noise_block(8, 2, 3, 10)
+        assert np.array_equal(block, rng_for(8, NOISE_TAG, 2).standard_normal((3, 10)))
 
     def test_weighted_noise_level_matches_delta(self):
-        # Monte-Carlo oracle for the chi-square mean: E ||eta||_Y^2 = delta^2
-        y = np.zeros(40)
+        # Monte-Carlo oracle for the chi-square mean: E ||delta g||_Y^2 = delta^2
         delta = 0.37
-        levels = [weighted_norm(add_noise(y, delta, (99, r)).y_noisy) ** 2
-                  for r in range(10**4)]
+        levels = [weighted_norm(delta * row) ** 2 for row in noise_block(99, 0, 10**4, 40)]
         assert np.mean(levels) == pytest.approx(delta ** 2, rel=0.03)
+
+    def test_zero_delta_is_exact(self, op50, monkeypatch):
+        # at level 0 every realization the scan solves is the clean data
+        seen = []
+        real = dimscan.filtered_solve
+
+        def recording(svd, filt, y):
+            seen.append(np.array(y))
+            return real(svd, filt, y)
+
+        monkeypatch.setattr(dimscan, "filtered_solve", recording)
+        x = np.linspace(0.0, 1.0, 50)
+        config = DimScanConfig(m_grid=(2, 4), alpha=0.05, delta_list=(0.0,),
+                               realizations=3, use_exact_truth=True, seed=3)
+        dimscan.scan(op50, svd_basis(op50), x, config)
+        y = op50.entries @ x
+        assert len(seen) == 2
+        for noisy in seen:
+            assert np.array_equal(noisy, np.repeat(y[:, None], 3, axis=1))
+
+    def test_negative_delta_rejected(self):
+        # both places that scale noise by a level check it first
+        with pytest.raises(ConfigError, match="nonnegative"):
+            GridSpec(delta=(-0.1, 0.1))
+        with pytest.raises(ValueError, match="nonnegative"):
+            DimScanConfig(m_grid=(1, 2), alpha=0.5, delta_list=(-0.1,))
 
 
 class TestSourceConstant:
@@ -289,10 +313,17 @@ def test_phantom_images_piecewise_constant():
 
 
 def test_noise_model_validation():
-    model = NoiseModel.isotropic(0.2, 5)
+    # isotropic noise of level 0.2 has second moment 0.04 in every
+    # coordinate; the expected-error model takes those moments and
+    # rejects a negative one
+    rows = 0.2 * noise_block(12, 0, 10**4, 5)
+    assert np.allclose(np.mean(rows ** 2, axis=0), 0.04, rtol=0.05)
+    model = ExpectedErrorModel(c=np.array([1.0]), beta2=np.array([0.04]),
+                               sigma=np.array([1.0]), alpha=0.1)
     assert np.allclose(model.beta2, 0.04)
-    with pytest.raises(ValueError):
-        NoiseModel(beta2=np.array([-1.0]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        ExpectedErrorModel(c=np.array([1.0]), beta2=np.array([-1.0]),
+                           sigma=np.array([1.0]), alpha=0.1)
 
 
 def test_basis_requires_sane_vectors(op50):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from regbench.datagen import Basis, sample_basis_coefficient_data, svd_basis
+from regbench.datagen import Basis, noise_block, sample_basis_coefficient_data, svd_basis
 from regbench.dimscan import DimScanConfig, reference_reconstruction, scan
 from regbench.linop import apply, build_radon_operator, compute_svd, weighted_norm
+from regbench.tikhonov import reconstruct
 from regbench.truncated import ExpectedErrorModel, alpha_threshold, argmin_expected_level
 
 
@@ -88,23 +89,31 @@ def test_reference_shift_is_bounded_by_reference_error(op50, planted_sample):
                   realizations=20, seed=9)
     with_truth = scan(op50, basis, x, DimScanConfig(use_exact_truth=True, **kwargs))
     with_ref = scan(op50, basis, x, DimScanConfig(use_exact_truth=False, **kwargs))
-    reference = reference_reconstruction(op50, x, 0.03, 0.01, seed=9)
+    reference = reference_reconstruction(op50, x, 0.03, 0.01, noise_block(9, 0, 1, 50)[0])
     gap = weighted_norm(reference - x)
     assert np.abs(with_ref.mean_errors - with_truth.mean_errors).max() <= gap + 1e-12
 
 
 def test_reference_reconstruction_deterministic(op50, planted_sample):
     _, x = planted_sample
-    a = reference_reconstruction(op50, x, 0.03, 0.01, seed=4)
-    b = reference_reconstruction(op50, x, 0.03, 0.01, seed=4)
+    a = reference_reconstruction(op50, x, 0.03, 0.01, noise_block(4, 0, 1, 50)[0])
+    b = reference_reconstruction(op50, x, 0.03, 0.01, noise_block(4, 0, 1, 50)[0])
     assert np.array_equal(a, b)
-    c = reference_reconstruction(op50, x, 0.03, 0.01, seed=5)
+    c = reference_reconstruction(op50, x, 0.03, 0.01, noise_block(5, 0, 1, 50)[0])
     assert not np.array_equal(a, c)
+
+
+def test_reference_reconstruction_perturbs_the_clean_data(op50, planted_sample):
+    _, x = planted_sample
+    noise = noise_block(4, 0, 1, 50)[0]
+    ref = reference_reconstruction(op50, x, 0.03, 0.01, noise)
+    assert np.array_equal(ref, reconstruct(op50, apply(op50, x) + 0.01 * noise, 0.03))
+    assert not np.array_equal(ref, reference_reconstruction(op50, x, 0.03, 0.01, 2 * noise))
 
 
 def test_noiseless_reference_approaches_truth(op50, planted_sample):
     _, x = planted_sample
-    ref = reference_reconstruction(op50, x, 1e-9, 0.0, seed=0)
+    ref = reference_reconstruction(op50, x, 1e-9, 0.0, noise_block(0, 0, 1, 50)[0])
     assert weighted_norm(ref - x) <= 1e-6
 
 
@@ -129,3 +138,14 @@ def test_config_validation():
         DimScanConfig(m_grid=(1, 2), alpha=0.5, delta_list=(0.1,), realizations=0)
     with pytest.raises(ValueError):
         DimScanConfig(m_grid=(1, 2), alpha=0.5, delta_list=())
+
+
+@pytest.mark.parametrize("m_grid, delta_list", [
+    ((-3, 4, 8), (0.1,)),
+    ((1, 2), (-0.1, 0.1)),
+    ((1, 2), (0.1, float("nan"))),
+    ((1, 2), (float("inf"),)),
+])
+def test_config_rejects_negative_levels(m_grid, delta_list):
+    with pytest.raises(ValueError, match="nonnegative"):
+        DimScanConfig(m_grid=m_grid, alpha=0.5, delta_list=delta_list)

@@ -106,6 +106,27 @@ class TestConfig:
                                   seed=small_config.seed + 1)
         assert config_hash(bumped) != config_hash(small_config)
 
+    def test_hash_is_pinned(self, small_config):
+        # manifests of an unchanged config keep their hash across releases
+        assert config_hash(small_config) == \
+            "4621af4d2dcfd7752d75235357d9a8dd5dc54bc3c40d42293c358382f7676235"
+
+    @pytest.mark.parametrize("key, value", [
+        ("delta_bar", "-0.1 0.1"), ("delta", "0.1 -0.1"), ("delta", "0.1 nan"),
+        ("delta_bar", "inf"),
+    ])
+    def test_bad_noise_levels_rejected(self, tmp_path, key, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[grid]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match="noise levels"):
+            load_config(path)
+
+    def test_negative_truncation_level_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[method]\nm_grid = -3 4 8\n")
+        with pytest.raises(ConfigError, match="m_grid"):
+            load_config(path)
+
 
 class TestDatasets:
     def test_source_and_subspace(self, small_config):
@@ -175,17 +196,6 @@ class TestMismatchGrid:
             seed=7)
         again = run_mismatch_grid(config)
         assert np.array_equal(again.mean_errors, grid.mean_errors)
-
-    def test_threads_do_not_change_results(self, grid):
-        config = ExperimentConfig(
-            operator=OperatorSpec(kind="integration", n=25),
-            data=DataSpec(kind="source", count=6),
-            grid=GridSpec(delta_bar=(0.01, 0.1, 0.5), delta=(0.01, 0.1, 0.5),
-                          realizations=10),
-            method=MethodSpec(kind="tikhonov", rho="estimate"),
-            seed=7, threads=4)
-        threaded = run_mismatch_grid(config)
-        assert np.array_equal(threaded.mean_errors, grid.mean_errors)
 
     def test_sentinel_flagged_for_large_delta_bar(self):
         config = ExperimentConfig(
@@ -330,7 +340,7 @@ class TestManifest:
         op = build_operator(small_config.operator)
         make_manifest(small_config, op, wall_time_s=1.5).write(tmp_path / "manifest.json")
         payload = json.loads((tmp_path / "manifest.json").read_text())
-        assert payload["noise_scheme"] == "crn-v1"
+        assert payload["noise_scheme"] == "crn-v2"
         assert payload["checked"] is None and payload["min_margin"] is None
 
     def test_mismatch_grid_records_bound_checks(self, tmp_path, capsys):
@@ -340,25 +350,13 @@ class TestManifest:
         assert cli_main(["--seed", "7", "--config", str(cfg), "--out", str(out),
                          "mismatch-grid"]) == 0
         payload = json.loads((out / "manifest.json").read_text())
-        assert payload["noise_scheme"] == "crn-v1"
+        assert payload["noise_scheme"] == "crn-v2"
         assert payload["checked"] == 6 * 10 * 9
         assert payload["violations"] == 0
         assert 0.0 < payload["min_margin"] < 1.0
         printed = capsys.readouterr().out
         assert (f"bound checks: {payload['checked']}/{payload['checked']} within bound, "
                 f"min margin {payload['min_margin']:.3e}") in printed
-
-    def test_threads_leave_config_hash_unchanged(self, tmp_path):
-        # --threads has no effect on any output, so it is not hashed
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(SMALL_CONFIG)
-        hashes = []
-        for threads in ("1", "8"):
-            out = tmp_path / f"t{threads}"
-            assert cli_main(["--seed", "7", "--config", str(cfg), "--threads", threads,
-                             "--out", str(out), "mismatch-grid"]) == 0
-            hashes.append(json.loads((out / "manifest.json").read_text())["config_hash"])
-        assert hashes[0] == hashes[1]
 
     def test_tikhonov_grid_has_no_solver_totals(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -486,17 +484,6 @@ class TestCli:
                          "--out", str(out), "mismatch-grid"]) == 0
         assert (out / "mismatch_grid.csv").exists()
         assert (out / "manifest.json").exists()
-
-    def test_threads_give_identical_bytes(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(SMALL_CONFIG)
-        out1, out8 = tmp_path / "t1", tmp_path / "t8"
-        assert cli_main(["--seed", "7", "--config", str(cfg), "--threads", "1",
-                         "--out", str(out1), "mismatch-grid"]) == 0
-        assert cli_main(["--seed", "7", "--config", str(cfg), "--threads", "8",
-                         "--out", str(out8), "mismatch-grid"]) == 0
-        assert (out1 / "mismatch_grid.csv").read_bytes() == \
-               (out8 / "mismatch_grid.csv").read_bytes()
 
     def test_dim_scan_prints_estimate(self, tmp_path, capsys):
         cfg = tmp_path / "dim.cfg"
@@ -666,3 +653,60 @@ transform = identity
         code = cli_main(["--seed", "1", "--config", str(cfg), "--out", str(tmp_path),
                          "lasso-solve", "--alpha", "1e-12", "--delta", "0.01"])
         assert code == 2
+
+    LEVELS_CONFIG = """
+[operator]
+kind = integration
+n = 12
+
+[data]
+kind = source
+count = 3
+
+[grid]
+delta_bar = 0.1
+delta = {delta}
+realizations = 2
+
+[method]
+kind = {kind}
+alpha = 0.05
+m_grid = {m_grid}
+"""
+
+    def levels_config(self, tmp_path, kind, delta="0.1", m_grid="2 4"):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.LEVELS_CONFIG.format(kind=kind, delta=delta, m_grid=m_grid))
+        return str(cfg)
+
+    @pytest.mark.parametrize("command, kind", [
+        ("mismatch-grid", "lasso"), ("mismatch-grid", "tikhonov"), ("dim-scan", "truncated"),
+    ])
+    def test_negative_noise_level_is_config_error(self, tmp_path, capsys, command, kind):
+        cfg = self.levels_config(tmp_path, kind, delta="-0.1 0.1")
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "config error: noise levels must be finite and nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, args", [
+        ("alpha-tune", ["--delta-grid", "-0.1 0.1"]),
+        ("alpha-tune", ["--delta-grid", "0.1 inf"]),
+        ("lasso-solve", ["--delta", "-0.1"]),
+        ("lasso-solve", ["--delta", "nan"]),
+    ])
+    def test_negative_noise_level_argument_is_config_error(self, tmp_path, capsys, command, args):
+        cfg = self.levels_config(tmp_path, "lasso")
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "out"), *args]) == 1
+        assert "config error: noise levels must be finite and nonnegative" in capsys.readouterr().err
+
+    def test_negative_truncation_level_is_config_error(self, tmp_path, capsys):
+        cfg = self.levels_config(tmp_path, "truncated", m_grid="-3 4 8")
+        assert cli_main(["dim-scan", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "config error: m_grid entries must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tuples", ["0", "4", "-1"])
+    def test_alpha_tune_tuples_outside_data_count(self, tmp_path, capsys, tuples):
+        cfg = self.levels_config(tmp_path, "lasso")
+        assert cli_main(["alpha-tune", "--config", cfg, "--out", str(tmp_path / "out"),
+                         "--tuples", tuples]) == 1
+        assert f"config error: --tuples {tuples} outside [1, 3]" in capsys.readouterr().err

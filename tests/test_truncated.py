@@ -8,12 +8,11 @@ from regbench.linop import DenseOperator, apply, compute_svd, integration_matrix
 from regbench.tikhonov import reconstruct, wc_bound
 from regbench.truncated import (
     ExpectedErrorModel,
-    SubspaceProblem,
     TruncatedScheme,
     alpha_threshold,
     argmin_expected_level,
     expected_sq_error,
-    subspace_reconstruct,
+    subspace_solver,
     truncated_reconstruct,
     truncated_wc_bound,
 )
@@ -170,32 +169,39 @@ class TestSubspaceReconstruct:
         basis = svd_basis(op50)
         y = np.random.default_rng(5).standard_normal(50)
         for m, alpha in ((3, 0.5), (10, 0.02), (50, 0.2)):
-            a = subspace_reconstruct(op50, basis, m, y, alpha)
+            a = subspace_solver(op50, basis, m, alpha)(y)
             b = truncated_reconstruct(op50, y, TruncatedScheme(m, alpha))
             assert np.abs(a - b).max() <= 1e-8
 
     def test_full_orthonormal_basis_equals_tikhonov(self, op50):
         basis = coordinate_basis(50, seed=1)
         y = np.random.default_rng(6).standard_normal(50)
-        a = subspace_reconstruct(op50, basis, 50, y, 0.3)
+        a = subspace_solver(op50, basis, 50, 0.3)(y)
         assert np.abs(a - reconstruct(op50, y, 0.3)).max() <= 1e-8
 
     def test_zero_data(self, op50):
-        out = subspace_reconstruct(op50, svd_basis(op50), 7, np.zeros(50), 0.1)
+        out = subspace_solver(op50, svd_basis(op50), 7, 0.1)(np.zeros(50))
         assert np.abs(out).max() == 0.0
 
     def test_singular_normal_matrix_rejected(self):
         op = DenseOperator(np.array([[1.0, 0.0], [0.0, 0.0]]))
         basis = coordinate_basis(2, seed=0)
         with pytest.raises(ValueError, match="singular"):
-            subspace_reconstruct(op, basis, 2, np.ones(2), 0.0)
+            subspace_solver(op, basis, 2, 0.0)
 
     def test_composed_operator_columns(self, op50):
-        basis = svd_basis(op50)
-        problem = SubspaceProblem.build(op50, basis, 4)
-        for j in range(4):
-            assert np.abs(problem.composed[:, j]
-                          - apply(op50, basis.vectors[:, j])).max() <= 1e-12
+        # at alpha = 0 the restricted solve inverts A on the span of the
+        # first m basis vectors, so it maps column j of A B_m back to b_j
+        for basis in (svd_basis(op50), coordinate_basis(50, seed=3)):
+            solve = subspace_solver(op50, basis, 4, 0.0)
+            for j in range(4):
+                column = apply(op50, basis.vectors[:, j])
+                assert np.abs(solve(column) - basis.vectors[:, j]).max() <= 1e-8
+
+    @pytest.mark.parametrize("m", [-1, 51])
+    def test_level_out_of_range_rejected(self, op50, m):
+        with pytest.raises(ValueError, match="out of range"):
+            subspace_solver(op50, svd_basis(op50), m, 0.1)
 
 
 class TestRestrictedOperatorBound:
