@@ -11,10 +11,10 @@ reference and rows 1..R are the realizations, shared by every noise level
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,42 +23,11 @@ from .linop import DenseOperator, apply, compute_svd, filtered_solve
 from .tikhonov import reconstruct
 from .truncated import subspace_solver
 
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig
 
-@dataclass(frozen=True)
-class DimScanConfig:
-    """Scan grid and reference policy.
-
-    With ``use_exact_truth`` the scan compares against the ground truth;
-    otherwise against a full reconstruction at the (small) reference noise
-    level, mimicking the practical situation where the truth is unknown.
-    """
-
-    m_grid: tuple[int, ...]
-    alpha: float
-    delta_list: tuple[float, ...]
-    realizations: int = 100
-    use_exact_truth: bool = False
-    alpha_ref: float = 0.03
-    delta_ref: float = 0.01
-    consensus_delta_min: float = 0.05
-    seed: int = 0
-
-    def __post_init__(self):
-        m_grid = tuple(int(m) for m in self.m_grid)
-        if not m_grid or any(b <= a for a, b in zip(m_grid, m_grid[1:])):
-            raise ValueError("m_grid must be nonempty and strictly increasing")
-        if m_grid[0] < 0:
-            raise ValueError("m_grid entries must be nonnegative")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.realizations < 1:
-            raise ValueError("need at least one realization")
-        if not self.delta_list:
-            raise ValueError("delta_list must be nonempty")
-        if not all(0.0 <= d < math.inf for d in self.delta_list):
-            raise ValueError("noise levels must be finite and nonnegative")
-        object.__setattr__(self, "m_grid", m_grid)
-        object.__setattr__(self, "delta_list", tuple(float(d) for d in self.delta_list))
+# the consensus estimate counts the argmins of noise levels from here up
+CONSENSUS_DELTA_MIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -79,9 +48,15 @@ def reference_reconstruction(op: DenseOperator, x_true: np.ndarray,
 
 
 def scan(op: DenseOperator, basis: Basis, x_true: np.ndarray,
-         config: DimScanConfig) -> DimScanResult:
+         config: ExperimentConfig) -> DimScanResult:
     """Mean reconstruction error per (truncation level, noise level) and
     the resulting dimension estimate.
+
+    Reads ``config.method``: ``m_grid`` (truncation levels), ``alpha``,
+    ``exact_truth`` (compare against ``x_true`` itself, else against the
+    reference reconstruction at ``alpha_ref`` and ``delta_ref``);
+    ``config.grid``: ``delta`` (noise levels) and ``realizations``; and
+    ``config.seed``.
 
     For the ``"svd"`` basis, which must hold this operator's right singular
     vectors, each level is one call of the spectral-filter kernel; other
@@ -89,31 +64,32 @@ def scan(op: DenseOperator, basis: Basis, x_true: np.ndarray,
     level delta is ``y + delta * block[r + 1]`` at every truncation level;
     ties in the per-level means break toward the smallest level.  The
     consensus estimate is the mode of the per-level argmins over noise
-    levels at or above ``consensus_delta_min`` (all levels when none
+    levels at or above ``CONSENSUS_DELTA_MIN`` (all levels when none
     qualify).
     """
     x_true = np.asarray(x_true, dtype=float)
+    method, m_grid, deltas = config.method, config.method.m_grid, config.grid.delta
     svd = compute_svd(op)
-    block = noise_block(config.seed, 0, config.realizations + 1, op.m)
-    if config.use_exact_truth:
+    block = noise_block(config.seed, 0, config.grid.realizations + 1, op.m)
+    if method.exact_truth:
         reference = x_true
     else:
-        reference = reference_reconstruction(op, x_true, config.alpha_ref,
-                                             config.delta_ref, block[0])
+        reference = reference_reconstruction(op, x_true, method.alpha_ref,
+                                             method.delta_ref, block[0])
     y_true = apply(op, x_true)
     noise = block[1:].T
     if basis.kind == "svd":
         # restricted to the operator's own right singular vectors, the
         # solve is the truncated spectral filter
         s = svd.sigma
-        solvers = [partial(filtered_solve, svd, s[:m] / (s[:m] * s[:m] + config.alpha))
-                   for m in config.m_grid]
+        solvers = [partial(filtered_solve, svd, s[:m] / (s[:m] * s[:m] + method.alpha))
+                   for m in m_grid]
     else:
-        solvers = [subspace_solver(op, basis, m, config.alpha) for m in config.m_grid]
+        solvers = [subspace_solver(op, basis, m, method.alpha) for m in m_grid]
     root_n = np.sqrt(op.n)
 
-    mean_errors = np.zeros((len(config.m_grid), len(config.delta_list)))
-    for di, delta in enumerate(config.delta_list):
+    mean_errors = np.zeros((len(m_grid), len(deltas)))
+    for di, delta in enumerate(deltas):
         noisy = y_true[:, None] + delta * noise
         for mi, solve in enumerate(solvers):
             diffs = solve(noisy) - reference[:, None]
@@ -121,25 +97,12 @@ def scan(op: DenseOperator, basis: Basis, x_true: np.ndarray,
 
     # smallest level within 1e-12 of the column minimum wins, so exact
     # plateaus (noiseless case) resolve to the lowest dimension
-    argmin_m = []
-    for di in range(len(config.delta_list)):
-        col = mean_errors[:, di]
-        best = col.min()
-        argmin_m.append(config.m_grid[int(np.argmax(col <= best + 1e-12))])
-    argmin_m = tuple(argmin_m)
+    best = np.argmax(mean_errors <= mean_errors.min(axis=0) + 1e-12, axis=0)
+    argmin_m = tuple(m_grid[int(i)] for i in best)
 
-    eligible = [m for m, delta in zip(argmin_m, config.delta_list)
-                if delta >= config.consensus_delta_min]
-    if not eligible:
-        eligible = list(argmin_m)
-    counts = Counter(eligible)
+    eligible = [m for m, delta in zip(argmin_m, deltas) if delta >= CONSENSUS_DELTA_MIN]
+    counts = Counter(eligible or argmin_m)
     top = max(counts.values())
     consensus = min(m for m, cnt in counts.items() if cnt == top)
-
-    return DimScanResult(
-        m_grid=config.m_grid,
-        delta_list=config.delta_list,
-        mean_errors=mean_errors,
-        argmin_m=argmin_m,
-        estimated_n=consensus,
-    )
+    return DimScanResult(m_grid=m_grid, delta_list=deltas, mean_errors=mean_errors,
+                         argmin_m=argmin_m, estimated_n=consensus)

@@ -29,7 +29,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ from .datagen import (
     svd_basis,
     SubspaceSpec,
 )
-from .dimscan import DimScanConfig, DimScanResult, scan
+from .dimscan import DimScanResult, scan
 from .lasso import AlphaRule, ConvergenceError, LassoProblem, SparsifyingTransform, alpha_for_delta, grid_search_alphas, solve, solve_batch
 from .linop import (
     DenseOperator,
@@ -68,13 +69,24 @@ class ConfigError(ValueError):
     """Invalid configuration file or command line."""
 
 
+def _check(ok, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
+def _check_levels(levels) -> None:
+    _check(all(0.0 <= d < math.inf for d in levels), "noise levels must be finite and nonnegative")
+
+
 DEFAULT_LEVELS = (0.001, 0.01, 0.1, 0.2, 0.5, 1.0)
+RHO_WORDS = ("estimate", "per-sample")
 
 # Column budget of one LASSO-grid solve: whole samples are batched up to
 # about one default-grid sample (6 x 6 cells x 100 realizations = 3,600).
 LASSO_BATCH_COLUMNS = 4096
 
 
+# each spec is a section of the config file; see load_config
 @dataclass(frozen=True)
 class OperatorSpec:
     kind: str = "integration"
@@ -83,6 +95,12 @@ class OperatorSpec:
     angles: int = 30
     offsets: int = 41
     path: str | None = None
+
+    def __post_init__(self):
+        _check(self.kind in ("integration", "radon", "file"), f"unknown operator kind {self.kind!r}")
+        _check(self.kind != "file" or self.path, "operator kind 'file' needs a path")
+        _check(min(self.n, self.angles, self.offsets) >= 1 and self.side >= 2,
+               "operator sizes need n, angles and offsets >= 1 and side >= 2")
 
 
 @dataclass(frozen=True)
@@ -94,10 +112,9 @@ class DataSpec:
     path: str | None = None
     side: int = 16
 
-
-def _check_levels(levels) -> None:
-    if not all(0.0 <= d < math.inf for d in levels):
-        raise ConfigError("noise levels must be finite and nonnegative")
+    def __post_init__(self):
+        _check(self.kind in ("source", "subspace", "idx", "phantom"), f"unknown data kind {self.kind!r}")
+        _check(self.count >= 1, "need at least one sample")
 
 
 @dataclass(frozen=True)
@@ -107,10 +124,8 @@ class GridSpec:
     realizations: int = 100
 
     def __post_init__(self):
-        if not self.delta_bar or not self.delta:
-            raise ConfigError("noise-level grids must be nonempty")
-        if self.realizations < 1:
-            raise ConfigError("need at least one realization")
+        _check(self.delta_bar and self.delta, "noise-level grids must be nonempty")
+        _check(self.realizations >= 1, "need at least one realization")
         _check_levels(self.delta_bar + self.delta)
 
 
@@ -128,6 +143,21 @@ class MethodSpec:
     transform: str = "identity"
     alpha_rule: str | None = None
 
+    def __post_init__(self):
+        _check(self.kind in ("tikhonov", "truncated", "subspace", "lasso"),
+               f"unknown method kind {self.kind!r}")
+        _check(self.basis in ("svd", "coordinate", "pca"), f"unknown basis kind {self.basis!r}")
+        _check(self.transform in ("identity", "diff1d", "grad2d"),
+               f"unknown transform kind {self.transform!r}")
+        _check(self.rho in RHO_WORDS or not isinstance(self.rho, str) and self.rho > 0,
+               f"bad rho value {self.rho!r}")
+        _check(all(m >= 0 for m in self.m_grid), "m_grid entries must be nonnegative")
+        _check(self.m_grid and all(a < b for a, b in zip(self.m_grid, self.m_grid[1:])),
+               "m_grid must be nonempty and strictly increasing")
+        _check(self.alpha is None or self.alpha > 0, "alpha must be positive")
+        _check(self.alpha_ref > 0, "alpha_ref must be positive")
+        _check(0.0 <= self.delta_ref < math.inf, "delta_ref must be finite and nonnegative")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -138,110 +168,73 @@ class ExperimentConfig:
     seed: int = 0
 
 
-def _floats(text: str) -> tuple[float, ...]:
+def _numbers(cast, text: str) -> tuple:
     try:
-        return tuple(float(tok) for tok in text.replace(",", " ").split())
+        return tuple(cast(tok) for tok in text.replace(",", " ").split())
     except ValueError as exc:
-        raise ConfigError(f"cannot parse float list {text!r}") from exc
+        raise ConfigError(f"cannot parse {cast.__name__} list {text!r}") from exc
 
 
-def _ints(text: str) -> tuple[int, ...]:
+_ints, _floats = partial(_numbers, int), partial(_numbers, float)
+
+
+def _boolean(text: str) -> bool:
     try:
-        return tuple(int(tok) for tok in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse integer list {text!r}") from exc
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"{text!r} is not a boolean word") from None
+
+
+# value parser per field annotation; "T | None" parses as T
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _boolean,
+            "str | float": lambda text: text if text in RHO_WORDS else float(text),
+            "tuple[int, ...]": _ints, "tuple[float, ...]": _floats}
 
 
 def load_config(path, seed: int = 0) -> ExperimentConfig:
-    """Read the flat sectioned key-value config file."""
-    parser = configparser.ConfigParser()
-    text = Path(path).read_text()
+    """Read an experiment config file; the reference for its format.
+
+    The file is INI-style, read by :mod:`configparser` without ``%``
+    interpolation.  Each section is a spec field of
+    :class:`ExperimentConfig` (``[operator]``, ``[data]``, ``[grid]``,
+    ``[method]``) and each key a field of that spec; an absent section or
+    key, or an empty value (``delta_bar =``), keeps the field's default.
+    Values parse by the field's annotation: lists (``m_grid``, ``indices``,
+    ``delta_bar``, ``delta``) are numbers separated by spaces, commas or
+    both; ``exact_truth`` takes the boolean words ``1 yes true on`` and
+    ``0 no false off`` in any case; ``rho`` is ``estimate``,
+    ``per-sample`` or a number.  Each spec checks its values in
+    ``__post_init__``.
+
+    Raises :class:`ConfigError`, which the CLI reports as
+    ``config error: ...`` with exit status 1, for an unreadable file, an
+    unknown section (``[DEFAULT]`` included) or key, a value that does not
+    parse, and a value its spec rejects.
+    """
+    parser = configparser.ConfigParser(interpolation=None, default_section=None)
     try:
-        parser.read_string(text)
+        parser.read_string(Path(path).read_text())
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    known = {"operator", "data", "grid", "method"}
-    unknown = set(parser.sections()) - known
+    sections = {f.name: type(f.default) for f in fields(ExperimentConfig) if is_dataclass(f.default)}
+    unknown = set(parser.sections()) - set(sections)
     if unknown:
         raise ConfigError(f"{path}: unknown sections {sorted(unknown)}")
-
-    try:
-        op_sec = parser["operator"] if parser.has_section("operator") else {}
-        operator = OperatorSpec(
-            kind=op_sec.get("kind", "integration"),
-            n=int(op_sec.get("n", 50)),
-            side=int(op_sec.get("side", 28)),
-            angles=int(op_sec.get("angles", 30)),
-            offsets=int(op_sec.get("offsets", 41)),
-            path=op_sec.get("path"),
-        )
-        da_sec = parser["data"] if parser.has_section("data") else {}
-        indices = da_sec.get("indices") if hasattr(da_sec, "get") else None
-        data = DataSpec(
-            kind=da_sec.get("kind", "source"),
-            count=int(da_sec.get("count", 50)),
-            n_dim=int(da_sec.get("n_dim", 8)),
-            indices=_ints(indices) if indices else None,
-            path=da_sec.get("path"),
-            side=int(da_sec.get("side", 16)),
-        )
-        gr_sec = parser["grid"] if parser.has_section("grid") else {}
-        grid = GridSpec(
-            delta_bar=_floats(gr_sec.get("delta_bar", "")) or DEFAULT_LEVELS,
-            delta=_floats(gr_sec.get("delta", "")) or DEFAULT_LEVELS,
-            realizations=int(gr_sec.get("realizations", 100)),
-        )
-        me_sec = parser["method"] if parser.has_section("method") else {}
-        rho_raw = me_sec.get("rho", "estimate")
-        rho: str | float
-        if rho_raw in ("estimate", "per-sample"):
-            rho = rho_raw
-        else:
-            try:
-                rho = float(rho_raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad rho value {rho_raw!r}") from exc
-        method = MethodSpec(
-            kind=me_sec.get("kind", "tikhonov"),
-            rho=rho,
-            pinv_rel_tol=float(me_sec.get("pinv_rel_tol", 1e-10)),
-            alpha=float(me_sec["alpha"]) if "alpha" in me_sec else None,
-            m_grid=_ints(me_sec.get("m_grid", "2 4 6 8 10 12 14 16")),
-            basis=me_sec.get("basis", "svd"),
-            exact_truth=me_sec.get("exact_truth", "false").lower() in ("1", "true", "yes"),
-            alpha_ref=float(me_sec.get("alpha_ref", 0.03)),
-            delta_ref=float(me_sec.get("delta_ref", 0.01)),
-            transform=me_sec.get("transform", "identity"),
-            alpha_rule=me_sec.get("alpha_rule"),
-        )
-    except (KeyError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}") from exc
-
-    _validate(operator, data, method)
-    return ExperimentConfig(operator=operator, data=data, grid=grid,
-                            method=method, seed=seed)
-
-
-def _validate(operator: OperatorSpec, data: DataSpec, method: MethodSpec) -> None:
-    if operator.kind not in ("integration", "radon", "file"):
-        raise ConfigError(f"unknown operator kind {operator.kind!r}")
-    if operator.kind == "file" and not operator.path:
-        raise ConfigError("operator kind 'file' needs a path")
-    if data.kind not in ("source", "subspace", "idx", "phantom"):
-        raise ConfigError(f"unknown data kind {data.kind!r}")
-    if data.count < 1:
-        raise ConfigError("need at least one sample")
-    if method.kind not in ("tikhonov", "truncated", "subspace", "lasso"):
-        raise ConfigError(f"unknown method kind {method.kind!r}")
-    if method.basis not in ("svd", "coordinate", "pca"):
-        raise ConfigError(f"unknown basis kind {method.basis!r}")
-    if any(m < 0 for m in method.m_grid):
-        raise ConfigError("m_grid entries must be nonnegative")
-    if method.transform not in ("identity", "diff1d", "grad2d"):
-        raise ConfigError(f"unknown transform kind {method.transform!r}")
+    specs = {}
+    for name, spec in sections.items():
+        types = {f.name: f.type.removesuffix(" | None") for f in fields(spec)}
+        values = {}
+        for key, text in parser.items(name) if parser.has_section(name) else ():
+            if key not in types:
+                raise ConfigError(f"{path}: unknown key {key!r} in section [{name}]")
+            if text:
+                try:
+                    values[key] = _PARSERS[types[key]](text)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}: [{name}] {key}: {exc}") from exc
+        specs[name] = spec(**values)
+    return ExperimentConfig(**specs, seed=seed)
 
 
 def build_operator(spec: OperatorSpec) -> DenseOperator:
@@ -249,9 +242,7 @@ def build_operator(spec: OperatorSpec) -> DenseOperator:
         return build_integration_operator(spec.n)
     if spec.kind == "radon":
         return build_radon_operator(spec.side, spec.angles, spec.offsets)
-    if spec.kind == "file":
-        return load_operator(spec.path)
-    raise ConfigError(f"unknown operator kind {spec.kind!r}")
+    return load_operator(spec.path)
 
 
 def build_dataset(op: DenseOperator, spec: DataSpec, seed: int):
@@ -266,24 +257,17 @@ def build_dataset(op: DenseOperator, spec: DataSpec, seed: int):
     if spec.kind == "subspace":
         indices = spec.indices if spec.indices is not None else tuple(range(spec.n_dim))
         return sample_subspace_data(op, SubspaceSpec(indices), spec.count, seed)
-    if spec.kind == "idx":
-        if spec.path and Path(spec.path).exists():
-            images = load_idx_images(spec.path)[:spec.count]
-            if len(images) < spec.count:
-                raise ConfigError(f"{spec.path}: fewer than {spec.count} images")
-            if len(images[0]) != op.n:
-                raise ConfigError(f"{spec.path}: image size {len(images[0])} != operator width {op.n}")
-            return images
-        side = int(round(op.n ** 0.5))
-        if side * side != op.n:
-            raise ConfigError("phantom fallback needs a square image operator")
-        return phantom_images(side, spec.count, seed)
-    if spec.kind == "phantom":
-        side = int(round(op.n ** 0.5))
-        if side * side != op.n:
-            raise ConfigError("phantom data needs a square image operator")
-        return phantom_images(side, spec.count, seed)
-    raise ConfigError(f"unknown data kind {spec.kind!r}")
+    if spec.kind == "idx" and spec.path and Path(spec.path).exists():
+        images = load_idx_images(spec.path)[:spec.count]
+        if len(images) < spec.count:
+            raise ConfigError(f"{spec.path}: fewer than {spec.count} images")
+        if len(images[0]) != op.n:
+            raise ConfigError(f"{spec.path}: image size {len(images[0])} != operator width {op.n}")
+        return images
+    side = int(round(op.n ** 0.5))
+    if side * side != op.n:
+        raise ConfigError(f"{spec.kind} data needs a square image operator")
+    return phantom_images(side, spec.count, seed)
 
 
 @dataclass(frozen=True)
@@ -334,6 +318,10 @@ def run_mismatch_grid(config: ExperimentConfig,
         op = build_operator(config.operator)
     if config.method.kind == "lasso":
         return _run_lasso_grid(config, op)
+    # the rule's alpha = delta_bar / rho is 0 at delta_bar = 0; the LASSO
+    # rule clamps to its first knot instead
+    if min(config.grid.delta_bar) <= 0:
+        raise ConfigError("delta_bar must be positive for the tikhonov grid")
     samples = build_dataset(op, config.data, config.seed)
     svd = compute_svd(op)
 
@@ -503,12 +491,10 @@ def _build_transform(kind: str, op: DenseOperator) -> SparsifyingTransform:
         return SparsifyingTransform.identity(op.n)
     if kind == "diff1d":
         return SparsifyingTransform.diff1d(op.n)
-    if kind == "grad2d":
-        side = int(round(op.n ** 0.5))
-        if side * side != op.n:
-            raise ConfigError("grad2d transform needs a square image operator")
-        return SparsifyingTransform.grad2d(side)
-    raise ConfigError(f"unknown transform kind {kind!r}")
+    side = int(round(op.n ** 0.5))
+    if side * side != op.n:
+        raise ConfigError("grad2d transform needs a square image operator")
+    return SparsifyingTransform.grad2d(side)
 
 
 def run_dim_experiment(config: ExperimentConfig,
@@ -520,8 +506,8 @@ def run_dim_experiment(config: ExperimentConfig,
     """
     if config.method.kind not in ("subspace", "truncated"):
         raise ConfigError("dim scan needs a subspace or truncated method")
-    if config.method.alpha is None or config.method.alpha <= 0:
-        raise ConfigError("dim scan needs an explicit positive alpha")
+    if config.method.alpha is None:
+        raise ConfigError("dim scan needs an explicit alpha")
     if op is None:
         op = build_operator(config.operator)
     samples = build_dataset(op, config.data, config.seed)
@@ -535,17 +521,7 @@ def run_dim_experiment(config: ExperimentConfig,
     if max(config.method.m_grid) > basis.size:
         raise ConfigError("m_grid exceeds the basis size")
     x_true = np.asarray(getattr(samples[0], "x_true", samples[0]), dtype=float)
-    scan_config = DimScanConfig(
-        m_grid=config.method.m_grid,
-        alpha=config.method.alpha,
-        delta_list=config.grid.delta,
-        realizations=config.grid.realizations,
-        use_exact_truth=config.method.exact_truth,
-        alpha_ref=config.method.alpha_ref,
-        delta_ref=config.method.delta_ref,
-        seed=config.seed,
-    )
-    return scan(op, basis, x_true, scan_config)
+    return scan(op, basis, x_true, config)
 
 
 def _fmt(value) -> str:
@@ -705,6 +681,7 @@ def _cmd_operator(args) -> int:
 
 
 def _cmd_wc_curve(args) -> int:
+    _check(args.rho > 0 and args.delta >= 0, "wc-curve needs --rho > 0 and --delta >= 0")
     rule_alpha = optimal_alpha(args.delta, args.rho)
     grid = list(np.geomspace(1e-4, 1.0, args.points))
     if rule_alpha is not ZERO_RECONSTRUCTION:
@@ -768,6 +745,8 @@ def _cmd_lasso_solve(args) -> int:
     alpha = args.alpha if args.alpha is not None else config.method.alpha
     if alpha is None:
         raise ConfigError("lasso-solve needs --alpha or a method alpha")
+    if not alpha > 0:
+        raise ConfigError(f"--alpha must be positive, not {alpha!r}")
     x_true = np.asarray(getattr(samples[args.sample], "x_true", samples[args.sample]), dtype=float)
     noise = noise_block(config.seed, args.sample, 1, op.m)[0]
     sol = solve(LassoProblem(op, apply(op, x_true) + args.delta * noise, alpha, transform))
@@ -790,16 +769,17 @@ def _cmd_alpha_tune(args) -> int:
     if not 1 <= args.tuples <= len(samples):
         raise ConfigError(f"--tuples {args.tuples} outside [1, {len(samples)}]")
     transform = _build_transform(config.method.transform, op)
-    deltas = sorted(_floats(args.delta_grid))
+    deltas, alphas = sorted(_floats(args.delta_grid)), _floats(args.alpha_grid)
+    _check(deltas, "--delta-grid needs at least one level")
     _check_levels(deltas)
+    _check(alphas and all(a > 0 for a in alphas), "--alpha-grid needs positive alphas")
     truths = [np.asarray(getattr(sample, "x_true", sample), dtype=float)
               for sample in samples[:args.tuples]]
     tuple_sets = [[(x, apply(op, x) + delta * rng_for(config.seed, di, si).standard_normal(op.m))
                    for si, x in enumerate(truths)]
                   for di, delta in enumerate(deltas)]
     knots = []
-    for delta, result in zip(deltas, grid_search_alphas(op, transform, tuple_sets,
-                                                        _floats(args.alpha_grid))):
+    for delta, result in zip(deltas, grid_search_alphas(op, transform, tuple_sets, alphas)):
         knots.append((delta, result.alpha_star))
         for alpha, message in result.failures:
             print(f"delta={_fmt(delta)} alpha={_fmt(alpha)}: {message}", file=sys.stderr)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from regbench import datagen, dimscan, lasso
 from regbench.datagen import NOISE_TAG, Basis, noise_block, rng_for, svd_basis
-from regbench.dimscan import DimScanConfig, scan
+from regbench.dimscan import scan
 from regbench.harness import (
     DataSpec,
     ExperimentConfig,
@@ -206,8 +206,8 @@ def test_scan_matches_data_space_reference(config):
                                rtol=REL_TOL, atol=0.0)
 
 
-@pytest.mark.parametrize("use_exact_truth", [True, False])
-def test_scan_draws_one_noise_block(op50, monkeypatch, use_exact_truth):
+@pytest.mark.parametrize("exact_truth", [True, False])
+def test_scan_draws_one_noise_block(op50, monkeypatch, exact_truth):
     paths = []
     real = datagen.rng_for
 
@@ -216,8 +216,10 @@ def test_scan_draws_one_noise_block(op50, monkeypatch, use_exact_truth):
         return real(seed, *path)
 
     monkeypatch.setattr(datagen, "rng_for", recording)
-    config = DimScanConfig(m_grid=(2, 4, 8), alpha=0.05, delta_list=(0.01, 0.1, 0.5),
-                           realizations=5, use_exact_truth=use_exact_truth, seed=6)
+    config = ExperimentConfig(
+        method=MethodSpec(kind="truncated", m_grid=(2, 4, 8), alpha=0.05, exact_truth=exact_truth),
+        grid=GridSpec(delta=(0.01, 0.1, 0.5), realizations=5),
+        seed=6)
     scan(op50, svd_basis(op50), np.linspace(0.0, 1.0, 50), config)
     assert paths == [(6, NOISE_TAG, 0)]
 
@@ -233,13 +235,15 @@ def test_scan_realization_r_is_row_r_plus_one(op50, monkeypatch):
 
     monkeypatch.setattr(dimscan, "filtered_solve", recording)
     x = np.linspace(0.0, 1.0, 50)
-    config = DimScanConfig(m_grid=(2, 4), alpha=0.05, delta_list=(0.0, 0.1, 0.5),
-                           realizations=4, seed=8)
+    config = ExperimentConfig(
+        method=MethodSpec(kind="truncated", m_grid=(2, 4), alpha=0.05),
+        grid=GridSpec(delta=(0.0, 0.1, 0.5), realizations=4),
+        seed=8)
     scan(op50, svd_basis(op50), x, config)
     block = noise_block(8, 0, 5, op50.m)
     y = op50.entries @ x
     assert len(calls) == 6
-    for call, delta in zip(calls, np.repeat(config.delta_list, 2)):
+    for call, delta in zip(calls, np.repeat(config.grid.delta, 2)):
         assert call.shape == (op50.m, 4)
         for r in range(4):
             assert np.array_equal(call[:, r], y + delta * block[r + 1])

@@ -21,8 +21,7 @@ from regbench.datagen import (
     sample_subspace_data,
     svd_basis,
 )
-from regbench.dimscan import DimScanConfig
-from regbench.harness import ConfigError, GridSpec
+from regbench.harness import ConfigError, ExperimentConfig, GridSpec, MethodSpec
 from regbench.linop import DenseOperator, apply_adjoint, compute_svd, weighted_norm
 from regbench.truncated import ExpectedErrorModel
 
@@ -155,8 +154,10 @@ class TestAddNoise:
 
         monkeypatch.setattr(dimscan, "filtered_solve", recording)
         x = np.linspace(0.0, 1.0, 50)
-        config = DimScanConfig(m_grid=(2, 4), alpha=0.05, delta_list=(0.0,),
-                               realizations=3, use_exact_truth=True, seed=3)
+        config = ExperimentConfig(
+            method=MethodSpec(kind="truncated", m_grid=(2, 4), alpha=0.05, exact_truth=True),
+            grid=GridSpec(delta=(0.0,), realizations=3),
+            seed=3)
         dimscan.scan(op50, svd_basis(op50), x, config)
         y = op50.entries @ x
         assert len(seen) == 2
@@ -164,11 +165,11 @@ class TestAddNoise:
             assert np.array_equal(noisy, np.repeat(y[:, None], 3, axis=1))
 
     def test_negative_delta_rejected(self):
-        # both places that scale noise by a level check it first
+        # the grid spec checks the levels of every command that reads a config
         with pytest.raises(ConfigError, match="nonnegative"):
             GridSpec(delta=(-0.1, 0.1))
-        with pytest.raises(ValueError, match="nonnegative"):
-            DimScanConfig(m_grid=(1, 2), alpha=0.5, delta_list=(-0.1,))
+        with pytest.raises(ConfigError, match="nonnegative"):
+            GridSpec(delta_bar=(-0.1,))
 
 
 class TestSourceConstant:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from regbench.datagen import Basis, noise_block, sample_basis_coefficient_data, svd_basis
-from regbench.dimscan import DimScanConfig, reference_reconstruction, scan
+from regbench.dimscan import CONSENSUS_DELTA_MIN, reference_reconstruction, scan
+from regbench.harness import ExperimentConfig, GridSpec, MethodSpec
 from regbench.linop import apply, build_radon_operator, compute_svd, weighted_norm
 from regbench.tikhonov import reconstruct
 from regbench.truncated import ExpectedErrorModel, alpha_threshold, argmin_expected_level
@@ -16,10 +17,18 @@ def planted_sample(op50):
     return basis, x
 
 
+def scan_config(m_grid, alpha, delta_list, realizations=100, exact_truth=False, seed=0):
+    """A config holding what :func:`scan` reads."""
+    return ExperimentConfig(
+        method=MethodSpec(kind="truncated", m_grid=m_grid, alpha=alpha, exact_truth=exact_truth),
+        grid=GridSpec(delta=delta_list, realizations=realizations),
+        seed=seed)
+
+
 def test_noiseless_scan_recovers_dimension_exactly(op50, planted_sample):
     basis, x = planted_sample
-    config = DimScanConfig(m_grid=tuple(range(1, 17)), alpha=1e-6, delta_list=(0.0,),
-                           realizations=1, use_exact_truth=True, seed=0)
+    config = scan_config(tuple(range(1, 17)), 1e-6, (0.0,), realizations=1,
+                         exact_truth=True, seed=0)
     result = scan(op50, basis, x, config)
     assert result.estimated_n == 8
     assert result.argmin_m == (8,)
@@ -31,39 +40,36 @@ def test_noisy_scan_single_level(op50, planted_sample):
     c = svd.right_vectors[:, :8].T @ x
     model = ExpectedErrorModel(c=c, beta2=np.full(50, 0.01), sigma=svd.sigma, alpha=1.0)
     alpha = max(2.0 * alpha_threshold(model), 0.5)
-    config = DimScanConfig(m_grid=(2, 4, 6, 8, 10, 12, 14, 16), alpha=alpha,
-                           delta_list=(0.1,), realizations=100,
-                           use_exact_truth=True, seed=5)
+    config = scan_config((2, 4, 6, 8, 10, 12, 14, 16), alpha, (0.1,), realizations=100,
+                         exact_truth=True, seed=5)
     result = scan(op50, basis, x, config)
     assert result.estimated_n == 8
     # closed-form argmin agrees with the theorem's prediction
     tuned = ExpectedErrorModel(c=c, beta2=np.full(50, 0.01), sigma=svd.sigma, alpha=alpha)
-    assert argmin_expected_level(tuned, config.m_grid) == 8
+    assert argmin_expected_level(tuned, config.method.m_grid) == 8
 
 
 def test_singleton_grid(op50, planted_sample):
     basis, x = planted_sample
-    config = DimScanConfig(m_grid=(8,), alpha=0.5, delta_list=(0.1,),
-                           realizations=3, use_exact_truth=True, seed=1)
+    config = scan_config((8,), 0.5, (0.1,), realizations=3, exact_truth=True, seed=1)
     assert scan(op50, basis, x, config).estimated_n == 8
 
 
 def test_scan_is_reproducible(op50, planted_sample):
     basis, x = planted_sample
-    config = DimScanConfig(m_grid=(4, 8, 12), alpha=0.5, delta_list=(0.05, 0.1),
-                           realizations=10, use_exact_truth=True, seed=3)
+    config = scan_config((4, 8, 12), 0.5, (0.05, 0.1), realizations=10, exact_truth=True, seed=3)
     a = scan(op50, basis, x, config)
     b = scan(op50, basis, x, config)
     assert np.array_equal(a.mean_errors, b.mean_errors)
     assert a.estimated_n == b.estimated_n
 
 
-@pytest.mark.parametrize("use_exact_truth", [True, False])
-def test_svd_kernel_matches_restricted_normal_equations(op50, planted_sample, use_exact_truth):
+@pytest.mark.parametrize("exact_truth", [True, False])
+def test_svd_kernel_matches_restricted_normal_equations(op50, planted_sample, exact_truth):
     # the same vectors under another kind take the Cholesky path
     basis, x = planted_sample
-    config = DimScanConfig(m_grid=(0, 2, 8, 20, 50), alpha=0.05, delta_list=(0.0, 0.1, 0.5),
-                           realizations=6, use_exact_truth=use_exact_truth, seed=2)
+    config = scan_config((0, 2, 8, 20, 50), 0.05, (0.0, 0.1, 0.5), realizations=6,
+                         exact_truth=exact_truth, seed=2)
     kernel = scan(op50, basis, x, config)
     cholesky = scan(op50, Basis(kind="pca", vectors=basis.vectors), x, config)
     assert np.abs(kernel.mean_errors - cholesky.mean_errors).max() <= 1e-10
@@ -74,8 +80,7 @@ def test_svd_kernel_matches_cholesky_on_radon():
     op = build_radon_operator(6, 5, 9)
     basis = svd_basis(op)
     x = sample_basis_coefficient_data(basis, 5, 1, seed=3)[0]
-    config = DimScanConfig(m_grid=(1, 5, 12, 36), alpha=0.01, delta_list=(0.05, 0.2),
-                           realizations=4, seed=4)
+    config = scan_config((1, 5, 12, 36), 0.01, (0.05, 0.2), realizations=4, seed=4)
     kernel = scan(op, basis, x, config)
     cholesky = scan(op, Basis(kind="coordinate", vectors=basis.vectors), x, config)
     assert np.abs(kernel.mean_errors - cholesky.mean_errors).max() <= 1e-10
@@ -85,10 +90,9 @@ def test_reference_shift_is_bounded_by_reference_error(op50, planted_sample):
     # swapping the exact truth for a reference moves every cell by at most
     # the reference's own distance to the truth
     basis, x = planted_sample
-    kwargs = dict(m_grid=(2, 6, 8, 12), alpha=0.5, delta_list=(0.1,),
-                  realizations=20, seed=9)
-    with_truth = scan(op50, basis, x, DimScanConfig(use_exact_truth=True, **kwargs))
-    with_ref = scan(op50, basis, x, DimScanConfig(use_exact_truth=False, **kwargs))
+    args = ((2, 6, 8, 12), 0.5, (0.1,))
+    with_truth = scan(op50, basis, x, scan_config(*args, realizations=20, exact_truth=True, seed=9))
+    with_ref = scan(op50, basis, x, scan_config(*args, realizations=20, exact_truth=False, seed=9))
     reference = reference_reconstruction(op50, x, 0.03, 0.01, noise_block(9, 0, 1, 50)[0])
     gap = weighted_norm(reference - x)
     assert np.abs(with_ref.mean_errors - with_truth.mean_errors).max() <= gap + 1e-12
@@ -119,25 +123,24 @@ def test_noiseless_reference_approaches_truth(op50, planted_sample):
 
 def test_consensus_prefers_levels_above_floor(op50, planted_sample):
     basis, x = planted_sample
-    config = DimScanConfig(m_grid=(2, 8), alpha=0.5, delta_list=(0.01, 0.1, 0.2),
-                           realizations=5, use_exact_truth=True, seed=11,
-                           consensus_delta_min=0.05)
+    config = scan_config((2, 8), 0.5, (0.01, 0.1, 0.2), realizations=5, exact_truth=True, seed=11)
     result = scan(op50, basis, x, config)
-    eligible = [m for m, d in zip(result.argmin_m, result.delta_list) if d >= 0.05]
+    assert CONSENSUS_DELTA_MIN == 0.05
+    eligible = [m for m, d in zip(result.argmin_m, result.delta_list) if d >= CONSENSUS_DELTA_MIN]
     assert result.estimated_n in eligible
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        DimScanConfig(m_grid=(), alpha=0.5, delta_list=(0.1,))
+        scan_config((), 0.5, (0.1,))
     with pytest.raises(ValueError):
-        DimScanConfig(m_grid=(3, 3), alpha=0.5, delta_list=(0.1,))
+        scan_config((3, 3), 0.5, (0.1,))
     with pytest.raises(ValueError):
-        DimScanConfig(m_grid=(1, 2), alpha=0.0, delta_list=(0.1,))
+        scan_config((1, 2), 0.0, (0.1,))
     with pytest.raises(ValueError):
-        DimScanConfig(m_grid=(1, 2), alpha=0.5, delta_list=(0.1,), realizations=0)
+        scan_config((1, 2), 0.5, (0.1,), realizations=0)
     with pytest.raises(ValueError):
-        DimScanConfig(m_grid=(1, 2), alpha=0.5, delta_list=())
+        scan_config((1, 2), 0.5, ())
 
 
 @pytest.mark.parametrize("m_grid, delta_list", [
@@ -148,4 +151,4 @@ def test_config_validation():
 ])
 def test_config_rejects_negative_levels(m_grid, delta_list):
     with pytest.raises(ValueError, match="nonnegative"):
-        DimScanConfig(m_grid=m_grid, alpha=0.5, delta_list=delta_list)
+        scan_config(m_grid, 0.5, delta_list)

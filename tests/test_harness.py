@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,40 @@ realizations = 10
 kind = tikhonov
 rho = estimate
 """
+
+
+# one valid non-default value per key, as written in a file and as loaded
+NON_DEFAULT = {
+    ("operator", "kind"): ("radon", "radon"),
+    ("operator", "n"): ("12", 12),
+    ("operator", "side"): ("9", 9),
+    ("operator", "angles"): ("4", 4),
+    ("operator", "offsets"): ("5", 5),
+    ("operator", "path"): ("op.rgb", "op.rgb"),
+    ("data", "kind"): ("subspace", "subspace"),
+    ("data", "count"): ("3", 3),
+    ("data", "n_dim"): ("2", 2),
+    ("data", "indices"): ("3, 1 2", (3, 1, 2)),
+    ("data", "path"): ("images.idx", "images.idx"),
+    ("data", "side"): ("8", 8),
+    ("grid", "delta_bar"): ("0.1, 0.2", (0.1, 0.2)),
+    ("grid", "delta"): ("0 0.3", (0.0, 0.3)),
+    ("grid", "realizations"): ("7", 7),
+    ("method", "kind"): ("lasso", "lasso"),
+    ("method", "rho"): ("per-sample", "per-sample"),
+    ("method", "pinv_rel_tol"): ("1e-8", 1e-8),
+    ("method", "alpha"): ("0.25", 0.25),
+    ("method", "m_grid"): ("0, 3 5", (0, 3, 5)),
+    ("method", "basis"): ("pca", "pca"),
+    ("method", "exact_truth"): ("Yes", True),
+    ("method", "alpha_ref"): ("0.5", 0.5),
+    ("method", "delta_ref"): ("0", 0.0),
+    ("method", "transform"): ("diff1d", "diff1d"),
+    ("method", "alpha_rule"): ("rule.csv", "rule.csv"),
+}
+
+SPEC_KEYS = [(section.name, key.name) for section in fields(ExperimentConfig)
+             if is_dataclass(section.default) for key in fields(section.default)]
 
 
 @pytest.fixture()
@@ -125,6 +160,59 @@ class TestConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("[method]\nm_grid = -3 4 8\n")
         with pytest.raises(ConfigError, match="m_grid"):
+            load_config(path)
+
+    @pytest.mark.parametrize("section, key", SPEC_KEYS, ids=[f"{s}.{k}" for s, k in SPEC_KEYS])
+    def test_every_key_round_trips(self, tmp_path, section, key):
+        # a field added without a parser, or without a row here, fails
+        text, expected = NON_DEFAULT[section, key]
+        spec = getattr(ExperimentConfig(), section)
+        assert expected != getattr(spec, key)
+        path = tmp_path / "one.cfg"
+        path.write_text(f"[{section}]\n{key} = {text}\n")
+        value = getattr(getattr(load_config(path), section), key)
+        assert value == expected and type(value) is type(expected)
+        path.write_text(f"[{section}]\n{key} =\n")
+        assert getattr(load_config(path), section) == spec
+
+    @pytest.mark.parametrize("text, words", [
+        ("[method]\nalpha = small\n", ["[method] alpha"]),
+        ("[data]\nindices = 1 two\n", ["[data] indices"]),
+        ("[DEFAULT]\nkind = radon\n", ["unknown sections ['DEFAULT']"]),
+    ], ids=["bad-float", "bad-int-list", "default-section"])
+    def test_unparsable_value_or_default_section_rejected(self, tmp_path, text, words):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert all(word in str(info.value) for word in words)
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("operator", "kind", "file", "needs a path"),
+        ("operator", "n", "0", "operator sizes"),
+        ("operator", "side", "1", "operator sizes"),
+        ("data", "kind", "mnist", "data kind"),
+        ("data", "count", "0", "at least one sample"),
+        ("grid", "realizations", "0", "at least one realization"),
+        ("grid", "delta", ",", "nonempty"),
+        ("method", "kind", "ridge", "method kind"),
+        ("method", "basis", "fourier", "basis kind"),
+        ("method", "transform", "tv", "transform kind"),
+        ("method", "rho", "-1", "rho"),
+        ("method", "rho", "nan", "rho"),
+        ("method", "m_grid", "8 4", "m_grid must be nonempty and strictly increasing"),
+        ("method", "m_grid", "3 3", "m_grid must be nonempty and strictly increasing"),
+        ("method", "m_grid", ",", "m_grid must be nonempty and strictly increasing"),
+        ("method", "alpha", "0", "alpha must be positive"),
+        ("method", "alpha", "-0.5", "alpha must be positive"),
+        ("method", "alpha_ref", "0", "alpha_ref must be positive"),
+        ("method", "delta_ref", "-0.01", "delta_ref must be finite and nonnegative"),
+        ("method", "delta_ref", "inf", "delta_ref must be finite and nonnegative"),
+    ])
+    def test_spec_checks_reject(self, tmp_path, section, key, value, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=message):
             load_config(path)
 
 
@@ -703,6 +791,58 @@ m_grid = {m_grid}
         cfg = self.levels_config(tmp_path, "truncated", m_grid="-3 4 8")
         assert cli_main(["dim-scan", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert "config error: m_grid entries must be nonnegative" in capsys.readouterr().err
+
+    def test_decreasing_truncation_levels_are_config_error(self, tmp_path, capsys):
+        cfg = self.levels_config(tmp_path, "truncated", m_grid="8 4")
+        assert cli_main(["dim-scan", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert ("config error: m_grid must be nonempty and strictly increasing"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("kind, code", [("tikhonov", 1), ("lasso", 0)])
+    def test_zero_training_level(self, tmp_path, capsys, kind, code):
+        # alpha = delta_bar / rho is 0 on the Tikhonov grid; the LASSO rule clamps
+        cfg = Path(self.levels_config(tmp_path, kind))
+        cfg.write_text(cfg.read_text().replace("delta_bar = 0.1", "delta_bar = 0 0.1"))
+        assert cli_main(["mismatch-grid", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert ("config error: delta_bar must be positive for the tikhonov grid" in err) == (code == 1)
+
+    @pytest.mark.parametrize("command, edit, args, name", [
+        ("dim-scan", ("alpha = 0.05", "alpha = 0"), [], "alpha"),
+        ("dim-scan", ("alpha = 0.05", "alpha = 0.05\nalpha_ref = 0"), [], "alpha_ref"),
+        ("lasso-solve", ("", ""), ["--alpha", "0"], "--alpha"),
+    ], ids=["alpha", "alpha_ref", "--alpha"])
+    def test_nonpositive_alpha_is_config_error(self, tmp_path, capsys, command, edit, args, name):
+        cfg = Path(self.levels_config(tmp_path, "truncated"))
+        cfg.write_text(cfg.read_text().replace(*edit))
+        assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *args]) == 1
+        assert f"config error: {name} must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, args, message", [
+        ("alpha-tune", ["--alpha-grid", "0 0.1"], "--alpha-grid needs positive alphas"),
+        ("alpha-tune", ["--alpha-grid", ","], "--alpha-grid needs positive alphas"),
+        ("alpha-tune", ["--delta-grid", ","], "--delta-grid needs at least one level"),
+        ("wc-curve", ["--rho", "0", "--delta", "0.1"], "wc-curve needs --rho > 0 and --delta >= 0"),
+        ("wc-curve", ["--rho", "1", "--delta", "-0.1"], "wc-curve needs --rho > 0 and --delta >= 0"),
+    ])
+    def test_bad_flag_is_config_error(self, tmp_path, capsys, command, args, message):
+        cfg = self.levels_config(tmp_path, "lasso")
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "out"), *args]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, words", [
+        (("realizations = 2", "realisations = 3"), ["unknown key 'realisations' in section [grid]"]),
+        (("alpha = 0.05", "alpha = 0.05\nexact_truth = maybe"),
+         ["[method] exact_truth", "'maybe' is not a boolean word"]),
+    ], ids=["misspelt-key", "non-boolean"])
+    def test_config_mistake_names_key_and_section(self, tmp_path, capsys, edit, words):
+        cfg = Path(self.levels_config(tmp_path, "truncated"))
+        cfg.write_text(cfg.read_text().replace(*edit))
+        assert cli_main(["dim-scan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert all(word in err for word in words)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("tuples", ["0", "4", "-1"])
     def test_alpha_tune_tuples_outside_data_count(self, tmp_path, capsys, tuples):
