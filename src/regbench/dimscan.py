@@ -13,15 +13,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .datagen import Basis, noise_block
-from .linop import DenseOperator, apply, compute_svd, filtered_solve
+from .linop import DenseOperator, apply
 from .tikhonov import reconstruct
-from .truncated import subspace_solver
+from .truncated import restricted_system, truncated_reconstruct
 
 if TYPE_CHECKING:
     from .harness import ExperimentConfig
@@ -58,9 +57,10 @@ def scan(op: DenseOperator, basis: Basis, x_true: np.ndarray,
     ``config.grid``: ``delta`` (noise levels) and ``realizations``; and
     ``config.seed``.
 
-    For the ``"svd"`` basis, which must hold this operator's right singular
-    vectors, each level is one call of the spectral-filter kernel; other
-    bases solve the restricted normal equations.  Realization r at noise
+    Each truncation level is one singular system
+    (:func:`~regbench.truncated.restricted_system`; the ``"svd"`` basis must
+    hold this operator's right singular vectors), and every reconstruction
+    is one call of the spectral-filter kernel on it.  Realization r at noise
     level delta is ``y + delta * block[r + 1]`` at every truncation level;
     ties in the per-level means break toward the smallest level.  The
     consensus estimate is the mode of the per-level argmins over noise
@@ -69,7 +69,6 @@ def scan(op: DenseOperator, basis: Basis, x_true: np.ndarray,
     """
     x_true = np.asarray(x_true, dtype=float)
     method, m_grid, deltas = config.method, config.method.m_grid, config.grid.delta
-    svd = compute_svd(op)
     block = noise_block(config.seed, 0, config.grid.realizations + 1, op.m)
     if method.exact_truth:
         reference = x_true
@@ -78,21 +77,14 @@ def scan(op: DenseOperator, basis: Basis, x_true: np.ndarray,
                                              method.delta_ref, block[0])
     y_true = apply(op, x_true)
     noise = block[1:].T
-    if basis.kind == "svd":
-        # restricted to the operator's own right singular vectors, the
-        # solve is the truncated spectral filter
-        s = svd.sigma
-        solvers = [partial(filtered_solve, svd, s[:m] / (s[:m] * s[:m] + method.alpha))
-                   for m in m_grid]
-    else:
-        solvers = [subspace_solver(op, basis, m, method.alpha) for m in m_grid]
+    systems = [restricted_system(op, basis, m) for m in m_grid]
     root_n = np.sqrt(op.n)
 
     mean_errors = np.zeros((len(m_grid), len(deltas)))
     for di, delta in enumerate(deltas):
         noisy = y_true[:, None] + delta * noise
-        for mi, solve in enumerate(solvers):
-            diffs = solve(noisy) - reference[:, None]
+        for mi, system in enumerate(systems):
+            diffs = truncated_reconstruct(system, method.alpha, noisy) - reference[:, None]
             mean_errors[mi, di] = np.linalg.norm(diffs, axis=0).mean() / root_n
 
     # smallest level within 1e-12 of the column minimum wins, so exact

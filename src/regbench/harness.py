@@ -115,6 +115,9 @@ class DataSpec:
     def __post_init__(self):
         _check(self.kind in ("source", "subspace", "idx", "phantom"), f"unknown data kind {self.kind!r}")
         _check(self.count >= 1, "need at least one sample")
+        _check(self.indices is None or (len(set(self.indices)) == len(self.indices)
+                                        and min(self.indices, default=0) >= 0),
+               "indices must be distinct and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -237,12 +240,20 @@ def load_config(path, seed: int = 0) -> ExperimentConfig:
     return ExperimentConfig(**specs, seed=seed)
 
 
+def _read(loader, path):
+    """``loader(path)``; a malformed file is a config error naming it."""
+    try:
+        return loader(path)
+    except ValueError as exc:
+        raise ConfigError(str(exc) if str(path) in str(exc) else f"{path}: {exc}") from exc
+
+
 def build_operator(spec: OperatorSpec) -> DenseOperator:
     if spec.kind == "integration":
         return build_integration_operator(spec.n)
     if spec.kind == "radon":
         return build_radon_operator(spec.side, spec.angles, spec.offsets)
-    return load_operator(spec.path)
+    return _read(load_operator, spec.path)
 
 
 def build_dataset(op: DenseOperator, spec: DataSpec, seed: int):
@@ -255,10 +266,12 @@ def build_dataset(op: DenseOperator, spec: DataSpec, seed: int):
     if spec.kind == "source":
         return sample_source_data(op, spec.count, seed)
     if spec.kind == "subspace":
-        indices = spec.indices if spec.indices is not None else tuple(range(spec.n_dim))
+        key, indices = ("n_dim", range(spec.n_dim)) if spec.indices is None else ("indices", spec.indices)
+        _check(max(indices, default=-1) < min(op.shape),
+               f"[data] {key} needs modes beyond the operator's {min(op.shape)} singular modes")
         return sample_subspace_data(op, SubspaceSpec(indices), spec.count, seed)
     if spec.kind == "idx" and spec.path and Path(spec.path).exists():
-        images = load_idx_images(spec.path)[:spec.count]
+        images = _read(load_idx_images, spec.path)[:spec.count]
         if len(images) < spec.count:
             raise ConfigError(f"{spec.path}: fewer than {spec.count} images")
         if len(images[0]) != op.n:

@@ -23,6 +23,8 @@ MAGIC = b"RGB1"
 _HEADER = struct.Struct("<QQ")
 _SVD_HEADER = struct.Struct("<QQQ")
 
+SIDECAR_TOL = 1e-8  # bound on max |U^T U - I|, |V^T V - I|, |A V - U S| / sigma_1
+
 
 def weighted_norm(v: np.ndarray) -> float:
     """Dimension-weighted Euclidean norm, ``sqrt(mean(v_i^2))``.
@@ -325,7 +327,8 @@ def load_operator(path) -> DenseOperator:
 
     The sidecar must hold the full singular system of this operator
     (``min(m, n)`` finite modes, singular values nonnegative and
-    nonincreasing) and nothing after it.  The normalization
+    nonincreasing, orthonormal vectors with ``A V = U S``, all within
+    ``SIDECAR_TOL``) and nothing after it.  The normalization
     flag is recovered by checking the spectral norm, so loading may trigger
     one SVD when no sidecar exists.
     """
@@ -356,7 +359,13 @@ def load_operator(path) -> DenseOperator:
         # truncation keeps a prefix of the modes, so they must be ordered
         if (sigma < 0).any() or (np.diff(sigma) > 0).any():
             raise ValueError(f"{sidecar}: singular values are not nonnegative and nonincreasing")
-        op._svd = SvdSystem(sigma=sigma, left_vectors=left.reshape(m, k),
-                            right_vectors=right.reshape(n, k))
+        left, right = left.reshape(m, k), right.reshape(n, k)
+        eye = np.eye(k)
+        # written so that a NaN entry of the operator fails the check
+        if not (np.abs(left.T @ left - eye).max() <= SIDECAR_TOL
+                and np.abs(right.T @ right - eye).max() <= SIDECAR_TOL
+                and np.abs(op.entries @ right - left * sigma).max() <= SIDECAR_TOL * sigma[0]):
+            raise ValueError(f"{sidecar}: not an orthonormal singular system of the operator")
+        op._svd = SvdSystem(sigma=sigma, left_vectors=left, right_vectors=right)
     op.spectral_normalized = bool(abs(operator_norm(op) - 1.0) <= 1e-10)
     return op

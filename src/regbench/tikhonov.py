@@ -2,8 +2,7 @@
 
 The worst-case bound, the mismatch ratio, and the subspace-refined bound
 are evaluated exactly from their piecewise closed forms; reconstruction is
-done through the SVD filter kernel :func:`~regbench.linop.filtered_solve`
-with an independent direct-solve path for cross-checking.
+the SVD filter kernel :func:`~regbench.linop.filtered_solve`.
 """
 
 from __future__ import annotations
@@ -38,31 +37,17 @@ def filter_value(sigma, alpha):
     return float(out) if out.ndim == 0 else out
 
 
-def reconstruct(op: DenseOperator, y: np.ndarray, alpha: float,
-                method: str = "svd") -> np.ndarray:
-    """Regularized reconstruction ``(A*A + alpha I)^-1 A* y``.
-
-    ``method="svd"`` sums the filtered singular expansion (reference path);
-    ``method="direct"`` solves the normal equations through a Cholesky
-    factorization.  The two agree to ~1e-8 and are cross-checked in tests.
-    """
+def reconstruct(op: DenseOperator, y: np.ndarray, alpha: float) -> np.ndarray:
+    """Regularized reconstruction ``(A*A + alpha I)^-1 A* y``, summed as
+    the filtered singular expansion."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     y = np.asarray(y, dtype=float)
     if y.shape[0] != op.m:
         raise ValueError(f"expected data of length {op.m}, got {y.shape[0]}")
-    if method == "svd":
-        svd = compute_svd(op)
-        s = svd.sigma
-        return filtered_solve(svd, s / (s * s + alpha), y)
-    if method == "direct":
-        # imported here: scipy.linalg adds ~0.3 s to every command's start-up
-        from scipy.linalg import cho_factor, cho_solve
-
-        a = op.entries
-        gram = a.T @ a + alpha * np.eye(op.n)
-        return cho_solve(cho_factor(gram), a.T @ y)
-    raise ValueError(f"unknown method {method!r}")
+    svd = compute_svd(op)
+    s = svd.sigma
+    return filtered_solve(svd, s / (s * s + alpha), y)
 
 
 def wc_bound(alpha: float, delta, rho: float):

@@ -1,10 +1,15 @@
 """Truncated Tikhonov regularization and its exact expected-error model.
 
-Includes the combined (truncation level, alpha) worst-case bound for
-``sigma_j = 1/j`` spectra, the mode-wise expected squared error of the
-noisy reconstruction, the alpha threshold above which truncating exactly
-at the intrinsic dimension is optimal, and reconstruction restricted to an
-arbitrary orthonormal basis.
+Includes reconstruction restricted to the first M vectors of an
+orthonormal basis, the combined (truncation level, alpha) worst-case bound
+for ``sigma_j = 1/j`` spectra, the mode-wise expected squared error of the
+noisy reconstruction, and the alpha threshold above which truncating
+exactly at the intrinsic dimension is optimal.
+
+On an orthonormal ``B_M`` the restricted Tikhonov problem is plain
+Tikhonov on ``A B_M``, so its reconstruction is the spectral-filter kernel
+:func:`~regbench.linop.filtered_solve` applied to the singular system of
+``A B_M`` (:func:`restricted_system`).
 """
 
 from __future__ import annotations
@@ -15,37 +20,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import Basis
-from .linop import DenseOperator, compute_svd, filtered_solve
+from .linop import DenseOperator, SvdSystem, compute_svd, filtered_solve
 
 
-@dataclass(frozen=True)
-class TruncatedScheme:
-    """Truncation level plus regularization strength; alpha = 0 is plain
-    truncated SVD."""
+def restricted_system(op: DenseOperator, basis: Basis, m: int) -> SvdSystem:
+    """Singular system of ``op`` restricted to the first ``m`` basis vectors,
+    with right vectors in the operator's domain.
 
-    m: int
-    alpha: float
+    The ``"svd"`` basis, which must hold this operator's right singular
+    vectors, slices the operator's cached system; any other orthonormal
+    basis takes one thin SVD of ``A B_m`` and maps its right vectors back
+    through ``B_m``.
+    """
+    if m < 0 or m > basis.size:
+        raise ValueError("basis truncation level out of range")
+    if basis.kind == "svd":
+        svd = compute_svd(op)
+        return SvdSystem(svd.sigma[:m], svd.left_vectors[:, :m], svd.right_vectors[:, :m])
+    b = basis.vectors[:, :m]
+    u, s, vt = np.linalg.svd(op.entries @ b, full_matrices=False)
+    return SvdSystem(sigma=s, left_vectors=u, right_vectors=b @ vt.T)
 
-    def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("truncation level must be nonnegative")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
 
-
-def truncated_reconstruct(op: DenseOperator, y: np.ndarray,
-                          scheme: TruncatedScheme) -> np.ndarray:
-    """Filtered reconstruction restricted to the first ``scheme.m`` modes."""
-    svd = compute_svd(op)
-    if scheme.m > svd.n_modes:
-        raise ValueError("truncation level exceeds the number of singular modes")
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] != op.m:
-        raise ValueError(f"expected data of length {op.m}, got {y.shape[0]}")
-    s = svd.sigma[:scheme.m]
-    if scheme.alpha == 0.0 and scheme.m and s[-1] <= 0.0:
+def truncated_reconstruct(system: SvdSystem, alpha: float, y: np.ndarray) -> np.ndarray:
+    """Tikhonov reconstruction ``sum_j s_j / (s_j^2 + alpha) (u_j^T y) v_j``
+    over every mode of ``system``; alpha = 0 is plain truncated SVD and
+    needs every mode nonzero.  ``y`` is one data vector or a stack of
+    columns."""
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    s = system.sigma
+    if alpha == 0.0 and s.size and s[-1] <= 0.0:
         raise ValueError("truncation level exceeds the operator rank")
-    return filtered_solve(svd, s / (s * s + scheme.alpha), y)
+    return filtered_solve(system, s / (s * s + alpha), y)
 
 
 def truncated_wc_bound(m: int, n_dim: int, alpha: float, delta: float,
@@ -165,36 +172,3 @@ def argmin_expected_level(model: ExpectedErrorModel, m_grid) -> int:
         if val <= best + 1e-12:
             return m
     return m_grid[0]
-
-
-def subspace_solver(op: DenseOperator, basis: Basis, m: int, alpha: float):
-    """Prefactored map from data to the Tikhonov reconstruction restricted
-    to the first ``m`` basis vectors; for the singular-vector basis this is
-    the truncated scheme.
-
-    The returned callable accepts a data vector or an (m_data, k) stack of
-    columns.  Raises for a singular restricted system, which can only occur
-    at alpha = 0 with a rank-deficient composed operator.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if m < 0 or m > basis.size:
-        raise ValueError("basis truncation level out of range")
-    b = basis.vectors[:, :m]
-    composed = op.entries @ b
-    if m == 0:
-        return lambda y: np.zeros((op.n,) + np.shape(y)[1:])
-    # imported here: scipy.linalg adds ~0.3 s to every command's start-up
-    from scipy.linalg import cho_factor, cho_solve
-
-    gram = composed.T @ composed + alpha * (b.T @ b)
-    try:
-        factor = cho_factor(gram)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("restricted normal matrix is singular") from exc
-
-    def solve(y):
-        y = np.asarray(y, dtype=float)
-        return b @ cho_solve(factor, composed.T @ y)
-
-    return solve

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regbench import datagen, dimscan, lasso
-from regbench.datagen import NOISE_TAG, Basis, noise_block, rng_for, svd_basis
+from regbench.datagen import NOISE_TAG, noise_block, rng_for, svd_basis
 from regbench.dimscan import scan
 from regbench.harness import (
     DataSpec,
@@ -31,7 +31,6 @@ from regbench.harness import (
 )
 from regbench.linop import compute_svd, filtered_solve, weighted_norm
 from regbench.tikhonov import ZERO_RECONSTRUCTION, optimal_alpha, reconstruct, wc_bound
-from regbench.truncated import subspace_solver
 
 REL_TOL = 1e-12
 
@@ -158,6 +157,14 @@ def test_grid_never_violates_the_worst_case_bound(n, seed, count, realizations, 
     assert grid.violations == 0
 
 
+def restricted_normal_solve(op, b, alpha, y):
+    """Tikhonov reconstruction restricted to the span of the orthonormal
+    columns of ``b``, from the normal equations of ``A b``."""
+    composed = op.entries @ b
+    gram = composed.T @ composed + alpha * np.eye(b.shape[1])
+    return b @ np.linalg.solve(gram, composed.T @ y)
+
+
 def reference_scan(config):
     """Mean errors of ``dim-scan`` on the first sample: every (level,
     realization) solved on its own through the restricted normal equations
@@ -165,7 +172,7 @@ def reference_scan(config):
     op = build_operator(config.operator)
     first = build_dataset(op, config.data, config.seed)[0]
     x = np.asarray(getattr(first, "x_true", first), dtype=float)
-    basis = Basis(kind="pca", vectors=compute_svd(op).right_vectors)
+    right = compute_svd(op).right_vectors
     reps = config.grid.realizations
     block = rng_for(config.seed, NOISE_TAG, 0).standard_normal((reps + 1, op.m))
     y = op.entries @ x
@@ -176,10 +183,11 @@ def reference_scan(config):
     m_grid, deltas = config.method.m_grid, config.grid.delta
     errors = np.zeros((len(m_grid), len(deltas), reps))
     for mi, m in enumerate(m_grid):
-        solve = subspace_solver(op, basis, m, config.method.alpha)
         for di, delta in enumerate(deltas):
             for r in range(reps):
-                errors[mi, di, r] = weighted_norm(solve(y + delta * block[r + 1]) - truth)
+                x_hat = restricted_normal_solve(op, right[:, :m], config.method.alpha,
+                                                y + delta * block[r + 1])
+                errors[mi, di, r] = weighted_norm(x_hat - truth)
     return errors.mean(axis=2)
 
 
@@ -227,13 +235,13 @@ def test_scan_draws_one_noise_block(op50, monkeypatch, exact_truth):
 def test_scan_realization_r_is_row_r_plus_one(op50, monkeypatch):
     # every truncation level at every noise level sees the same rows 1..R
     calls = []
-    real = dimscan.filtered_solve
+    real = dimscan.truncated_reconstruct
 
-    def recording(svd, filt, y):
+    def recording(system, alpha, y):
         calls.append(np.array(y))
-        return real(svd, filt, y)
+        return real(system, alpha, y)
 
-    monkeypatch.setattr(dimscan, "filtered_solve", recording)
+    monkeypatch.setattr(dimscan, "truncated_reconstruct", recording)
     x = np.linspace(0.0, 1.0, 50)
     config = ExperimentConfig(
         method=MethodSpec(kind="truncated", m_grid=(2, 4), alpha=0.05),

@@ -146,13 +146,13 @@ class TestAddNoise:
     def test_zero_delta_is_exact(self, op50, monkeypatch):
         # at level 0 every realization the scan solves is the clean data
         seen = []
-        real = dimscan.filtered_solve
+        real = dimscan.truncated_reconstruct
 
-        def recording(svd, filt, y):
+        def recording(system, alpha, y):
             seen.append(np.array(y))
-            return real(svd, filt, y)
+            return real(system, alpha, y)
 
-        monkeypatch.setattr(dimscan, "filtered_solve", recording)
+        monkeypatch.setattr(dimscan, "truncated_reconstruct", recording)
         x = np.linspace(0.0, 1.0, 50)
         config = ExperimentConfig(
             method=MethodSpec(kind="truncated", m_grid=(2, 4), alpha=0.05, exact_truth=True),

@@ -66,24 +66,25 @@ def test_scan_is_reproducible(op50, planted_sample):
 
 @pytest.mark.parametrize("exact_truth", [True, False])
 def test_svd_kernel_matches_restricted_normal_equations(op50, planted_sample, exact_truth):
-    # the same vectors under another kind take the Cholesky path
+    # the same vectors under another kind are factorized as A B_m instead
+    # of sliced from the operator's singular system
     basis, x = planted_sample
     config = scan_config((0, 2, 8, 20, 50), 0.05, (0.0, 0.1, 0.5), realizations=6,
                          exact_truth=exact_truth, seed=2)
     kernel = scan(op50, basis, x, config)
-    cholesky = scan(op50, Basis(kind="pca", vectors=basis.vectors), x, config)
-    assert np.abs(kernel.mean_errors - cholesky.mean_errors).max() <= 1e-10
-    assert kernel.argmin_m == cholesky.argmin_m
+    composed = scan(op50, Basis(kind="pca", vectors=basis.vectors), x, config)
+    assert np.abs(kernel.mean_errors - composed.mean_errors).max() <= 1e-10
+    assert kernel.argmin_m == composed.argmin_m
 
 
-def test_svd_kernel_matches_cholesky_on_radon():
+def test_svd_kernel_matches_composed_svd_on_radon():
     op = build_radon_operator(6, 5, 9)
     basis = svd_basis(op)
     x = sample_basis_coefficient_data(basis, 5, 1, seed=3)[0]
     config = scan_config((1, 5, 12, 36), 0.01, (0.05, 0.2), realizations=4, seed=4)
     kernel = scan(op, basis, x, config)
-    cholesky = scan(op, Basis(kind="coordinate", vectors=basis.vectors), x, config)
-    assert np.abs(kernel.mean_errors - cholesky.mean_errors).max() <= 1e-10
+    composed = scan(op, Basis(kind="coordinate", vectors=basis.vectors), x, config)
+    assert np.abs(kernel.mean_errors - composed.mean_errors).max() <= 1e-10
 
 
 def test_reference_shift_is_bounded_by_reference_error(op50, planted_sample):

@@ -462,13 +462,48 @@ class TestManifest:
         assert (payload["checked"], payload["violations"], payload["min_margin"]) == (0, 0, None)
 
 
-def test_harness_import_leaves_scipy_unloaded():
-    # scipy.linalg is imported only by the Cholesky paths that need it
+SCIPY_FREE_CONFIG = """
+[operator]
+kind = integration
+n = 16
+
+[data]
+kind = subspace
+count = 10
+n_dim = 4
+
+[grid]
+delta_bar = 0.01 0.1
+delta = 0.01 0.1
+realizations = 3
+
+[method]
+kind = {kind}
+basis = {basis}
+alpha = 0.05
+m_grid = 2 4 8
+"""
+
+
+def test_harness_import_leaves_scipy_unloaded(tmp_path):
+    # the package runs on numpy alone: importing it loads no scipy, and
+    # every command runs with scipy made unimportable
     src = Path(harness.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
     code = "import sys, regbench.harness; print('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120, check=True)
+                          env=env, timeout=120, check=True)
     assert proc.stdout.strip() == "False"
+    blocked = ("import sys; sys.modules['scipy'] = None; "
+               "from regbench.harness import cli_main; sys.exit(cli_main(sys.argv[1:]))")
+    runs = [("dim-scan", "truncated", basis) for basis in ("svd", "pca", "coordinate")]
+    for command, kind, basis in runs + [("mismatch-grid", "tikhonov", "svd")]:
+        cfg = tmp_path / f"{command}-{basis}.cfg"
+        cfg.write_text(SCIPY_FREE_CONFIG.format(kind=kind, basis=basis))
+        proc = subprocess.run([sys.executable, "-c", blocked, command, "--config", str(cfg),
+                               "--out", str(tmp_path / cfg.stem)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, (command, basis, proc.stderr)
 
 
 RADON_SMALL = """
@@ -850,3 +885,88 @@ m_grid = {m_grid}
         assert cli_main(["alpha-tune", "--config", cfg, "--out", str(tmp_path / "out"),
                          "--tuples", tuples]) == 1
         assert f"config error: --tuples {tuples} outside [1, 3]" in capsys.readouterr().err
+
+    FILE_CONFIG = """
+[operator]
+kind = {operator}
+n = 16
+path = {op_path}
+
+[data]
+kind = {data}
+count = 2
+path = {data_path}
+{data_extra}
+
+[grid]
+delta_bar = 0.1
+delta = 0.1
+realizations = 2
+"""
+
+    def run_file_config(self, tmp_path, capsys, operator="integration", data="source",
+                        op_path="", data_path="", data_extra=""):
+        cfg = tmp_path / "file.cfg"
+        cfg.write_text(self.FILE_CONFIG.format(operator=operator, data=data, op_path=op_path,
+                                               data_path=data_path, data_extra=data_extra))
+        code = cli_main(["mismatch-grid", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    @staticmethod
+    def saved_operator(tmp_path):
+        from regbench.linop import compute_svd, save_operator
+        op = build_operator(OperatorSpec(kind="integration", n=16))
+        compute_svd(op)
+        save_operator(tmp_path / "op.rgb", op)
+        return tmp_path / "op.rgb"
+
+    @pytest.mark.parametrize("damaged", ["container", "sidecar", "idx"])
+    def test_truncated_input_file_is_config_error(self, tmp_path, capsys, damaged):
+        path = self.saved_operator(tmp_path)
+        if damaged == "idx":
+            bad = tmp_path / "bad.idx"
+            bad.write_bytes(bytes(7))
+            code, err = self.run_file_config(tmp_path, capsys, data="idx", data_path=bad)
+        else:
+            bad = path if damaged == "container" else Path(str(path) + ".svd")
+            bad.write_bytes(bad.read_bytes()[:7])
+            code, err = self.run_file_config(tmp_path, capsys, operator="file", op_path=path)
+        assert code == 1
+        assert err.startswith("config error: ") and str(bad) in err
+        assert "truncated" in err
+
+    @pytest.mark.parametrize("corruption", ["scaled-left-vectors", "other-operator"])
+    def test_inconsistent_sidecar_is_config_error(self, tmp_path, capsys, corruption):
+        from regbench.linop import compute_svd, save_operator
+        path = self.saved_operator(tmp_path)
+        sidecar = Path(str(path) + ".svd")
+        if corruption == "other-operator":
+            other = build_operator(OperatorSpec(kind="radon", side=4, angles=4, offsets=4))
+            compute_svd(other)
+            save_operator(tmp_path / "other.rgb", other)
+            sidecar.write_bytes((tmp_path / "other.rgb.svd").read_bytes())
+        else:
+            blob = bytearray(sidecar.read_bytes())
+            start = 4 + 24 + 8 * 16
+            left = np.frombuffer(bytes(blob[start:start + 8 * 256]), dtype="<f8")
+            blob[start:start + 8 * 256] = (3.0 * left).astype("<f8").tobytes()
+            sidecar.write_bytes(bytes(blob))
+        code, err = self.run_file_config(tmp_path, capsys, operator="file", op_path=path)
+        assert code == 1
+        assert err.startswith("config error: ") and str(sidecar) in err
+
+    @pytest.mark.parametrize("data_extra, words", [
+        ("indices = 1 1", ["indices", "distinct"]),
+        ("indices = -1 2", ["indices", "nonnegative"]),
+        ("indices = 3 16", ["[data] indices", "16 singular modes"]),
+        ("n_dim = 40", ["[data] n_dim", "16 singular modes"]),
+    ], ids=["repeated", "negative", "index-too-large", "n_dim-too-large"])
+    def test_unmeetable_subspace_is_config_error(self, tmp_path, capsys, data_extra, words):
+        code, err = self.run_file_config(tmp_path, capsys, data="subspace", data_extra=data_extra)
+        assert code == 1
+        assert err.startswith("config error: ")
+        assert all(word in err for word in words)
+
+    def test_largest_subspace_runs(self, tmp_path, capsys):
+        code, _ = self.run_file_config(tmp_path, capsys, data="subspace", data_extra="n_dim = 16")
+        assert code == 0

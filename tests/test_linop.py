@@ -1,7 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regbench import linop
 from regbench.linop import (
@@ -468,3 +472,59 @@ class TestSvdSidecar:
         sidecar.write_bytes(b"RGB1" + bytes(8))
         with pytest.raises(ValueError, match="truncated"):
             load_operator(path)
+
+    @staticmethod
+    def write_sidecar(sidecar, sigma, left, right):
+        m, k = left.shape
+        sidecar.write_bytes(b"RGB1" + linop._SVD_HEADER.pack(m, right.shape[0], k)
+                            + np.concatenate([sigma, left.ravel(), right.ravel()]).astype("<f8").tobytes())
+
+    def test_vectors_that_factor_but_are_not_singular_rejected(self, saved):
+        # V orthonormal and A V = U S hold exactly, but U is not orthonormal
+        path, sidecar = saved
+        entries = load_matrix(path)
+        right = np.linalg.qr(np.random.default_rng(1).standard_normal((4, 4)))[0]
+        sigma = np.array([4.0, 3.0, 2.0, 1.0])
+        self.write_sidecar(sidecar, sigma, entries @ right / sigma, right)
+        with pytest.raises(ValueError, match="orthonormal singular system"):
+            load_operator(path)
+
+    def test_scaled_right_vectors_and_values_rejected(self, saved):
+        # U orthonormal and A V = U S hold, but V is not orthonormal
+        path, sidecar = saved
+        svd = compute_svd(load_operator(path))
+        self.write_sidecar(sidecar, 2.0 * svd.sigma, svd.left_vectors, 2.0 * svd.right_vectors)
+        with pytest.raises(ValueError, match="orthonormal singular system"):
+            load_operator(path)
+
+    def test_nonfinite_operator_behind_a_valid_sidecar_rejected(self, saved):
+        path, _ = saved
+        blob = bytearray(path.read_bytes())
+        blob[20:28] = np.array([np.nan]).astype("<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="orthonormal singular system"):
+            load_operator(path)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.integers(1, 8), cols=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_containers_round_trip_and_reject_every_prefix(rows, cols, seed):
+    entries = np.random.default_rng(seed).standard_normal((rows, cols))
+    op = DenseOperator(entries)
+    svd = compute_svd(op)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "op.rgb"
+        save_matrix(path, entries)
+        assert load_matrix(path).tobytes() == entries.tobytes()
+        save_operator(path, op)
+        loaded = load_operator(path)
+        assert loaded.entries.tobytes() == entries.tobytes()
+        for name in ("sigma", "left_vectors", "right_vectors"):
+            assert getattr(loaded._svd, name).tobytes() == getattr(svd, name).tobytes()
+        for target, load in ((path, load_matrix), (Path(tmp) / "op.rgb.svd", load_operator)):
+            blob = target.read_bytes()
+            for cut in range(len(blob)):
+                target.write_bytes(blob[:cut])
+                with pytest.raises(ValueError):
+                    load(path)
+            target.write_bytes(blob)

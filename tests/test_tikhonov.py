@@ -37,6 +37,14 @@ class TestFilter:
             filter_value(0.5, 0.0)
 
 
+def cholesky_reconstruct(op, y, alpha):
+    """``(A^T A + alpha I)^-1 A^T y`` through a Cholesky factorization of
+    the normal matrix, independent of the singular system."""
+    a = op.entries
+    lower = np.linalg.cholesky(a.T @ a + alpha * np.eye(op.n))
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, a.T @ y))
+
+
 class TestReconstruct:
     def test_zero_data(self, op50):
         assert np.array_equal(reconstruct(op50, np.zeros(50), 0.4), np.zeros(50))
@@ -50,17 +58,13 @@ class TestReconstruct:
         rng = np.random.default_rng(17)
         for alpha in (1e-3, 0.05, 0.7):
             y = rng.standard_normal(50)
-            a = reconstruct(op50, y, alpha, method="svd")
-            b = reconstruct(op50, y, alpha, method="direct")
+            a = reconstruct(op50, y, alpha)
+            b = cholesky_reconstruct(op50, y, alpha)
             assert np.abs(a - b).max() <= 1e-8
 
     def test_rejects_nonpositive_alpha(self, op50):
         with pytest.raises(ValueError):
             reconstruct(op50, np.zeros(50), 0.0)
-
-    def test_unknown_method(self, op50):
-        with pytest.raises(ValueError):
-            reconstruct(op50, np.zeros(50), 0.1, method="cg")
 
 
 class TestWcBound:

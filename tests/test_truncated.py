@@ -2,20 +2,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regbench.datagen import coordinate_basis, rng_for, svd_basis
+from regbench.datagen import Basis, coordinate_basis, rng_for, svd_basis
 from regbench.linop import DenseOperator, apply, compute_svd, integration_matrix, pinv_adjoint_apply
 from regbench.tikhonov import reconstruct, wc_bound
 from regbench.truncated import (
     ExpectedErrorModel,
-    TruncatedScheme,
     alpha_threshold,
     argmin_expected_level,
     expected_sq_error,
-    subspace_solver,
+    restricted_system,
     truncated_reconstruct,
     truncated_wc_bound,
 )
+
+
+def restricted_normal_solve(op, b, alpha, y):
+    """Tikhonov reconstruction restricted to the span of the orthonormal
+    columns of ``b``, from the normal equations of ``A b``."""
+    composed = op.entries @ b
+    gram = composed.T @ composed + alpha * np.eye(b.shape[1])
+    return b @ np.linalg.solve(gram, composed.T @ y)
+
+
+def svd_truncated(op, m, alpha, y):
+    return truncated_reconstruct(restricted_system(op, svd_basis(op), m), alpha, y)
 
 
 @pytest.fixture()
@@ -31,34 +44,34 @@ def frozen_model():
 
 class TestTruncatedReconstruct:
     def test_zero_level(self, op50):
-        out = truncated_reconstruct(op50, np.ones(50), TruncatedScheme(0, 0.1))
+        out = svd_truncated(op50, 0, 0.1, np.ones(50))
         assert np.array_equal(out, np.zeros(50))
 
     def test_alpha_zero_full_rank_is_pseudoinverse(self):
         op = DenseOperator(integration_matrix(12) / np.linalg.norm(integration_matrix(12), 2))
         y = np.random.default_rng(2).standard_normal(12)
-        out = truncated_reconstruct(op, y, TruncatedScheme(12, 0.0))
+        out = svd_truncated(op, 12, 0.0, y)
         assert np.allclose(out, np.linalg.pinv(op.entries) @ y, atol=1e-9)
 
     def test_full_level_matches_tikhonov(self, op50):
         y = np.random.default_rng(3).standard_normal(50)
-        full = truncated_reconstruct(op50, y, TruncatedScheme(50, 0.2))
+        full = svd_truncated(op50, 50, 0.2, y)
         assert np.abs(full - reconstruct(op50, y, 0.2)).max() <= 1e-10
 
     def test_level_beyond_modes_rejected(self, op50):
         with pytest.raises(ValueError):
-            truncated_reconstruct(op50, np.zeros(50), TruncatedScheme(51, 0.1))
+            restricted_system(op50, svd_basis(op50), 51)
 
     def test_alpha_zero_beyond_rank_rejected(self):
         op = DenseOperator(np.diag([1.0, 0.0]))
         with pytest.raises(ValueError, match="rank"):
-            truncated_reconstruct(op, np.ones(2), TruncatedScheme(2, 0.0))
+            svd_truncated(op, 2, 0.0, np.ones(2))
 
-    def test_scheme_validation(self):
+    def test_scheme_validation(self, op50):
         with pytest.raises(ValueError):
-            TruncatedScheme(-1, 0.1)
+            restricted_system(op50, svd_basis(op50), -1)
         with pytest.raises(ValueError):
-            TruncatedScheme(1, -0.1)
+            svd_truncated(op50, 1, -0.1, np.ones(50))
 
 
 class TestTruncatedWcBound:
@@ -166,42 +179,82 @@ class TestAlphaThreshold:
 
 class TestSubspaceReconstruct:
     def test_svd_basis_equals_truncated(self, op50):
+        # the sliced system of the svd basis and the factorized system of
+        # the same vectors under another kind give one reconstruction
         basis = svd_basis(op50)
+        general = Basis(kind="pca", vectors=basis.vectors)
         y = np.random.default_rng(5).standard_normal(50)
         for m, alpha in ((3, 0.5), (10, 0.02), (50, 0.2)):
-            a = subspace_solver(op50, basis, m, alpha)(y)
-            b = truncated_reconstruct(op50, y, TruncatedScheme(m, alpha))
+            a = truncated_reconstruct(restricted_system(op50, general, m), alpha, y)
+            b = svd_truncated(op50, m, alpha, y)
             assert np.abs(a - b).max() <= 1e-8
+            assert np.abs(a - restricted_normal_solve(op50, basis.vectors[:, :m], alpha, y)).max() <= 1e-8
 
     def test_full_orthonormal_basis_equals_tikhonov(self, op50):
         basis = coordinate_basis(50, seed=1)
         y = np.random.default_rng(6).standard_normal(50)
-        a = subspace_solver(op50, basis, 50, 0.3)(y)
+        a = truncated_reconstruct(restricted_system(op50, basis, 50), 0.3, y)
         assert np.abs(a - reconstruct(op50, y, 0.3)).max() <= 1e-8
 
     def test_zero_data(self, op50):
-        out = subspace_solver(op50, svd_basis(op50), 7, 0.1)(np.zeros(50))
-        assert np.abs(out).max() == 0.0
+        for basis in (svd_basis(op50), coordinate_basis(50, seed=2)):
+            out = truncated_reconstruct(restricted_system(op50, basis, 7), 0.1, np.zeros(50))
+            assert np.abs(out).max() == 0.0
 
     def test_singular_normal_matrix_rejected(self):
+        # alpha = 0 on a rank-deficient restriction has no unique solution
         op = DenseOperator(np.array([[1.0, 0.0], [0.0, 0.0]]))
         basis = coordinate_basis(2, seed=0)
-        with pytest.raises(ValueError, match="singular"):
-            subspace_solver(op, basis, 2, 0.0)
+        with pytest.raises(ValueError, match="rank"):
+            truncated_reconstruct(restricted_system(op, basis, 2), 0.0, np.ones(2))
 
     def test_composed_operator_columns(self, op50):
         # at alpha = 0 the restricted solve inverts A on the span of the
         # first m basis vectors, so it maps column j of A B_m back to b_j
         for basis in (svd_basis(op50), coordinate_basis(50, seed=3)):
-            solve = subspace_solver(op50, basis, 4, 0.0)
+            system = restricted_system(op50, basis, 4)
             for j in range(4):
                 column = apply(op50, basis.vectors[:, j])
-                assert np.abs(solve(column) - basis.vectors[:, j]).max() <= 1e-8
+                recovered = truncated_reconstruct(system, 0.0, column)
+                assert np.abs(recovered - basis.vectors[:, j]).max() <= 1e-8
 
     @pytest.mark.parametrize("m", [-1, 51])
     def test_level_out_of_range_rejected(self, op50, m):
-        with pytest.raises(ValueError, match="out of range"):
-            subspace_solver(op50, svd_basis(op50), m, 0.1)
+        for basis in (svd_basis(op50), coordinate_basis(50, seed=4)):
+            with pytest.raises(ValueError, match="out of range"):
+                restricted_system(op50, basis, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 8), cols=st.integers(1, 8), level=st.integers(0, 8),
+       alpha=st.floats(1e-3, 10.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_restricted_reconstruction_solves_the_normal_equations(rows, cols, level, alpha, seed):
+    # on a random orthonormal basis of a random tall or wide operator
+    rng = np.random.default_rng(seed)
+    op = DenseOperator(rng.standard_normal((rows, cols)))
+    b = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
+    m = min(level, cols)
+    y = rng.standard_normal(rows)
+    got = truncated_reconstruct(restricted_system(op, Basis(kind="pca", vectors=b), m), alpha, y)
+    want = restricted_normal_solve(op, b[:, :m], alpha, y)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 8), cols=st.integers(1, 8), level=st.integers(0, 8),
+       alpha=st.floats(1e-3, 10.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_svd_basis_system_is_a_prefix_of_the_operator_svd(rows, cols, level, alpha, seed):
+    rng = np.random.default_rng(seed)
+    op = DenseOperator(rng.standard_normal((rows, cols)))
+    full = compute_svd(op)
+    m = min(level, full.n_modes)
+    system = restricted_system(op, svd_basis(op), m)
+    assert system.sigma.tobytes() == full.sigma[:m].tobytes()
+    assert system.left_vectors.tobytes() == full.left_vectors[:, :m].tobytes()
+    assert system.right_vectors.tobytes() == full.right_vectors[:, :m].tobytes()
+    y = rng.standard_normal(rows)
+    want = restricted_normal_solve(op, full.right_vectors[:, :m], alpha, y)
+    assert np.linalg.norm(truncated_reconstruct(system, alpha, y) - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class TestRestrictedOperatorBound:
