@@ -51,7 +51,17 @@ from .datagen import (
     SubspaceSpec,
 )
 from .dimscan import DimScanResult, scan
-from .lasso import AlphaRule, ConvergenceError, LassoProblem, SparsifyingTransform, alpha_for_delta, grid_search_alphas, solve, solve_batch
+from .lasso import (
+    AlphaRule,
+    ConvergenceError,
+    LassoProblem,
+    SparsifyingTransform,
+    alpha_for_delta,
+    grid_search_alphas,
+    solve,
+    solve_batch,
+    solver_totals,
+)
 from .linop import (
     DenseOperator,
     apply,
@@ -405,13 +415,20 @@ def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     evaluated at the training noise level.  The noise blocks are the
     Tikhonov grid's.
 
-    The (delta_bar, delta, realization) problems of consecutive whole
-    samples share one :func:`~regbench.lasso.solve_batch` call of at most
+    Bars that the rule maps to the same alpha pose the same problems, so
+    each distinct (alpha, delta, realization) problem of a sample is solved
+    once and its result is scattered to every such bar.  An ``alpha =``
+    config, or a rule whose bars all lie in one constant tail, solves one
+    bar's worth.  The distinct problems of consecutive whole samples share
+    one :func:`~regbench.lasso.solve_batch` call of at most
     ``LASSO_BATCH_COLUMNS`` columns (one sample when a sample alone is
-    larger), so columns that run to the iteration cap pay that tail once
-    per call, not once per sample.  A cell averages its converged solves
-    only; a cell with none reads NaN.  ``solver`` holds the totals over
-    every solve.
+    larger).  A converged solve is certified optimal or has its relative
+    KKT residual within the solver's tolerance, so a cell's mean is not
+    biased by solves dropped for slow convergence; a cell averages its
+    converged solves and reads NaN only when none of them converged.
+    ``solver`` holds :func:`~regbench.lasso.solver_totals` over the distinct
+    problems: ``solves`` counts each problem once, however many bars share
+    it.
     """
     samples = build_dataset(op, config.data, config.seed)
     transform = _build_transform(config.method.transform, op)
@@ -427,10 +444,12 @@ def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     bars, deltas = config.grid.delta_bar, np.asarray(config.grid.delta)
     realizations = config.grid.realizations
     alphas = np.array([alpha_for_delta(rule, delta_bar) for delta_bar in bars])
-    shape = (len(bars), len(deltas), realizations)
-    column_alphas = np.repeat(alphas, len(deltas) * realizations)  # columns (bar, delta, r)
+    distinct = sorted(set(alphas.tolist()))
+    bar_alpha = [distinct.index(alpha) for alpha in alphas.tolist()]
+    shape = (len(distinct), len(deltas), realizations)
+    column_alphas = np.repeat(distinct, len(deltas) * realizations)  # columns (alpha, delta, r)
     per_call = max(1, LASSO_BATCH_COLUMNS // column_alphas.size)
-    err_sum, solved = np.zeros(shape[:2]), np.zeros(shape[:2])
+    err_sum, solved = np.zeros((len(bars), len(deltas))), np.zeros((len(bars), len(deltas)))
     stats = []
     level_sum = 0.0
     for first in range(0, len(samples), per_call):
@@ -440,26 +459,23 @@ def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
             block = noise_block(config.seed, si, realizations, op.m)
             level_sum += np.linalg.norm(block, axis=1).sum() / np.sqrt(op.m)
             noisy = y_mat[:, si] + deltas[:, None, None] * block  # (delta, r, m)
-            data.append(np.tile(noisy.reshape(-1, op.m).T, len(bars)))
+            data.append(np.tile(noisy.reshape(-1, op.m).T, len(distinct)))
         sol = solve_batch(op, transform, np.hstack(data), np.tile(column_alphas, len(chunk)))
         truth = np.repeat(x_mat[:, chunk], column_alphas.size, axis=1)
         errors = (np.linalg.norm(sol.x - truth, axis=0) / np.sqrt(op.n)).reshape((-1,) + shape)
         converged = sol.converged.reshape((-1,) + shape)
-        for sample_errors, sample_converged in zip(errors, converged):
+        for sample_errors, sample_converged in zip(errors[:, bar_alpha], converged[:, bar_alpha]):
             err_sum += np.where(sample_converged, sample_errors, 0.0).sum(axis=2)
             solved += sample_converged.sum(axis=2)
-        stats.append((sol.iterations, sol.converged, sol.kkt_residual))
+        stats.append((sol.iterations, sol.certified, sol.converged, sol.kkt_residual))
 
-    iterations, converged, kkt = (np.concatenate(v) for v in zip(*stats))
-    solver = {"solves": int(iterations.size), "failures": int((~converged).sum()),
-              "iterations_median": float(np.median(iterations)),
-              "iterations_max": int(iterations.max()), "kkt_max": float(kkt.max())}
+    solver = solver_totals(*(np.concatenate(v) for v in zip(*stats)))
     realized = deltas * level_sum / (len(samples) * realizations)
     est = estimate_source_constant(op, samples, config.method.pinv_rel_tol)
     with np.errstate(invalid="ignore"):
         mean_errors = err_sum / solved
     return _assemble_grid(config, mean_errors, np.tile(realized, (len(bars), 1)),
-                          np.zeros(shape[:2]), est.mean,
+                          np.zeros((len(bars), len(deltas))), est.mean,
                           alphas=np.tile(alphas[:, None], (1, len(deltas))), solver=solver)
 
 
@@ -579,8 +595,10 @@ class RunManifest:
     """Run provenance.  The bound-check totals are those of a Tikhonov
     mismatch grid and stay ``None`` for other commands; ``min_margin`` is
     also ``None`` when nothing was checked.  ``solver`` holds the LASSO
-    grid's solver totals (solves, failures, median and max iterations,
-    max KKT residual) and is ``None`` otherwise."""
+    solver totals of the LASSO grid, ``alpha-tune`` and ``lasso-solve``
+    (:func:`~regbench.lasso.solver_totals`: solves, certified, failures,
+    median and max iterations, max KKT residual) and is ``None``
+    otherwise."""
 
     master_seed: int
     config_hash: str
@@ -609,9 +627,11 @@ def operator_checksum(op: DenseOperator) -> str:
     return hashlib.sha256(op.entries.tobytes()).hexdigest()
 
 
-def make_manifest(config: ExperimentConfig, op: DenseOperator,
-                  wall_time_s: float, grid: ErrorGrid | None = None) -> RunManifest:
-    checks = {} if grid is None else dict(
+def make_manifest(config: ExperimentConfig, op: DenseOperator, wall_time_s: float,
+                  grid: ErrorGrid | None = None, solver: dict | None = None) -> RunManifest:
+    """The run's manifest; a grid brings its bound checks and solver
+    totals, a LASSO command without a grid passes its ``solver`` totals."""
+    checks = dict(solver=solver) if grid is None else dict(
         checked=grid.checked, violations=grid.violations,
         min_margin=grid.min_margin if grid.checked else None, solver=grid.solver)
     return RunManifest(master_seed=config.seed, config_hash=config_hash(config),
@@ -749,6 +769,7 @@ def _cmd_dim_scan(args) -> int:
 
 def _cmd_lasso_solve(args) -> int:
     config = _require_config(args)
+    start = time.perf_counter()
     op = build_operator(config.operator)
     samples = build_dataset(op, config.data, config.seed)
     if not 0 <= args.sample < len(samples):
@@ -763,12 +784,15 @@ def _cmd_lasso_solve(args) -> int:
     x_true = np.asarray(getattr(samples[args.sample], "x_true", samples[args.sample]), dtype=float)
     noise = noise_block(config.seed, args.sample, 1, op.m)[0]
     sol = solve(LassoProblem(op, apply(op, x_true) + args.delta * noise, alpha, transform))
+    wall = time.perf_counter() - start
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "lasso_solution.csv", "w", newline="\n") as fh:
         fh.write("sample_id,component,value\n")
         for comp, val in enumerate(sol.x):
             fh.write(f"{args.sample},{comp},{_fmt(val)}\n")
+    totals = solver_totals([sol.iterations], [sol.certified], [True], [sol.kkt_residual])
+    make_manifest(config, op, wall, solver=totals).write(out / "manifest.json")
     print(f"objective={_fmt(sol.objective)} iterations={sol.iterations} "
           f"kkt_residual={sol.kkt_residual:.3e} "
           f"error={_fmt(weighted_norm(sol.x - x_true))}")
@@ -777,6 +801,7 @@ def _cmd_lasso_solve(args) -> int:
 
 def _cmd_alpha_tune(args) -> int:
     config = _require_config(args)
+    start = time.perf_counter()
     op = build_operator(config.operator)
     samples = build_dataset(op, config.data, config.seed)
     if not 1 <= args.tuples <= len(samples):
@@ -791,8 +816,10 @@ def _cmd_alpha_tune(args) -> int:
     tuple_sets = [[(x, apply(op, x) + delta * rng_for(config.seed, di, si).standard_normal(op.m))
                    for si, x in enumerate(truths)]
                   for di, delta in enumerate(deltas)]
+    results = grid_search_alphas(op, transform, tuple_sets, alphas)
+    wall = time.perf_counter() - start
     knots = []
-    for delta, result in zip(deltas, grid_search_alphas(op, transform, tuple_sets, alphas)):
+    for delta, result in zip(deltas, results):
         knots.append((delta, result.alpha_star))
         for alpha, message in result.failures:
             print(f"delta={_fmt(delta)} alpha={_fmt(alpha)}: {message}", file=sys.stderr)
@@ -801,6 +828,10 @@ def _cmd_alpha_tune(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rule.to_csv(out / "alpha_rule.csv")
+    columns = [result.solution for result in results]
+    totals = solver_totals(*(np.concatenate([getattr(c, name) for c in columns])
+                             for name in ("iterations", "certified", "converged", "kkt_residual")))
+    make_manifest(config, op, wall, solver=totals).write(out / "manifest.json")
     print(f"wrote {out / 'alpha_rule.csv'}")
     return 0
 

@@ -1,20 +1,48 @@
 """Generalized-LASSO reconstruction with a fixed sparsifying transform.
 
 Minimizes ``||Ax - y||_2^2 + alpha ||Wx||_1`` (no 1/2 on the data term, so
-the optimality relation carries a factor 2) by the Condat-Vu primal-dual
-splitting: explicit gradient steps on the quadratic, proximal steps on the
-l1 term composed with W.  :func:`solve_batch` iterates on an n x B block of
-independent problems, each column with its own data and alpha (the dual
-clip broadcasts alpha per column).  The step sizes depend only on A and W,
-so one set serves the batch, and so does the fused primal step: one
-product of the precomputed ``[I - 2 tau A^T A | -tau W^T]`` with the
-stacked state ``[x; dual]``, plus a per-column shift.  The loop does only
-these updates, in chunks of at most 32 steps whose states fit a fixed
-byte budget (``HISTORY_BYTES``); convergence is found once per chunk, in
-one vectorized pass over its residuals.  A column whose relative
-fixed-point residual reaches ``tol`` is frozen at its first converged
-step: stored and dropped from the working block.  :func:`solve` is the
-one-column case that records the objective trace.
+the optimality relation carries a factor 2): x is optimal exactly when
+``2 A^T (Ax - y) + alpha W^T gamma = 0`` for some ``gamma`` in the
+subdifferential of the l1 norm at Wx.
+
+:func:`solve_batch` runs ADMM (Boyd et al. 2011) on the split ``Wx = z``
+over an n x B block of independent problems, each column with its own
+data and alpha.  With penalty rho and scaled dual u, one step is::
+
+    x = (2 A^T A + rho W^T W)^+ (2 A^T y + rho W^T (z - u))
+    z = soft(Wx + u, alpha / rho),    u = u + Wx - z
+
+and the subgradient estimate is ``gamma = rho u / alpha``.  The penalty is
+``rho = KAPPA * alpha``.  It needs no spectral information (a spectral
+rule such as ``2 sigma_max sigma_min / ||W||^2`` crawls when sigma_min is
+tiny, as on the Radon operator), and it makes the threshold
+``alpha / rho`` and the dual box ``|u| <= 1 / KAPPA`` the same for every
+column, so one soft-threshold serves the block.  Columns are grouped by
+alpha, and each distinct alpha has one cached factor.  The factor is a
+pseudoinverse: when null(A) and null(W) share a direction, the matrix is
+singular, and the pseudoinverse still gives an exact (minimum-norm)
+x-update.  Only Wx enters the z- and u-updates, so the loop runs on
+p-vectors, ``Wx = c + H (z - u)`` with a per-column c and one p x p
+matrix H per alpha; x itself is formed once per ``POLISH_EVERY`` steps.
+
+Every ``POLISH_EVERY`` steps, each live column whose sign pattern of z
+held over those steps (or whose KKT residual is already within ``tol``),
+and was not tried on that pattern before, is polished by active set, as
+OSQP does (Stellato et al. 2020).  On the pattern's support S and
+its complement C it solves the equality-constrained KKT system::
+
+    [2 A^T A   W_C^T] [x ]   [2 A^T y - alpha W_S^T sign(z_S)]
+    [W_C       0    ] [mu] = [0                              ]
+
+and accepts the result when ``gamma_C = mu / alpha`` lies in [-1, 1], the
+signs of ``W_S x`` are the pattern's, and the relative KKT residual is
+within ``tol``.  Then ``gamma = (sign(z_S), gamma_C)`` is a subgradient at
+Wx that makes x stationary: x is an exact optimum up to round-off, and the
+column is *certified*, frozen and dropped from the block.  A column the
+polish cannot certify (W_C with dependent rows, which grad2d can give,
+leaves mu non-unique) stops once the relative KKT residual of its ADMM
+iterate reaches ``tol``.
+
 Ships KKT residuals, the dual subgradient bound, solution-set invariance
 probing, alpha tuning by grid search with piecewise-linear interpolation,
 and empirical stability estimation of the solution map.
@@ -23,17 +51,21 @@ and empirical stability estimation of the solution map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .datagen import rng_for
 from .linop import DenseOperator, operator_norm
 
-# Chunk sizing of solve_batch: the history of states and its differences
-# share this byte budget, and a chunk runs at most MAX_CHUNK steps.
-HISTORY_BYTES = 256 * 1024
-MAX_CHUNK = 32
+# ADMM penalty per unit of alpha (rho = KAPPA * alpha) and the number of
+# ADMM steps between polish attempts
+KAPPA = 2.0
+POLISH_EVERY = 25
+# default bound on the relative KKT residual of a converged column
+TOL = 1e-10
+# round-off allowance on |gamma| <= 1 off the support when certifying
+GAMMA_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -116,7 +148,8 @@ class PdSolution:
 
     ``gamma`` lives in the subdifferential of the l1 norm at Wx (entries in
     [-1, 1], equal to the sign on the support); ``support`` lists the rows
-    of W with significantly nonzero response.
+    of W with significantly nonzero response; ``certified`` tells whether
+    the polish proved x optimal.
     """
 
     x: np.ndarray
@@ -126,6 +159,7 @@ class PdSolution:
     objective: float
     objective_trace: np.ndarray = field(repr=False)
     support: np.ndarray = field(repr=False)
+    certified: bool
 
 
 class ConvergenceError(RuntimeError):
@@ -140,9 +174,10 @@ class ConvergenceError(RuntimeError):
 class BatchSolution:
     """Per-column results of :func:`solve_batch`; column j solves problem j.
 
-    ``residual`` is the relative fixed-point residual at the last
-    iteration; a column is ``converged`` when it reached ``tol`` within
-    ``max_iter`` iterations.
+    ``residual`` is the relative KKT residual of the returned pair and
+    ``kkt_residual`` the absolute one.  A column is ``certified`` when the
+    polish proved it optimal, and ``converged`` when it is certified or its
+    residual reached ``tol`` within ``max_iter`` steps.
     """
 
     x: np.ndarray
@@ -151,24 +186,36 @@ class BatchSolution:
     converged: np.ndarray
     residual: np.ndarray
     kkt_residual: np.ndarray
+    certified: np.ndarray
 
 
 def _on_support(wx: np.ndarray) -> np.ndarray:
-    """Entries of Wx (per column) significantly nonzero relative to the
-    column's largest."""
+    """Entries of Wx (one row per problem) significantly nonzero relative
+    to the row's largest."""
     mag = np.abs(wx)
-    return mag > 1e-6 * (1.0 + mag.max(axis=0, initial=0.0))
+    return mag > 1e-6 * (1.0 + mag.max(axis=1, initial=0.0, keepdims=True))
 
 
-def _col_norms(v: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->j", v, v))
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
 
 
-def _kkt_residuals(a, w, x, y, gamma, alphas) -> np.ndarray:
-    wx = w @ x
+def _kkt(ata, w, x, aty, gamma, alphas):
+    """Absolute and relative first-order optimality violations of the rows
+    of x (B x n) with dual rows gamma (B x p), given ``2 A^T A`` and the
+    rows ``2 A^T y``.
+
+    The subgradient is first projected onto the face selected by the sign
+    pattern of Wx: it is pinned to the sign on the support and clipped to
+    [-1, 1] elsewhere.  The residual ``2 A^T (Ax - y) + alpha W^T g`` is
+    made relative to the largest norm of its three terms.
+    """
+    wx = x @ w.T
     g = np.where(_on_support(wx), np.sign(wx), np.clip(gamma, -1.0, 1.0))
-    grad = 2.0 * (a.T @ (a @ x - y))
-    return _col_norms(grad + alphas * (w.T @ g))
+    fit, penalty = x @ ata, alphas[:, None] * (g @ w)
+    absolute = _row_norms(fit - aty + penalty)
+    scale = np.maximum(np.maximum(_row_norms(fit), _row_norms(aty)), _row_norms(penalty))
+    return absolute, absolute / np.maximum(scale, np.finfo(float).tiny)
 
 
 def kkt_residual(problem: LassoProblem, x: np.ndarray, gamma: np.ndarray) -> float:
@@ -178,33 +225,73 @@ def kkt_residual(problem: LassoProblem, x: np.ndarray, gamma: np.ndarray) -> flo
     by the sign pattern of Wx: it is pinned to the sign on the support and
     clipped to [-1, 1] elsewhere.
     """
-    return float(_kkt_residuals(problem.operator.entries, problem.transform.matrix,
-                                np.asarray(x, dtype=float)[:, None], problem.y[:, None],
-                                np.asarray(gamma, dtype=float)[:, None],
-                                np.array([problem.alpha]))[0])
+    a = problem.operator.entries
+    absolute, _ = _kkt(2.0 * (a.T @ a), problem.transform.matrix,
+                       np.asarray(x, dtype=float)[None], 2.0 * (problem.y @ a)[None],
+                       np.asarray(gamma, dtype=float)[None], np.array([problem.alpha]))
+    return float(absolute[0])
+
+
+def _pinv_psd(m: np.ndarray) -> np.ndarray:
+    """Pseudoinverse of a symmetric positive semidefinite matrix;
+    eigenvalues below ``size * eps`` times the largest count as zero."""
+    values, vectors = np.linalg.eigh(m)
+    keep = values > values.size * np.finfo(float).eps * values[-1]
+    return (vectors[:, keep] / values[keep]) @ vectors[:, keep].T
+
+
+def _polish(ata, w, aty, alphas, signs, tol):
+    """Solve the KKT system on each row's sign pattern (``signs``, B x p in
+    {-1, 0, 1}) and check the result; returns x, gamma, whether each row is
+    certified, and the absolute and relative KKT residuals.
+
+    Each row is solved on its own, so its result does not depend on the
+    other rows.  The matrix can be singular (W_C with dependent rows, or A
+    and W_C sharing a null direction); where LAPACK reports it singular,
+    the least-squares solution is taken.  Either way, only a result that
+    passes the check is certified.
+    """
+    n = ata.shape[0]
+    x, gamma = np.empty((len(signs), n)), signs.astype(float)
+    for row, pattern in enumerate(signs):
+        off = pattern == 0
+        w_off = w[off]
+        kkt = np.block([[ata, w_off.T], [w_off, np.zeros((w_off.shape[0],) * 2)]])
+        rhs = np.concatenate([aty[row] - alphas[row] * (pattern @ w), np.zeros(w_off.shape[0])])
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        x[row] = sol[:n]
+        gamma[row, off] = sol[n:] / alphas[row]
+    with np.errstate(invalid="ignore", over="ignore"):
+        kept = np.where(signs != 0, np.sign(x @ w.T) == signs,
+                        np.abs(gamma) <= 1.0 + GAMMA_SLACK).all(axis=1)
+        gamma = np.clip(gamma, -1.0, 1.0)
+        absolute, relative = _kkt(ata, w, x, aty, gamma, alphas)
+    return x, gamma, kept & (relative <= tol), absolute, relative
 
 
 def solve_batch(op: DenseOperator, transform: SparsifyingTransform, Y: np.ndarray,
-                alphas, tol: float = 1e-8, max_iter: int = 20000,
+                alphas, tol: float = TOL, max_iter: int = 20000,
                 x0: np.ndarray | None = None, trace: np.ndarray | None = None) -> BatchSolution:
-    """Primal-dual splitting on the columns of ``Y`` (m x B), column j with
-    penalty ``alphas[j]``, started from ``x0`` (n x B) or zero.
+    """ADMM with active-set polish (see the module docstring) on the
+    columns of ``Y`` (m x B), column j with penalty ``alphas[j]``.
 
-    Step sizes satisfy ``tau * (L/2 + s ||W||^2) <= 1`` with ``L = 2||A||^2``.
-    The state is one stacked block ``z = [x; dual]`` ((n + p) x B).  One
-    fused step is ``x' = P z + 2 tau A^T y`` with the precomputed
-    ``P = [I - 2 tau A^T A | -tau W^T]``, then ``dual' = clip(dual +
-    s W (2x' - x), -alpha, alpha)``.  Steps run in chunks of K into a
-    history of K + 1 states; after each chunk one vectorized pass computes
-    all K relative fixed-point residuals, and a column whose residual
-    reached ``tol`` at step i of the chunk is stored as it was after that
-    step (so iteration counts are those of a per-step test) and dropped
-    from the working block.  K is at most 32, at most the iterations left,
-    and as large as lets the history and its differences fit in
-    ``HISTORY_BYTES`` (at least 1).  ``trace``, allowed only for a single
-    column, receives the objective after every iteration, filled from the
-    history one chunk at a time.  KKT residuals are evaluated in one pass
-    at the end.
+    The start is ``x0`` (n x B) or zero, with ``z = W x0`` and ``u = 0``.  A
+    column whose relative KKT residual at the start (with gamma = 0) is
+    already within ``tol`` stops there, after 0 steps.  The others run in
+    chunks of ``POLISH_EVERY`` steps, fewer when ``max_iter`` leaves fewer.
+    After each chunk, every live column takes the x-update of its current
+    (z, u) and ``gamma = KAPPA u``; the polish is tried where the module
+    docstring says; and a column stops when it is certified or when its
+    relative KKT residual (see :func:`_kkt`) is within ``tol``, by default
+    ``TOL`` = 1e-10.  ``iterations`` counts the ADMM steps a column ran: 0,
+    a multiple of ``POLISH_EVERY``, or ``max_iter``.  A column still live
+    at ``max_iter`` returns its last x-update and is not converged.  A
+    column's polished result does not depend on the other columns of the
+    batch.  ``trace``, allowed only for a single column, receives the
+    objective of the x-iterate of every step.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -218,88 +305,121 @@ def solve_batch(op: DenseOperator, transform: SparsifyingTransform, Y: np.ndarra
     if trace is not None and batch != 1:
         raise ValueError("an objective trace needs a single column")
 
-    lip = 2.0 * operator_norm(op) ** 2
-    w_norm = transform.norm
-    s = 1.0 / w_norm if w_norm > 0 else 1.0
-    tau = 1.0 / (lip / 2.0 + s * w_norm ** 2) if (lip > 0 or w_norm > 0) else 1.0
-
+    # rows are problems: x is B x n, z, u and gamma are B x p.  einsum sums
+    # each row of 2 A^T y in one fixed order, so a column's polish does not
+    # depend on the other columns of the batch
     n = op.n
-    step_x = np.hstack([np.eye(n) - 2.0 * tau * (a.T @ a), -tau * w.T])
-    s_w = s * w
-    shift = 2.0 * tau * (a.T @ y)
-    # squared residual weights: x differences by 1/tau, dual ones by 1/s
-    weight = np.concatenate([np.full(n, tau ** -2), np.full(w.shape[0], s ** -2)])
-    ones = np.ones(weight.size)
-    z = np.zeros((n + w.shape[0], batch))
-    if x0 is not None:
-        z[:n] = np.asarray(x0, dtype=float).reshape(n, batch)
-    out_z = z.copy()
-    iterations = np.full(batch, max_iter)
-    residual = np.full(batch, np.inf)
-    rel_last = residual.copy()
-    live = np.arange(batch)
-    alpha_all = alpha
+    ata, aty = 2.0 * (a.T @ a), 2.0 * np.einsum("mb,mn->bn", y, a)
+    x = np.zeros((batch, n)) if x0 is None else np.array(x0, dtype=float).reshape(n, batch).T
+    z = x @ w.T
+    gamma = np.zeros_like(z)
+    kkt_abs, residual = _kkt(ata, w, x, aty, gamma, alpha)
+    iterations = np.zeros(batch, dtype=int)
+    certified = np.zeros(batch, dtype=bool)
+    tried: list[set[bytes]] = [set() for _ in range(batch)]
+
+    # live columns sorted by alpha, so that each distinct alpha is one range
+    # of rows, with a factor mapping z - u to x and to Wx
+    live = np.flatnonzero(residual > tol)
+    live = live[np.argsort(alpha[live], kind="stable")]
+    factors = {}
+    for value in sorted(set(alpha[live].tolist())):
+        rho = KAPPA * value
+        inverse = _pinv_psd(ata + rho * (w.T @ w))
+        to_x = rho * (w @ inverse)
+        factors[value] = (inverse, to_x, to_x @ w.T)
+
+    def groups():
+        """(rows, factor) of each alpha that has live columns."""
+        ordered, values = alpha[live], list(factors)
+        bounds = zip(np.searchsorted(ordered, values, side="left"),
+                     np.searchsorted(ordered, values, side="right"))
+        return [(slice(lo, hi), f) for (lo, hi), f in zip(bounds, factors.values()) if hi > lo]
+
+    b = np.empty((live.size, n))
+    for rows, (inverse, _, _) in groups():
+        b[rows] = aty[live[rows]] @ inverse  # x = b + (z - u) to_x
+    c = b @ w.T                              # Wx = c + (z - u) H
+    z, u = z[live], np.zeros((live.size, w.shape[0]))
+    v, d = np.empty_like(z), np.empty_like(z)
+    limit = 1.0 / KAPPA
     k = 0
     while live.size and k < max_iter:
-        steps = min(MAX_CHUNK, max_iter - k, max(1, (HISTORY_BYTES // z.nbytes - 1) // 2))
-        hist = np.empty((steps + 1,) + z.shape)
-        hist[0] = z
-        x_bar = np.empty((n, z.shape[1]))
-        for cur, nxt in zip(hist[:-1], hist[1:]):
-            x_new, dual_new = nxt[:n], nxt[n:]
-            np.matmul(step_x, cur, out=x_new)
-            x_new += shift
-            np.multiply(x_new, 2.0, out=x_bar)
-            x_bar -= cur[:n]
-            np.matmul(s_w, x_bar, out=dual_new)
-            dual_new += cur[n:]
-            # the dual clip to [-alpha, alpha], per column (np.clip is slower)
-            np.maximum(dual_new, -alpha, out=dual_new)
-            np.minimum(dual_new, alpha, out=dual_new)
-        # (K, B) residuals: weighted sums of squares over the rows
-        sq = np.square(np.subtract(hist[1:], hist[:-1]))
-        step = np.sqrt(weight @ sq)
-        rel = step / (1.0 + np.sqrt(ones @ np.square(hist[1:], out=sq)))
-        if trace is not None:
-            xs = hist[1:, :n, 0]
-            r = xs @ a.T - y[:, 0]
-            trace[k:k + steps] = (np.einsum("km,km->k", r, r)
-                                  + alpha[0] * np.abs(xs @ w.T).sum(axis=1))
-        done = rel <= tol
-        hit = done.any(axis=0)
-        z, rel_last = hist[-1], rel[-1]
-        if hit.any():
-            # store each converged column as it was after its first
-            # converged step, then keep the block contiguous
-            cols = np.flatnonzero(hit)
-            first = done[:, cols].argmax(axis=0)
-            out_z[:, live[cols]] = hist[first + 1, :, cols].T
-            iterations[live[cols]] = k + first + 1
-            residual[live[cols]] = rel[first, cols]
-            keep = ~hit
-            live, z, alpha, shift, rel_last = (live[keep], z[:, keep], alpha[keep],
-                                               shift[:, keep], rel_last[keep])
+        steps = min(POLISH_EVERY, max_iter - k)
+        spans = groups()
+        start = np.sign(z)
+        for step in range(k, k + steps):
+            np.subtract(z, u, out=d)
+            for rows, (_, _, h) in spans:
+                np.matmul(d[rows], h, out=v[rows])
+            v += c
+            if trace is not None:
+                r = a @ (b[0] + d[0] @ factors[alpha[0]][1]) - y[:, 0]
+                trace[step] = r @ r + alpha[0] * np.abs(v[0]).sum()
+            v += u
+            np.clip(v, -limit, limit, out=u)
+            np.subtract(v, u, out=z)
         k += steps
-    out_z[:, live] = z
-    residual[live] = rel_last
 
-    out_x, out_dual = out_z[:n], out_z[n:]
-    gamma = out_dual / alpha_all
-    return BatchSolution(x=out_x, gamma=gamma, iterations=iterations,
-                         converged=residual <= tol, residual=residual,
-                         kkt_residual=_kkt_residuals(a, w, out_x, y, gamma, alpha_all))
+        x_live = np.empty_like(b)
+        np.subtract(z, u, out=d)
+        for rows, (_, to_x, _) in spans:
+            np.matmul(d[rows], to_x, out=x_live[rows])
+        x_live += b
+        gamma_live = KAPPA * u
+        abs_live, rel_live = _kkt(ata, w, x_live, aty[live], gamma_live, alpha[live])
+        signs = np.sign(z)
+        ready = np.flatnonzero((signs == start).all(axis=1) | (rel_live <= tol))
+        fresh = [i for i in ready if signs[i].tobytes() not in tried[live[i]]]
+        for i in fresh:
+            tried[live[i]].add(signs[i].tobytes())
+        if fresh:
+            px, pg, ok, pabs, prel = _polish(ata, w, aty[live[fresh]], alpha[live[fresh]],
+                                              signs[fresh], tol)
+            won = np.asarray(fresh)[ok]
+            x_live[won], gamma_live[won] = px[ok], pg[ok]
+            abs_live[won], rel_live[won] = pabs[ok], prel[ok]
+            certified[live[won]] = True
+        x[live], gamma[live], kkt_abs[live], residual[live] = x_live, gamma_live, abs_live, rel_live
+        iterations[live] = k
+        keep = ~certified[live] & (rel_live > tol)
+        if not keep.all():
+            live, z, u, b, c = live[keep], z[keep], u[keep], b[keep], c[keep]
+            v, d = v[keep], d[keep]
+
+    return BatchSolution(x=x.T, gamma=gamma.T, iterations=iterations,
+                         converged=certified | (residual <= tol), residual=residual,
+                         kkt_residual=kkt_abs, certified=certified)
+
+
+def _columns(batch: BatchSolution, cols) -> BatchSolution:
+    """The columns ``cols`` of a batch result."""
+    return BatchSolution(**{f.name: getattr(batch, f.name)[..., cols]
+                            for f in fields(BatchSolution)})
+
+
+def solver_totals(iterations, certified, converged, kkt_residual) -> dict:
+    """Manifest totals over solved columns, given per column: ``solves``,
+    ``certified``, ``failures`` (not converged), the median and max of
+    ``iterations``, and ``kkt_max``, the largest absolute KKT residual."""
+    iterations, kkt = np.asarray(iterations), np.asarray(kkt_residual)
+    return {"solves": int(iterations.size), "certified": int(np.sum(certified)),
+            "failures": int(np.sum(~np.asarray(converged))),
+            "iterations_median": float(np.median(iterations)),
+            "iterations_max": int(iterations.max()), "kkt_max": float(kkt.max())}
 
 
 def _no_convergence(max_iter: int, residual: float) -> str:
     return f"no convergence after {max_iter} iterations (residual {residual:.3e})"
 
 
-def solve(problem: LassoProblem, tol: float = 1e-8, max_iter: int = 20000,
+def solve(problem: LassoProblem, tol: float = TOL, max_iter: int = 20000,
           x0: np.ndarray | None = None) -> PdSolution:
     """One generalized-LASSO problem through :func:`solve_batch`.
 
-    Hitting ``max_iter`` before the residual reaches ``tol`` raises
-    :class:`ConvergenceError` carrying the last iterate.
+    Hitting ``max_iter`` before the column is certified or its relative
+    KKT residual reaches ``tol`` raises :class:`ConvergenceError` carrying
+    the last iterate.
     """
     trace = np.empty(max_iter)
     batch = solve_batch(problem.operator, problem.transform, problem.y[:, None],
@@ -312,7 +432,8 @@ def solve(problem: LassoProblem, tol: float = 1e-8, max_iter: int = 20000,
         kkt_residual=float(batch.kkt_residual[0]),
         objective=problem.objective(x),
         objective_trace=trace[:iterations].copy(),
-        support=np.nonzero(_on_support(problem.transform.matrix @ x))[0],
+        support=np.nonzero(_on_support((problem.transform.matrix @ x)[None])[0])[0],
+        certified=bool(batch.certified[0]),
     )
     if not batch.converged[0]:
         raise ConvergenceError(_no_convergence(max_iter, batch.residual[0]), solution)
@@ -338,7 +459,7 @@ class InvarianceReport:
 
 
 def solution_invariance_check(problem: LassoProblem, restarts: int, seed: int,
-                              tol: float = 1e-8, max_iter: int = 20000) -> InvarianceReport:
+                              tol: float = TOL, max_iter: int = 20000) -> InvarianceReport:
     """Solve from several random starts; all minimizers must share the value
     of A x and of ||W x||_1 even when x itself is non-unique."""
     if restarts < 2:
@@ -367,13 +488,18 @@ def solution_invariance_check(problem: LassoProblem, restarts: int, seed: int,
 
 @dataclass(frozen=True)
 class GridSearchResult:
+    """The chosen alpha, the mean error of every cell whose solves all
+    converged, the failed cells, and ``solution``, the solver's columns of
+    this search (its cells in grid order, tuples in order within a cell)."""
+
     alpha_star: float
     errors: tuple[tuple[float, float], ...]
     failures: tuple[tuple[float, str], ...]
+    solution: BatchSolution = field(repr=False, compare=False)
 
 
 def grid_search_alpha(op: DenseOperator, transform: SparsifyingTransform,
-                      tuples, grid, tol: float = 1e-8,
+                      tuples, grid, tol: float = TOL,
                       max_iter: int = 20000) -> GridSearchResult:
     """Pick the grid alpha minimizing the mean reconstruction error over the
     supplied (truth, data) tuples.  A cell with any failed solve is
@@ -383,7 +509,7 @@ def grid_search_alpha(op: DenseOperator, transform: SparsifyingTransform,
 
 
 def grid_search_alphas(op: DenseOperator, transform: SparsifyingTransform,
-                       tuple_sets, grid, tol: float = 1e-8,
+                       tuple_sets, grid, tol: float = TOL,
                        max_iter: int = 20000) -> tuple[GridSearchResult, ...]:
     """:func:`grid_search_alpha` for each set of tuples (one per noise
     level, say), with every (set, alpha, tuple) solve in one batch."""
@@ -398,10 +524,11 @@ def grid_search_alphas(op: DenseOperator, transform: SparsifyingTransform,
     truth = np.column_stack([np.asarray(x, dtype=float) for x, _ in pairs])
     batch = solve_batch(op, transform, np.column_stack([y for _, y in pairs]), alphas,
                         tol, max_iter)
-    errors = _col_norms(batch.x - truth) / math.sqrt(op.n)
+    errors = _row_norms((batch.x - truth).T) / math.sqrt(op.n)
 
     results, start = [], 0
     for tuples in tuple_sets:
+        first = start
         cells, failures = [], []
         for alpha in grid:
             cell = slice(start, start + len(tuples))
@@ -416,7 +543,8 @@ def grid_search_alphas(op: DenseOperator, transform: SparsifyingTransform,
         # min keeps the first of equal errors, so ties go to the earlier alpha
         best = min(cells, key=lambda cell: cell[1])
         results.append(GridSearchResult(alpha_star=best[0], errors=tuple(cells),
-                                        failures=tuple(failures)))
+                                        failures=tuple(failures),
+                                        solution=_columns(batch, slice(first, start))))
     return tuple(results)
 
 
@@ -465,7 +593,7 @@ def alpha_for_delta(rule: AlphaRule, delta: float) -> float:
 
 
 def empirical_lipschitz(problem: LassoProblem, n_probes: int, radius: float,
-                        seed: int, tol: float = 1e-10,
+                        seed: int, tol: float = TOL,
                         max_iter: int = 50000) -> float:
     """Largest observed solution-change rate over random data perturbations.
 

@@ -10,17 +10,19 @@ relative; labels, grid levels, ``estimated_N`` and the bound-check tally
 must agree exactly.  A change that moves results further than rounding
 fails here.
 
-The ``alpha-tune`` pins (seeds 0, 1 and 2) come from the earlier tuning
-code, which ran one primal-dual solve per problem and one grid search per
-noise level; knots and failed cells must agree exactly, per-cell mean
-errors to 1e-10 relative.
+The ``alpha-tune`` pins (seeds 0, 1 and 2) come from the exact minimizer
+of every (delta, alpha, tuple) problem, solved through its box-constrained
+dual by BVLS (``bvls_reference`` in test_lasso.py); the knot at each delta
+is the alpha of the smallest exact cell mean.  Knots must agree exactly,
+per-cell mean errors to 1e-10 relative, and no cell may fail.
 """
 
 import math
+from functools import partial
 
 import pytest
 
-from regbench import harness
+from regbench import harness, lasso
 from regbench.harness import cli_main
 
 REL_TOL = 1e-12
@@ -146,23 +148,23 @@ transform = diff1d
 
 LASSO_TUNE_ARGS = ("--delta-grid", "0.1 0.2 0.5", "--alpha-grid", "0.001 0.1 1", "--tuples", "10")
 
-# per seed and delta: the knot's alpha and the mean error of every cell
-# that converged; the alpha 0.001 cell fails at every delta
+# per seed and delta: the knot's alpha and the exact mean error of every
+# cell
 ALPHA_TUNE_PINS = {
     0: [
-        (0.1, 1.0, {0.1: 0.06890842241685255, 1.0: 0.06748505124981323}),
-        (0.2, 1.0, {0.1: 0.22554044241680735, 1.0: 0.07647366911239012}),
-        (0.5, 1.0, {0.1: 1.013512079184712, 1.0: 0.10283692620045096}),
+        (0.1, 1.0, {0.001: 1.8864626112163065, 0.1: 0.06890842475726583, 1.0: 0.06748505202404151}),
+        (0.2, 1.0, {0.001: 4.533061536136604, 0.1: 0.2255404934522177, 1.0: 0.07647366811003113}),
+        (0.5, 1.0, {0.001: 11.670678648352158, 0.1: 1.013512763361181, 1.0: 0.10283692429054332}),
     ],
     1: [
-        (0.1, 1.0, {0.1: 0.0800775448895213, 1.0: 0.07238275737624549}),
-        (0.2, 1.0, {0.1: 0.17854083997810688, 1.0: 0.06997870163665801}),
-        (0.5, 1.0, {0.1: 1.0951118986722885, 1.0: 0.11416489185729232}),
+        (0.1, 1.0, {0.001: 2.083169364599005, 0.1: 0.08007754504252382, 1.0: 0.07238275681297313}),
+        (0.2, 1.0, {0.001: 4.3597840724095835, 0.1: 0.17854087375106628, 1.0: 0.0699787012073372}),
+        (0.5, 1.0, {0.001: 12.953425359069692, 0.1: 1.095112411361615, 1.0: 0.11416488778179171}),
     ],
     2: [
-        (0.1, 0.1, {0.1: 0.06945868800902236, 1.0: 0.07491580351582076}),
-        (0.2, 1.0, {0.1: 0.2089558302051358, 1.0: 0.08342146145873677}),
-        (0.5, 1.0, {0.1: 0.897470410445125, 1.0: 0.16148931801977634}),
+        (0.1, 0.1, {0.001: 1.7725800272527035, 0.1: 0.06945869098141275, 1.0: 0.07491580294672508}),
+        (0.2, 1.0, {0.001: 4.752151938057969, 0.1: 0.20895585197013702, 1.0: 0.08342146143899279}),
+        (0.5, 1.0, {0.001: 12.173821644613302, 0.1: 0.8974708519031847, 1.0: 0.1614893268278497}),
     ],
 }
 
@@ -218,16 +220,24 @@ def test_pin_check_rejects_a_moved_value(tmp_path, text):
         assert_csv_matches(tmp_path / "moved.csv", text)
 
 
-@pytest.mark.parametrize("seed", sorted(ALPHA_TUNE_PINS))
-def test_alpha_tune_matches_sequential_solves(tmp_path, capsys, monkeypatch, seed):
+def recorded_searches(monkeypatch, **fixed):
+    """Route the CLI's ``grid_search_alphas`` through a recorder (with
+    ``fixed`` keyword arguments); returns the list the results go to."""
     results = []
-    search = harness.grid_search_alphas
+    search = partial(lasso.grid_search_alphas, **fixed)
 
     def recording(*args, **kwargs):
-        results.extend(search(*args, **kwargs))
-        return tuple(results)
+        found = search(*args, **kwargs)
+        results.extend(found)
+        return found
 
     monkeypatch.setattr(harness, "grid_search_alphas", recording)
+    return results
+
+
+@pytest.mark.parametrize("seed", sorted(ALPHA_TUNE_PINS))
+def test_alpha_tune_matches_sequential_solves(tmp_path, capsys, monkeypatch, seed):
+    results = recorded_searches(monkeypatch)
     out, _ = run_cli(tmp_path, capsys, "alpha-tune", LASSO_TUNE, *LASSO_TUNE_ARGS, seed=seed)
     pins = ALPHA_TUNE_PINS[seed]
     knots = "".join(f"{delta!r},{alpha!r}\n" for delta, alpha, _ in pins)
@@ -235,24 +245,34 @@ def test_alpha_tune_matches_sequential_solves(tmp_path, capsys, monkeypatch, see
     assert len(results) == len(pins)
     for result, (_, alpha_star, cells) in zip(results, pins):
         assert result.alpha_star == alpha_star
-        assert [alpha for alpha, _ in result.failures] == [0.001]
+        assert not result.failures
         assert [alpha for alpha, _ in result.errors] == list(cells)
         for alpha, mean_error in result.errors:
             assert math.isclose(mean_error, cells[alpha], rel_tol=1e-10, abs_tol=0.0)
+        assert result.solution.certified.all()
 
 
-def test_alpha_tune_reports_failed_cells_on_stderr(tmp_path, capsys):
+def test_alpha_tune_reports_failed_cells_on_stderr(tmp_path, capsys, monkeypatch):
+    # every cell of the pinned config converges, so stderr stays empty
     config = tmp_path / "exp.cfg"
     config.write_text(LASSO_TUNE)
     out = tmp_path / "out"
-    assert cli_main(["alpha-tune", "--config", str(config), "--out", str(out),
-                     "--seed", "0", *LASSO_TUNE_ARGS]) == 0
+    argv = ["alpha-tune", "--config", str(config), "--out", str(out), "--seed", "0",
+            *LASSO_TUNE_ARGS]
+    assert cli_main(argv) == 0
     captured = capsys.readouterr()
     knots = [(delta, alpha) for delta, alpha, _ in ALPHA_TUNE_PINS[0]]
-    assert captured.out == "".join(f"delta={delta!r} alpha={alpha!r}\n" for delta, alpha in knots) \
+    stdout = "".join(f"delta={delta!r} alpha={alpha!r}\n" for delta, alpha in knots) \
         + f"wrote {out / 'alpha_rule.csv'}\n"
-    lines = captured.err.splitlines()
-    assert len(lines) == 3
-    for line, (delta, _) in zip(lines, knots):
-        assert line.startswith(f"delta={delta!r} alpha=0.001: no convergence after 20000 "
+    assert captured.out == stdout
+    assert captured.err == ""
+    # under a 150-step cap some cells fail: one stderr line each, in order
+    results = recorded_searches(monkeypatch, max_iter=150)
+    assert cli_main(argv) == 0
+    lines = capsys.readouterr().err.splitlines()
+    failed = [(delta, alpha) for delta, result in zip((0.1, 0.2, 0.5), results)
+              for alpha, _ in result.failures]
+    assert failed and len(lines) == len(failed)
+    for line, (delta, alpha) in zip(lines, failed):
+        assert line.startswith(f"delta={delta!r} alpha={alpha!r}: no convergence after 150 "
                                "iterations (residual ")

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from regbench import harness
+from regbench import harness, lasso
 from regbench.datagen import SourceSample
 from regbench.harness import (
     ConfigError,
@@ -661,16 +662,57 @@ alpha = 0.05
                          "lasso-solve", "--delta", "0.01"]) == 0
         assert (out / "lasso_solution.csv").exists()
         assert "kkt_residual=" in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["master_seed"] == 2 and manifest["checked"] is None
+        assert manifest["solver"]["solves"] == manifest["solver"]["certified"] == 1
+        assert manifest["solver"]["failures"] == 0
+        (out / "manifest.json").unlink()
         assert cli_main(["--seed", "2", "--config", str(cfg), "--out", str(out),
                          "alpha-tune", "--delta-grid", "0.01 0.1",
                          "--alpha-grid", "0.01 0.1", "--tuples", "2"]) == 0
         rule = (out / "alpha_rule.csv").read_text().splitlines()
         assert rule[0] == "delta,alpha"
         assert len(rule) == 3
+        solver = json.loads((out / "manifest.json").read_text())["solver"]
+        # 2 levels x 2 alphas x 2 tuples, every one certified
+        assert solver["solves"] == solver["certified"] == 8
+        assert solver["failures"] == 0
+        assert solver["kkt_max"] < 1e-10
+        assert solver["iterations_max"] >= solver["iterations_median"] > 0
+
+    def test_lasso_grid_solves_each_distinct_problem_once(self, tmp_path, monkeypatch):
+        # the rule is constant below delta 0.1, so the first three bars share
+        # one alpha: the grid solves 2 of its 4 bars' problems, and each bar's
+        # row equals the row of a one-bar grid at that bar
+        rule = tmp_path / "rule.csv"
+        rule.write_text("delta,alpha\n0.1,0.05\n0.5,0.5\n")
+        config = ExperimentConfig(
+            operator=OperatorSpec(kind="integration", n=20),
+            data=DataSpec(kind="source", count=3),
+            grid=GridSpec(delta_bar=(0.01, 0.05, 0.1, 0.5), delta=(0.01, 0.1, 0.5),
+                          realizations=2),
+            method=MethodSpec(kind="lasso", transform="diff1d", alpha_rule=str(rule)),
+            seed=4)
+        calls, solve_batch = [], harness.solve_batch
+
+        def counting(*args, **kwargs):
+            calls.append(sorted(set(args[3])))
+            return solve_batch(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_batch", counting)
+        grid = run_mismatch_grid(config)
+        assert calls == [[0.05, 0.5]]
+        assert grid.solver["solves"] == 2 * 3 * 3 * 2
+        assert grid.solver["failures"] == 0
+        for bi, bar in enumerate(config.grid.delta_bar):
+            one = run_mismatch_grid(replace(config, grid=replace(config.grid, delta_bar=(bar,))))
+            assert np.array_equal(grid.mean_errors[bi], one.mean_errors[0])
+            assert np.array_equal(grid.alphas[bi], one.alphas[0])
 
     def test_lasso_grid_batches_samples_like_per_sample_calls(self, tmp_path, monkeypatch):
-        # alpha 1e-4 at delta_bar 0.001 leaves the delta 0.1 cell with no
-        # converged solve; all three samples fit one call of the default budget
+        # under a 75-step cap, alpha 1e-4 at delta_bar 0.001 leaves the delta
+        # 0.001 cell with no converged solve (each needs 100 steps or more);
+        # all three samples fit one call of the default budget
         rule = tmp_path / "rule.csv"
         rule.write_text("delta,alpha\n0.001,0.0001\n0.1,0.1\n")
         cfg = tmp_path / "lasso.cfg"
@@ -698,7 +740,7 @@ alpha_rule = {rule}
 
         def counting(*args, **kwargs):
             calls.append(args[2].shape[1])
-            return solve_batch(*args, **kwargs)
+            return solve_batch(*args, max_iter=75, **kwargs)
 
         monkeypatch.setattr(harness, "solve_batch", counting)
         together = run_mismatch_grid(config)
@@ -707,16 +749,18 @@ alpha_rule = {rule}
         assert calls == [24, 8, 8, 8]
         assert together.solver["failures"] == per_sample.solver["failures"] > 0
         assert together.solver["solves"] == per_sample.solver["solves"] == 24
-        assert together.solver["iterations_max"] == per_sample.solver["iterations_max"] == 20000
+        assert together.solver["iterations_max"] == per_sample.solver["iterations_max"] == 75
         assert np.array_equal(np.isnan(together.mean_errors), np.isnan(per_sample.mean_errors))
         assert np.isnan(together.mean_errors).any()
         assert np.allclose(together.mean_errors, per_sample.mean_errors,
                            rtol=1e-10, atol=0.0, equal_nan=True)
         assert np.array_equal(together.mean_realized_delta, per_sample.mean_realized_delta)
 
-    def test_lasso_grid_records_failures_instead_of_aborting(self, tmp_path, capsys):
-        # the rule alpha-tune writes at seed 0 gives a grid in which some
-        # solves reach the iteration cap; the grid used to exit 2 at the first
+    def test_lasso_grid_records_failures_instead_of_aborting(self, tmp_path, capsys, monkeypatch):
+        # with the rule alpha-tune writes at seed 0 and a 100-step cap, some
+        # solves reach the cap, and every solve of the (0.001, 0.001) and
+        # (0.01, 0.001) cells needs 200 steps or more; the grid used to exit 2
+        # at the first failure
         cfg = tmp_path / "lasso.cfg"
         rule = tmp_path / "rule" / "alpha_rule.csv"
         cfg.write_text(f"""
@@ -741,15 +785,17 @@ alpha_rule = {rule}
         assert cli_main(["--seed", "0", "--config", str(cfg), "--out", str(rule.parent),
                          "alpha-tune"]) == 0
         assert rule.read_text() == "delta,alpha\n0.001,0.001\n0.01,0.01\n0.1,0.1\n"
+        monkeypatch.setattr(harness, "solve_batch", partial(lasso.solve_batch, max_iter=100))
         out = tmp_path / "grid"
         assert cli_main(["--seed", "0", "--config", str(cfg), "--out", str(out),
                          "mismatch-grid"]) == 0
         solver = json.loads((out / "manifest.json").read_text())["solver"]
         assert solver["solves"] == 3 * 3 * 4 * 3
         assert 0 < solver["failures"] < solver["solves"]
-        assert solver["iterations_max"] == 20000
-        assert 0 < solver["iterations_median"] <= 20000
-        assert 0 <= solver["kkt_max"] < 1e-2
+        assert solver["certified"] <= solver["solves"] - solver["failures"]
+        assert solver["iterations_max"] == 100
+        assert 0 < solver["iterations_median"] <= 100
+        assert 0 < solver["kkt_max"] < np.inf
         assert f"solver: {solver['failures']}/108 solves did not converge" in capsys.readouterr().out
         rows = [line.split(",") for line in (out / "mismatch_grid.csv").read_text().splitlines()[1:]]
         assert len(rows) == 9
@@ -757,8 +803,9 @@ alpha_rule = {rule}
         assert any(row[2] == "nan" for row in rows)
         assert all(row[2] == "nan" or float(row[2]) > 0 for row in rows)
 
-    def test_numerical_failure_exit_code(self, tmp_path):
-        # tiny penalty on the ill-conditioned operator stalls the solver
+    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
+        # a solve stopped by its iteration cap (one step here) is a
+        # numerical failure
         cfg = tmp_path / "stall.cfg"
         cfg.write_text("""
 [operator]
@@ -773,8 +820,9 @@ count = 1
 kind = lasso
 transform = identity
 """)
+        monkeypatch.setattr(harness, "solve", partial(lasso.solve, max_iter=1))
         code = cli_main(["--seed", "1", "--config", str(cfg), "--out", str(tmp_path),
-                         "lasso-solve", "--alpha", "1e-12", "--delta", "0.01"])
+                         "lasso-solve", "--alpha", "0.05", "--delta", "0.01"])
         assert code == 2
 
     LEVELS_CONFIG = """
