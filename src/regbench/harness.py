@@ -53,12 +53,9 @@ from .datagen import (
 from .dimscan import DimScanResult, scan
 from .lasso import (
     AlphaRule,
-    ConvergenceError,
-    LassoProblem,
     SparsifyingTransform,
     alpha_for_delta,
     grid_search_alphas,
-    solve,
     solve_batch,
     solver_totals,
 )
@@ -167,8 +164,8 @@ class MethodSpec:
         _check(all(m >= 0 for m in self.m_grid), "m_grid entries must be nonnegative")
         _check(self.m_grid and all(a < b for a, b in zip(self.m_grid, self.m_grid[1:])),
                "m_grid must be nonempty and strictly increasing")
-        _check(self.alpha is None or self.alpha > 0, "alpha must be positive")
-        _check(self.alpha_ref > 0, "alpha_ref must be positive")
+        _check(self.alpha is None or 0 < self.alpha < math.inf, "alpha must be positive and finite")
+        _check(0 < self.alpha_ref < math.inf, "alpha_ref must be positive and finite")
         _check(0.0 <= self.delta_ref < math.inf, "delta_ref must be finite and nonnegative")
 
 
@@ -433,7 +430,7 @@ def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     samples = build_dataset(op, config.data, config.seed)
     transform = _build_transform(config.method.transform, op)
     if config.method.alpha_rule:
-        rule = AlphaRule.from_csv(config.method.alpha_rule)
+        rule = _read(AlphaRule.from_csv, config.method.alpha_rule)
     elif config.method.alpha is not None:
         rule = AlphaRule(((1.0, config.method.alpha),))
     else:
@@ -450,7 +447,7 @@ def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     column_alphas = np.repeat(distinct, len(deltas) * realizations)  # columns (alpha, delta, r)
     per_call = max(1, LASSO_BATCH_COLUMNS // column_alphas.size)
     err_sum, solved = np.zeros((len(bars), len(deltas))), np.zeros((len(bars), len(deltas)))
-    stats = []
+    batches = []
     level_sum = 0.0
     for first in range(0, len(samples), per_call):
         chunk = range(first, min(first + per_call, len(samples)))
@@ -467,9 +464,9 @@ def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
         for sample_errors, sample_converged in zip(errors[:, bar_alpha], converged[:, bar_alpha]):
             err_sum += np.where(sample_converged, sample_errors, 0.0).sum(axis=2)
             solved += sample_converged.sum(axis=2)
-        stats.append((sol.iterations, sol.certified, sol.converged, sol.kkt_residual))
+        batches.append(sol)
 
-    solver = solver_totals(*(np.concatenate(v) for v in zip(*stats)))
+    solver = solver_totals(*batches)
     realized = deltas * level_sum / (len(samples) * realizations)
     est = estimate_source_constant(op, samples, config.method.pinv_rel_tol)
     with np.errstate(invalid="ignore"):
@@ -592,10 +589,11 @@ NOISE_SCHEME = "crn-v2"
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Run provenance.  The bound-check totals are those of a Tikhonov
-    mismatch grid and stay ``None`` for other commands; ``min_margin`` is
-    also ``None`` when nothing was checked.  ``solver`` holds the LASSO
-    solver totals of the LASSO grid, ``alpha-tune`` and ``lasso-solve``
+    """Run provenance, with the numpy version that computed the numbers.
+    The bound-check totals are those of a Tikhonov mismatch grid and stay
+    ``None`` for other commands; ``min_margin`` is also ``None`` when
+    nothing was checked.  ``solver`` holds the LASSO solver totals of the
+    LASSO grid, ``alpha-tune`` and ``lasso-solve``
     (:func:`~regbench.lasso.solver_totals`: solves, certified, failures,
     median and max iterations, max KKT residual) and is ``None``
     otherwise."""
@@ -604,6 +602,7 @@ class RunManifest:
     config_hash: str
     operator_checksum: str
     tool_version: str
+    numpy_version: str
     wall_time_s: float
     noise_scheme: str = NOISE_SCHEME
     checked: int | None = None
@@ -636,7 +635,8 @@ def make_manifest(config: ExperimentConfig, op: DenseOperator, wall_time_s: floa
         min_margin=grid.min_margin if grid.checked else None, solver=grid.solver)
     return RunManifest(master_seed=config.seed, config_hash=config_hash(config),
                        operator_checksum=operator_checksum(op),
-                       tool_version=__version__, wall_time_s=wall_time_s, **checks)
+                       tool_version=__version__, numpy_version=np.__version__,
+                       wall_time_s=wall_time_s, **checks)
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +715,7 @@ def _cmd_operator(args) -> int:
 
 def _cmd_wc_curve(args) -> int:
     _check(args.rho > 0 and args.delta >= 0, "wc-curve needs --rho > 0 and --delta >= 0")
+    _check(args.points >= 1, "wc-curve needs --points >= 1")
     rule_alpha = optimal_alpha(args.delta, args.rho)
     grid = list(np.geomspace(1e-4, 1.0, args.points))
     if rule_alpha is not ZERO_RECONSTRUCTION:
@@ -779,23 +780,28 @@ def _cmd_lasso_solve(args) -> int:
     alpha = args.alpha if args.alpha is not None else config.method.alpha
     if alpha is None:
         raise ConfigError("lasso-solve needs --alpha or a method alpha")
-    if not alpha > 0:
-        raise ConfigError(f"--alpha must be positive, not {alpha!r}")
+    _check(0 < alpha < math.inf, f"--alpha must be positive and finite, not {alpha!r}")
     x_true = np.asarray(getattr(samples[args.sample], "x_true", samples[args.sample]), dtype=float)
-    noise = noise_block(config.seed, args.sample, 1, op.m)[0]
-    sol = solve(LassoProblem(op, apply(op, x_true) + args.delta * noise, alpha, transform))
+    y = apply(op, x_true) + args.delta * noise_block(config.seed, args.sample, 1, op.m)[0]
+    sol = solve_batch(op, transform, y[:, None], [alpha])
+    iterations = int(sol.iterations[0])
+    if not sol.converged[0]:
+        raise RuntimeError(f"no convergence after {iterations} iterations "
+                           f"(residual {sol.residual[0]:.3e})")
     wall = time.perf_counter() - start
+    x = sol.x[:, 0]
+    r = op.entries @ x - y
+    objective = float(r @ r + alpha * np.abs(transform.matrix @ x).sum())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "lasso_solution.csv", "w", newline="\n") as fh:
         fh.write("sample_id,component,value\n")
-        for comp, val in enumerate(sol.x):
+        for comp, val in enumerate(x):
             fh.write(f"{args.sample},{comp},{_fmt(val)}\n")
-    totals = solver_totals([sol.iterations], [sol.certified], [True], [sol.kkt_residual])
-    make_manifest(config, op, wall, solver=totals).write(out / "manifest.json")
-    print(f"objective={_fmt(sol.objective)} iterations={sol.iterations} "
-          f"kkt_residual={sol.kkt_residual:.3e} "
-          f"error={_fmt(weighted_norm(sol.x - x_true))}")
+    make_manifest(config, op, wall, solver=solver_totals(sol)).write(out / "manifest.json")
+    print(f"objective={_fmt(objective)} iterations={iterations} "
+          f"kkt_residual={sol.kkt_residual[0]:.3e} "
+          f"error={_fmt(weighted_norm(x - x_true))}")
     return 0
 
 
@@ -810,7 +816,8 @@ def _cmd_alpha_tune(args) -> int:
     deltas, alphas = sorted(_floats(args.delta_grid)), _floats(args.alpha_grid)
     _check(deltas, "--delta-grid needs at least one level")
     _check_levels(deltas)
-    _check(alphas and all(a > 0 for a in alphas), "--alpha-grid needs positive alphas")
+    _check(alphas and all(0 < a < math.inf for a in alphas),
+           "--alpha-grid needs positive alphas, all finite")
     truths = [np.asarray(getattr(sample, "x_true", sample), dtype=float)
               for sample in samples[:args.tuples]]
     tuple_sets = [[(x, apply(op, x) + delta * rng_for(config.seed, di, si).standard_normal(op.m))
@@ -828,9 +835,7 @@ def _cmd_alpha_tune(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rule.to_csv(out / "alpha_rule.csv")
-    columns = [result.solution for result in results]
-    totals = solver_totals(*(np.concatenate([getattr(c, name) for c in columns])
-                             for name in ("iterations", "certified", "converged", "kkt_residual")))
+    totals = solver_totals(*(result.solution for result in results))
     make_manifest(config, op, wall, solver=totals).write(out / "manifest.json")
     print(f"wrote {out / 'alpha_rule.csv'}")
     return 0
@@ -865,7 +870,7 @@ def cli_main(argv=None) -> int:
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
+    except (np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

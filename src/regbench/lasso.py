@@ -26,10 +26,15 @@ p-vectors, ``Wx = c + H (z - u)`` with a per-column c and one p x p
 matrix H per alpha; x itself is formed once per ``POLISH_EVERY`` steps.
 
 Every ``POLISH_EVERY`` steps, each live column whose sign pattern of z
-held over those steps (or whose KKT residual is already within ``tol``),
-and was not tried on that pattern before, is polished by active set, as
-OSQP does (Stellato et al. 2020).  On the pattern's support S and
-its complement C it solves the equality-constrained KKT system::
+held over those steps (or whose KKT residual is already within ``tol``)
+is polished by active set, as OSQP does (Stellato et al. 2020), on a
+pattern it was not tried on before.  That is the sign pattern of z,
+unless the column was tried on it already; then it is the sign pattern of
+the x-update's Wx, as :func:`_kkt` reads it, once that pattern has held
+since the previous polish step.  The second pattern catches a row of W
+with a tiny norm, whose entry of z the soft-threshold can hold at 0 long
+after Wx has settled off 0.  On a pattern's support S and its complement
+C the polish solves the equality-constrained KKT system::
 
     [2 A^T A   W_C^T] [x ]   [2 A^T y - alpha W_S^T sign(z_S)]
     [W_C       0    ] [mu] = [0                              ]
@@ -43,9 +48,11 @@ polish cannot certify (W_C with dependent rows, which grad2d can give,
 leaves mu non-unique) stops once the relative KKT residual of its ADMM
 iterate reaches ``tol``.
 
-Ships KKT residuals, the dual subgradient bound, solution-set invariance
-probing, alpha tuning by grid search with piecewise-linear interpolation,
-and empirical stability estimation of the solution map.
+:func:`solve_batch` is the one way to solve: a single problem is a batch
+of one column.  :func:`grid_search_alphas` tunes alpha on (truth, data)
+tuples with every solve of the search in one batch, :class:`AlphaRule`
+interpolates the tuned alphas over the noise level, and
+:func:`solver_totals` sums the per-column diagnostics for a manifest.
 """
 
 from __future__ import annotations
@@ -55,8 +62,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .datagen import rng_for
-from .linop import DenseOperator, operator_norm
+from .linop import DenseOperator
 
 # ADMM penalty per unit of alpha (rho = KAPPA * alpha) and the number of
 # ADMM steps between polish attempts
@@ -120,57 +126,6 @@ class SparsifyingTransform:
 
 
 @dataclass(frozen=True)
-class LassoProblem:
-    operator: DenseOperator
-    y: np.ndarray
-    alpha: float
-    transform: SparsifyingTransform
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if y.shape[0] != self.operator.m:
-            raise ValueError("data length does not match the operator")
-        if self.transform.matrix.shape[1] != self.operator.n:
-            raise ValueError("transform width does not match the operator")
-        y.setflags(write=False)
-        object.__setattr__(self, "y", y)
-
-    def objective(self, x: np.ndarray) -> float:
-        r = self.operator.entries @ x - self.y
-        return float(r @ r + self.alpha * np.abs(self.transform.matrix @ x).sum())
-
-
-@dataclass(frozen=True)
-class PdSolution:
-    """Converged primal-dual pair with diagnostics.
-
-    ``gamma`` lives in the subdifferential of the l1 norm at Wx (entries in
-    [-1, 1], equal to the sign on the support); ``support`` lists the rows
-    of W with significantly nonzero response; ``certified`` tells whether
-    the polish proved x optimal.
-    """
-
-    x: np.ndarray
-    gamma: np.ndarray
-    iterations: int
-    kkt_residual: float
-    objective: float
-    objective_trace: np.ndarray = field(repr=False)
-    support: np.ndarray = field(repr=False)
-    certified: bool
-
-
-class ConvergenceError(RuntimeError):
-    """Solver hit the iteration cap; ``last`` carries the final iterate."""
-
-    def __init__(self, message: str, last: PdSolution):
-        super().__init__(message)
-        self.last = last
-
-
-@dataclass(frozen=True)
 class BatchSolution:
     """Per-column results of :func:`solve_batch`; column j solves problem j.
 
@@ -218,20 +173,6 @@ def _kkt(ata, w, x, aty, gamma, alphas):
     return absolute, absolute / np.maximum(scale, np.finfo(float).tiny)
 
 
-def kkt_residual(problem: LassoProblem, x: np.ndarray, gamma: np.ndarray) -> float:
-    """First-order optimality violation ``||2 A^T (Ax - y) + alpha W^T g||``.
-
-    Before evaluating, the subgradient is projected onto the face selected
-    by the sign pattern of Wx: it is pinned to the sign on the support and
-    clipped to [-1, 1] elsewhere.
-    """
-    a = problem.operator.entries
-    absolute, _ = _kkt(2.0 * (a.T @ a), problem.transform.matrix,
-                       np.asarray(x, dtype=float)[None], 2.0 * (problem.y @ a)[None],
-                       np.asarray(gamma, dtype=float)[None], np.array([problem.alpha]))
-    return float(absolute[0])
-
-
 def _pinv_psd(m: np.ndarray) -> np.ndarray:
     """Pseudoinverse of a symmetric positive semidefinite matrix;
     eigenvalues below ``size * eps`` times the largest count as zero."""
@@ -274,9 +215,11 @@ def _polish(ata, w, aty, alphas, signs, tol):
 
 def solve_batch(op: DenseOperator, transform: SparsifyingTransform, Y: np.ndarray,
                 alphas, tol: float = TOL, max_iter: int = 20000,
-                x0: np.ndarray | None = None, trace: np.ndarray | None = None) -> BatchSolution:
-    """ADMM with active-set polish (see the module docstring) on the
-    columns of ``Y`` (m x B), column j with penalty ``alphas[j]``.
+                x0: np.ndarray | None = None) -> BatchSolution:
+    """Solve the problem of each column of ``Y`` (m x B), column j with
+    penalty ``alphas[j]``, by ADMM with active-set polish (see the module
+    docstring).  This is the one solver entry point: a single problem is
+    a one-column batch.
 
     The start is ``x0`` (n x B) or zero, with ``z = W x0`` and ``u = 0``.  A
     column whose relative KKT residual at the start (with gamma = 0) is
@@ -290,8 +233,9 @@ def solve_batch(op: DenseOperator, transform: SparsifyingTransform, Y: np.ndarra
     a multiple of ``POLISH_EVERY``, or ``max_iter``.  A column still live
     at ``max_iter`` returns its last x-update and is not converged.  A
     column's polished result does not depend on the other columns of the
-    batch.  ``trace``, allowed only for a single column, receives the
-    objective of the x-iterate of every step.
+    batch.  :class:`ValueError` is raised unless ``Y`` has m rows, there is
+    one alpha per column and each is positive and finite, and the
+    transform is as wide as the operator.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -300,10 +244,8 @@ def solve_batch(op: DenseOperator, transform: SparsifyingTransform, Y: np.ndarra
     if y.ndim != 2 or y.shape[0] != op.m or alpha.shape != y.shape[1:] or w.shape[1] != op.n:
         raise ValueError("need (m, B) data, B penalties and a transform as wide as the operator")
     batch = y.shape[1]
-    if (alpha <= 0).any():
-        raise ValueError("alpha must be positive")
-    if trace is not None and batch != 1:
-        raise ValueError("an objective trace needs a single column")
+    if not ((alpha > 0) & (alpha < np.inf)).all():
+        raise ValueError("alpha must be positive and finite")
 
     # rows are problems: x is B x n, z, u and gamma are B x p.  einsum sums
     # each row of 2 A^T y in one fixed order, so a column's polish does not
@@ -342,20 +284,18 @@ def solve_batch(op: DenseOperator, transform: SparsifyingTransform, Y: np.ndarra
     c = b @ w.T                              # Wx = c + (z - u) H
     z, u = z[live], np.zeros((live.size, w.shape[0]))
     v, d = np.empty_like(z), np.empty_like(z)
+    wx_signs = np.zeros_like(z)
     limit = 1.0 / KAPPA
     k = 0
     while live.size and k < max_iter:
         steps = min(POLISH_EVERY, max_iter - k)
         spans = groups()
         start = np.sign(z)
-        for step in range(k, k + steps):
+        for _ in range(steps):
             np.subtract(z, u, out=d)
             for rows, (_, _, h) in spans:
                 np.matmul(d[rows], h, out=v[rows])
             v += c
-            if trace is not None:
-                r = a @ (b[0] + d[0] @ factors[alpha[0]][1]) - y[:, 0]
-                trace[step] = r @ r + alpha[0] * np.abs(v[0]).sum()
             v += u
             np.clip(v, -limit, limit, out=u)
             np.subtract(v, u, out=z)
@@ -368,14 +308,22 @@ def solve_batch(op: DenseOperator, transform: SparsifyingTransform, Y: np.ndarra
         x_live += b
         gamma_live = KAPPA * u
         abs_live, rel_live = _kkt(ata, w, x_live, aty[live], gamma_live, alpha[live])
-        signs = np.sign(z)
-        ready = np.flatnonzero((signs == start).all(axis=1) | (rel_live <= tol))
-        fresh = [i for i in ready if signs[i].tobytes() not in tried[live[i]]]
+        patterns = np.sign(z)
+        ready = np.flatnonzero((patterns == start).all(axis=1) | (rel_live <= tol))
+        # a ready column whose pattern of z was rejected before tries the
+        # sign pattern of its x-update's Wx instead, once that has held
+        # since the previous chunk
+        wx = x_live @ w.T
+        wx_signs, previous = np.where(_on_support(wx), np.sign(wx), 0.0), wx_signs
+        stuck = [i for i in ready if patterns[i].tobytes() in tried[live[i]]
+                 and (wx_signs[i] == previous[i]).all()]
+        patterns[stuck] = wx_signs[stuck]
+        fresh = [i for i in ready if patterns[i].tobytes() not in tried[live[i]]]
         for i in fresh:
-            tried[live[i]].add(signs[i].tobytes())
+            tried[live[i]].add(patterns[i].tobytes())
         if fresh:
             px, pg, ok, pabs, prel = _polish(ata, w, aty[live[fresh]], alpha[live[fresh]],
-                                              signs[fresh], tol)
+                                              patterns[fresh], tol)
             won = np.asarray(fresh)[ok]
             x_live[won], gamma_live[won] = px[ok], pg[ok]
             abs_live[won], rel_live[won] = pabs[ok], prel[ok]
@@ -385,7 +333,7 @@ def solve_batch(op: DenseOperator, transform: SparsifyingTransform, Y: np.ndarra
         keep = ~certified[live] & (rel_live > tol)
         if not keep.all():
             live, z, u, b, c = live[keep], z[keep], u[keep], b[keep], c[keep]
-            v, d = v[keep], d[keep]
+            v, d, wx_signs = v[keep], d[keep], wx_signs[keep]
 
     return BatchSolution(x=x.T, gamma=gamma.T, iterations=iterations,
                          converged=certified | (residual <= tol), residual=residual,
@@ -398,92 +346,21 @@ def _columns(batch: BatchSolution, cols) -> BatchSolution:
                             for f in fields(BatchSolution)})
 
 
-def solver_totals(iterations, certified, converged, kkt_residual) -> dict:
-    """Manifest totals over solved columns, given per column: ``solves``,
+def solver_totals(*batches: BatchSolution) -> dict:
+    """Manifest totals over the columns of ``batches``: ``solves``,
     ``certified``, ``failures`` (not converged), the median and max of
     ``iterations``, and ``kkt_max``, the largest absolute KKT residual."""
-    iterations, kkt = np.asarray(iterations), np.asarray(kkt_residual)
+    iterations, certified, converged, kkt = (
+        np.concatenate([getattr(batch, name) for batch in batches])
+        for name in ("iterations", "certified", "converged", "kkt_residual"))
     return {"solves": int(iterations.size), "certified": int(np.sum(certified)),
-            "failures": int(np.sum(~np.asarray(converged))),
+            "failures": int(np.sum(~converged)),
             "iterations_median": float(np.median(iterations)),
             "iterations_max": int(iterations.max()), "kkt_max": float(kkt.max())}
 
 
 def _no_convergence(max_iter: int, residual: float) -> str:
     return f"no convergence after {max_iter} iterations (residual {residual:.3e})"
-
-
-def solve(problem: LassoProblem, tol: float = TOL, max_iter: int = 20000,
-          x0: np.ndarray | None = None) -> PdSolution:
-    """One generalized-LASSO problem through :func:`solve_batch`.
-
-    Hitting ``max_iter`` before the column is certified or its relative
-    KKT residual reaches ``tol`` raises :class:`ConvergenceError` carrying
-    the last iterate.
-    """
-    trace = np.empty(max_iter)
-    batch = solve_batch(problem.operator, problem.transform, problem.y[:, None],
-                        [problem.alpha], tol, max_iter, x0, trace)
-    x, iterations = batch.x[:, 0], int(batch.iterations[0])
-    solution = PdSolution(
-        x=x,
-        gamma=batch.gamma[:, 0],
-        iterations=iterations,
-        kkt_residual=float(batch.kkt_residual[0]),
-        objective=problem.objective(x),
-        objective_trace=trace[:iterations].copy(),
-        support=np.nonzero(_on_support((problem.transform.matrix @ x)[None])[0])[0],
-        certified=bool(batch.certified[0]),
-    )
-    if not batch.converged[0]:
-        raise ConvergenceError(_no_convergence(max_iter, batch.residual[0]), solution)
-    return solution
-
-
-def subgradient_bound_check(problem: LassoProblem, solution: PdSolution) -> bool:
-    """Whether the returned dual satisfies
-    ``||W^T gamma|| <= (2/alpha) ||A|| ||y||`` (with 1e-8 slack)."""
-    lhs = float(np.linalg.norm(problem.transform.matrix.T @ solution.gamma))
-    rhs = 2.0 / problem.alpha * operator_norm(problem.operator) * float(np.linalg.norm(problem.y))
-    return lhs <= rhs + 1e-8
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    """Spread of the data image and the l1 value across restarted solves."""
-
-    max_deviation_ax: float
-    max_deviation_l1: float
-    tolerance: float
-    passed: bool
-
-
-def solution_invariance_check(problem: LassoProblem, restarts: int, seed: int,
-                              tol: float = TOL, max_iter: int = 20000) -> InvarianceReport:
-    """Solve from several random starts; all minimizers must share the value
-    of A x and of ||W x||_1 even when x itself is non-unique."""
-    if restarts < 2:
-        raise ValueError("need at least two restarts")
-    a = problem.operator.entries
-    w = problem.transform.matrix
-    images, l1s = [], []
-    for r in range(restarts):
-        x0 = rng_for(seed, r).standard_normal(problem.operator.n)
-        sol = solve(problem, tol=tol, max_iter=max_iter, x0=x0)
-        images.append(a @ sol.x)
-        l1s.append(float(np.abs(w @ sol.x).sum()))
-    dev_ax = max(
-        float(np.linalg.norm(images[i] - images[j]))
-        for i in range(restarts) for j in range(i + 1, restarts)
-    )
-    dev_l1 = max(
-        abs(l1s[i] - l1s[j])
-        for i in range(restarts) for j in range(i + 1, restarts)
-    )
-    threshold = 1e-6 * (1.0 + float(np.linalg.norm(problem.y)))
-    return InvarianceReport(max_deviation_ax=dev_ax, max_deviation_l1=dev_l1,
-                            tolerance=threshold,
-                            passed=dev_ax <= threshold and dev_l1 <= threshold)
 
 
 @dataclass(frozen=True)
@@ -498,21 +375,14 @@ class GridSearchResult:
     solution: BatchSolution = field(repr=False, compare=False)
 
 
-def grid_search_alpha(op: DenseOperator, transform: SparsifyingTransform,
-                      tuples, grid, tol: float = TOL,
-                      max_iter: int = 20000) -> GridSearchResult:
-    """Pick the grid alpha minimizing the mean reconstruction error over the
-    supplied (truth, data) tuples.  A cell with any failed solve is
-    recorded as failed and skipped; ties and duplicate entries resolve to
-    the earliest grid position."""
-    return grid_search_alphas(op, transform, [tuples], grid, tol, max_iter)[0]
-
-
 def grid_search_alphas(op: DenseOperator, transform: SparsifyingTransform,
                        tuple_sets, grid, tol: float = TOL,
                        max_iter: int = 20000) -> tuple[GridSearchResult, ...]:
-    """:func:`grid_search_alpha` for each set of tuples (one per noise
-    level, say), with every (set, alpha, tuple) solve in one batch."""
+    """For each set of (truth, data) tuples (one set per noise level, say),
+    the grid alpha minimizing the mean reconstruction error over the set,
+    with every (set, alpha, tuple) solve in one batch.  A cell with any
+    failed solve is recorded as failed and skipped; ties and duplicate
+    entries resolve to the earliest grid position."""
     grid = [float(g) for g in grid]
     if not grid:
         raise ValueError("alpha grid must be nonempty")
@@ -561,8 +431,8 @@ class AlphaRule:
         deltas = [d for d, _ in knots]
         if any(b <= a for a, b in zip(deltas, deltas[1:])):
             raise ValueError("knots must be strictly increasing in delta")
-        if any(a <= 0 for _, a in knots):
-            raise ValueError("knot alphas must be positive")
+        if not all(math.isfinite(d) and 0 < a < math.inf for d, a in knots):
+            raise ValueError("knots need finite deltas and positive, finite alphas")
         object.__setattr__(self, "knots", knots)
 
     def to_csv(self, path) -> None:
@@ -590,29 +460,3 @@ def alpha_for_delta(rule: AlphaRule, delta: float) -> float:
     deltas = np.array([d for d, _ in rule.knots])
     alphas = np.array([a for _, a in rule.knots])
     return float(np.interp(delta, deltas, alphas))
-
-
-def empirical_lipschitz(problem: LassoProblem, n_probes: int, radius: float,
-                        seed: int, tol: float = TOL,
-                        max_iter: int = 50000) -> float:
-    """Largest observed solution-change rate over random data perturbations.
-
-    Probes the solution map at ``y + r * direction`` with unit Gaussian
-    directions and radii in [radius/2, radius]; reports the max ratio of
-    solution change to data change.  This is an empirical lower estimate of
-    the stability constant, not an upper bound.
-    """
-    if n_probes < 1 or radius <= 0:
-        raise ValueError("need n_probes >= 1 and radius > 0")
-    base = solve(problem, tol=tol, max_iter=max_iter)
-    worst = 0.0
-    for p in range(n_probes):
-        rng = rng_for(seed, p)
-        direction = rng.standard_normal(problem.y.size)
-        direction /= np.linalg.norm(direction)
-        r = radius * rng.uniform(0.5, 1.0)
-        shifted = LassoProblem(problem.operator, problem.y + r * direction,
-                               problem.alpha, problem.transform)
-        sol = solve(shifted, tol=tol, max_iter=max_iter)
-        worst = max(worst, float(np.linalg.norm(sol.x - base.x)) / r)
-    return worst

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regbench import datagen, dimscan, lasso
+from regbench import datagen, dimscan, harness
 from regbench.datagen import NOISE_TAG, noise_block, rng_for, svd_basis
 from regbench.dimscan import scan
 from regbench.harness import (
@@ -285,6 +285,7 @@ basis = svd
     ("mismatch-grid", "tikhonov", []),
     ("dim-scan", "truncated", []),
     ("lasso-solve", "lasso", ["--sample", "1"]),
+    ("alpha-tune", "lasso", []),
 ])
 def test_no_random_stream_is_used_twice(tmp_path, monkeypatch, command, kind, args):
     paths = []
@@ -295,7 +296,7 @@ def test_no_random_stream_is_used_twice(tmp_path, monkeypatch, command, kind, ar
         return real(seed, *path)
 
     monkeypatch.setattr(datagen, "rng_for", recording)
-    monkeypatch.setattr(lasso, "rng_for", recording)
+    monkeypatch.setattr(harness, "rng_for", recording)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(LASSO_CFG.replace("kind = tikhonov", f"kind = {kind}"))
     assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),

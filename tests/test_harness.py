@@ -422,6 +422,7 @@ class TestManifest:
         payload = json.loads((tmp_path / "manifest.json").read_text())
         assert payload["master_seed"] == 7
         assert payload["tool_version"] == harness.__version__
+        assert payload["numpy_version"] == np.__version__
         assert len(payload["operator_checksum"]) == 64
         assert payload["config_hash"] == config_hash(small_config)
 
@@ -803,7 +804,7 @@ alpha_rule = {rule}
         assert any(row[2] == "nan" for row in rows)
         assert all(row[2] == "nan" or float(row[2]) > 0 for row in rows)
 
-    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
+    def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # a solve stopped by its iteration cap (one step here) is a
         # numerical failure
         cfg = tmp_path / "stall.cfg"
@@ -820,10 +821,12 @@ count = 1
 kind = lasso
 transform = identity
 """)
-        monkeypatch.setattr(harness, "solve", partial(lasso.solve, max_iter=1))
+        monkeypatch.setattr(harness, "solve_batch", partial(lasso.solve_batch, max_iter=1))
         code = cli_main(["--seed", "1", "--config", str(cfg), "--out", str(tmp_path),
                          "lasso-solve", "--alpha", "0.05", "--delta", "0.01"])
         assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: no convergence after 1 iterations (residual ")
 
     LEVELS_CONFIG = """
 [operator]
@@ -894,12 +897,31 @@ m_grid = {m_grid}
         ("dim-scan", ("alpha = 0.05", "alpha = 0"), [], "alpha"),
         ("dim-scan", ("alpha = 0.05", "alpha = 0.05\nalpha_ref = 0"), [], "alpha_ref"),
         ("lasso-solve", ("", ""), ["--alpha", "0"], "--alpha"),
-    ], ids=["alpha", "alpha_ref", "--alpha"])
+        ("dim-scan", ("alpha = 0.05", "alpha = inf"), [], "alpha"),
+        ("dim-scan", ("alpha = 0.05", "alpha = 0.05\nalpha_ref = nan"), [], "alpha_ref"),
+        ("lasso-solve", ("", ""), ["--alpha", "inf"], "--alpha"),
+        ("mismatch-grid", ("kind = truncated\nalpha = 0.05", "kind = lasso\nalpha = inf"), [], "alpha"),
+    ], ids=["alpha", "alpha_ref", "--alpha", "alpha-inf", "alpha_ref-nan", "--alpha-inf",
+            "lasso-alpha-inf"])
     def test_nonpositive_alpha_is_config_error(self, tmp_path, capsys, command, edit, args, name):
         cfg = Path(self.levels_config(tmp_path, "truncated"))
         cfg.write_text(cfg.read_text().replace(*edit))
         assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *args]) == 1
         assert f"config error: {name} must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rule, message", [
+        ("delta,alpha\n0.1,0\n", "knots need finite deltas and positive, finite alphas"),
+        ("delta,alpha\nnan,0.1\n", "knots need finite deltas and positive, finite alphas"),
+        ("delta,alpha\n0.1,0.05,1\n", "too many values to unpack"),
+        ("alpha,delta\n0.05,0.1\n", "unexpected header 'alpha,delta'"),
+    ], ids=["zero-alpha", "nan-delta", "three-fields", "header"])
+    def test_malformed_rule_file_is_config_error(self, tmp_path, capsys, rule, message):
+        (tmp_path / "rule.csv").write_text(rule)
+        cfg = Path(self.levels_config(tmp_path, "lasso"))
+        cfg.write_text(cfg.read_text().replace("alpha = 0.05", f"alpha_rule = {tmp_path / 'rule.csv'}"))
+        assert cli_main(["mismatch-grid", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {tmp_path / 'rule.csv'}: ") and message in err
 
     @pytest.mark.parametrize("command, args, message", [
         ("alpha-tune", ["--alpha-grid", "0 0.1"], "--alpha-grid needs positive alphas"),
@@ -907,6 +929,10 @@ m_grid = {m_grid}
         ("alpha-tune", ["--delta-grid", ","], "--delta-grid needs at least one level"),
         ("wc-curve", ["--rho", "0", "--delta", "0.1"], "wc-curve needs --rho > 0 and --delta >= 0"),
         ("wc-curve", ["--rho", "1", "--delta", "-0.1"], "wc-curve needs --rho > 0 and --delta >= 0"),
+        ("alpha-tune", ["--alpha-grid", "0.1 inf"], "--alpha-grid needs positive alphas, all finite"),
+        ("alpha-tune", ["--alpha-grid", "0.1 nan"], "--alpha-grid needs positive alphas"),
+        ("wc-curve", ["--rho", "1", "--delta", "0.1", "--points", "-1"], "wc-curve needs --points >= 1"),
+        ("wc-curve", ["--rho", "1", "--delta", "2", "--points", "0"], "wc-curve needs --points >= 1"),
     ])
     def test_bad_flag_is_config_error(self, tmp_path, capsys, command, args, message):
         cfg = self.levels_config(tmp_path, "lasso")

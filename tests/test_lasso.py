@@ -8,40 +8,63 @@ from regbench import lasso
 from regbench.datagen import rng_for
 from regbench.lasso import (
     AlphaRule,
-    ConvergenceError,
-    LassoProblem,
     SparsifyingTransform,
     alpha_for_delta,
-    empirical_lipschitz,
-    grid_search_alpha,
     grid_search_alphas,
-    kkt_residual,
-    solution_invariance_check,
-    solve,
     solve_batch,
-    subgradient_bound_check,
 )
-from regbench.linop import DenseOperator, build_radon_operator, compute_svd
+from regbench.linop import DenseOperator, build_radon_operator, compute_svd, operator_norm
 
 
 def soft(v, threshold):
     return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
 
 
-def identity_problem(y, alpha):
+def identity_problem(y):
+    """Operator, transform and data of the separable problem A = W = I."""
     n = len(y)
-    return LassoProblem(DenseOperator(np.eye(n)), np.asarray(y, dtype=float),
-                        alpha, SparsifyingTransform.identity(n))
+    return DenseOperator(np.eye(n)), SparsifyingTransform.identity(n), np.asarray(y, dtype=float)
 
 
-def random_problem(seed, n=16, m=24, alpha=0.1, kind="diff1d"):
+def random_problem(seed, n=16, m=24, kind="diff1d"):
     rng = rng_for(seed)
     a = rng.standard_normal((m, n))
     a /= np.linalg.norm(a, 2)
     op = DenseOperator(a, spectral_normalized=True)
     transform = (SparsifyingTransform.diff1d(n) if kind == "diff1d"
                  else SparsifyingTransform.identity(n))
-    return LassoProblem(op, rng.standard_normal(m), alpha, transform)
+    return op, transform, rng.standard_normal(m)
+
+
+def solve_one(op, transform, y, alpha, **kwargs):
+    """One problem as a one-column batch."""
+    return solve_batch(op, transform, np.asarray(y, dtype=float)[:, None], [alpha], **kwargs)
+
+
+def objective(op, transform, y, alpha, x):
+    r = op.entries @ x - y
+    return float(r @ r + alpha * np.abs(transform.matrix @ x).sum())
+
+
+def kkt_absolute(op, transform, y, alpha, x, gamma):
+    """The absolute KKT residual of one (x, gamma) pair."""
+    a = op.entries
+    absolute, _ = lasso._kkt(2.0 * (a.T @ a), transform.matrix, np.asarray(x, dtype=float)[None],
+                             2.0 * (y @ a)[None], np.asarray(gamma, dtype=float)[None],
+                             np.array([alpha]))
+    return float(absolute[0])
+
+
+def capped_objectives(op, transform, y, alpha, steps):
+    """Objective of the x a one-column solve returns at each cap 1, ...,
+    steps - 1, and whether that x is the ADMM iterate of its last step
+    (the column ran to the cap uncertified)."""
+    values, iterates = [], []
+    for cap in range(1, steps):
+        sol = solve_one(op, transform, y, alpha, max_iter=cap)
+        values.append(objective(op, transform, y, alpha, sol.x[:, 0]))
+        iterates.append(sol.iterations[0] == cap and not sol.certified[0])
+    return np.array(values), np.array(iterates)
 
 
 class TestTransforms:
@@ -86,23 +109,14 @@ class TestTransforms:
         assert t.norm == float(np.linalg.norm(w, 2))
         assert SparsifyingTransform.custom(np.zeros((0, 3))).norm == 0.0
 
-    def test_problem_validation(self):
-        op = DenseOperator(np.eye(3))
-        with pytest.raises(ValueError):
-            LassoProblem(op, np.zeros(3), 0.0, SparsifyingTransform.identity(3))
-        with pytest.raises(ValueError):
-            LassoProblem(op, np.zeros(4), 0.1, SparsifyingTransform.identity(3))
-        with pytest.raises(ValueError):
-            LassoProblem(op, np.zeros(3), 0.1, SparsifyingTransform.identity(4))
-
 
 class TestSolve:
     def test_separable_hand_solution(self):
-        sol = solve(identity_problem([2.0, -0.5, 0.1], 1.0), tol=1e-12)
-        assert np.allclose(sol.x, [1.5, 0.0, 0.0], atol=1e-9)
+        sol = solve_one(*identity_problem([2.0, -0.5, 0.1]), 1.0, tol=1e-12)
+        assert np.allclose(sol.x[:, 0], [1.5, 0.0, 0.0], atol=1e-9)
 
     def test_zero_data(self):
-        sol = solve(identity_problem(np.zeros(4), 0.3))
+        sol = solve_one(*identity_problem(np.zeros(4)), 0.3)
         assert np.allclose(sol.x, 0.0, atol=1e-12)
 
     def test_vanishing_penalty_gives_least_squares(self):
@@ -111,10 +125,9 @@ class TestSolve:
         a /= np.linalg.norm(a, 2)
         op = DenseOperator(a)
         y = rng.standard_normal(10)
-        problem = LassoProblem(op, y, 1e-12, SparsifyingTransform.diff1d(6))
-        sol = solve(problem, tol=1e-12, max_iter=100000)
+        sol = solve_one(op, SparsifyingTransform.diff1d(6), y, 1e-12, tol=1e-12, max_iter=100000)
         lsq = np.linalg.lstsq(a, y, rcond=None)[0]
-        assert np.abs(sol.x - lsq).max() <= 1e-4
+        assert np.abs(sol.x[:, 0] - lsq).max() <= 1e-4
 
     def test_soft_threshold_oracle_random(self):
         for trial in range(100):
@@ -122,33 +135,34 @@ class TestSolve:
             n = int(rng.integers(2, 9))
             y = rng.uniform(-2.0, 2.0, n)
             alpha = float(rng.uniform(0.05, 1.5))
-            sol = solve(identity_problem(y, alpha), tol=1e-11)
-            assert np.abs(sol.x - soft(y, alpha / 2.0)).max() <= 1e-8
+            sol = solve_one(*identity_problem(y), alpha, tol=1e-11)
+            assert np.abs(sol.x[:, 0] - soft(y, alpha / 2.0)).max() <= 1e-8
 
     def test_nonconvergence_carries_last_iterate(self):
-        problem = random_problem(3)
-        with pytest.raises(ConvergenceError) as info:
-            solve(problem, tol=1e-14, max_iter=3)
-        assert info.value.last.x.shape == (16,)
-        assert info.value.last.iterations == 3
+        sol = solve_one(*random_problem(3), 0.1, tol=1e-14, max_iter=3)
+        assert not sol.converged[0] and sol.residual[0] > 1e-14
+        assert sol.x.shape == (16, 1)
+        assert sol.iterations[0] == 3
 
     def test_dual_always_feasible(self):
         for trial in range(5):
-            sol = solve(random_problem(trial))
+            sol = solve_one(*random_problem(trial), 0.1)
             assert np.abs(sol.gamma).max() <= 1.0 + 1e-10
 
     def test_objective_windowed_trend(self):
-        sol = solve(random_problem(21, alpha=0.3), tol=1e-10)
-        trace = sol.objective_trace
+        problem = random_problem(21)
+        steps = int(solve_one(*problem, 0.3, tol=1e-10).iterations[0])
+        trace, _ = capped_objectives(*problem, 0.3, steps)
         windows = [trace[i:i + 10].mean() for i in range(0, len(trace) - 9, 10)]
+        assert len(windows) >= 2
         for a, b in zip(windows, windows[1:]):
             assert b <= a + 1e-8 * (1 + windows[0])
 
     def test_kkt_scales_with_tolerance(self):
         for trial in range(5):
-            problem = random_problem(trial + 40)
-            sol = solve(problem, tol=1e-8)
-            assert sol.kkt_residual <= 10 * 1e-8 * (1 + np.linalg.norm(problem.y))
+            op, transform, y = random_problem(trial + 40)
+            sol = solve_one(op, transform, y, 0.1, tol=1e-8)
+            assert sol.kkt_residual[0] <= 10 * 1e-8 * (1 + np.linalg.norm(y))
 
 
 def batch_case(kind):
@@ -184,16 +198,12 @@ class TestSolveBatch:
         batch = solve_batch(op, transform, y, alphas, tol=1e-9, max_iter=max_iter, x0=x0)
         for j, alpha in enumerate(alphas):
             start = None if x0 is None else x0[:, j]
-            try:
-                single, converged = solve(LassoProblem(op, y[:, j], alpha, transform),
-                                          tol=1e-9, max_iter=max_iter, x0=start), True
-            except ConvergenceError as exc:
-                single, converged = exc.last, False
-            assert batch.converged[j] == converged
-            assert batch.iterations[j] == single.iterations
-            assert np.abs(batch.x[:, j] - single.x).max() <= 1e-8
-            assert np.abs(batch.gamma[:, j] - single.gamma).max() <= 1e-8
-            assert batch.kkt_residual[j] == pytest.approx(single.kkt_residual, rel=1e-6, abs=1e-12)
+            single = solve_one(op, transform, y[:, j], alpha, tol=1e-9, max_iter=max_iter, x0=start)
+            assert batch.converged[j] == single.converged[0]
+            assert batch.iterations[j] == single.iterations[0]
+            assert np.abs(batch.x[:, j] - single.x[:, 0]).max() <= 1e-8
+            assert np.abs(batch.gamma[:, j] - single.gamma[:, 0]).max() <= 1e-8
+            assert batch.kkt_residual[j] == pytest.approx(single.kkt_residual[0], rel=1e-6, abs=1e-12)
         if kind == "diff1d":
             assert not batch.converged.all() and batch.converged.any()
             assert (batch.iterations[~batch.converged] == max_iter).all()
@@ -201,10 +211,9 @@ class TestSolveBatch:
 
     def test_kkt_within_tolerance_bound_per_column(self):
         for trial in range(5):
-            problem = random_problem(trial + 40)
-            y = np.column_stack([random_problem(trial + 40 + k).y for k in range(4)])
-            batch = solve_batch(problem.operator, problem.transform, y,
-                                [0.01, 0.1, 0.5, 2.0], tol=1e-8)
+            op, transform, _ = random_problem(trial + 40)
+            y = np.column_stack([random_problem(trial + 40 + k)[2] for k in range(4)])
+            batch = solve_batch(op, transform, y, [0.01, 0.1, 0.5, 2.0], tol=1e-8)
             assert batch.converged.all()
             bound = 10 * 1e-8 * (1 + np.linalg.norm(y, axis=0))
             assert (batch.kkt_residual <= bound).all()
@@ -223,10 +232,14 @@ class TestSolveBatch:
             solve_batch(op, transform, y, alphas[:-1])
         with pytest.raises(ValueError):
             solve_batch(op, transform, y, -alphas)
+        with pytest.raises(ValueError, match="positive and finite"):
+            solve_batch(op, transform, y, np.full(5, np.inf))
         with pytest.raises(ValueError):
             solve_batch(op, transform, y[:, 0], alphas[:1])
-        with pytest.raises(ValueError, match="single column"):
-            solve_batch(op, transform, y, alphas, trace=np.empty(20000))
+        with pytest.raises(ValueError):
+            solve_batch(op, transform, y[:-1], alphas)
+        with pytest.raises(ValueError, match="as wide as the operator"):
+            solve_batch(op, SparsifyingTransform.identity(op.n + 1), y, alphas)
 
 
 def bvls_reference(op, transform, y, alpha):
@@ -279,18 +292,32 @@ def staggered_case():
     return op, SparsifyingTransform.diff1d(7), y, alphas
 
 
-def reference_admm_objectives(problem, steps):
+def tiny_row_case():
+    """Twenty columns with n = 1, m = 4 and a six-row custom W whose first
+    row has norm 5.4e-4.  That row's entry of z stays at 0 long after Wx
+    has left 0, so for two of the columns the sign pattern of z never
+    reaches the optimal one within 20,000 steps; the sign pattern of Wx
+    does."""
+    rng = rng_for(82)
+    a = rng.standard_normal((4, 1))
+    w = rng.standard_normal((6, 1))
+    w[0] *= 5.4e-4 / np.linalg.norm(w[0])
+    y = rng.standard_normal((4, 20))
+    return DenseOperator(a), SparsifyingTransform.custom(w), y, rng.uniform(0.05, 2.0, 20)
+
+
+def reference_admm_objectives(op, transform, y, alpha, steps):
     """Objective of the x-iterate of each of the first ``steps`` ADMM steps,
     one plain step at a time: x from the normal equations, then the
     soft-threshold and the dual update."""
-    a, w, y, alpha = problem.operator.entries, problem.transform.matrix, problem.y, problem.alpha
+    a, w = op.entries, transform.matrix
     rho = lasso.KAPPA * alpha
     normal = 2.0 * a.T @ a + rho * w.T @ w
     z = u = np.zeros(w.shape[0])
     objectives = []
     for _ in range(steps):
         x = np.linalg.solve(normal, 2.0 * a.T @ y + rho * w.T @ (z - u))
-        objectives.append(problem.objective(x))
+        objectives.append(objective(op, transform, y, alpha, x))
         z = soft(w @ x + u, alpha / rho)
         u = u + w @ x - z
     return np.array(objectives)
@@ -338,13 +365,24 @@ class TestEngineMatchesReference:
         assert (batch.iterations % lasso.POLISH_EVERY == 0).all()
         assert np.unique(batch.iterations).size >= 3
 
-    def test_single_column_objective_trace(self, budget):
-        problem = random_problem(21, alpha=0.3)
-        sol = solve(problem, tol=1e-10)
-        reference = reference_admm_objectives(problem, sol.iterations)
-        assert sol.iterations > 0 and sol.objective_trace.shape == reference.shape
-        assert np.allclose(sol.objective_trace, reference, rtol=1e-9, atol=0.0)
-        assert (sol.objective_trace >= sol.objective * (1 - 1e-12)).all()
+    def test_row_of_w_with_tiny_norm(self, budget):
+        op, transform, y, alphas = tiny_row_case()
+        batch = solve_batch(op, transform, y, alphas, tol=1e-10)
+        assert batch.converged.all() and batch.certified.any()
+        assert_certified_exact(batch, op, transform, y, alphas, 1e-10)
+        assert deviations(batch, op, transform, y, alphas).max() <= 1e-7
+
+    def test_capped_iterates_follow_plain_admm(self, budget):
+        # a column stopped by its cap k returns the x-update of its (z, u)
+        # after k steps, which is the x-iterate of plain ADMM's step k + 1
+        problem = random_problem(21)
+        sol = solve_one(*problem, 0.3, tol=1e-10)
+        steps = int(sol.iterations[0])
+        reference = reference_admm_objectives(*problem, 0.3, steps)
+        values, iterates = capped_objectives(*problem, 0.3, steps)
+        assert iterates.sum() >= 10
+        assert np.allclose(values[iterates], reference[1:][iterates], rtol=1e-9, atol=0.0)
+        assert (reference >= objective(*problem, 0.3, sol.x[:, 0]) * (1 - 1e-12)).all()
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), extra=st.integers(0, 3),
@@ -406,55 +444,71 @@ class TestPolish:
 
 class TestKktResidual:
     def test_hand_solution_is_stationary(self):
-        y = np.array([2.0, -0.5, 0.1])
-        problem = identity_problem(y, 1.0)
         x = np.array([1.5, 0.0, 0.0])
         gamma = np.array([1.0, -1.0, 0.2])  # interior values chosen per optimality
-        assert kkt_residual(problem, x, gamma) <= 1e-10
+        assert kkt_absolute(*identity_problem([2.0, -0.5, 0.1]), 1.0, x, gamma) <= 1e-10
 
     def test_zero_everything(self):
-        problem = identity_problem(np.zeros(3), 0.5)
-        assert kkt_residual(problem, np.zeros(3), np.zeros(3)) == 0.0
+        assert kkt_absolute(*identity_problem(np.zeros(3)), 0.5, np.zeros(3), np.zeros(3)) == 0.0
 
     def test_non_optimal_point_is_flagged(self):
-        problem = identity_problem([2.0, -0.5, 0.1], 1.0)
-        assert kkt_residual(problem, np.array([2.0, 1.0, -1.0]), np.zeros(3)) > 0.1
+        problem = identity_problem([2.0, -0.5, 0.1])
+        assert kkt_absolute(*problem, 1.0, np.array([2.0, 1.0, -1.0]), np.zeros(3)) > 0.1
 
 
 class TestSubgradientBound:
     def test_holds_on_solved_instances(self):
-        for problem in (identity_problem([2.0, -0.5, 0.1], 1.0),
-                        random_problem(7),
-                        random_problem(8, kind="identity")):
-            sol = solve(problem)
-            assert subgradient_bound_check(problem, sol)
+        # alpha W^T gamma = -2 A^T (Ax - y) and ||Ax - y|| <= ||y|| at the
+        # optimum, so ||W^T gamma|| <= (2 / alpha) ||A|| ||y||
+        for (op, transform, y), alpha in ((identity_problem([2.0, -0.5, 0.1]), 1.0),
+                                          (random_problem(7), 0.1),
+                                          (random_problem(8, kind="identity"), 0.1)):
+            sol = solve_one(op, transform, y, alpha)
+            lhs = np.linalg.norm(transform.matrix.T @ sol.gamma[:, 0])
+            assert lhs <= 2.0 / alpha * operator_norm(op) * np.linalg.norm(y) + 1e-8
+
+
+def restarts(op, transform, y, alpha, count, seed):
+    """``count`` copies of one problem in one batch, column r started from
+    the standard normal draw of stream (seed, r); returns the batch and the
+    largest spread of Ax and of ||Wx||_1 across the columns."""
+    x0 = np.column_stack([rng_for(seed, r).standard_normal(op.n) for r in range(count)])
+    batch = solve_batch(op, transform, np.tile(y[:, None], count), np.full(count, alpha), x0=x0)
+    assert batch.converged.all()
+    images = op.entries @ batch.x
+    l1 = np.abs(transform.matrix @ batch.x).sum(axis=0)
+    spread_ax = np.linalg.norm(images[:, :, None] - images[:, None, :], axis=0).max()
+    return batch, spread_ax, np.ptp(l1)
 
 
 class TestInvariance:
+    """Minimizers share Ax and ||Wx||_1 even where x is not unique; the
+    spreads across restarts must stay within 1e-6 (1 + ||y||)."""
+
     def test_unique_minimizer_agrees_everywhere(self):
-        problem = random_problem(31, n=8, m=12, alpha=0.2)
-        report = solution_invariance_check(problem, restarts=3, seed=0)
-        assert report.passed
+        op, transform, y = random_problem(31, n=8, m=12)
+        batch, spread_ax, spread_l1 = restarts(op, transform, y, 0.2, 3, seed=0)
+        assert max(spread_ax, spread_l1) <= 1e-6 * (1.0 + np.linalg.norm(y))
+        assert np.abs(batch.x - batch.x[:, :1]).max() <= 1e-6
 
     def test_rank_deficient_shares_image_and_l1(self):
         # nullspace direction (1, -1, 0): minimizers form a segment
         a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         op = DenseOperator(a / np.linalg.norm(a, 2))
-        problem = LassoProblem(op, np.array([2.0, -1.0]), 0.05,
-                               SparsifyingTransform.identity(3))
-        report = solution_invariance_check(problem, restarts=5, seed=3)
-        assert report.passed
+        y = np.array([2.0, -1.0])
+        batch, spread_ax, spread_l1 = restarts(op, SparsifyingTransform.identity(3), y, 0.05,
+                                               5, seed=3)
+        assert max(spread_ax, spread_l1) <= 1e-6 * (1.0 + np.linalg.norm(y))
         # LP oracle: the shared l1 value solves min ||x||_1 s.t. Ax = u*
-        sol = solve(problem, tol=1e-10)
-        u_star = op.entries @ sol.x
+        x = batch.x[:, 0]
         res = scipy.optimize.linprog(
             c=np.ones(6),
             A_eq=np.hstack([op.entries, -op.entries]),
-            b_eq=u_star,
+            b_eq=op.entries @ x,
             bounds=[(0, None)] * 6,
         )
         assert res.success
-        assert abs(np.abs(sol.x).sum() - res.fun) <= 1e-6
+        assert abs(np.abs(x).sum() - res.fun) <= 1e-6
 
     def test_operator_and_transform_share_a_null_direction(self):
         # A 1 = 0 and W 1 = 0 under diff1d: the ADMM matrix and every polish
@@ -463,28 +517,29 @@ class TestInvariance:
         a -= a.mean(axis=1, keepdims=True)
         op = DenseOperator(a / np.linalg.norm(a, 2))
         assert np.abs(op.entries @ np.ones(8)).max() <= 1e-14
-        problem = LassoProblem(op, rng_for(35).standard_normal(12), 0.05,
-                               SparsifyingTransform.diff1d(8))
-        report = solution_invariance_check(problem, restarts=4, seed=1)
-        assert report.passed
-        assert kkt_residual(problem, solve(problem).x, solve(problem).gamma) <= 1e-9
+        y = rng_for(35).standard_normal(12)
+        batch, spread_ax, spread_l1 = restarts(op, SparsifyingTransform.diff1d(8), y, 0.05,
+                                               4, seed=1)
+        assert max(spread_ax, spread_l1) <= 1e-6 * (1.0 + np.linalg.norm(y))
+        assert (batch.kkt_residual <= 1e-9).all()
 
     def test_identical_seeds_identical_solutions(self):
-        problem = random_problem(32, n=6, m=9)
-        a = solution_invariance_check(problem, restarts=2, seed=5)
-        b = solution_invariance_check(problem, restarts=2, seed=5)
-        assert a == b
+        op, transform, y = random_problem(32, n=6, m=9)
+        first, _, _ = restarts(op, transform, y, 0.1, 2, seed=5)
+        second, _, _ = restarts(op, transform, y, 0.1, 2, seed=5)
+        assert np.array_equal(first.x, second.x) and np.array_equal(first.gamma, second.gamma)
 
-    def test_needs_two_restarts(self):
-        with pytest.raises(ValueError):
-            solution_invariance_check(random_problem(33), restarts=1, seed=0)
+
+def search(op, transform, tuples, grid, **kwargs):
+    """The grid search over one set of tuples."""
+    return grid_search_alphas(op, transform, [tuples], grid, **kwargs)[0]
 
 
 class TestGridSearch:
     def test_singleton_grid(self, op50):
         transform = SparsifyingTransform.identity(50)
         x = np.zeros(50)
-        result = grid_search_alpha(op50, transform, [(x, np.zeros(50))], [0.7])
+        result = search(op50, transform, [(x, np.zeros(50))], [0.7])
         assert result.alpha_star == 0.7
 
     def test_noiseless_prefers_smallest_alpha(self):
@@ -495,63 +550,58 @@ class TestGridSearch:
         transform = SparsifyingTransform.identity(8)
         x = rng.standard_normal(8)
         tuples = [(x, a @ x)]
-        result = grid_search_alpha(op, transform, tuples, [1e-6, 0.05, 0.5],
-                                   tol=1e-11, max_iter=100000)
+        result = search(op, transform, tuples, [1e-6, 0.05, 0.5], tol=1e-11, max_iter=100000)
         assert result.alpha_star == 1e-6
 
     def test_duplicate_entries_take_first(self):
-        problem_y = np.zeros(4)
         op = DenseOperator(np.eye(4))
         transform = SparsifyingTransform.identity(4)
-        result = grid_search_alpha(op, transform, [(np.zeros(4), problem_y)], [0.3, 0.3])
+        result = search(op, transform, [(np.zeros(4), np.zeros(4))], [0.3, 0.3])
         assert result.alpha_star == 0.3
         assert len(result.errors) == 2
 
     def test_failures_recorded_and_all_failed_raises(self):
-        problem = random_problem(55)
-        op, transform = problem.operator, problem.transform
-        tuples = [(np.zeros(16), problem.y)]
-        result = grid_search_alpha(op, transform, tuples, [0.1, 0.2],
-                                   tol=1e-14, max_iter=200000)
+        op, transform, y = random_problem(55)
+        tuples = [(np.zeros(16), y)]
+        result = search(op, transform, tuples, [0.1, 0.2], tol=1e-14, max_iter=200000)
         assert not result.failures
         with pytest.raises(RuntimeError, match="failed"):
-            grid_search_alpha(op, transform, tuples, [0.1], tol=1e-14, max_iter=2)
+            search(op, transform, tuples, [0.1], tol=1e-14, max_iter=2)
 
     def test_one_failing_tuple_fails_the_cell(self):
         # at alpha 0.01 the third tuple is certified after 100 steps, the
         # others after at most 50; at alphas 0.1 and 1 every tuple needs at
         # most 50
-        problem = random_problem(0)
-        op, transform = problem.operator, problem.transform
-        tuples = [(np.zeros(16), np.zeros(24)), (np.zeros(16), problem.y),
-                  (np.ones(16), 0.1 * problem.y)]
-        result = grid_search_alpha(op, transform, tuples, [0.01, 0.1, 1.0], max_iter=50)
+        op, transform, y = random_problem(0)
+        tuples = [(np.zeros(16), np.zeros(24)), (np.zeros(16), y), (np.ones(16), 0.1 * y)]
+        result = search(op, transform, tuples, [0.01, 0.1, 1.0], max_iter=50)
         assert [alpha for alpha, _ in result.failures] == [0.01]
         assert result.failures[0][1].startswith("no convergence after 50 iterations (residual ")
         assert result.solution.converged.sum() == 8
         assert [alpha for alpha, _ in result.errors] == [0.1, 1.0]
         for alpha, mean_err in result.errors:
-            errs = [np.linalg.norm(solve(LassoProblem(op, y, alpha, transform)).x - x) / 4.0
-                    for x, y in tuples]
+            errs = [np.linalg.norm(solve_one(op, transform, data, alpha).x[:, 0] - x) / 4.0
+                    for x, data in tuples]
             assert mean_err == pytest.approx(np.mean(errs), rel=1e-12)
 
     def test_sets_share_one_batch_and_match_separate_searches(self):
-        problem = random_problem(56)
-        op, transform = problem.operator, problem.transform
-        sets = [[(np.zeros(16), problem.y)],
-                [(np.zeros(16), 0.5 * problem.y), (np.ones(16), -problem.y)]]
+        op, transform, y = random_problem(56)
+        sets = [[(np.zeros(16), y)],
+                [(np.zeros(16), 0.5 * y), (np.ones(16), -y)]]
         together = grid_search_alphas(op, transform, sets, [0.05, 0.5])
         for tuples, result in zip(sets, together):
-            alone = grid_search_alpha(op, transform, tuples, [0.05, 0.5])
+            alone = search(op, transform, tuples, [0.05, 0.5])
             assert (result.alpha_star, result.failures) == (alone.alpha_star, alone.failures)
             assert np.allclose(result.errors, alone.errors, rtol=1e-12, atol=0.0)
 
     def test_empty_inputs_rejected(self, op50):
         transform = SparsifyingTransform.identity(50)
         with pytest.raises(ValueError):
-            grid_search_alpha(op50, transform, [], [0.1])
+            grid_search_alphas(op50, transform, [], [0.1])
         with pytest.raises(ValueError):
-            grid_search_alpha(op50, transform, [(np.zeros(50), np.zeros(50))], [])
+            search(op50, transform, [], [0.1])
+        with pytest.raises(ValueError):
+            search(op50, transform, [(np.zeros(50), np.zeros(50))], [])
 
 
 class TestAlphaRule:
@@ -570,8 +620,10 @@ class TestAlphaRule:
             AlphaRule(())
         with pytest.raises(ValueError):
             AlphaRule(((0.2, 1.0), (0.1, 2.0)))
-        with pytest.raises(ValueError):
-            AlphaRule(((0.1, 0.0),))
+        for knots in (((0.1, 0.0),), ((0.1, np.inf),), ((0.1, np.nan),), ((np.nan, 0.1),),
+                      ((0.1, 1.0), (np.inf, 2.0))):
+            with pytest.raises(ValueError, match="finite"):
+                AlphaRule(knots)
 
     def test_csv_roundtrip(self, tmp_path):
         rule = AlphaRule(((0.001, 0.02), (0.1, 0.7)))
@@ -581,19 +633,38 @@ class TestAlphaRule:
         assert header == "delta,alpha"
 
 
+def solution_map_rate(op, transform, y, alpha, n_probes, radius, seed):
+    """Largest observed ``||x(y + r d) - x(y)|| / r`` over unit Gaussian
+    directions d and radii r in [radius/2, radius], probe p drawn from
+    stream (seed, p), with the base and every probe in one batch.  An
+    empirical lower estimate of the stability constant of the solution
+    map, not an upper bound."""
+    columns, radii = [y], []
+    for p in range(n_probes):
+        rng = rng_for(seed, p)
+        direction = rng.standard_normal(y.size)
+        direction /= np.linalg.norm(direction)
+        radii.append(radius * rng.uniform(0.5, 1.0))
+        columns.append(y + radii[-1] * direction)
+    batch = solve_batch(op, transform, np.column_stack(columns), np.full(n_probes + 1, alpha),
+                        max_iter=50000)
+    assert batch.converged.all()
+    return max(np.linalg.norm(batch.x[:, p + 1] - batch.x[:, 0]) / r for p, r in enumerate(radii))
+
+
 class TestEmpiricalLipschitz:
     def test_separable_prox_is_nonexpansive(self):
-        problem = identity_problem([1.5, -0.2, 0.8, 0.05], 0.5)
-        rate = empirical_lipschitz(problem, n_probes=15, radius=0.5, seed=2)
+        problem = identity_problem([1.5, -0.2, 0.8, 0.05])
+        rate = solution_map_rate(*problem, 0.5, n_probes=15, radius=0.5, seed=2)
         assert rate <= 1.0 + 1e-6
 
     def test_huge_penalty_pins_solution(self):
-        problem = identity_problem([0.3, -0.1], 50.0)
-        rate = empirical_lipschitz(problem, n_probes=5, radius=0.2, seed=3)
+        problem = identity_problem([0.3, -0.1])
+        rate = solution_map_rate(*problem, 50.0, n_probes=5, radius=0.2, seed=3)
         assert rate <= 1e-8
 
     def test_bounded_by_inverse_smallest_singular_value(self):
-        problem = random_problem(66, n=6, m=10, alpha=0.2, kind="identity")
-        sigma_min = compute_svd(problem.operator).sigma[-1]
-        rate = empirical_lipschitz(problem, n_probes=10, radius=0.3, seed=4)
+        op, transform, y = random_problem(66, n=6, m=10, kind="identity")
+        sigma_min = compute_svd(op).sigma[-1]
+        rate = solution_map_rate(op, transform, y, 0.2, n_probes=10, radius=0.3, seed=4)
         assert rate <= (1.0 + 1e-3) / sigma_min
