@@ -109,6 +109,15 @@ class TestTransforms:
         assert t.norm == float(np.linalg.norm(w, 2))
         assert SparsifyingTransform.custom(np.zeros((0, 3))).norm == 0.0
 
+    def test_problem_validation(self):
+        op = DenseOperator(np.eye(3))
+        with pytest.raises(ValueError):
+            solve_one(op, SparsifyingTransform.identity(3), np.zeros(3), 0.0)
+        with pytest.raises(ValueError):
+            solve_one(op, SparsifyingTransform.identity(3), np.zeros(4), 0.1)
+        with pytest.raises(ValueError):
+            solve_one(op, SparsifyingTransform.identity(4), np.zeros(3), 0.1)
+
 
 class TestSolve:
     def test_separable_hand_solution(self):
