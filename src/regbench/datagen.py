@@ -5,6 +5,11 @@ generator, so datasets are bit-reproducible regardless of evaluation order.
 Sample s is drawn from the stream ``(seed, s)``; its measurement noise is
 one standard-normal block from ``(seed, NOISE_TAG, s)`` (see
 :func:`noise_block`).
+
+A dataset is a truth matrix, sample s in column s.  Generated data
+(:func:`sample_source_data`) comes with each sample's source constant;
+images (:func:`load_idx_images`, :func:`phantom_images`) are loaded one per
+row and carry none.
 """
 
 from __future__ import annotations
@@ -31,25 +36,11 @@ def rng_for(master_seed: int, *path: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class SourceSample:
-    """Ground truth generated through the adjoint: ``x_true = A* z``.
-
-    ``rho`` is the weighted norm of the source element ``z`` and is the
-    per-sample constant entering the worst-case bounds.
-    """
-
-    x_true: np.ndarray
-    z: np.ndarray
-    rho: float
-
-
-@dataclass(frozen=True)
 class Basis:
     """Orthonormal column family used for restricted reconstruction."""
 
     kind: str
     vectors: np.ndarray
-    permutation: np.ndarray | None = None
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vectors, dtype=float))
@@ -61,66 +52,32 @@ class Basis:
         return self.vectors.shape[1]
 
 
-@dataclass(frozen=True)
-class SubspaceSpec:
-    """Selected singular-mode indices (0-based, distinct) spanning the data."""
+def sample_source_data(op: DenseOperator, count: int, seed: int,
+                       indices=None) -> tuple[np.ndarray, np.ndarray]:
+    """Draw truths fulfilling the source condition ``x = A* z``.
 
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if len(set(idx)) != len(idx):
-            raise ValueError("subspace indices must be distinct")
-        if any(i < 0 for i in idx):
-            raise ValueError("subspace indices must be nonnegative")
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def n_dim(self) -> int:
-        return len(self.indices)
-
-
-def sample_source_data(op: DenseOperator, count: int, seed: int) -> list[SourceSample]:
-    """Draw samples fulfilling the source condition.
-
-    Each source element mixes all left singular vectors with independent
-    uniform [-1, 1] coefficients; the ground truth is its adjoint image.
+    Sample i's source element ``z`` mixes the left singular vectors with
+    independent uniform [-1, 1] coefficients from the stream ``(seed, i)``:
+    all of them, or only the modes at ``indices`` (subspace data).  Returns
+    the truths as the columns of a C-contiguous ``(n, count)`` matrix and
+    each sample's source constant, the weighted norm of its ``z``, as a
+    ``(count,)`` array.
     """
     svd = compute_svd(op)
     u = svd.left_vectors
-    samples = []
+    if indices is not None:
+        idx = np.asarray(indices, dtype=int)
+        if idx.size and not 0 <= idx.min() <= idx.max() < svd.n_modes:
+            raise ValueError("subspace indices must lie in [0, number of singular modes)")
+        # selecting columns makes a Fortran-ordered copy whose products round
+        # differently, so the all-modes case must keep u itself
+        u = u[:, idx]
+    truths, rho = np.empty((op.n, count)), np.empty(count)
     for i in range(count):
-        d = rng_for(seed, i).uniform(-1.0, 1.0, size=svd.n_modes)
-        z = u @ d
-        x = apply_adjoint(op, z)
-        samples.append(SourceSample(x_true=x, z=z, rho=weighted_norm(z)))
-    return samples
-
-
-def sample_subspace_data(op: DenseOperator, spec: SubspaceSpec, count: int,
-                         seed: int) -> list[SourceSample]:
-    """Source-condition samples restricted to the selected singular modes."""
-    svd = compute_svd(op)
-    idx = np.asarray(spec.indices)
-    if idx.size and idx.max() >= svd.n_modes:
-        raise ValueError("subspace index exceeds the number of singular modes")
-    u = svd.left_vectors[:, idx]
-    samples = []
-    for i in range(count):
-        d = rng_for(seed, i).uniform(-1.0, 1.0, size=idx.size)
-        z = u @ d
-        x = apply_adjoint(op, z)
-        samples.append(SourceSample(x_true=x, z=z, rho=weighted_norm(z)))
-    return samples
-
-
-def sample_basis_coefficient_data(basis: Basis, n_dim: int, count: int,
-                                  seed: int) -> list[np.ndarray]:
-    """Samples with uniform [-1, 1] coefficients on the first n_dim basis vectors."""
-    if n_dim > basis.size:
-        raise ValueError("n_dim exceeds the basis size")
-    b = basis.vectors[:, :n_dim]
-    return [b @ rng_for(seed, i).uniform(-1.0, 1.0, size=n_dim) for i in range(count)]
+        z = u @ rng_for(seed, i).uniform(-1.0, 1.0, size=u.shape[1])
+        truths[:, i] = apply_adjoint(op, z)
+        rho[i] = weighted_norm(z)
+    return truths, rho
 
 
 # Key position of the measurement-noise streams: ``(seed, NOISE_TAG, sample)``.
@@ -140,43 +97,32 @@ def noise_block(seed: int, sample: int, realizations: int, size: int) -> np.ndar
     return rng_for(seed, NOISE_TAG, sample).standard_normal((realizations, size))
 
 
-@dataclass(frozen=True)
-class SourceConstantEstimate:
-    """Per-sample source constants recovered through the adjoint pseudoinverse.
+# modes with sigma_j <= PINV_REL_TOL * sigma_1 are never inverted when
+# recovering source elements
+PINV_REL_TOL = 1e-10
 
-    ``residuals`` holds ||x - A* (A*)^+ x||_2 per sample; for data that
-    satisfies the source condition on the retained range it is ~0, for real
-    images it is reported rather than asserted.
+
+def estimate_source_constant(op: DenseOperator, truths: np.ndarray) -> np.ndarray:
+    """Per-sample source constants of the columns of an ``(n, count)`` truth
+    matrix: the weighted norm of each minimum-norm source element
+    ``(A*)^+ x``.  On data that satisfies the source condition these are
+    the true constants; a dataset's constant is their mean.
     """
-
-    mean: float
-    maximum: float
-    values: np.ndarray
-    residuals: np.ndarray
-
-
-def estimate_source_constant(op: DenseOperator, samples, rel_tol: float = 1e-10) -> SourceConstantEstimate:
-    """Estimate the source constant as the mean (and max) of per-sample norms."""
-    if len(samples) == 0:
+    if truths.shape[1] == 0:
         raise ValueError("need at least one sample")
-    x = np.column_stack([np.asarray(getattr(sample, "x_true", sample), dtype=float)
-                         for sample in samples])
-    z_min = pinv_adjoint_apply(op, x, rel_tol)
-    values = np.linalg.norm(z_min, axis=0) / math.sqrt(op.m)
-    residuals = np.linalg.norm(x - apply_adjoint(op, z_min), axis=0)
-    return SourceConstantEstimate(mean=float(values.mean()), maximum=float(values.max()),
-                                  values=values, residuals=residuals)
+    return np.linalg.norm(pinv_adjoint_apply(op, truths, PINV_REL_TOL), axis=0) / math.sqrt(op.m)
 
 
 def pca_basis(data, n_components: int) -> Basis:
-    """Top principal components of mean-centered data, variance-ordered.
+    """Top principal components of mean-centered data, one sample per row,
+    variance-ordered.
 
     Component signs follow the same first-significant-entry-positive
-    convention as the operator SVD.
+    convention as the operator SVD.  Non-contiguous ``data``, such as a
+    transposed truth matrix, is copied to C order first, since the SVD's
+    rounding depends on the layout.
     """
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 2:
-        x = np.vstack([np.asarray(row, dtype=float) for row in data])
+    x = np.ascontiguousarray(data, dtype=float)
     if n_components > x.shape[1]:
         raise ValueError("cannot extract more components than coordinates")
     if n_components > x.shape[0]:
@@ -191,10 +137,9 @@ def pca_basis(data, n_components: int) -> Basis:
 
 
 def coordinate_basis(n: int, seed: int) -> Basis:
-    """Randomly permuted unit vectors; the permutation is kept on the basis
-    so nested subspaces stay consistent across truncation levels."""
-    perm = rng_for(seed).permutation(n)
-    return Basis(kind="coordinate", vectors=np.eye(n)[:, perm], permutation=perm)
+    """Unit vectors in the order of the permutation drawn from the stream
+    ``(seed,)``, so nested subspaces stay consistent across truncation levels."""
+    return Basis(kind="coordinate", vectors=np.eye(n)[:, rng_for(seed).permutation(n)])
 
 
 def svd_basis(op: DenseOperator) -> Basis:
@@ -205,8 +150,9 @@ def svd_basis(op: DenseOperator) -> Basis:
 _IDX3_MAGIC = 0x00000803
 
 
-def load_idx_images(path) -> list[np.ndarray]:
-    """Load an IDX3 image file (big-endian), flattened row-major in [0, 1]."""
+def load_idx_images(path) -> np.ndarray:
+    """Load an IDX3 image file (big-endian) as a ``(count, rows * cols)``
+    array, one image per row flattened row-major, pixels scaled to [0, 1]."""
     data = Path(path).read_bytes()
     if len(data) < 16:
         raise ValueError(f"{path}: truncated IDX header")
@@ -217,29 +163,18 @@ def load_idx_images(path) -> list[np.ndarray]:
     if len(data) < need:
         raise ValueError(f"{path}: truncated IDX payload ({len(data)} < {need} bytes)")
     pixels = np.frombuffer(data[16:need], dtype=np.uint8).astype(float) / 255.0
-    size = rows * cols
-    return [pixels[i * size:(i + 1) * size].copy() for i in range(count)]
+    return pixels.reshape(count, rows * cols)
 
 
-def phantom_images(side: int, count: int, seed: int) -> list[np.ndarray]:
-    """Synthetic piecewise-constant images as an offline image stand-in."""
-    images = []
+def phantom_images(side: int, count: int, seed: int) -> np.ndarray:
+    """Synthetic piecewise-constant images as an offline image stand-in,
+    one ``side x side`` image per row, flattened row-major."""
+    images = np.zeros((count, side * side))
     for i in range(count):
         rng = rng_for(seed, i)
-        img = np.zeros((side, side))
+        img = images[i].reshape(side, side)
         for _ in range(int(rng.integers(2, 5))):
             r0, r1 = np.sort(rng.integers(0, side, size=2))
             c0, c1 = np.sort(rng.integers(0, side, size=2))
             img[r0:r1 + 1, c0:c1 + 1] = rng.uniform(0.2, 1.0)
-        images.append(img.ravel())
     return images
-
-
-def export_samples_csv(vectors, path) -> None:
-    """Write vectors as long-format CSV: sample_id,component,value."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("sample_id,component,value\n")
-        for sid, vec in enumerate(vectors):
-            vec = np.asarray(getattr(vec, "x_true", vec), dtype=float)
-            for comp, value in enumerate(vec):
-                fh.write(f"{sid},{comp},{float(value)!r}\n")

@@ -67,7 +67,6 @@ def scan(op: DenseOperator, basis: Basis, x_true: np.ndarray,
     levels at or above ``CONSENSUS_DELTA_MIN`` (all levels when none
     qualify).
     """
-    x_true = np.asarray(x_true, dtype=float)
     method, m_grid, deltas = config.method, config.method.m_grid, config.grid.delta
     block = noise_block(config.seed, 0, config.grid.realizations + 1, op.m)
     if method.exact_truth:

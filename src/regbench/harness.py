@@ -37,7 +37,6 @@ import numpy as np
 
 from . import __version__
 from .datagen import (
-    SourceSample,
     coordinate_basis,
     estimate_source_constant,
     load_idx_images,
@@ -46,9 +45,7 @@ from .datagen import (
     phantom_images,
     rng_for,
     sample_source_data,
-    sample_subspace_data,
     svd_basis,
-    SubspaceSpec,
 )
 from .dimscan import DimScanResult, scan
 from .lasso import (
@@ -117,14 +114,15 @@ class DataSpec:
     n_dim: int = 8
     indices: tuple[int, ...] | None = None
     path: str | None = None
-    side: int = 16
 
     def __post_init__(self):
         _check(self.kind in ("source", "subspace", "idx", "phantom"), f"unknown data kind {self.kind!r}")
         _check(self.count >= 1, "need at least one sample")
-        _check(self.indices is None or (len(set(self.indices)) == len(self.indices)
-                                        and min(self.indices, default=0) >= 0),
-               "indices must be distinct and nonnegative")
+        _check(self.n_dim >= 1, "n_dim must be at least 1")
+        _check(self.indices is None or (len(self.indices) >= 1
+                                        and len(set(self.indices)) == len(self.indices)
+                                        and min(self.indices) >= 0),
+               "indices must be nonempty, distinct and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -143,7 +141,6 @@ class GridSpec:
 class MethodSpec:
     kind: str = "tikhonov"
     rho: str | float = "estimate"
-    pinv_rel_tol: float = 1e-10
     alpha: float | None = None
     m_grid: tuple[int, ...] = (2, 4, 6, 8, 10, 12, 14, 16)
     basis: str = "svd"
@@ -264,30 +261,33 @@ def build_operator(spec: OperatorSpec) -> DenseOperator:
 
 
 def build_dataset(op: DenseOperator, spec: DataSpec, seed: int):
-    """Samples for the configured data protocol.
+    """Truths of the configured data protocol and their source constants.
 
-    Source and subspace protocols return SourceSample records (with true
-    source elements); image protocols return plain vectors.  A missing IDX
+    Returns ``(truths, rho)``: the samples as the columns of a C-contiguous
+    float ``(n, count)`` matrix, and for the generated protocols (``source``,
+    ``subspace``) each sample's source constant as a ``(count,)`` array;
+    ``rho`` is ``None`` for images (``idx``, ``phantom``).  A missing IDX
     file falls back to synthetic phantoms so runs stay offline-safe.
     """
     if spec.kind == "source":
         return sample_source_data(op, spec.count, seed)
     if spec.kind == "subspace":
         key, indices = ("n_dim", range(spec.n_dim)) if spec.indices is None else ("indices", spec.indices)
-        _check(max(indices, default=-1) < min(op.shape),
+        _check(max(indices) < min(op.shape),
                f"[data] {key} needs modes beyond the operator's {min(op.shape)} singular modes")
-        return sample_subspace_data(op, SubspaceSpec(indices), spec.count, seed)
+        return sample_source_data(op, spec.count, seed, indices)
     if spec.kind == "idx" and spec.path and Path(spec.path).exists():
         images = _read(load_idx_images, spec.path)[:spec.count]
         if len(images) < spec.count:
             raise ConfigError(f"{spec.path}: fewer than {spec.count} images")
-        if len(images[0]) != op.n:
-            raise ConfigError(f"{spec.path}: image size {len(images[0])} != operator width {op.n}")
-        return images
-    side = int(round(op.n ** 0.5))
-    if side * side != op.n:
-        raise ConfigError(f"{spec.kind} data needs a square image operator")
-    return phantom_images(side, spec.count, seed)
+        if images.shape[1] != op.n:
+            raise ConfigError(f"{spec.path}: image size {images.shape[1]} != operator width {op.n}")
+    else:
+        side = int(round(op.n ** 0.5))
+        if side * side != op.n:
+            raise ConfigError(f"{spec.kind} data needs a square image operator")
+        images = phantom_images(side, spec.count, seed)
+    return np.ascontiguousarray(images.T), None
 
 
 @dataclass(frozen=True)
@@ -320,17 +320,17 @@ def run_mismatch_grid(config: ExperimentConfig,
 
     The source constant is either estimated from the data through the
     adjoint pseudoinverse, supplied as a number, or taken per sample from
-    the true source elements (``rho = per-sample``, only for generated
-    data).  Cells where the tuning level exceeds the source constant use
-    the zero reconstruction and are flagged through the sentinel fraction
-    and an ``inf`` alpha in the CSV.
+    the generated data (``rho = per-sample``).  Cells where the tuning
+    level exceeds the source constant use the zero reconstruction and are
+    flagged through the sentinel fraction and an ``inf`` alpha in the CSV.
 
     Every cell works in spectral coefficients: with ``f = s / (s^2 + alpha)``
     the error of sample x at noise level delta and noise draw g is
     ``sqrt(||f (U^T y + delta U^T g) - V^T x||^2 + ||(I - V V^T) x||^2) / sqrt(n)``,
     the last term being the part of x outside the operator's row space.
     Realized noise levels are checked against the worst-case bound one
-    realization at a time when the samples carry their source elements.
+    realization at a time on generated data, which has per-sample source
+    constants.
     """
     if config.method.kind not in ("tikhonov", "lasso"):
         raise ConfigError(f"mismatch grid supports tikhonov or lasso, not {config.method.kind!r}")
@@ -342,25 +342,20 @@ def run_mismatch_grid(config: ExperimentConfig,
     # rule clamps to its first knot instead
     if min(config.grid.delta_bar) <= 0:
         raise ConfigError("delta_bar must be positive for the tikhonov grid")
-    samples = build_dataset(op, config.data, config.seed)
+    x_mat, sample_rho = build_dataset(op, config.data, config.seed)
+    count = x_mat.shape[1]
     svd = compute_svd(op)
-
-    have_z = bool(samples) and isinstance(samples[0], SourceSample)
-    x_mat = np.column_stack([np.asarray(getattr(s, "x_true", s), dtype=float) for s in samples])
 
     rho_spec = config.method.rho
     if rho_spec == "per-sample":
-        if not have_z:
+        if sample_rho is None:
             raise ConfigError("rho = per-sample needs generated source data")
-        rho_values = [s.rho for s in samples]
+        rho_values = sample_rho
         rho_overlay = float(np.mean(rho_values))
-    elif rho_spec == "estimate":
-        est = estimate_source_constant(op, samples, config.method.pinv_rel_tol)
-        rho_values = [est.mean] * len(samples)
-        rho_overlay = est.mean
     else:
-        rho_values = [float(rho_spec)] * len(samples)
-        rho_overlay = float(rho_spec)
+        rho_overlay = (float(estimate_source_constant(op, x_mat).mean()) if rho_spec == "estimate"
+                       else float(rho_spec))
+        rho_values = [rho_overlay] * count
 
     bars, deltas = config.grid.delta_bar, np.asarray(config.grid.delta)
     realizations = config.grid.realizations
@@ -375,7 +370,7 @@ def run_mismatch_grid(config: ExperimentConfig,
     level_sum = 0.0
     violations = checked = 0
     min_margin = np.inf
-    for si in range(len(samples)):
+    for si in range(count):
         block = noise_block(config.seed, si, realizations, op.m)
         noise_coeff = u.T @ block.T
         level = np.linalg.norm(block, axis=1) / root_m
@@ -394,16 +389,16 @@ def run_mismatch_grid(config: ExperimentConfig,
                 errors = np.sqrt(np.sum(diff * diff, axis=1) + outside[si]) / root_n
                 bounds = wc_bound(rule_alpha, realized, rho_values[si])
             err_sum[bi] += errors.sum(axis=1)
-            if have_z:
+            if sample_rho is not None:
                 margin = bounds - errors
                 violations += int((margin < -1e-9).sum())
                 checked += margin.size
                 min_margin = min(min_margin, float(margin.min()))
 
-    count = len(samples) * realizations
-    return _assemble_grid(config, err_sum / count,
-                          np.tile(deltas * level_sum / count, (len(bars), 1)),
-                          np.tile(sentinels / len(samples), (1, len(deltas))), rho_overlay,
+    cells = count * realizations
+    return _assemble_grid(config, err_sum / cells,
+                          np.tile(deltas * level_sum / cells, (len(bars), 1)),
+                          np.tile(sentinels / count, (1, len(deltas))), rho_overlay,
                           violations=violations, checked=checked, min_margin=min_margin)
 
 
@@ -427,7 +422,8 @@ def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     problems: ``solves`` counts each problem once, however many bars share
     it.
     """
-    samples = build_dataset(op, config.data, config.seed)
+    x_mat, _ = build_dataset(op, config.data, config.seed)
+    count = x_mat.shape[1]
     transform = _build_transform(config.method.transform, op)
     if config.method.alpha_rule:
         rule = _read(AlphaRule.from_csv, config.method.alpha_rule)
@@ -436,7 +432,6 @@ def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     else:
         raise ConfigError("lasso method needs alpha or alpha_rule")
 
-    x_mat = np.column_stack([np.asarray(getattr(s, "x_true", s), dtype=float) for s in samples])
     y_mat = op.entries @ x_mat
     bars, deltas = config.grid.delta_bar, np.asarray(config.grid.delta)
     realizations = config.grid.realizations
@@ -449,8 +444,8 @@ def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     err_sum, solved = np.zeros((len(bars), len(deltas))), np.zeros((len(bars), len(deltas)))
     batches = []
     level_sum = 0.0
-    for first in range(0, len(samples), per_call):
-        chunk = range(first, min(first + per_call, len(samples)))
+    for first in range(0, count, per_call):
+        chunk = range(first, min(first + per_call, count))
         data = []
         for si in chunk:
             block = noise_block(config.seed, si, realizations, op.m)
@@ -467,12 +462,12 @@ def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
         batches.append(sol)
 
     solver = solver_totals(*batches)
-    realized = deltas * level_sum / (len(samples) * realizations)
-    est = estimate_source_constant(op, samples, config.method.pinv_rel_tol)
+    realized = deltas * level_sum / (count * realizations)
+    rho_overlay = float(estimate_source_constant(op, x_mat).mean())
     with np.errstate(invalid="ignore"):
         mean_errors = err_sum / solved
     return _assemble_grid(config, mean_errors, np.tile(realized, (len(bars), 1)),
-                          np.zeros((len(bars), len(deltas))), est.mean,
+                          np.zeros((len(bars), len(deltas))), rho_overlay,
                           alphas=np.tile(alphas[:, None], (1, len(deltas))), solver=solver)
 
 
@@ -536,18 +531,16 @@ def run_dim_experiment(config: ExperimentConfig,
         raise ConfigError("dim scan needs an explicit alpha")
     if op is None:
         op = build_operator(config.operator)
-    samples = build_dataset(op, config.data, config.seed)
+    truths, _ = build_dataset(op, config.data, config.seed)
     if config.method.basis == "svd":
         basis = svd_basis(op)
     elif config.method.basis == "coordinate":
         basis = coordinate_basis(op.n, config.seed)
     else:
-        vectors = [np.asarray(getattr(s, "x_true", s), dtype=float) for s in samples]
-        basis = pca_basis(vectors, min(op.n, len(vectors)))
+        basis = pca_basis(truths.T, min(truths.shape))
     if max(config.method.m_grid) > basis.size:
         raise ConfigError("m_grid exceeds the basis size")
-    x_true = np.asarray(getattr(samples[0], "x_true", samples[0]), dtype=float)
-    return scan(op, basis, x_true, config)
+    return scan(op, basis, truths[:, 0].copy(), config)
 
 
 def _fmt(value) -> str:
@@ -714,11 +707,13 @@ def _cmd_operator(args) -> int:
 
 
 def _cmd_wc_curve(args) -> int:
-    _check(args.rho > 0 and args.delta >= 0, "wc-curve needs --rho > 0 and --delta >= 0")
+    _check(0 < args.rho < math.inf and 0 <= args.delta < math.inf,
+           "wc-curve needs --rho > 0 and --delta >= 0, both finite")
     _check(args.points >= 1, "wc-curve needs --points >= 1")
     rule_alpha = optimal_alpha(args.delta, args.rho)
     grid = list(np.geomspace(1e-4, 1.0, args.points))
-    if rule_alpha is not ZERO_RECONSTRUCTION:
+    # noise-free data gives the rule's alpha 0, where the bound is undefined
+    if rule_alpha is not ZERO_RECONSTRUCTION and rule_alpha > 0:
         grid.append(rule_alpha)
     alphas = sorted(set(grid))
     bounds = [wc_bound(a, args.delta, args.rho) for a in alphas]
@@ -772,8 +767,8 @@ def _cmd_lasso_solve(args) -> int:
     config = _require_config(args)
     start = time.perf_counter()
     op = build_operator(config.operator)
-    samples = build_dataset(op, config.data, config.seed)
-    if not 0 <= args.sample < len(samples):
+    truths, _ = build_dataset(op, config.data, config.seed)
+    if not 0 <= args.sample < truths.shape[1]:
         raise ConfigError(f"sample index {args.sample} out of range")
     transform = _build_transform(config.method.transform, op)
     _check_levels((args.delta,))
@@ -781,7 +776,7 @@ def _cmd_lasso_solve(args) -> int:
     if alpha is None:
         raise ConfigError("lasso-solve needs --alpha or a method alpha")
     _check(0 < alpha < math.inf, f"--alpha must be positive and finite, not {alpha!r}")
-    x_true = np.asarray(getattr(samples[args.sample], "x_true", samples[args.sample]), dtype=float)
+    x_true = truths[:, args.sample].copy()
     y = apply(op, x_true) + args.delta * noise_block(config.seed, args.sample, 1, op.m)[0]
     sol = solve_batch(op, transform, y[:, None], [alpha])
     iterations = int(sol.iterations[0])
@@ -809,19 +804,17 @@ def _cmd_alpha_tune(args) -> int:
     config = _require_config(args)
     start = time.perf_counter()
     op = build_operator(config.operator)
-    samples = build_dataset(op, config.data, config.seed)
-    if not 1 <= args.tuples <= len(samples):
-        raise ConfigError(f"--tuples {args.tuples} outside [1, {len(samples)}]")
+    truths, _ = build_dataset(op, config.data, config.seed)
+    if not 1 <= args.tuples <= truths.shape[1]:
+        raise ConfigError(f"--tuples {args.tuples} outside [1, {truths.shape[1]}]")
     transform = _build_transform(config.method.transform, op)
     deltas, alphas = sorted(_floats(args.delta_grid)), _floats(args.alpha_grid)
     _check(deltas, "--delta-grid needs at least one level")
     _check_levels(deltas)
     _check(alphas and all(0 < a < math.inf for a in alphas),
            "--alpha-grid needs positive alphas, all finite")
-    truths = [np.asarray(getattr(sample, "x_true", sample), dtype=float)
-              for sample in samples[:args.tuples]]
     tuple_sets = [[(x, apply(op, x) + delta * rng_for(config.seed, di, si).standard_normal(op.m))
-                   for si, x in enumerate(truths)]
+                   for si, x in enumerate(np.ascontiguousarray(truths[:, :args.tuples].T))]
                   for di, delta in enumerate(deltas)]
     results = grid_search_alphas(op, transform, tuple_sets, alphas)
     wall = time.perf_counter() - start

@@ -65,7 +65,6 @@ class DenseOperator:
     """An m-by-n real operator stored densely (row-major)."""
 
     entries: np.ndarray
-    spectral_normalized: bool = False
     _svd: SvdSystem | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -121,11 +120,6 @@ def compute_svd(op: DenseOperator) -> SvdSystem:
     svd = SvdSystem(sigma=s, left_vectors=u, right_vectors=v)
     op._svd = svd
     return svd
-
-
-def operator_norm(op: DenseOperator) -> float:
-    """Spectral norm (largest singular value)."""
-    return float(compute_svd(op).sigma[0])
 
 
 def apply(op: DenseOperator, x: np.ndarray) -> np.ndarray:
@@ -187,7 +181,7 @@ def spectral_normalize(op: DenseOperator) -> DenseOperator:
     top = float(svd.sigma[0])
     if top == 0.0:
         raise ValueError("cannot normalize the zero operator")
-    return DenseOperator(op.entries / top, spectral_normalized=True,
+    return DenseOperator(op.entries / top,
                          _svd=SvdSystem(sigma=svd.sigma / top,
                                         left_vectors=svd.left_vectors,
                                         right_vectors=svd.right_vectors))
@@ -328,9 +322,8 @@ def load_operator(path) -> DenseOperator:
     The sidecar must hold the full singular system of this operator
     (``min(m, n)`` finite modes, singular values nonnegative and
     nonincreasing, orthonormal vectors with ``A V = U S``, all within
-    ``SIDECAR_TOL``) and nothing after it.  The normalization
-    flag is recovered by checking the spectral norm, so loading may trigger
-    one SVD when no sidecar exists.
+    ``SIDECAR_TOL``) and nothing after it.  Without a sidecar the SVD is
+    left to the first :func:`compute_svd`.
     """
     entries = load_matrix(path)
     op = DenseOperator(entries)
@@ -367,5 +360,4 @@ def load_operator(path) -> DenseOperator:
                 and np.abs(op.entries @ right - left * sigma).max() <= SIDECAR_TOL * sigma[0]):
             raise ValueError(f"{sidecar}: not an orthonormal singular system of the operator")
         op._svd = SvdSystem(sigma=sigma, left_vectors=left, right_vectors=right)
-    op.spectral_normalized = bool(abs(operator_norm(op) - 1.0) <= 1e-10)
     return op

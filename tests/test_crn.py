@@ -58,19 +58,18 @@ def reference_grid(config, draw=None):
     realizations are drawn per sample and the first ``R`` used."""
     op = build_operator(config.operator)
     svd = compute_svd(op)
-    samples = build_dataset(op, config.data, config.seed)
-    have_z = hasattr(samples[0], "z")
+    truths, sample_rho = build_dataset(op, config.data, config.seed)
+    count = truths.shape[1]
     if config.method.rho == "per-sample":
-        rhos = [s.rho for s in samples]
+        rhos = sample_rho
     else:
-        rhos = [datagen.estimate_source_constant(op, samples).mean] * len(samples)
+        rhos = [datagen.estimate_source_constant(op, truths).mean()] * count
     bars, deltas, reps = config.grid.delta_bar, config.grid.delta, config.grid.realizations
-    errors = np.zeros((len(bars), len(deltas), len(samples), reps))
+    errors = np.zeros((len(bars), len(deltas), count, reps))
     realized = np.zeros_like(errors)
     margins = []
     s = svd.sigma
-    for si, sample in enumerate(samples):
-        x = np.asarray(getattr(sample, "x_true", sample), dtype=float)
+    for si, x in enumerate(truths.T):
         y = op.entries @ x
         block = rng_for(config.seed, NOISE_TAG, si).standard_normal((draw or reps, op.m))[:reps]
         for bi, delta_bar in enumerate(bars):
@@ -85,7 +84,7 @@ def reference_grid(config, draw=None):
                     rec = filtered_solve(svd, s / (s * s + alpha), noisy)
                     errors[bi, di, si] = np.linalg.norm(rec - x[:, None], axis=0) / np.sqrt(op.n)
                     bounds = wc_bound(alpha, realized[bi, di, si], rhos[si])
-                if have_z:
+                if sample_rho is not None:
                     margins.append(bounds - errors[bi, di, si])
     margins = np.concatenate(margins) if margins else np.zeros(0)
     return errors.mean(axis=(2, 3)), realized.mean(axis=(2, 3)), margins
@@ -110,7 +109,7 @@ def test_integration_case_has_sentinels_and_wide_case_leaves_the_row_space():
     op = build_operator(WIDE_RADON.operator)
     assert op.m < op.n
     v = compute_svd(op).right_vectors
-    x = build_dataset(op, WIDE_RADON.data, WIDE_RADON.seed)[0]
+    x = build_dataset(op, WIDE_RADON.data, WIDE_RADON.seed)[0][:, 0]
     assert np.linalg.norm(x - v @ (v.T @ x)) > 0.1 * np.linalg.norm(x)
 
 
@@ -170,8 +169,7 @@ def reference_scan(config):
     realization) solved on its own through the restricted normal equations
     of the right singular vectors."""
     op = build_operator(config.operator)
-    first = build_dataset(op, config.data, config.seed)[0]
-    x = np.asarray(getattr(first, "x_true", first), dtype=float)
+    x = build_dataset(op, config.data, config.seed)[0][:, 0]
     right = compute_svd(op).right_vectors
     reps = config.grid.realizations
     block = rng_for(config.seed, NOISE_TAG, 0).standard_normal((reps + 1, op.m))

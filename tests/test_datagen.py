@@ -6,22 +6,18 @@ import pytest
 from regbench import datagen, dimscan
 from regbench.datagen import (
     NOISE_TAG,
-    Basis,
-    SubspaceSpec,
+    PINV_REL_TOL,
     coordinate_basis,
     estimate_source_constant,
-    export_samples_csv,
     load_idx_images,
     noise_block,
     pca_basis,
     phantom_images,
     rng_for,
-    sample_basis_coefficient_data,
     sample_source_data,
-    sample_subspace_data,
     svd_basis,
 )
-from regbench.harness import ConfigError, ExperimentConfig, GridSpec, MethodSpec
+from regbench.harness import ConfigError, DataSpec, ExperimentConfig, GridSpec, MethodSpec
 from regbench.linop import DenseOperator, apply_adjoint, compute_svd, weighted_norm
 from regbench.truncated import ExpectedErrorModel
 
@@ -51,77 +47,86 @@ class TestRng:
 
 class TestSourceData:
     def test_source_condition_holds(self, op50):
-        for s in sample_source_data(op50, 5, seed=0):
-            assert np.linalg.norm(s.x_true - apply_adjoint(op50, s.z)) <= 1e-10
-            assert s.rho == pytest.approx(weighted_norm(s.z), abs=1e-12)
+        # z_i rebuilt from the documented stream (seed, i) and all left vectors
+        truths, rho = sample_source_data(op50, 5, seed=0)
+        assert truths.shape == (50, 5) and rho.shape == (5,)
+        u = compute_svd(op50).left_vectors
+        for i in range(5):
+            z = u @ rng_for(0, i).uniform(-1.0, 1.0, size=50)
+            assert np.linalg.norm(truths[:, i] - apply_adjoint(op50, z)) <= 1e-10
+            assert rho[i] == pytest.approx(weighted_norm(z), abs=1e-12)
 
     def test_mean_rho_near_analytic_value(self, op50):
         # E[rho^2] = 1/3 for uniform coefficients, so the mean is ~0.577
-        samples = sample_source_data(op50, 50, seed=123)
-        mean_rho = np.mean([s.rho for s in samples])
-        assert 0.52 <= mean_rho <= 0.64
+        _, rho = sample_source_data(op50, 50, seed=123)
+        assert 0.52 <= rho.mean() <= 0.64
 
     def test_bit_reproducible(self, op50):
         a = sample_source_data(op50, 3, seed=9)
         b = sample_source_data(op50, 3, seed=9)
-        for sa, sb in zip(a, b):
-            assert np.array_equal(sa.x_true, sb.x_true)
-            assert np.array_equal(sa.z, sb.z)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
 
 class TestSubspaceData:
     def test_full_spec_matches_source_protocol(self, op50):
         # same coefficient draws, same construction (equal up to BLAS path)
-        full = SubspaceSpec(tuple(range(50)))
-        a = sample_subspace_data(op50, full, 2, seed=4)
+        a = sample_source_data(op50, 2, seed=4, indices=range(50))
         b = sample_source_data(op50, 2, seed=4)
-        for sa, sb in zip(a, b):
-            assert np.abs(sa.x_true - sb.x_true).max() <= 1e-12
-            assert np.abs(sa.z - sb.z).max() <= 1e-12
+        assert np.abs(a[0] - b[0]).max() <= 1e-12
+        assert np.abs(a[1] - b[1]).max() <= 1e-12
 
     def test_orthogonal_complement_is_empty(self, op50):
-        spec = SubspaceSpec((0, 3, 7))
+        indices = (0, 3, 7)
         svd = compute_svd(op50)
-        others = np.setdiff1d(np.arange(50), spec.indices)
-        for s in sample_subspace_data(op50, spec, 4, seed=1):
-            offplane = svd.right_vectors[:, others].T @ s.x_true
-            assert np.abs(offplane).max() <= 1e-10
+        others = np.setdiff1d(np.arange(50), indices)
+        truths, _ = sample_source_data(op50, 4, seed=1, indices=indices)
+        offplane = svd.right_vectors[:, others].T @ truths
+        assert np.abs(offplane).max() <= 1e-10
 
     def test_mean_rho_scales_with_dimension(self, op50):
         # E[rho^2] = N / (3 n): for N=8, n=50 the mean is ~0.231
-        samples = sample_subspace_data(op50, SubspaceSpec(tuple(range(8))), 50, seed=7)
-        mean_rho = np.mean([s.rho for s in samples])
-        assert 0.20 <= mean_rho <= 0.27
+        _, rho = sample_source_data(op50, 50, seed=7, indices=range(8))
+        assert 0.20 <= rho.mean() <= 0.27
 
     def test_invalid_specs(self, op50):
-        with pytest.raises(ValueError):
-            SubspaceSpec((1, 1))
-        with pytest.raises(ValueError):
-            SubspaceSpec((-1,))
-        with pytest.raises(ValueError):
-            sample_subspace_data(op50, SubspaceSpec((77,)), 1, seed=0)
+        # the config rejects repeated, negative and empty index lists;
+        # the sampler rejects indices beyond the singular modes
+        for indices in ((1, 1), (-1,), ()):
+            with pytest.raises(ConfigError, match="indices"):
+                DataSpec(kind="subspace", indices=indices)
+        for indices in ((77,), (-1,)):
+            with pytest.raises(ValueError, match="singular modes"):
+                sample_source_data(op50, 1, seed=0, indices=indices)
 
 
 class TestBasisCoefficientData:
+    """Subspace data as coefficient data on the singular basis: truth i is
+    ``V[:, idx] (sigma[idx] * d_i)`` with d_i uniform on [-1, 1]."""
+
     def test_samples_stay_in_span(self, op50):
-        basis = svd_basis(op50)
-        for x in sample_basis_coefficient_data(basis, 6, 4, seed=2):
-            tail = basis.vectors[:, 6:].T @ x
-            assert np.abs(tail).max() <= 1e-10
+        indices = (5, 1, 9, 2)
+        svd = compute_svd(op50)
+        truths, _ = sample_source_data(op50, 4, seed=2, indices=indices)
+        v, s = svd.right_vectors[:, indices], svd.sigma[list(indices)]
+        for i in range(4):
+            expected = v @ (s * rng_for(2, i).uniform(-1.0, 1.0, size=4))
+            assert np.abs(truths[:, i] - expected).max() <= 1e-12
 
     def test_zero_dimension_gives_zero(self, op50):
-        (x,) = sample_basis_coefficient_data(svd_basis(op50), 0, 1, seed=2)
-        assert np.array_equal(x, np.zeros(50))
+        truths, rho = sample_source_data(op50, 1, seed=2, indices=())
+        assert np.array_equal(truths, np.zeros((50, 1)))
+        assert np.array_equal(rho, [0.0])
 
     def test_coefficient_variance_is_one_third(self, op50):
-        basis = svd_basis(op50)
-        draws = sample_basis_coefficient_data(basis, 1, 10**5, seed=5)
-        coeffs = np.array([basis.vectors[:, 0] @ x for x in draws])
+        svd = compute_svd(op50)
+        truths, _ = sample_source_data(op50, 10**4, seed=5, indices=(0,))
+        coeffs = svd.right_vectors[:, 0] @ truths / svd.sigma[0]
         assert np.var(coeffs) == pytest.approx(1.0 / 3.0, rel=0.05)
 
     def test_dimension_exceeds_basis(self, op50):
         with pytest.raises(ValueError):
-            sample_basis_coefficient_data(svd_basis(op50), 51, 1, seed=0)
+            sample_source_data(op50, 1, seed=0, indices=(50,))
 
 
 class TestAddNoise:
@@ -174,46 +179,40 @@ class TestAddNoise:
 
 class TestSourceConstant:
     def test_recovers_true_rho_on_generated_data(self, op50):
-        samples = sample_source_data(op50, 10, seed=31)
-        est = estimate_source_constant(op50, samples)
-        for value, sample in zip(est.values, samples):
-            assert value == pytest.approx(sample.rho, abs=1e-8)
-        assert est.maximum == pytest.approx(max(s.rho for s in samples), abs=1e-12)
-        assert est.residuals.max() <= 1e-10
+        truths, rho = sample_source_data(op50, 10, seed=31)
+        values = estimate_source_constant(op50, truths)
+        np.testing.assert_allclose(values, rho, rtol=0.0, atol=1e-8)
+        assert values.max() == pytest.approx(rho.max(), abs=1e-12)
 
     def test_zero_sample(self, op50):
-        est = estimate_source_constant(op50, [np.zeros(50)])
-        assert est.mean == 0.0
+        assert np.array_equal(estimate_source_constant(op50, np.zeros((50, 1))), [0.0])
 
     def test_integration_protocol_window(self, op50):
-        est = estimate_source_constant(op50, sample_source_data(op50, 50, seed=0))
-        assert 0.52 <= est.mean <= 0.64
+        values = estimate_source_constant(op50, sample_source_data(op50, 50, seed=0)[0])
+        assert 0.52 <= values.mean() <= 0.64
 
     def test_empty_rejected(self, op50):
         with pytest.raises(ValueError):
-            estimate_source_constant(op50, [])
+            estimate_source_constant(op50, np.zeros((50, 0)))
 
     @pytest.mark.parametrize("case", ["integration", "rank-deficient"])
     def test_block_matches_per_sample_loop(self, op50, case):
         if case == "integration":
-            op, rel_tol = op50, 1e-10
-            samples = sample_source_data(op50, 12, seed=4)
+            op = op50
+            truths, _ = sample_source_data(op50, 12, seed=4)
         else:
             # wide operator of rank 4 with one mode below the cut
             rng = np.random.default_rng(21)
             a = rng.standard_normal((6, 4)) @ np.diag([3.0, 1.0, 0.2, 1e-13]) @ rng.standard_normal((4, 9))
-            op, rel_tol = DenseOperator(a), 1e-10
-            samples = list(rng.standard_normal((5, 9)))
-        est = estimate_source_constant(op, samples, rel_tol)
+            op = DenseOperator(a)
+            truths = rng.standard_normal((5, 9)).T
+        values = estimate_source_constant(op, truths)
         svd = compute_svd(op)
-        keep = svd.sigma > rel_tol * svd.sigma[0]
+        keep = svd.sigma > PINV_REL_TOL * svd.sigma[0]
         assert 0 < keep.sum() < svd.sigma.size or case == "integration"
-        for i, sample in enumerate(samples):
-            x = np.asarray(getattr(sample, "x_true", sample), dtype=float)
+        for i, x in enumerate(truths.T):
             z = svd.left_vectors[:, keep] @ ((svd.right_vectors[:, keep].T @ x) / svd.sigma[keep])
-            assert est.values[i] == pytest.approx(weighted_norm(z), rel=1e-12, abs=0.0)
-            residual = float(np.linalg.norm(x - op.entries.T @ z))
-            assert est.residuals[i] == pytest.approx(residual, rel=1e-9, abs=1e-12)
+            assert values[i] == pytest.approx(weighted_norm(z), rel=1e-12, abs=0.0)
 
 
 class TestPcaBasis:
@@ -264,16 +263,16 @@ class TestCoordinateBasis:
         assert set(np.abs(basis.vectors).sum(axis=1)) == {1.0}
 
     def test_permutation_persisted_and_deterministic(self):
+        # column j is the unit vector at entry j of the stream's permutation
         a = coordinate_basis(9, seed=5)
-        b = coordinate_basis(9, seed=5)
-        assert np.array_equal(a.permutation, b.permutation)
-        for j, k in enumerate(a.permutation):
+        assert np.array_equal(a.vectors, coordinate_basis(9, seed=5).vectors)
+        for j, k in enumerate(rng_for(5).permutation(9)):
             assert a.vectors[k, j] == 1.0
 
     def test_different_seed_different_order(self):
         a = coordinate_basis(30, seed=5)
         b = coordinate_basis(30, seed=6)
-        assert not np.array_equal(a.permutation, b.permutation)
+        assert not np.array_equal(a.vectors, b.vectors)
 
 
 class TestIdxImages:
@@ -281,7 +280,7 @@ class TestIdxImages:
         raw = np.array([[[0, 128], [255, 64]], [[1, 2], [3, 4]]], dtype=np.uint8)
         write_idx(tmp_path / "imgs.idx3", raw)
         images = load_idx_images(tmp_path / "imgs.idx3")
-        assert len(images) == 2
+        assert images.shape == (2, 4)
         assert np.array_equal(images[0], raw[0].ravel() / 255.0)
         assert images[0][2] == 1.0  # pixel 255 scales to exactly one
         assert np.array_equal(images[1], raw[1].ravel() / 255.0)
@@ -305,7 +304,7 @@ class TestIdxImages:
 def test_phantom_images_piecewise_constant():
     images = phantom_images(8, 5, seed=2)
     again = phantom_images(8, 5, seed=2)
-    assert len(images) == 5
+    assert images.shape == (5, 64)
     for a, b in zip(images, again):
         assert np.array_equal(a, b)
         assert a.shape == (64,)
@@ -331,14 +330,3 @@ def test_basis_requires_sane_vectors(op50):
     basis = svd_basis(op50)
     assert basis.kind == "svd"
     assert basis.size == 50
-
-
-def test_export_samples_csv(tmp_path, op50):
-    samples = sample_source_data(op50, 2, seed=1)
-    export_samples_csv(samples, tmp_path / "data.csv")
-    lines = (tmp_path / "data.csv").read_text().splitlines()
-    assert lines[0] == "sample_id,component,value"
-    assert len(lines) == 1 + 2 * 50
-    sid, comp, value = lines[1].split(",")
-    assert (sid, comp) == ("0", "0")
-    assert float(value) == samples[0].x_true[0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from regbench.datagen import Basis, noise_block, sample_basis_coefficient_data, svd_basis
+from regbench.datagen import Basis, noise_block, rng_for, svd_basis
 from regbench.dimscan import CONSENSUS_DELTA_MIN, reference_reconstruction, scan
 from regbench.harness import ExperimentConfig, GridSpec, MethodSpec
 from regbench.linop import apply, build_radon_operator, compute_svd, weighted_norm
@@ -13,7 +13,7 @@ from regbench.truncated import ExpectedErrorModel, alpha_threshold, argmin_expec
 def planted_sample(op50):
     # one sample spanning exactly the first eight singular directions
     basis = svd_basis(op50)
-    x = sample_basis_coefficient_data(basis, 8, 1, seed=2024)[0]
+    x = basis.vectors[:, :8] @ rng_for(2024, 0).uniform(-1.0, 1.0, size=8)
     return basis, x
 
 
@@ -80,7 +80,7 @@ def test_svd_kernel_matches_restricted_normal_equations(op50, planted_sample, ex
 def test_svd_kernel_matches_composed_svd_on_radon():
     op = build_radon_operator(6, 5, 9)
     basis = svd_basis(op)
-    x = sample_basis_coefficient_data(basis, 5, 1, seed=3)[0]
+    x = basis.vectors[:, :5] @ rng_for(3, 0).uniform(-1.0, 1.0, size=5)
     config = scan_config((1, 5, 12, 36), 0.01, (0.05, 0.2), realizations=4, seed=4)
     kernel = scan(op, basis, x, config)
     composed = scan(op, Basis(kind="coordinate", vectors=basis.vectors), x, config)

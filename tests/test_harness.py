@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import fields, is_dataclass, replace
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from regbench import harness, lasso
-from regbench.datagen import SourceSample
+from regbench.datagen import phantom_images, sample_source_data
 from regbench.harness import (
     ConfigError,
     DataSpec,
@@ -64,13 +65,11 @@ NON_DEFAULT = {
     ("data", "n_dim"): ("2", 2),
     ("data", "indices"): ("3, 1 2", (3, 1, 2)),
     ("data", "path"): ("images.idx", "images.idx"),
-    ("data", "side"): ("8", 8),
     ("grid", "delta_bar"): ("0.1, 0.2", (0.1, 0.2)),
     ("grid", "delta"): ("0 0.3", (0.0, 0.3)),
     ("grid", "realizations"): ("7", 7),
     ("method", "kind"): ("lasso", "lasso"),
     ("method", "rho"): ("per-sample", "per-sample"),
-    ("method", "pinv_rel_tol"): ("1e-8", 1e-8),
     ("method", "alpha"): ("0.25", 0.25),
     ("method", "m_grid"): ("0, 3 5", (0, 3, 5)),
     ("method", "basis"): ("pca", "pca"),
@@ -145,7 +144,7 @@ class TestConfig:
     def test_hash_is_pinned(self, small_config):
         # manifests of an unchanged config keep their hash across releases
         assert config_hash(small_config) == \
-            "4621af4d2dcfd7752d75235357d9a8dd5dc54bc3c40d42293c358382f7676235"
+            "f632c8ca701d82fc5d136c4323321732eb662cf7bae6d58ea830a3404ce1b14d"
 
     @pytest.mark.parametrize("key, value", [
         ("delta_bar", "-0.1 0.1"), ("delta", "0.1 -0.1"), ("delta", "0.1 nan"),
@@ -220,17 +219,38 @@ class TestConfig:
 class TestDatasets:
     def test_source_and_subspace(self, small_config):
         op = build_operator(small_config.operator)
-        samples = build_dataset(op, small_config.data, seed=0)
-        assert len(samples) == 6
-        assert isinstance(samples[0], SourceSample)
-        sub = build_dataset(op, DataSpec(kind="subspace", count=2, n_dim=3), seed=0)
-        assert isinstance(sub[0], SourceSample)
+        truths, rho = build_dataset(op, small_config.data, seed=0)
+        expected = sample_source_data(op, 6, seed=0)
+        assert np.array_equal(truths, expected[0]) and np.array_equal(rho, expected[1])
+        truths, rho = build_dataset(op, DataSpec(kind="subspace", count=2, n_dim=3), seed=0)
+        expected = sample_source_data(op, 2, seed=0, indices=(0, 1, 2))
+        assert np.array_equal(truths, expected[0]) and np.array_equal(rho, expected[1])
+
+    @pytest.mark.parametrize("kind", ["source", "subspace", "idx", "phantom"])
+    def test_build_dataset_contract(self, tmp_path, kind):
+        # every protocol gives its truths as the columns of a C-contiguous
+        # float (n, count) matrix; only generated data has source constants
+        op = build_operator(OperatorSpec(kind="integration", n=16))
+        path = tmp_path / "imgs.idx3"
+        path.write_bytes(struct.pack(">IIII", 0x00000803, 4, 4, 4) + bytes(range(64)))
+        truths, rho = build_dataset(op, DataSpec(kind=kind, count=3, n_dim=2, path=str(path)), seed=5)
+        assert truths.shape == (16, 3) and truths.dtype == np.float64
+        assert truths.flags.c_contiguous
+        if kind in ("source", "subspace"):
+            assert rho.shape == (3,) and rho.dtype == np.float64
+        else:
+            assert rho is None
+        # image i is column i
+        if kind == "idx":
+            assert np.array_equal(truths, np.arange(48).reshape(3, 16).T / 255.0)
+        if kind == "phantom":
+            assert np.array_equal(truths, phantom_images(4, 3, seed=5).T)
 
     def test_missing_idx_falls_back_to_phantoms(self):
         op = build_operator(OperatorSpec(kind="integration", n=16))
-        images = build_dataset(op, DataSpec(kind="idx", count=3, path="/no/such/file.idx3"), seed=1)
-        assert len(images) == 3
-        assert images[0].shape == (16,)
+        truths, rho = build_dataset(op, DataSpec(kind="idx", count=3, path="/no/such/file.idx3"), seed=1)
+        assert np.array_equal(truths, phantom_images(4, 3, seed=1).T)
+        assert rho is None
 
     def test_phantom_requires_square(self):
         op = build_operator(OperatorSpec(kind="integration", n=10))
@@ -601,6 +621,14 @@ class TestCli:
         assert out[-1] == "min_alpha=0.1"
         assert (tmp_path / "wc_curve.csv").exists()
 
+    def test_wc_curve_noise_free(self, capsys, tmp_path):
+        # the rule's alpha is 0 at delta 0 and stays off the curve
+        code = cli_main(["wc-curve", "--rho", "2", "--delta", "0", "--points", "3",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "alpha,bound", "0.0001,0.01", "0.01,0.1", "1.0,1.0", "min_alpha=0.0001"]
+
     def test_mismatch_grid_end_to_end(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(SMALL_CONFIG)
@@ -933,6 +961,8 @@ m_grid = {m_grid}
         ("alpha-tune", ["--alpha-grid", "0.1 nan"], "--alpha-grid needs positive alphas"),
         ("wc-curve", ["--rho", "1", "--delta", "0.1", "--points", "-1"], "wc-curve needs --points >= 1"),
         ("wc-curve", ["--rho", "1", "--delta", "2", "--points", "0"], "wc-curve needs --points >= 1"),
+        ("wc-curve", ["--rho", "inf", "--delta", "0.1"], "wc-curve needs --rho > 0 and --delta >= 0, both finite"),
+        ("wc-curve", ["--rho", "1", "--delta", "inf"], "wc-curve needs --rho > 0 and --delta >= 0, both finite"),
     ])
     def test_bad_flag_is_config_error(self, tmp_path, capsys, command, args, message):
         cfg = self.levels_config(tmp_path, "lasso")
@@ -1034,7 +1064,11 @@ realizations = 2
         ("indices = -1 2", ["indices", "nonnegative"]),
         ("indices = 3 16", ["[data] indices", "16 singular modes"]),
         ("n_dim = 40", ["[data] n_dim", "16 singular modes"]),
-    ], ids=["repeated", "negative", "index-too-large", "n_dim-too-large"])
+        ("n_dim = 0", ["n_dim must be at least 1"]),
+        ("n_dim = -2", ["n_dim must be at least 1"]),
+        ("indices = ,", ["indices", "nonempty"]),
+    ], ids=["repeated", "negative", "index-too-large", "n_dim-too-large", "n_dim-zero",
+            "n_dim-negative", "indices-empty"])
     def test_unmeetable_subspace_is_config_error(self, tmp_path, capsys, data_extra, words):
         code, err = self.run_file_config(tmp_path, capsys, data="subspace", data_extra=data_extra)
         assert code == 1

@@ -210,12 +210,12 @@ class TestFilterEstimates:
 class TestBoundValidity:
     def test_realized_error_below_bound(self, op50):
         # deterministic inequality with realized noise norms and true rho
-        samples = sample_source_data(op50, 4, seed=21)
-        for si, sample in enumerate(samples):
-            y = apply(op50, sample.x_true)
+        truths, rho = sample_source_data(op50, 4, seed=21)
+        for si, x in enumerate(truths.T):
+            y = apply(op50, x)
             for ai, alpha in enumerate((0.003, 0.05, 0.4, 1.0)):
                 for r in range(5):
                     noisy = y + 0.1 * rng_for(55, si, ai, r).standard_normal(y.size)
-                    err = weighted_norm(reconstruct(op50, noisy, alpha) - sample.x_true)
+                    err = weighted_norm(reconstruct(op50, noisy, alpha) - x)
                     realized = weighted_norm(noisy - y)
-                    assert err <= wc_bound(alpha, realized, sample.rho) + 1e-9
+                    assert err <= wc_bound(alpha, realized, rho[si]) + 1e-9
