@@ -9,7 +9,10 @@ that reproduces the noise-mismatch and dimension-scan experiment grids.
 
 __version__ = "0.1.0"
 
-from . import datagen, dimscan, harness, lasso, linop, tikhonov, truncated
+# the CLI module ``harness`` is not imported here: ``python -m
+# regbench.harness`` must find it unimported, and ``from regbench import
+# harness`` loads it on demand
+from . import datagen, dimscan, lasso, linop, tikhonov, truncated
 
 __all__ = [
     "__version__",

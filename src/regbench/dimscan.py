@@ -1,8 +1,8 @@
 """Intrinsic-dimension estimation by scanning truncation levels.
 
-For each noise level, reconstructions restricted to the first M basis
-vectors are averaged over noise realizations and compared against a
-reference; the minimizing M estimates the intrinsic dimension.  A scan of
+For each noise level, the errors against a reference of reconstructions
+restricted to the first M basis vectors are averaged over noise
+realizations; the minimizing M estimates the intrinsic dimension.  A scan of
 R realizations draws one (R + 1)-row noise block of sample 0, the sample it
 reconstructs (:func:`~regbench.datagen.noise_block`): row 0 perturbs the
 reference and rows 1..R are the realizations, shared by every noise level
@@ -18,9 +18,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .datagen import Basis, noise_block
-from .linop import DenseOperator, apply
+from .linop import DenseOperator, apply, filtered_errors
 from .tikhonov import reconstruct
-from .truncated import restricted_system, truncated_reconstruct
+from .truncated import restricted_system
 
 if TYPE_CHECKING:
     from .harness import ExperimentConfig
@@ -59,13 +59,15 @@ def scan(op: DenseOperator, basis: Basis, x_true: np.ndarray,
 
     Each truncation level is one singular system
     (:func:`~regbench.truncated.restricted_system`; the ``"svd"`` basis must
-    hold this operator's right singular vectors), and every reconstruction
-    is one call of the spectral-filter kernel on it.  Realization r at noise
-    level delta is ``y + delta * block[r + 1]`` at every truncation level;
-    ties in the per-level means break toward the smallest level.  The
-    consensus estimate is the mode of the per-level argmins over noise
-    levels at or above ``CONSENSUS_DELTA_MIN`` (all levels when none
-    qualify).
+    hold this operator's right singular vectors) with the Tikhonov filter
+    ``s / (s^2 + alpha)``, and its errors at every noise level and
+    realization are one call of the coefficient-space error kernel
+    :func:`~regbench.linop.filtered_errors`; no reconstruction is built.
+    Realization r at noise level delta is ``y + delta * block[r + 1]`` at
+    every truncation level; ties in the per-level means break toward the
+    smallest level.  The consensus estimate is the mode of the per-level
+    argmins over noise levels at or above ``CONSENSUS_DELTA_MIN`` (all
+    levels when none qualify).
     """
     method, m_grid, deltas = config.method, config.method.m_grid, config.grid.delta
     block = noise_block(config.seed, 0, config.grid.realizations + 1, op.m)
@@ -76,15 +78,16 @@ def scan(op: DenseOperator, basis: Basis, x_true: np.ndarray,
                                              method.delta_ref, block[0])
     y_true = apply(op, x_true)
     noise = block[1:].T
-    systems = [restricted_system(op, basis, m) for m in m_grid]
-    root_n = np.sqrt(op.n)
 
     mean_errors = np.zeros((len(m_grid), len(deltas)))
-    for di, delta in enumerate(deltas):
-        noisy = y_true[:, None] + delta * noise
-        for mi, system in enumerate(systems):
-            diffs = truncated_reconstruct(system, method.alpha, noisy) - reference[:, None]
-            mean_errors[mi, di] = np.linalg.norm(diffs, axis=0).mean() / root_n
+    for mi, m in enumerate(m_grid):
+        system = restricted_system(op, basis, m)
+        s, u, w = system.sigma, system.left_vectors, system.right_vectors
+        ref_coeff = w.T @ reference
+        outside = float(np.sum((reference - w @ ref_coeff) ** 2))
+        errors = filtered_errors(s / (s * s + method.alpha), u.T @ y_true, u.T @ noise,
+                                 deltas, ref_coeff, outside, op.n)
+        mean_errors[mi] = errors.mean(axis=1)
 
     # smallest level within 1e-12 of the column minimum wins, so exact
     # plateaus (noiseless case) resolve to the lowest dimension

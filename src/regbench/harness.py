@@ -62,6 +62,7 @@ from .linop import (
     build_integration_operator,
     build_radon_operator,
     compute_svd,
+    filtered_errors,
     load_operator,
     save_operator,
     weighted_norm,
@@ -123,6 +124,7 @@ class DataSpec:
                                         and len(set(self.indices)) == len(self.indices)
                                         and min(self.indices) >= 0),
                "indices must be nonempty, distinct and nonnegative")
+        _check(self.kind != "idx" or self.path, "data kind 'idx' needs a path")
 
 
 @dataclass(frozen=True)
@@ -266,8 +268,9 @@ def build_dataset(op: DenseOperator, spec: DataSpec, seed: int):
     Returns ``(truths, rho)``: the samples as the columns of a C-contiguous
     float ``(n, count)`` matrix, and for the generated protocols (``source``,
     ``subspace``) each sample's source constant as a ``(count,)`` array;
-    ``rho`` is ``None`` for images (``idx``, ``phantom``).  A missing IDX
-    file falls back to synthetic phantoms so runs stay offline-safe.
+    ``rho`` is ``None`` for images (``idx``, ``phantom``).  ``idx`` reads
+    the IDX file at ``path``, and a missing file is a config error;
+    ``phantom`` generates synthetic images and needs no file.
     """
     if spec.kind == "source":
         return sample_source_data(op, spec.count, seed)
@@ -276,7 +279,9 @@ def build_dataset(op: DenseOperator, spec: DataSpec, seed: int):
         _check(max(indices) < min(op.shape),
                f"[data] {key} needs modes beyond the operator's {min(op.shape)} singular modes")
         return sample_source_data(op, spec.count, seed, indices)
-    if spec.kind == "idx" and spec.path and Path(spec.path).exists():
+    if spec.kind == "idx":
+        _check(Path(spec.path).is_file(), f"[data] path {spec.path}: no such IDX file "
+               "(kind = phantom needs no file)")
         images = _read(load_idx_images, spec.path)[:spec.count]
         if len(images) < spec.count:
             raise ConfigError(f"{spec.path}: fewer than {spec.count} images")
@@ -324,10 +329,10 @@ def run_mismatch_grid(config: ExperimentConfig,
     level exceeds the source constant use the zero reconstruction and are
     flagged through the sentinel fraction and an ``inf`` alpha in the CSV.
 
-    Every cell works in spectral coefficients: with ``f = s / (s^2 + alpha)``
-    the error of sample x at noise level delta and noise draw g is
-    ``sqrt(||f (U^T y + delta U^T g) - V^T x||^2 + ||(I - V V^T) x||^2) / sqrt(n)``,
-    the last term being the part of x outside the operator's row space.
+    Every cell works in spectral coefficients: the errors of sample x under
+    the filter ``s / (s^2 + alpha)`` are one call of
+    :func:`~regbench.linop.filtered_errors` per (sample, tuning level), with
+    the part of x outside the operator's row space as its out-of-span term.
     Realized noise levels are checked against the worst-case bound one
     realization at a time on generated data, which has per-sample source
     constants.
@@ -360,7 +365,7 @@ def run_mismatch_grid(config: ExperimentConfig,
     bars, deltas = config.grid.delta_bar, np.asarray(config.grid.delta)
     realizations = config.grid.realizations
     s, u, v = svd.sigma, svd.left_vectors, svd.right_vectors
-    root_n, root_m = np.sqrt(op.n), np.sqrt(op.m)
+    root_m = np.sqrt(op.m)
     x_coeff = v.T @ x_mat
     y_coeff = u.T @ (op.entries @ x_mat)
     outside = np.sum((x_mat - v @ x_coeff) ** 2, axis=0)
@@ -383,10 +388,8 @@ def run_mismatch_grid(config: ExperimentConfig,
                 errors = np.full(realized.shape, weighted_norm(x_mat[:, si]))
                 bounds = np.full(realized.shape, rho_values[si])
             else:
-                f = s / (s * s + rule_alpha)
-                diff = ((f * y_coeff[:, si] - x_coeff[:, si])[None, :, None]
-                        + deltas[:, None, None] * (f[:, None] * noise_coeff))
-                errors = np.sqrt(np.sum(diff * diff, axis=1) + outside[si]) / root_n
+                errors = filtered_errors(s / (s * s + rule_alpha), y_coeff[:, si], noise_coeff,
+                                         deltas, x_coeff[:, si], outside[si], op.n)
                 bounds = wc_bound(rule_alpha, realized, rho_values[si])
             err_sum[bi] += errors.sum(axis=1)
             if sample_rho is not None:

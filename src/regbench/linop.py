@@ -4,9 +4,10 @@ Everything here is plain float64 dense algebra.  Operators are immutable
 after construction; the singular value decomposition is computed once,
 sign-fixed for reproducibility, and cached on the operator.
 :func:`spectral_normalize` reuses the raw operator's SVD (singular values
-divided by the norm, same vectors) instead of factorizing again, and every
-spectral-filter reconstruction goes through one kernel,
-:func:`filtered_solve`.
+divided by the norm, same vectors) instead of factorizing again.  Two
+kernels serve every spectral filter: :func:`filtered_solve` builds a
+reconstruction, and :func:`filtered_errors` measures the errors of many
+noisy reconstructions in singular-vector coefficients without building them.
 """
 
 from __future__ import annotations
@@ -89,17 +90,18 @@ class DenseOperator:
 
 def _orient_columns(vectors: np.ndarray, *paired: np.ndarray) -> None:
     """Flip column signs in place so each column's first significant entry
-    is positive; paired arrays are flipped along with it."""
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        scale = np.abs(col).max()
-        if scale == 0.0:
-            continue
-        nz = np.nonzero(np.abs(col) > 1e-12 * scale)[0]
-        if nz.size and col[nz[0]] < 0.0:
-            vectors[:, j] = -col
-            for other in paired:
-                other[:, j] = -other[:, j]
+    (above 1e-12 of its largest) is positive; paired arrays are flipped
+    along with it.  Zero columns keep their sign."""
+    if vectors.size == 0:
+        return
+    magnitude = np.abs(vectors)
+    scale = magnitude.max(axis=0)
+    first = np.argmax(magnitude > 1e-12 * scale, axis=0)
+    lead = vectors[first, np.arange(vectors.shape[1])]
+    # multiplying by -1.0 or 1.0 is exact, so unflipped columns keep their bits
+    sign = np.where((scale > 0.0) & (lead < 0.0), -1.0, 1.0)
+    for arr in (vectors, *paired):
+        arr *= sign
 
 
 def compute_svd(op: DenseOperator) -> SvdSystem:
@@ -115,7 +117,6 @@ def compute_svd(op: DenseOperator) -> SvdSystem:
         raise ValueError("operator has non-finite entries")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     v = vt.T.copy()
-    u = u.copy()
     _orient_columns(v, u)
     svd = SvdSystem(sigma=s, left_vectors=u, right_vectors=v)
     op._svd = svd
@@ -169,6 +170,27 @@ def filtered_solve(svd: SvdSystem, filt: np.ndarray, y: np.ndarray) -> np.ndarra
     if filt.ndim < coeff.ndim:
         filt = filt[:, None]
     return svd.right_vectors[:, :k] @ (filt * coeff)
+
+
+def filtered_errors(filt: np.ndarray, data_coeff: np.ndarray, noise_coeff: np.ndarray,
+                    deltas, ref_coeff: np.ndarray, outside: float, n: int) -> np.ndarray:
+    """Weighted error norms of spectral-filter reconstructions of noisy data.
+
+    On a singular system of k modes, ``filt`` is the filter ``(k,)``,
+    ``data_coeff`` the clean data's coefficients ``U^T y`` ``(k,)``,
+    ``noise_coeff`` the coefficients ``U^T g`` of R noise draws ``(k, R)``,
+    ``ref_coeff`` the reference's coefficients ``V^T ref`` ``(k,)`` and
+    ``outside`` the reference's energy ``||ref - V V^T ref||^2`` off the
+    span of V.  Returns the ``(len(deltas), R)`` array
+
+        ``sqrt(||filt (data_coeff + delta g_r) - ref_coeff||^2 + outside) / sqrt(n)``,
+
+    which is ``weighted_norm(filtered_solve(svd, filt, y + delta g_r) - ref)``
+    for a reference of length n, by orthogonality of the right vectors.
+    """
+    diff = ((filt * data_coeff - ref_coeff)[None, :, None]
+            + np.asarray(deltas)[:, None, None] * (filt[:, None] * noise_coeff))
+    return np.sqrt(np.sum(diff * diff, axis=1) + outside) / np.sqrt(n)
 
 
 def spectral_normalize(op: DenseOperator) -> DenseOperator:

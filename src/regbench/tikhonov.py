@@ -1,8 +1,8 @@
 """Tikhonov reconstruction, closed-form worst-case bounds, parameter rules.
 
-The worst-case bound, the mismatch ratio, and the subspace-refined bound
-are evaluated exactly from their piecewise closed forms; reconstruction is
-the SVD filter kernel :func:`~regbench.linop.filtered_solve`.
+The worst-case bound and the mismatch ratio are evaluated exactly from
+their piecewise closed forms; reconstruction is the SVD filter kernel
+:func:`~regbench.linop.filtered_solve`.
 """
 
 from __future__ import annotations
@@ -26,15 +26,6 @@ class _ZeroReconstruction:
 
 
 ZERO_RECONSTRUCTION = _ZeroReconstruction()
-
-
-def filter_value(sigma, alpha):
-    """Spectral filter ``sigma^2 / (sigma^2 + alpha)``; accepts arrays."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    sigma = np.asarray(sigma, dtype=float)
-    out = sigma * sigma / (sigma * sigma + alpha)
-    return float(out) if out.ndim == 0 else out
 
 
 def reconstruct(op: DenseOperator, y: np.ndarray, alpha: float) -> np.ndarray:
@@ -90,18 +81,3 @@ def relative_wc(delta_bar: float, delta: float, rho: float) -> float:
         if not 0.0 < level / rho < 1.0:
             raise ValueError(f"{name} must give a regularization strength in (0, 1)")
     return 0.5 * (math.sqrt(delta / delta_bar) + math.sqrt(delta_bar / delta))
-
-
-def subspace_wc_bound(alpha: float, delta: float, rho: float, c: float,
-                      n_dim: int) -> float:
-    """Refined worst-case bound when truths live in an n_dim-dimensional
-    subspace whose restricted operator obeys the ``c * n_dim`` norm bound."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    if c <= 0 or n_dim < 1:
-        raise ValueError("need c > 0 and n_dim >= 1")
-    root = math.sqrt(alpha)
-    data = delta / (2.0 * root)
-    if root > 1.0 / (2.0 * c * n_dim):
-        return data + 0.5 * root * rho
-    return data + alpha * c * n_dim * rho

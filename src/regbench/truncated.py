@@ -1,26 +1,25 @@
 """Truncated Tikhonov regularization and its exact expected-error model.
 
-Includes reconstruction restricted to the first M vectors of an
-orthonormal basis, the combined (truncation level, alpha) worst-case bound
-for ``sigma_j = 1/j`` spectra, the mode-wise expected squared error of the
-noisy reconstruction, and the alpha threshold above which truncating
+Includes the singular system of an operator restricted to the first M
+vectors of an orthonormal basis, the mode-wise expected squared error of
+the noisy reconstruction, and the alpha threshold above which truncating
 exactly at the intrinsic dimension is optimal.
 
 On an orthonormal ``B_M`` the restricted Tikhonov problem is plain
 Tikhonov on ``A B_M``, so its reconstruction is the spectral-filter kernel
 :func:`~regbench.linop.filtered_solve` applied to the singular system of
-``A B_M`` (:func:`restricted_system`).
+``A B_M`` (:func:`restricted_system`) with the filter ``s / (s^2 + alpha)``,
+and its errors are :func:`~regbench.linop.filtered_errors` on that system.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datagen import Basis
-from .linop import DenseOperator, SvdSystem, compute_svd, filtered_solve
+from .linop import DenseOperator, SvdSystem, compute_svd
 
 
 def restricted_system(op: DenseOperator, basis: Basis, m: int) -> SvdSystem:
@@ -40,43 +39,6 @@ def restricted_system(op: DenseOperator, basis: Basis, m: int) -> SvdSystem:
     b = basis.vectors[:, :m]
     u, s, vt = np.linalg.svd(op.entries @ b, full_matrices=False)
     return SvdSystem(sigma=s, left_vectors=u, right_vectors=b @ vt.T)
-
-
-def truncated_reconstruct(system: SvdSystem, alpha: float, y: np.ndarray) -> np.ndarray:
-    """Tikhonov reconstruction ``sum_j s_j / (s_j^2 + alpha) (u_j^T y) v_j``
-    over every mode of ``system``; alpha = 0 is plain truncated SVD and
-    needs every mode nonzero.  ``y`` is one data vector or a stack of
-    columns."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    s = system.sigma
-    if alpha == 0.0 and s.size and s[-1] <= 0.0:
-        raise ValueError("truncation level exceeds the operator rank")
-    return filtered_solve(system, s / (s * s + alpha), y)
-
-
-def truncated_wc_bound(m: int, n_dim: int, alpha: float, delta: float,
-                       rho: float) -> float:
-    """Worst-case bound for the truncated scheme under a ``1/j`` spectrum.
-
-    Requires m >= n_dim.  Data and approximation terms switch branches at
-    sqrt(alpha) = 1/m and sqrt(alpha) = 1/(2 n_dim) respectively; above both
-    kinks the bound coincides with the unrestricted closed form.
-    """
-    if n_dim < 1 or m < n_dim:
-        raise ValueError("need m >= n_dim >= 1")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    root = math.sqrt(alpha)
-    if root <= 1.0 / m:
-        data = m * delta / (1.0 + alpha * m * m)
-    else:
-        data = delta / (2.0 * root)
-    if root <= 1.0 / (2.0 * n_dim):
-        approx = n_dim * alpha * rho
-    else:
-        approx = 0.5 * root * rho
-    return data + approx
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,15 @@ realizations draws R + 1 rows of sample 0, perturbs its reference with row
 0 and sees ``y_0 + delta * block[r + 1]`` as realization r.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regbench import datagen, dimscan, harness
-from regbench.datagen import NOISE_TAG, noise_block, rng_for, svd_basis
+from regbench.datagen import NOISE_TAG, coordinate_basis, noise_block, pca_basis, rng_for, svd_basis
 from regbench.dimscan import scan
 from regbench.harness import (
     DataSpec,
@@ -31,6 +33,7 @@ from regbench.harness import (
 )
 from regbench.linop import compute_svd, filtered_solve, weighted_norm
 from regbench.tikhonov import ZERO_RECONSTRUCTION, optimal_alpha, reconstruct, wc_bound
+from test_truncated import restricted_normal_solve
 
 REL_TOL = 1e-12
 
@@ -156,21 +159,23 @@ def test_grid_never_violates_the_worst_case_bound(n, seed, count, realizations, 
     assert grid.violations == 0
 
 
-def restricted_normal_solve(op, b, alpha, y):
-    """Tikhonov reconstruction restricted to the span of the orthonormal
-    columns of ``b``, from the normal equations of ``A b``."""
-    composed = op.entries @ b
-    gram = composed.T @ composed + alpha * np.eye(b.shape[1])
-    return b @ np.linalg.solve(gram, composed.T @ y)
+def scan_basis(op, truths, config):
+    """The basis ``dim-scan`` builds for ``config``."""
+    if config.method.basis == "svd":
+        return svd_basis(op).vectors
+    if config.method.basis == "coordinate":
+        return coordinate_basis(op.n, config.seed).vectors
+    return pca_basis(truths.T, min(truths.shape)).vectors
 
 
 def reference_scan(config):
     """Mean errors of ``dim-scan`` on the first sample: every (level,
-    realization) solved on its own through the restricted normal equations
-    of the right singular vectors."""
+    realization) reconstructed in pixel space on its own through the
+    restricted normal equations of the configured basis."""
     op = build_operator(config.operator)
-    x = build_dataset(op, config.data, config.seed)[0][:, 0]
-    right = compute_svd(op).right_vectors
+    truths = build_dataset(op, config.data, config.seed)[0]
+    x = truths[:, 0]
+    basis = scan_basis(op, truths, config)
     reps = config.grid.realizations
     block = rng_for(config.seed, NOISE_TAG, 0).standard_normal((reps + 1, op.m))
     y = op.entries @ x
@@ -183,7 +188,7 @@ def reference_scan(config):
     for mi, m in enumerate(m_grid):
         for di, delta in enumerate(deltas):
             for r in range(reps):
-                x_hat = restricted_normal_solve(op, right[:, :m], config.method.alpha,
+                x_hat = restricted_normal_solve(op, basis[:, :m], config.method.alpha,
                                                 y + delta * block[r + 1])
                 errors[mi, di, r] = weighted_norm(x_hat - truth)
     return errors.mean(axis=2)
@@ -212,6 +217,26 @@ def test_scan_matches_data_space_reference(config):
                                rtol=REL_TOL, atol=0.0)
 
 
+# subspace data of dimension 5 under 12 samples, so the pca basis has 12
+# vectors; level 0 reconstructs zero
+SCAN_BASES = ExperimentConfig(
+    operator=OperatorSpec(kind="integration", n=30),
+    data=DataSpec(kind="subspace", count=12, n_dim=5),
+    grid=GridSpec(delta=(0.0, 0.01, 0.2), realizations=6),
+    method=MethodSpec(kind="truncated", alpha=0.02, m_grid=(0, 2, 5, 8, 12)),
+    seed=1)
+
+
+@pytest.mark.parametrize("exact_truth", [True, False], ids=["exact", "reference"])
+@pytest.mark.parametrize("basis", ["svd", "pca", "coordinate"])
+def test_scan_matches_pixel_space_reference_on_every_basis(basis, exact_truth):
+    config = replace(SCAN_BASES, method=replace(SCAN_BASES.method, basis=basis,
+                                                exact_truth=exact_truth))
+    result = run_dim_experiment(config)
+    np.testing.assert_allclose(result.mean_errors, reference_scan(config),
+                               rtol=REL_TOL, atol=0.0)
+
+
 @pytest.mark.parametrize("exact_truth", [True, False])
 def test_scan_draws_one_noise_block(op50, monkeypatch, exact_truth):
     paths = []
@@ -231,15 +256,17 @@ def test_scan_draws_one_noise_block(op50, monkeypatch, exact_truth):
 
 
 def test_scan_realization_r_is_row_r_plus_one(op50, monkeypatch):
-    # every truncation level at every noise level sees the same rows 1..R
+    # each truncation level makes one kernel call holding every noise level,
+    # so all levels share its noise coefficients, whose column r is row
+    # r + 1 of the block in the level's left singular vectors
     calls = []
-    real = dimscan.truncated_reconstruct
+    real = dimscan.filtered_errors
 
-    def recording(system, alpha, y):
-        calls.append(np.array(y))
-        return real(system, alpha, y)
+    def recording(filt, data_coeff, noise_coeff, deltas, ref_coeff, outside, n):
+        calls.append((data_coeff, noise_coeff, tuple(deltas)))
+        return real(filt, data_coeff, noise_coeff, deltas, ref_coeff, outside, n)
 
-    monkeypatch.setattr(dimscan, "truncated_reconstruct", recording)
+    monkeypatch.setattr(dimscan, "filtered_errors", recording)
     x = np.linspace(0.0, 1.0, 50)
     config = ExperimentConfig(
         method=MethodSpec(kind="truncated", m_grid=(2, 4), alpha=0.05),
@@ -248,11 +275,15 @@ def test_scan_realization_r_is_row_r_plus_one(op50, monkeypatch):
     scan(op50, svd_basis(op50), x, config)
     block = noise_block(8, 0, 5, op50.m)
     y = op50.entries @ x
-    assert len(calls) == 6
-    for call, delta in zip(calls, np.repeat(config.grid.delta, 2)):
-        assert call.shape == (op50.m, 4)
+    assert len(calls) == 2
+    for (data_coeff, noise_coeff, deltas), m in zip(calls, config.method.m_grid):
+        u = compute_svd(op50).left_vectors[:, :m]
+        assert deltas == config.grid.delta
+        assert np.array_equal(data_coeff, u.T @ y)
+        assert noise_coeff.shape == (m, 4)
+        assert np.array_equal(noise_coeff, u.T @ block[1:].T)
         for r in range(4):
-            assert np.array_equal(call[:, r], y + delta * block[r + 1])
+            np.testing.assert_allclose(noise_coeff[:, r], u.T @ block[r + 1], rtol=0.0, atol=1e-14)
 
 
 LASSO_CFG = """

@@ -149,25 +149,28 @@ class TestAddNoise:
         assert np.mean(levels) == pytest.approx(delta ** 2, rel=0.03)
 
     def test_zero_delta_is_exact(self, op50, monkeypatch):
-        # at level 0 every realization the scan solves is the clean data
+        # at level 0 every realization the scan measures is the clean data:
+        # its errors equal those of zero noise, bit for bit
         seen = []
-        real = dimscan.truncated_reconstruct
+        real = dimscan.filtered_errors
 
-        def recording(system, alpha, y):
-            seen.append(np.array(y))
-            return real(system, alpha, y)
+        def recording(filt, data_coeff, noise_coeff, deltas, ref_coeff, outside, n):
+            errors = real(filt, data_coeff, noise_coeff, deltas, ref_coeff, outside, n)
+            clean = real(filt, data_coeff, np.zeros_like(noise_coeff), deltas, ref_coeff, outside, n)
+            seen.append((tuple(deltas), errors, clean))
+            return errors
 
-        monkeypatch.setattr(dimscan, "truncated_reconstruct", recording)
+        monkeypatch.setattr(dimscan, "filtered_errors", recording)
         x = np.linspace(0.0, 1.0, 50)
         config = ExperimentConfig(
             method=MethodSpec(kind="truncated", m_grid=(2, 4), alpha=0.05, exact_truth=True),
             grid=GridSpec(delta=(0.0,), realizations=3),
             seed=3)
         dimscan.scan(op50, svd_basis(op50), x, config)
-        y = op50.entries @ x
         assert len(seen) == 2
-        for noisy in seen:
-            assert np.array_equal(noisy, np.repeat(y[:, None], 3, axis=1))
+        for deltas, errors, clean in seen:
+            assert deltas == (0.0,) and errors.shape == (1, 3)
+            assert np.array_equal(errors, clean)
 
     def test_negative_delta_rejected(self):
         # the grid spec checks the levels of every command that reads a config

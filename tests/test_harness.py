@@ -246,11 +246,18 @@ class TestDatasets:
         if kind == "phantom":
             assert np.array_equal(truths, phantom_images(4, 3, seed=5).T)
 
-    def test_missing_idx_falls_back_to_phantoms(self):
+    def test_missing_idx_is_config_error(self, tmp_path):
+        # IDX data never turns into phantoms: a path naming no file and a
+        # missing path are both refused; kind = phantom is the offline choice
         op = build_operator(OperatorSpec(kind="integration", n=16))
-        truths, rho = build_dataset(op, DataSpec(kind="idx", count=3, path="/no/such/file.idx3"), seed=1)
-        assert np.array_equal(truths, phantom_images(4, 3, seed=1).T)
-        assert rho is None
+        with pytest.raises(ConfigError, match="no such IDX file"):
+            build_dataset(op, DataSpec(kind="idx", count=3, path="/no/such/file.idx3"), seed=1)
+        with pytest.raises(ConfigError, match="'idx' needs a path"):
+            DataSpec(kind="idx", count=3)
+        cfg = tmp_path / "idx.cfg"
+        cfg.write_text("[operator]\nn = 16\n\n[data]\nkind = idx\ncount = 3\npath = missing.idx3\n")
+        assert cli_main(["mismatch-grid", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_phantom_requires_square(self):
         op = build_operator(OperatorSpec(kind="integration", n=10))
@@ -526,6 +533,18 @@ def test_harness_import_leaves_scipy_unloaded(tmp_path):
                                "--out", str(tmp_path / cfg.stem)],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, (command, basis, proc.stderr)
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path):
+    # python -m regbench.harness runs the CLI with nothing on stderr
+    src = Path(harness.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "regbench.harness", "wc-curve", "--rho", "1",
+                           "--delta", "0.1", "--points", "3"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "min_alpha=0.1"
 
 
 RADON_SMALL = """

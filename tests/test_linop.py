@@ -15,6 +15,7 @@ from regbench.linop import (
     build_integration_operator,
     build_radon_operator,
     compute_svd,
+    filtered_errors,
     filtered_solve,
     integration_matrix,
     load_matrix,
@@ -201,6 +202,30 @@ class TestSvd:
             nz = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
             assert col[nz[0]] > 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 7), cols=st.integers(0, 7), seed=st.integers(0, 2 ** 32 - 1))
+    def test_orientation_matches_the_column_loop(self, rows, cols, seed):
+        # the column-by-column loop is the reference; zero columns, entries
+        # below the 1e-12 cut-off and signed zeros keep their exact bits
+        rng = np.random.default_rng(seed)
+        vectors = rng.standard_normal((rows, cols)) * rng.choice([0.0, 1e-14, 1.0], size=(rows, cols))
+        vectors[:, ::3] = 0.0
+        vectors[0, ::2] *= -0.0
+        paired = rng.standard_normal((rows + 1, cols))
+        want, want_paired = vectors.copy(), paired.copy()
+        for j in range(cols):
+            col = want[:, j]
+            scale = np.abs(col).max()
+            if scale == 0.0:
+                continue
+            nz = np.nonzero(np.abs(col) > 1e-12 * scale)[0]
+            if col[nz[0]] < 0.0:
+                want[:, j] = -col
+                want_paired[:, j] = -want_paired[:, j]
+        linop._orient_columns(vectors, paired)
+        assert vectors.tobytes() == want.tobytes()
+        assert paired.tobytes() == want_paired.tobytes()
+
     def test_bitwise_determinism(self):
         mat = integration_matrix(17)
         a = compute_svd(DenseOperator(mat))
@@ -320,6 +345,26 @@ class TestFilteredSolve:
         svd = compute_svd(op50)
         out = filtered_solve(svd, np.zeros(0), np.ones((50, 3)))
         assert np.array_equal(out, np.zeros((50, 3)))
+
+
+class TestFilteredErrors:
+    def test_matches_the_weighted_norm_of_the_reconstruction(self):
+        # a wide operator, so the reference has a part outside the span of
+        # the right vectors
+        rng = np.random.default_rng(23)
+        op = DenseOperator(rng.standard_normal((6, 9)))
+        svd = compute_svd(op)
+        filt = rng.uniform(0.0, 2.0, size=5)
+        y, ref, noise = rng.standard_normal(6), rng.standard_normal(9), rng.standard_normal((6, 4))
+        u, v = svd.left_vectors[:, :5], svd.right_vectors[:, :5]
+        deltas = (0.0, 0.3, 2.0)
+        errors = filtered_errors(filt, u.T @ y, u.T @ noise, deltas, v.T @ ref,
+                                 float(np.sum((ref - v @ (v.T @ ref)) ** 2)), op.n)
+        assert errors.shape == (3, 4)
+        for di, delta in enumerate(deltas):
+            for r in range(4):
+                want = weighted_norm(filtered_solve(svd, filt, y + delta * noise[:, r]) - ref)
+                assert errors[di, r] == pytest.approx(want, rel=1e-12)
 
 
 class TestNormalization:

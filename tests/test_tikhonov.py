@@ -7,34 +7,42 @@ from regbench.datagen import rng_for, sample_source_data
 from regbench.linop import DenseOperator, apply, compute_svd, weighted_norm
 from regbench.tikhonov import (
     ZERO_RECONSTRUCTION,
-    filter_value,
     optimal_alpha,
     reconstruct,
     relative_wc,
-    subspace_wc_bound,
     wc_bound,
 )
 
 
 class TestFilter:
+    """The Tikhonov filter ``F(s) = s^2 / (s^2 + alpha)`` as
+    :func:`reconstruct` applies it: exact data ``A v_j`` comes back as
+    ``F(sigma_j) v_j``, and data ``u_j`` as ``F(sigma_j) / sigma_j v_j``."""
+
     def test_midpoint(self):
-        assert filter_value(1.0, 1.0) == 0.5
+        # a mode at sigma = sqrt(alpha) is halved
+        op = DenseOperator(np.diag([1.0, 0.5]))
+        x = np.array([0.0, 1.0])
+        assert np.allclose(reconstruct(op, apply(op, x), 0.25), 0.5 * x, rtol=0.0, atol=1e-15)
 
     def test_zero_sigma(self):
-        assert filter_value(0.0, 0.3) == 0.0
+        # data along a zero singular direction is not inverted
+        op = DenseOperator(np.diag([1.0, 0.0]))
+        assert np.array_equal(reconstruct(op, np.array([0.0, 1.0]), 0.3), np.zeros(2))
 
     def test_sup_of_filter_over_sigma(self):
-        # grid-search oracle: sup F(s)/s over s is attained at sqrt(alpha)
+        # grid-search oracle: the data gain sup F(s)/s = 1 / (2 sqrt(alpha))
+        # is attained at s = sqrt(alpha)
         for alpha in (0.01, 0.1, 0.5, 1.0):
-            grid = np.linspace(1e-6, 1.0, 200001)
-            sup = (filter_value(grid, alpha) / grid).max()
-            assert sup == pytest.approx(1.0 / (2.0 * math.sqrt(alpha)), rel=1e-6)
-            assert filter_value(math.sqrt(alpha), alpha) / math.sqrt(alpha) == pytest.approx(
-                1.0 / (2.0 * math.sqrt(alpha)), abs=1e-12)
+            grid = np.append(np.linspace(1e-3, 1.0, 200), math.sqrt(alpha))
+            gains = np.abs(reconstruct(DenseOperator(np.diag(grid)), np.eye(grid.size), alpha))
+            assert gains.max() == pytest.approx(1.0 / (2.0 * math.sqrt(alpha)), rel=1e-12)
+            assert gains.max() == pytest.approx(gains[-1, -1], rel=1e-12)
 
     def test_rejects_bad_alpha(self):
+        # a negative alpha puts a pole in the filter at s = sqrt(-alpha)
         with pytest.raises(ValueError):
-            filter_value(0.5, 0.0)
+            reconstruct(DenseOperator(np.eye(2)), np.ones(2), -0.25)
 
 
 def cholesky_reconstruct(op, y, alpha):
@@ -154,46 +162,6 @@ class TestRelativeWc:
             relative_wc(0.1, 1.0, 1.0)
         with pytest.raises(ValueError):
             relative_wc(0.0, 0.1, 1.0)
-
-
-class TestSubspaceBound:
-    def test_continuity_at_kink(self):
-        c, n_dim, delta, rho = 0.8, 6, 0.3, 1.1
-        alpha = (1.0 / (2.0 * c * n_dim)) ** 2
-        first = delta / (2 * math.sqrt(alpha)) + 0.5 * math.sqrt(alpha) * rho
-        second = delta / (2 * math.sqrt(alpha)) + alpha * c * n_dim * rho
-        assert abs(first - second) <= 1e-12
-        assert subspace_wc_bound(alpha, delta, rho, c, n_dim) == pytest.approx(first, abs=1e-12)
-
-    def test_unit_case(self):
-        assert subspace_wc_bound(1.0, 1.0, 1.0, 1.0, 1) == pytest.approx(1.0)
-
-    def test_vanishes_linearly_for_small_alpha(self):
-        c, n_dim, rho = 1.0, 4, 2.0
-        for alpha in (1e-6, 1e-8, 1e-10):
-            assert subspace_wc_bound(alpha, 0.0, rho, c, n_dim) == pytest.approx(
-                alpha * c * n_dim * rho, rel=1e-12)
-
-    def test_never_exceeds_plain_bound(self):
-        rng = np.random.default_rng(8)
-        for _ in range(300):
-            alpha = float(rng.uniform(1e-6, 1.0))
-            delta = float(rng.uniform(0, 0.5))
-            rho = float(rng.uniform(0.1, 2.0))
-            c = float(rng.uniform(0.2, 3.0))
-            n_dim = int(rng.integers(1, 20))
-            assert subspace_wc_bound(alpha, delta, rho, c, n_dim) <= wc_bound(
-                alpha, delta, rho) + 1e-14
-
-    def test_alpha_range_enforced(self):
-        with pytest.raises(ValueError):
-            subspace_wc_bound(1.5, 0.1, 1.0, 1.0, 2)
-        with pytest.raises(ValueError):
-            subspace_wc_bound(0.0, 0.1, 1.0, 1.0, 2)
-
-    def test_record_form(self):
-        value = subspace_wc_bound(alpha=0.2, delta=0.1, rho=1.0, c=1.0, n_dim=3)
-        assert value == subspace_wc_bound(0.2, 0.1, 1.0, 1.0, 3)
 
 
 class TestFilterEstimates:

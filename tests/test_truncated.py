@@ -1,21 +1,18 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regbench.datagen import Basis, coordinate_basis, rng_for, svd_basis
-from regbench.linop import DenseOperator, apply, compute_svd, integration_matrix, pinv_adjoint_apply
-from regbench.tikhonov import reconstruct, wc_bound
+from regbench.harness import ConfigError, MethodSpec, load_config
+from regbench.linop import DenseOperator, apply, compute_svd, filtered_solve, integration_matrix
+from regbench.tikhonov import reconstruct
 from regbench.truncated import (
     ExpectedErrorModel,
     alpha_threshold,
     argmin_expected_level,
     expected_sq_error,
     restricted_system,
-    truncated_reconstruct,
-    truncated_wc_bound,
 )
 
 
@@ -27,8 +24,15 @@ def restricted_normal_solve(op, b, alpha, y):
     return b @ np.linalg.solve(gram, composed.T @ y)
 
 
+def restricted_tikhonov(system, alpha, y):
+    """Tikhonov reconstruction on a restricted singular system: the filter
+    ``s / (s^2 + alpha)`` through the spectral-filter kernel."""
+    s = system.sigma
+    return filtered_solve(system, s / (s * s + alpha), y)
+
+
 def svd_truncated(op, m, alpha, y):
-    return truncated_reconstruct(restricted_system(op, svd_basis(op), m), alpha, y)
+    return restricted_tikhonov(restricted_system(op, svd_basis(op), m), alpha, y)
 
 
 @pytest.fixture()
@@ -48,9 +52,11 @@ class TestTruncatedReconstruct:
         assert np.array_equal(out, np.zeros(50))
 
     def test_alpha_zero_full_rank_is_pseudoinverse(self):
+        # the alpha -> 0 limit of the filter is 1 / s
         op = DenseOperator(integration_matrix(12) / np.linalg.norm(integration_matrix(12), 2))
         y = np.random.default_rng(2).standard_normal(12)
-        out = svd_truncated(op, 12, 0.0, y)
+        system = restricted_system(op, svd_basis(op), 12)
+        out = filtered_solve(system, 1.0 / system.sigma, y)
         assert np.allclose(out, np.linalg.pinv(op.entries) @ y, atol=1e-9)
 
     def test_full_level_matches_tikhonov(self, op50):
@@ -63,42 +69,16 @@ class TestTruncatedReconstruct:
             restricted_system(op50, svd_basis(op50), 51)
 
     def test_alpha_zero_beyond_rank_rejected(self):
-        op = DenseOperator(np.diag([1.0, 0.0]))
-        with pytest.raises(ValueError, match="rank"):
-            svd_truncated(op, 2, 0.0, np.ones(2))
+        # a truncation level beyond the rank would need alpha > 0; the
+        # method spec refuses alpha = 0 before any level is solved
+        with pytest.raises(ConfigError, match="alpha must be positive"):
+            MethodSpec(kind="truncated", alpha=0.0)
 
     def test_scheme_validation(self, op50):
         with pytest.raises(ValueError):
             restricted_system(op50, svd_basis(op50), -1)
-        with pytest.raises(ValueError):
-            svd_truncated(op50, 1, -0.1, np.ones(50))
-
-
-class TestTruncatedWcBound:
-    def test_all_branches_coincide_at_joint_kink(self):
-        # sqrt(alpha) = 1/m = 1/(2 n) at m = 2 n
-        n_dim, m = 3, 6
-        alpha = 1.0 / m ** 2
-        delta, rho = 0.7, 1.3
-        value = truncated_wc_bound(m, n_dim, alpha, delta, rho)
-        assert value == pytest.approx(m * delta / (1 + alpha * m * m) + n_dim * alpha * rho,
-                                      abs=1e-12)
-        assert value == pytest.approx(delta / (2 * math.sqrt(alpha)) + 0.5 * math.sqrt(alpha) * rho,
-                                      abs=1e-12)
-
-    def test_hand_value(self):
-        assert truncated_wc_bound(4, 2, 1.0 / 64.0, 1.0, 1.0) == pytest.approx(3.23125, abs=1e-12)
-
-    def test_reduces_to_plain_bound_for_large_alpha(self):
-        for alpha in (0.3, 0.6, 1.0):
-            m, n_dim = 5, 4
-            assert alpha > max(1 / m ** 2, 1 / (4 * n_dim ** 2))
-            assert truncated_wc_bound(m, n_dim, alpha, 0.4, 1.1) == pytest.approx(
-                wc_bound(alpha, 0.4, 1.1), abs=1e-14)
-
-    def test_requires_level_at_least_dimension(self):
-        with pytest.raises(ValueError):
-            truncated_wc_bound(2, 3, 0.1, 1.0, 1.0)
+        with pytest.raises(ConfigError, match="alpha must be positive"):
+            MethodSpec(kind="truncated", alpha=-0.1)
 
 
 class TestExpectedError:
@@ -185,7 +165,7 @@ class TestSubspaceReconstruct:
         general = Basis(kind="pca", vectors=basis.vectors)
         y = np.random.default_rng(5).standard_normal(50)
         for m, alpha in ((3, 0.5), (10, 0.02), (50, 0.2)):
-            a = truncated_reconstruct(restricted_system(op50, general, m), alpha, y)
+            a = restricted_tikhonov(restricted_system(op50, general, m), alpha, y)
             b = svd_truncated(op50, m, alpha, y)
             assert np.abs(a - b).max() <= 1e-8
             assert np.abs(a - restricted_normal_solve(op50, basis.vectors[:, :m], alpha, y)).max() <= 1e-8
@@ -193,29 +173,39 @@ class TestSubspaceReconstruct:
     def test_full_orthonormal_basis_equals_tikhonov(self, op50):
         basis = coordinate_basis(50, seed=1)
         y = np.random.default_rng(6).standard_normal(50)
-        a = truncated_reconstruct(restricted_system(op50, basis, 50), 0.3, y)
+        a = restricted_tikhonov(restricted_system(op50, basis, 50), 0.3, y)
         assert np.abs(a - reconstruct(op50, y, 0.3)).max() <= 1e-8
 
     def test_zero_data(self, op50):
         for basis in (svd_basis(op50), coordinate_basis(50, seed=2)):
-            out = truncated_reconstruct(restricted_system(op50, basis, 7), 0.1, np.zeros(50))
+            out = restricted_tikhonov(restricted_system(op50, basis, 7), 0.1, np.zeros(50))
             assert np.abs(out).max() == 0.0
 
-    def test_singular_normal_matrix_rejected(self):
-        # alpha = 0 on a rank-deficient restriction has no unique solution
+    def test_singular_normal_matrix_rejected(self, tmp_path):
+        # alpha = 0 on a rank-deficient restriction has no unique solution,
+        # so a config asking for it is refused; at alpha > 0 the zero mode
+        # is filtered to zero and the normal equations are solved
+        path = tmp_path / "scan.cfg"
+        path.write_text("[method]\nkind = truncated\nalpha = 0\n")
+        with pytest.raises(ConfigError, match="alpha must be positive"):
+            load_config(path)
         op = DenseOperator(np.array([[1.0, 0.0], [0.0, 0.0]]))
         basis = coordinate_basis(2, seed=0)
-        with pytest.raises(ValueError, match="rank"):
-            truncated_reconstruct(restricted_system(op, basis, 2), 0.0, np.ones(2))
+        system = restricted_system(op, basis, 2)
+        assert system.sigma[-1] == 0.0
+        y = np.array([1.0, 1.0])
+        assert np.allclose(restricted_tikhonov(system, 0.1, y),
+                           restricted_normal_solve(op, basis.vectors, 0.1, y), atol=1e-15)
 
     def test_composed_operator_columns(self, op50):
-        # at alpha = 0 the restricted solve inverts A on the span of the
-        # first m basis vectors, so it maps column j of A B_m back to b_j
+        # with the alpha -> 0 filter 1 / s the restricted solve inverts A on
+        # the span of the first m basis vectors, so it maps column j of
+        # A B_m back to b_j
         for basis in (svd_basis(op50), coordinate_basis(50, seed=3)):
             system = restricted_system(op50, basis, 4)
             for j in range(4):
                 column = apply(op50, basis.vectors[:, j])
-                recovered = truncated_reconstruct(system, 0.0, column)
+                recovered = filtered_solve(system, 1.0 / system.sigma, column)
                 assert np.abs(recovered - basis.vectors[:, j]).max() <= 1e-8
 
     @pytest.mark.parametrize("m", [-1, 51])
@@ -235,7 +225,7 @@ def test_restricted_reconstruction_solves_the_normal_equations(rows, cols, level
     b = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
     m = min(level, cols)
     y = rng.standard_normal(rows)
-    got = truncated_reconstruct(restricted_system(op, Basis(kind="pca", vectors=b), m), alpha, y)
+    got = restricted_tikhonov(restricted_system(op, Basis(kind="pca", vectors=b), m), alpha, y)
     want = restricted_normal_solve(op, b[:, :m], alpha, y)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -254,7 +244,7 @@ def test_svd_basis_system_is_a_prefix_of_the_operator_svd(rows, cols, level, alp
     assert system.right_vectors.tobytes() == full.right_vectors[:, :m].tobytes()
     y = rng.standard_normal(rows)
     want = restricted_normal_solve(op, full.right_vectors[:, :m], alpha, y)
-    assert np.linalg.norm(truncated_reconstruct(system, alpha, y) - want) <= 1e-10 * np.linalg.norm(want)
+    assert np.linalg.norm(restricted_tikhonov(system, alpha, y) - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class TestRestrictedOperatorBound:
