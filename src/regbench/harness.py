@@ -12,8 +12,12 @@ same rows (common random numbers):
   the reference reconstruction, realization r is ``y_0 + delta * block[r + 1]``;
 - ``lasso-solve`` uses row 0 of the chosen sample's block.
 
-``alpha-tune`` draws the noise of tuple i at level index d from the stream
-``(seed, d, i)``.
+``alpha-tune`` draws the noise of tuple i at level index d from its own
+stream ``(seed, d, i)``, not from a common-random-numbers block.
+
+Both LASSO commands, ``alpha-tune`` and the sparse ``mismatch-grid``, solve
+and score their problems through one function, :func:`solve_lasso_samples`.
+The sparsifying matrix W is a plain array (:func:`_build_transform`).
 
 Each CLI command builds its operator once (with at most one SVD, see
 :func:`~regbench.linop.spectral_normalize`), hands it to the ``run_*``
@@ -50,9 +54,10 @@ from .datagen import (
 from .dimscan import DimScanResult, scan
 from .lasso import (
     AlphaRule,
-    SparsifyingTransform,
+    BatchSolution,
     alpha_for_delta,
-    grid_search_alphas,
+    diff1d,
+    grad2d,
     solve_batch,
     solver_totals,
 )
@@ -86,8 +91,8 @@ def _check_levels(levels) -> None:
 DEFAULT_LEVELS = (0.001, 0.01, 0.1, 0.2, 0.5, 1.0)
 RHO_WORDS = ("estimate", "per-sample")
 
-# Column budget of one LASSO-grid solve: whole samples are batched up to
-# about one default-grid sample (6 x 6 cells x 100 realizations = 3,600).
+# Column budget of one LASSO solve_batch call: whole samples are batched up
+# to about one default-grid sample (6 x 6 cells x 100 realizations = 3,600).
 LASSO_BATCH_COLUMNS = 4096
 
 
@@ -153,7 +158,7 @@ class MethodSpec:
     alpha_rule: str | None = None
 
     def __post_init__(self):
-        _check(self.kind in ("tikhonov", "truncated", "subspace", "lasso"),
+        _check(self.kind in ("tikhonov", "truncated", "lasso"),
                f"unknown method kind {self.kind!r}")
         _check(self.basis in ("svd", "coordinate", "pca"), f"unknown basis kind {self.basis!r}")
         _check(self.transform in ("identity", "diff1d", "grad2d"),
@@ -405,29 +410,81 @@ def run_mismatch_grid(config: ExperimentConfig,
                           violations=violations, checked=checked, min_margin=min_margin)
 
 
+@dataclass(frozen=True)
+class LassoScores:
+    """Per-problem results of :func:`solve_lasso_samples`, each array
+    indexed (sample, alpha, data column), and the solver calls that
+    produced them, for :func:`~regbench.lasso.solver_totals`."""
+
+    errors: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
+    batches: tuple[BatchSolution, ...]
+
+
+def solve_lasso_samples(op: DenseOperator, w: np.ndarray, truths: np.ndarray, alphas,
+                        sample_data) -> LassoScores:
+    """Solve and score the LASSO problem of every (sample, alpha, data
+    column); the one scoring path of ``alpha-tune`` and the sparse grid.
+
+    ``truths`` holds one sample per column, and ``sample_data(s)`` returns
+    the data columns of sample s, an (m, k) matrix with the same k for
+    every sample.  It is called once per sample, when the sample's chunk is
+    solved, so only one chunk's data is held at a time.  Each distinct
+    alpha is solved once, and its results fill every position of
+    ``alphas`` that holds it.  The distinct problems of consecutive whole
+    samples share one :func:`~regbench.lasso.solve_batch` call of at most
+    ``LASSO_BATCH_COLUMNS`` columns (one sample when a sample alone is
+    larger), ordered (sample, alpha, data column).  A problem's error is
+    ``||x - truth|| / sqrt(n)``.
+    """
+    distinct, index = np.unique(np.asarray(alphas, dtype=float), return_inverse=True)
+    count = truths.shape[1]
+    errors, batches = [], []
+    first = 0
+    while first < count:
+        data = [sample_data(first)]
+        width = distinct.size * data[0].shape[1]
+        end = min(first + max(1, LASSO_BATCH_COLUMNS // width), count)
+        data += [sample_data(si) for si in range(first + 1, end)]
+        sol = solve_batch(op, w, np.hstack([np.tile(d, distinct.size) for d in data]),
+                          np.tile(np.repeat(distinct, data[0].shape[1]), len(data)))
+        truth = np.repeat(truths[:, first:end], width, axis=1)
+        errors.append(np.linalg.norm(sol.x - truth, axis=0) / np.sqrt(op.n))
+        batches.append(sol)
+        first = end
+
+    def per_problem(columns):
+        return np.concatenate(columns).reshape(count, distinct.size, -1)[:, index]
+
+    return LassoScores(errors=per_problem(errors),
+                       converged=per_problem([sol.converged for sol in batches]),
+                       iterations=per_problem([sol.iterations for sol in batches]),
+                       residual=per_problem([sol.residual for sol in batches]),
+                       batches=tuple(batches))
+
+
 def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     """Mismatch grid for the sparse method; alpha comes from the tuned rule
     evaluated at the training noise level.  The noise blocks are the
     Tikhonov grid's.
 
-    Bars that the rule maps to the same alpha pose the same problems, so
-    each distinct (alpha, delta, realization) problem of a sample is solved
-    once and its result is scattered to every such bar.  An ``alpha =``
-    config, or a rule whose bars all lie in one constant tail, solves one
-    bar's worth.  The distinct problems of consecutive whole samples share
-    one :func:`~regbench.lasso.solve_batch` call of at most
-    ``LASSO_BATCH_COLUMNS`` columns (one sample when a sample alone is
-    larger).  A converged solve is certified optimal or has its relative
-    KKT residual within the solver's tolerance, so a cell's mean is not
-    biased by solves dropped for slow convergence; a cell averages its
-    converged solves and reads NaN only when none of them converged.
-    ``solver`` holds :func:`~regbench.lasso.solver_totals` over the distinct
-    problems: ``solves`` counts each problem once, however many bars share
-    it.
+    Bars that the rule maps to the same alpha pose the same problems, and
+    :func:`solve_lasso_samples` solves each distinct (alpha, delta,
+    realization) problem of a sample once, whichever bars share it.  An
+    ``alpha =`` config, or a rule whose bars all lie in one constant tail,
+    solves one bar's worth.  A converged solve is certified optimal or has
+    its relative KKT residual within the solver's tolerance, so a cell's
+    mean is not biased by solves dropped for slow convergence; a cell
+    averages its converged solves and reads NaN only when none of them
+    converged.  ``solver`` holds :func:`~regbench.lasso.solver_totals` over
+    the distinct problems: ``solves`` counts each problem once, however
+    many bars share it.
     """
     x_mat, _ = build_dataset(op, config.data, config.seed)
     count = x_mat.shape[1]
-    transform = _build_transform(config.method.transform, op)
+    w = _build_transform(config.method.transform, op)
     if config.method.alpha_rule:
         rule = _read(AlphaRule.from_csv, config.method.alpha_rule)
     elif config.method.alpha is not None:
@@ -439,33 +496,24 @@ def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     bars, deltas = config.grid.delta_bar, np.asarray(config.grid.delta)
     realizations = config.grid.realizations
     alphas = np.array([alpha_for_delta(rule, delta_bar) for delta_bar in bars])
-    distinct = sorted(set(alphas.tolist()))
-    bar_alpha = [distinct.index(alpha) for alpha in alphas.tolist()]
-    shape = (len(distinct), len(deltas), realizations)
-    column_alphas = np.repeat(distinct, len(deltas) * realizations)  # columns (alpha, delta, r)
-    per_call = max(1, LASSO_BATCH_COLUMNS // column_alphas.size)
-    err_sum, solved = np.zeros((len(bars), len(deltas))), np.zeros((len(bars), len(deltas)))
-    batches = []
-    level_sum = 0.0
-    for first in range(0, count, per_call):
-        chunk = range(first, min(first + per_call, count))
-        data = []
-        for si in chunk:
-            block = noise_block(config.seed, si, realizations, op.m)
-            level_sum += np.linalg.norm(block, axis=1).sum() / np.sqrt(op.m)
-            noisy = y_mat[:, si] + deltas[:, None, None] * block  # (delta, r, m)
-            data.append(np.tile(noisy.reshape(-1, op.m).T, len(distinct)))
-        sol = solve_batch(op, transform, np.hstack(data), np.tile(column_alphas, len(chunk)))
-        truth = np.repeat(x_mat[:, chunk], column_alphas.size, axis=1)
-        errors = (np.linalg.norm(sol.x - truth, axis=0) / np.sqrt(op.n)).reshape((-1,) + shape)
-        converged = sol.converged.reshape((-1,) + shape)
-        for sample_errors, sample_converged in zip(errors[:, bar_alpha], converged[:, bar_alpha]):
-            err_sum += np.where(sample_converged, sample_errors, 0.0).sum(axis=2)
-            solved += sample_converged.sum(axis=2)
-        batches.append(sol)
+    levels = []
 
-    solver = solver_totals(*batches)
-    realized = deltas * level_sum / (count * realizations)
+    def sample_data(si):
+        """Sample si's data under every (delta, realization), in that order."""
+        block = noise_block(config.seed, si, realizations, op.m)
+        levels.append(np.linalg.norm(block, axis=1).sum() / np.sqrt(op.m))
+        return (y_mat[:, si] + deltas[:, None, None] * block).reshape(-1, op.m).T
+
+    scores = solve_lasso_samples(op, w, x_mat, alphas, sample_data)
+    shape = (count, len(bars), len(deltas), realizations)
+    err_sum, solved = np.zeros((len(bars), len(deltas))), np.zeros((len(bars), len(deltas)))
+    for sample_errors, sample_converged in zip(scores.errors.reshape(shape),
+                                               scores.converged.reshape(shape)):
+        err_sum += np.where(sample_converged, sample_errors, 0.0).sum(axis=2)
+        solved += sample_converged.sum(axis=2)
+
+    solver = solver_totals(*scores.batches)
+    realized = deltas * sum(levels) / (count * realizations)
     rho_overlay = float(estimate_source_constant(op, x_mat).mean())
     with np.errstate(invalid="ignore"):
         mean_errors = err_sum / solved
@@ -510,15 +558,16 @@ def _assemble_grid(config, mean_errors, realized, sentinel, rho_overlay, alphas=
                      min_margin=float(min_margin), solver=solver)
 
 
-def _build_transform(kind: str, op: DenseOperator) -> SparsifyingTransform:
+def _build_transform(kind: str, op: DenseOperator) -> np.ndarray:
+    """The configured sparsifying matrix W, as wide as the operator."""
     if kind == "identity":
-        return SparsifyingTransform.identity(op.n)
+        return np.eye(op.n)
     if kind == "diff1d":
-        return SparsifyingTransform.diff1d(op.n)
+        return diff1d(op.n)
     side = int(round(op.n ** 0.5))
     if side * side != op.n:
         raise ConfigError("grad2d transform needs a square image operator")
-    return SparsifyingTransform.grad2d(side)
+    return grad2d(side)
 
 
 def run_dim_experiment(config: ExperimentConfig,
@@ -528,8 +577,8 @@ def run_dim_experiment(config: ExperimentConfig,
     ``op`` is the configured operator when the caller has already built
     it; otherwise it is built here.
     """
-    if config.method.kind not in ("subspace", "truncated"):
-        raise ConfigError("dim scan needs a subspace or truncated method")
+    if config.method.kind != "truncated":
+        raise ConfigError("dim scan needs a truncated method")
     if config.method.alpha is None:
         raise ConfigError("dim scan needs an explicit alpha")
     if op is None:
@@ -773,7 +822,7 @@ def _cmd_lasso_solve(args) -> int:
     truths, _ = build_dataset(op, config.data, config.seed)
     if not 0 <= args.sample < truths.shape[1]:
         raise ConfigError(f"sample index {args.sample} out of range")
-    transform = _build_transform(config.method.transform, op)
+    w = _build_transform(config.method.transform, op)
     _check_levels((args.delta,))
     alpha = args.alpha if args.alpha is not None else config.method.alpha
     if alpha is None:
@@ -781,7 +830,7 @@ def _cmd_lasso_solve(args) -> int:
     _check(0 < alpha < math.inf, f"--alpha must be positive and finite, not {alpha!r}")
     x_true = truths[:, args.sample].copy()
     y = apply(op, x_true) + args.delta * noise_block(config.seed, args.sample, 1, op.m)[0]
-    sol = solve_batch(op, transform, y[:, None], [alpha])
+    sol = solve_batch(op, w, y[:, None], [alpha])
     iterations = int(sol.iterations[0])
     if not sol.converged[0]:
         raise RuntimeError(f"no convergence after {iterations} iterations "
@@ -789,7 +838,7 @@ def _cmd_lasso_solve(args) -> int:
     wall = time.perf_counter() - start
     x = sol.x[:, 0]
     r = op.entries @ x - y
-    objective = float(r @ r + alpha * np.abs(transform.matrix @ x).sum())
+    objective = float(r @ r + alpha * np.abs(w @ x).sum())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "lasso_solution.csv", "w", newline="\n") as fh:
@@ -810,29 +859,50 @@ def _cmd_alpha_tune(args) -> int:
     truths, _ = build_dataset(op, config.data, config.seed)
     if not 1 <= args.tuples <= truths.shape[1]:
         raise ConfigError(f"--tuples {args.tuples} outside [1, {truths.shape[1]}]")
-    transform = _build_transform(config.method.transform, op)
-    deltas, alphas = sorted(_floats(args.delta_grid)), _floats(args.alpha_grid)
+    w = _build_transform(config.method.transform, op)
+    deltas, grid = sorted(_floats(args.delta_grid)), _floats(args.alpha_grid)
     _check(deltas, "--delta-grid needs at least one level")
     _check_levels(deltas)
-    _check(alphas and all(0 < a < math.inf for a in alphas),
+    _check(all(a < b for a, b in zip(deltas, deltas[1:])), "--delta-grid repeats a level")
+    _check(grid and all(0 < a < math.inf for a in grid),
            "--alpha-grid needs positive alphas, all finite")
-    tuple_sets = [[(x, apply(op, x) + delta * rng_for(config.seed, di, si).standard_normal(op.m))
-                   for si, x in enumerate(np.ascontiguousarray(truths[:, :args.tuples].T))]
-                  for di, delta in enumerate(deltas)]
-    results = grid_search_alphas(op, transform, tuple_sets, alphas)
+    alphas = list(dict.fromkeys(grid))  # a repeated entry is tried once, at its first place
+
+    def tuple_data(i):
+        """Tuple i's data at every level; level d draws from stream (seed, d, i)."""
+        clean = apply(op, truths[:, i].copy())
+        return np.column_stack([clean + delta * rng_for(config.seed, di, i).standard_normal(op.m)
+                                for di, delta in enumerate(deltas)])
+
+    scores = solve_lasso_samples(op, w, truths[:, :args.tuples], alphas, tuple_data)
     wall = time.perf_counter() - start
-    knots = []
-    for delta, result in zip(deltas, results):
-        knots.append((delta, result.alpha_star))
-        for alpha, message in result.failures:
-            print(f"delta={_fmt(delta)} alpha={_fmt(alpha)}: {message}", file=sys.stderr)
-        print(f"delta={_fmt(delta)} alpha={_fmt(result.alpha_star)}")
+    # per level, the first alpha of the smallest mean error among the cells
+    # whose solves all converged
+    failures, knots = [], []
+    for di, delta in enumerate(deltas):
+        cells = []
+        for ai, alpha in enumerate(alphas):
+            failed = np.flatnonzero(~scores.converged[:, ai, di])
+            if failed.size:
+                first = failed[0]
+                failures.append(f"delta={_fmt(delta)} alpha={_fmt(alpha)}: no convergence after "
+                                f"{scores.iterations[first, ai, di]} iterations "
+                                f"(residual {scores.residual[first, ai, di]:.3e})")
+            else:
+                cells.append((alpha, float(np.mean(scores.errors[:, ai, di]))))
+        if not cells:
+            raise RuntimeError("every grid cell failed to converge")
+        knots.append((delta, min(cells, key=lambda cell: cell[1])[0]))
+    for line in failures:
+        print(line, file=sys.stderr)
+    for delta, alpha in knots:
+        print(f"delta={_fmt(delta)} alpha={_fmt(alpha)}")
     rule = AlphaRule(tuple(knots))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rule.to_csv(out / "alpha_rule.csv")
-    totals = solver_totals(*(result.solution for result in results))
-    make_manifest(config, op, wall, solver=totals).write(out / "manifest.json")
+    make_manifest(config, op, wall, solver=solver_totals(*scores.batches)).write(
+        out / "manifest.json")
     print(f"wrote {out / 'alpha_rule.csv'}")
     return 0
 

@@ -1,9 +1,11 @@
-"""Generalized-LASSO reconstruction with a fixed sparsifying transform.
+"""Generalized-LASSO reconstruction with a fixed sparsifying matrix.
 
 Minimizes ``||Ax - y||_2^2 + alpha ||Wx||_1`` (no 1/2 on the data term, so
 the optimality relation carries a factor 2): x is optimal exactly when
 ``2 A^T (Ax - y) + alpha W^T gamma = 0`` for some ``gamma`` in the
-subdifferential of the l1 norm at Wx.
+subdifferential of the l1 norm at Wx.  W is a plain p x n array:
+``np.eye(n)``, :func:`diff1d`, :func:`grad2d`, or any other matrix as wide
+as the operator.
 
 :func:`solve_batch` runs ADMM (Boyd et al. 2011) on the split ``Wx = z``
 over an n x B block of independent problems, each column with its own
@@ -49,8 +51,9 @@ leaves mu non-unique) stops once the relative KKT residual of its ADMM
 iterate reaches ``tol``.
 
 :func:`solve_batch` is the one way to solve: a single problem is a batch
-of one column.  :func:`grid_search_alphas` tunes alpha on (truth, data)
-tuples with every solve of the search in one batch, :class:`AlphaRule`
+of one column.  Alpha tuning and the sparse mismatch grid batch and score
+their solves through one function of the harness
+(:func:`regbench.harness.solve_lasso_samples`).  :class:`AlphaRule`
 interpolates the tuned alphas over the noise level, and
 :func:`solver_totals` sums the per-column diagnostics for a manifest.
 """
@@ -58,7 +61,7 @@ interpolates the tuned alphas over the noise level, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,55 +77,22 @@ TOL = 1e-10
 GAMMA_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class SparsifyingTransform:
-    """Row-sparsifying matrix W; one of identity, 1-D difference, 2-D image
-    gradient, or a custom externally supplied matrix.
+def diff1d(n: int) -> np.ndarray:
+    """Forward differences of adjacent entries, an (n-1) x n matrix."""
+    if n < 2:
+        raise ValueError("need at least two entries for differences")
+    eye = np.eye(n)
+    return eye[1:] - eye[:-1]
 
-    ``norm`` is the spectral norm of W: closed forms for the built-in
-    kinds, computed once at construction otherwise.
-    """
 
-    kind: str
-    matrix: np.ndarray
-    norm: float | None = None
-
-    def __post_init__(self):
-        w = np.ascontiguousarray(np.asarray(self.matrix, dtype=float))
-        if w.ndim != 2:
-            raise ValueError("transform matrix must be 2-D")
-        w.setflags(write=False)
-        object.__setattr__(self, "matrix", w)
-        if self.norm is None:
-            object.__setattr__(self, "norm", float(np.linalg.norm(w, 2)) if w.size else 0.0)
-
-    @classmethod
-    def identity(cls, n: int) -> "SparsifyingTransform":
-        return cls("identity", np.eye(n), 1.0 if n else 0.0)
-
-    @classmethod
-    def diff1d(cls, n: int) -> "SparsifyingTransform":
-        """Forward differences of adjacent entries, (n-1) x n; the norm is
-        ``2 cos(pi / (2n))``."""
-        if n < 2:
-            raise ValueError("need at least two entries for differences")
-        eye = np.eye(n)
-        return cls("diff1d", eye[1:] - eye[:-1], 2.0 * math.cos(math.pi / (2 * n)))
-
-    @classmethod
-    def grad2d(cls, side: int) -> "SparsifyingTransform":
-        """Stacked horizontal and vertical first differences of a square
-        image flattened row-major; the norm is ``2 sqrt(2) cos(pi / (2 side))``."""
-        if side < 2:
-            raise ValueError("need at least a 2x2 image")
-        diff, eye = cls.diff1d(side).matrix, np.eye(side)
-        # "+ 0.0" turns the -0.0 entries of the Kronecker products into 0.0
-        rows = np.vstack([np.kron(eye, diff), np.kron(diff, eye)]) + 0.0
-        return cls("grad2d", rows, 2.0 * math.sqrt(2.0) * math.cos(math.pi / (2 * side)))
-
-    @classmethod
-    def custom(cls, matrix: np.ndarray) -> "SparsifyingTransform":
-        return cls("custom", matrix)
+def grad2d(side: int) -> np.ndarray:
+    """Stacked horizontal and vertical first differences of a square image
+    flattened row-major, a 2 side (side-1) x side^2 matrix."""
+    if side < 2:
+        raise ValueError("need at least a 2x2 image")
+    diff, eye = diff1d(side), np.eye(side)
+    # "+ 0.0" turns the -0.0 entries of the Kronecker products into 0.0
+    return np.vstack([np.kron(eye, diff), np.kron(diff, eye)]) + 0.0
 
 
 @dataclass(frozen=True)
@@ -213,7 +183,7 @@ def _polish(ata, w, aty, alphas, signs, tol):
     return x, gamma, kept & (relative <= tol), absolute, relative
 
 
-def solve_batch(op: DenseOperator, transform: SparsifyingTransform, Y: np.ndarray,
+def solve_batch(op: DenseOperator, w: np.ndarray, Y: np.ndarray,
                 alphas, tol: float = TOL, max_iter: int = 20000,
                 x0: np.ndarray | None = None) -> BatchSolution:
     """Solve the problem of each column of ``Y`` (m x B), column j with
@@ -235,14 +205,16 @@ def solve_batch(op: DenseOperator, transform: SparsifyingTransform, Y: np.ndarra
     column's polished result does not depend on the other columns of the
     batch.  :class:`ValueError` is raised unless ``Y`` has m rows, there is
     one alpha per column and each is positive and finite, and the
-    transform is as wide as the operator.
+    transform ``w`` is a matrix as wide as the operator.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    a, w = op.entries, transform.matrix
+    a, w = op.entries, np.asarray(w, dtype=float)
     y, alpha = np.asarray(Y, dtype=float), np.asarray(alphas, dtype=float)
-    if y.ndim != 2 or y.shape[0] != op.m or alpha.shape != y.shape[1:] or w.shape[1] != op.n:
-        raise ValueError("need (m, B) data, B penalties and a transform as wide as the operator")
+    if y.ndim != 2 or y.shape[0] != op.m or alpha.shape != y.shape[1:]:
+        raise ValueError("need (m, B) data and B penalties")
+    if w.ndim != 2 or w.shape[1] != op.n:
+        raise ValueError("the transform must be a matrix as wide as the operator")
     batch = y.shape[1]
     if not ((alpha > 0) & (alpha < np.inf)).all():
         raise ValueError("alpha must be positive and finite")
@@ -340,12 +312,6 @@ def solve_batch(op: DenseOperator, transform: SparsifyingTransform, Y: np.ndarra
                          kkt_residual=kkt_abs, certified=certified)
 
 
-def _columns(batch: BatchSolution, cols) -> BatchSolution:
-    """The columns ``cols`` of a batch result."""
-    return BatchSolution(**{f.name: getattr(batch, f.name)[..., cols]
-                            for f in fields(BatchSolution)})
-
-
 def solver_totals(*batches: BatchSolution) -> dict:
     """Manifest totals over the columns of ``batches``: ``solves``,
     ``certified``, ``failures`` (not converged), the median and max of
@@ -357,65 +323,6 @@ def solver_totals(*batches: BatchSolution) -> dict:
             "failures": int(np.sum(~converged)),
             "iterations_median": float(np.median(iterations)),
             "iterations_max": int(iterations.max()), "kkt_max": float(kkt.max())}
-
-
-def _no_convergence(max_iter: int, residual: float) -> str:
-    return f"no convergence after {max_iter} iterations (residual {residual:.3e})"
-
-
-@dataclass(frozen=True)
-class GridSearchResult:
-    """The chosen alpha, the mean error of every cell whose solves all
-    converged, the failed cells, and ``solution``, the solver's columns of
-    this search (its cells in grid order, tuples in order within a cell)."""
-
-    alpha_star: float
-    errors: tuple[tuple[float, float], ...]
-    failures: tuple[tuple[float, str], ...]
-    solution: BatchSolution = field(repr=False, compare=False)
-
-
-def grid_search_alphas(op: DenseOperator, transform: SparsifyingTransform,
-                       tuple_sets, grid, tol: float = TOL,
-                       max_iter: int = 20000) -> tuple[GridSearchResult, ...]:
-    """For each set of (truth, data) tuples (one set per noise level, say),
-    the grid alpha minimizing the mean reconstruction error over the set,
-    with every (set, alpha, tuple) solve in one batch.  A cell with any
-    failed solve is recorded as failed and skipped; ties and duplicate
-    entries resolve to the earliest grid position."""
-    grid = [float(g) for g in grid]
-    if not grid:
-        raise ValueError("alpha grid must be nonempty")
-    if not tuple_sets or not all(tuple_sets):
-        raise ValueError("need at least one (x, y) tuple")
-    # columns ordered (set, alpha, tuple)
-    pairs = [pair for tuples in tuple_sets for _ in grid for pair in tuples]
-    alphas = [alpha for tuples in tuple_sets for alpha in grid for _ in tuples]
-    truth = np.column_stack([np.asarray(x, dtype=float) for x, _ in pairs])
-    batch = solve_batch(op, transform, np.column_stack([y for _, y in pairs]), alphas,
-                        tol, max_iter)
-    errors = _row_norms((batch.x - truth).T) / math.sqrt(op.n)
-
-    results, start = [], 0
-    for tuples in tuple_sets:
-        first = start
-        cells, failures = [], []
-        for alpha in grid:
-            cell = slice(start, start + len(tuples))
-            start += len(tuples)
-            failed = np.flatnonzero(~batch.converged[cell])
-            if failed.size:
-                failures.append((alpha, _no_convergence(max_iter, batch.residual[cell][failed[0]])))
-            else:
-                cells.append((alpha, float(np.mean(errors[cell]))))
-        if not cells:
-            raise RuntimeError("every grid cell failed to converge")
-        # min keeps the first of equal errors, so ties go to the earlier alpha
-        best = min(cells, key=lambda cell: cell[1])
-        results.append(GridSearchResult(alpha_star=best[0], errors=tuple(cells),
-                                        failures=tuple(failures),
-                                        solution=_columns(batch, slice(first, start))))
-    return tuple(results)
 
 
 @dataclass(frozen=True)

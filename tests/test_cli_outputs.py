@@ -20,6 +20,7 @@ per-cell mean errors to 1e-10 relative, and no cell may fail.
 import math
 from functools import partial
 
+import numpy as np
 import pytest
 
 from regbench import harness, lasso
@@ -220,18 +221,16 @@ def test_pin_check_rejects_a_moved_value(tmp_path, text):
         assert_csv_matches(tmp_path / "moved.csv", text)
 
 
-def recorded_searches(monkeypatch, **fixed):
-    """Route the CLI's ``grid_search_alphas`` through a recorder (with
-    ``fixed`` keyword arguments); returns the list the results go to."""
-    results = []
-    search = partial(lasso.grid_search_alphas, **fixed)
+def recorded_searches(monkeypatch):
+    """Route the CLI's ``solve_lasso_samples`` through a recorder; returns
+    the list its results go to."""
+    results, score = [], harness.solve_lasso_samples
 
     def recording(*args, **kwargs):
-        found = search(*args, **kwargs)
-        results.extend(found)
-        return found
+        results.append(score(*args, **kwargs))
+        return results[-1]
 
-    monkeypatch.setattr(harness, "grid_search_alphas", recording)
+    monkeypatch.setattr(harness, "solve_lasso_samples", recording)
     return results
 
 
@@ -242,14 +241,15 @@ def test_alpha_tune_matches_sequential_solves(tmp_path, capsys, monkeypatch, see
     pins = ALPHA_TUNE_PINS[seed]
     knots = "".join(f"{delta!r},{alpha!r}\n" for delta, alpha, _ in pins)
     assert (out / "alpha_rule.csv").read_text() == "delta,alpha\n" + knots
-    assert len(results) == len(pins)
-    for result, (_, alpha_star, cells) in zip(results, pins):
-        assert result.alpha_star == alpha_star
-        assert not result.failures
-        assert [alpha for alpha, _ in result.errors] == list(cells)
-        for alpha, mean_error in result.errors:
+    (scores,) = results
+    # errors are indexed (tuple, alpha, delta)
+    assert scores.errors.shape == (10, 3, len(pins))
+    assert scores.converged.all()
+    assert all(batch.certified.all() for batch in scores.batches)
+    for di, (_, _, cells) in enumerate(pins):
+        for ai, alpha in enumerate(cells):
+            mean_error = float(np.mean(scores.errors[:, ai, di]))
             assert math.isclose(mean_error, cells[alpha], rel_tol=1e-10, abs_tol=0.0)
-        assert result.solution.certified.all()
 
 
 def test_alpha_tune_reports_failed_cells_on_stderr(tmp_path, capsys, monkeypatch):
@@ -267,11 +267,13 @@ def test_alpha_tune_reports_failed_cells_on_stderr(tmp_path, capsys, monkeypatch
     assert captured.out == stdout
     assert captured.err == ""
     # under a 150-step cap some cells fail: one stderr line each, in order
-    results = recorded_searches(monkeypatch, max_iter=150)
+    results = recorded_searches(monkeypatch)
+    monkeypatch.setattr(harness, "solve_batch", partial(lasso.solve_batch, max_iter=150))
     assert cli_main(argv) == 0
     lines = capsys.readouterr().err.splitlines()
-    failed = [(delta, alpha) for delta, result in zip((0.1, 0.2, 0.5), results)
-              for alpha, _ in result.failures]
+    (scores,) = results
+    failed = [(delta, alpha) for di, delta in enumerate((0.1, 0.2, 0.5))
+              for ai, alpha in enumerate((0.001, 0.1, 1.0)) if not scores.converged[:, ai, di].all()]
     assert failed and len(lines) == len(failed)
     for line, (delta, alpha) in zip(lines, failed):
         assert line.startswith(f"delta={delta!r} alpha={alpha!r}: no convergence after 150 "

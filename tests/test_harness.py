@@ -196,6 +196,7 @@ class TestConfig:
         ("grid", "realizations", "0", "at least one realization"),
         ("grid", "delta", ",", "nonempty"),
         ("method", "kind", "ridge", "method kind"),
+        ("method", "kind", "subspace", "unknown method kind 'subspace'"),
         ("method", "basis", "fourier", "basis kind"),
         ("method", "transform", "tv", "transform kind"),
         ("method", "rho", "-1", "rho"),
@@ -420,7 +421,7 @@ class TestDimExperiment:
             operator=OperatorSpec(kind="integration", n=30),
             data=DataSpec(kind="subspace", count=1, n_dim=4),
             grid=GridSpec(delta_bar=(0.01,), delta=(0.01, 0.05), realizations=5),
-            method=MethodSpec(kind="subspace", basis="svd", alpha=0.5,
+            method=MethodSpec(kind="truncated", basis="svd", alpha=0.5,
                               m_grid=(2, 4, 6, 8), exact_truth=True),
             seed=6)
         result = run_dim_experiment(config)
@@ -431,7 +432,7 @@ class TestDimExperiment:
         config = ExperimentConfig(
             operator=OperatorSpec(kind="integration", n=10),
             data=DataSpec(kind="subspace", count=1, n_dim=2),
-            method=MethodSpec(kind="subspace", alpha=None))
+            method=MethodSpec(kind="truncated", alpha=None))
         with pytest.raises(ConfigError, match="alpha"):
             run_dim_experiment(config)
 
@@ -674,7 +675,7 @@ delta = 0.01, 0.05
 realizations = 5
 
 [method]
-kind = subspace
+kind = truncated
 basis = svd
 alpha = 0.5
 m_grid = 2 4 6 8

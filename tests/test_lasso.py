@@ -1,18 +1,15 @@
+import json
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from regbench import lasso
+from regbench import harness, lasso
 from regbench.datagen import rng_for
-from regbench.lasso import (
-    AlphaRule,
-    SparsifyingTransform,
-    alpha_for_delta,
-    grid_search_alphas,
-    solve_batch,
-)
+from regbench.lasso import AlphaRule, alpha_for_delta, diff1d, grad2d, solve_batch
 from regbench.linop import DenseOperator, build_radon_operator, compute_svd
 
 
@@ -23,7 +20,7 @@ def soft(v, threshold):
 def identity_problem(y):
     """Operator, transform and data of the separable problem A = W = I."""
     n = len(y)
-    return DenseOperator(np.eye(n)), SparsifyingTransform.identity(n), np.asarray(y, dtype=float)
+    return DenseOperator(np.eye(n)), np.eye(n), np.asarray(y, dtype=float)
 
 
 def random_problem(seed, n=16, m=24, kind="diff1d"):
@@ -31,8 +28,7 @@ def random_problem(seed, n=16, m=24, kind="diff1d"):
     a = rng.standard_normal((m, n))
     a /= np.linalg.norm(a, 2)
     op = DenseOperator(a)
-    transform = (SparsifyingTransform.diff1d(n) if kind == "diff1d"
-                 else SparsifyingTransform.identity(n))
+    transform = diff1d(n) if kind == "diff1d" else np.eye(n)
     return op, transform, rng.standard_normal(m)
 
 
@@ -43,13 +39,13 @@ def solve_one(op, transform, y, alpha, **kwargs):
 
 def objective(op, transform, y, alpha, x):
     r = op.entries @ x - y
-    return float(r @ r + alpha * np.abs(transform.matrix @ x).sum())
+    return float(r @ r + alpha * np.abs(transform @ x).sum())
 
 
 def kkt_absolute(op, transform, y, alpha, x, gamma):
     """The absolute KKT residual of one (x, gamma) pair."""
     a = op.entries
-    absolute, _ = lasso._kkt(2.0 * (a.T @ a), transform.matrix, np.asarray(x, dtype=float)[None],
+    absolute, _ = lasso._kkt(2.0 * (a.T @ a), transform, np.asarray(x, dtype=float)[None],
                              2.0 * (y @ a)[None], np.asarray(gamma, dtype=float)[None],
                              np.array([alpha]))
     return float(absolute[0])
@@ -69,54 +65,56 @@ def capped_objectives(op, transform, y, alpha, steps):
 
 class TestTransforms:
     def test_diff1d_rows(self):
-        w = SparsifyingTransform.diff1d(4).matrix
+        w = diff1d(4)
         assert w.shape == (3, 4)
         assert np.array_equal(w[1], [0, -1, 1, 0])
         assert np.array_equal(w @ np.ones(4), np.zeros(3))
 
     def test_grad2d_stacks_both_directions(self):
-        t = SparsifyingTransform.grad2d(3)
-        assert t.matrix.shape == (12, 9)
+        w = grad2d(3)
+        assert w.shape == (12, 9)
         img = np.arange(9.0)  # rows increase by 3, columns by 1
-        out = t.matrix @ img
+        out = w @ img
         assert np.allclose(out[:6], 1.0)   # horizontal differences
         assert np.allclose(out[6:], 3.0)   # vertical differences
-        assert np.allclose(t.matrix @ np.ones(9), 0.0)
+        assert np.allclose(w @ np.ones(9), 0.0)
+        assert not np.signbit(w[w == 0]).any()  # no -0.0 entries
 
     def test_identity(self):
-        assert np.array_equal(SparsifyingTransform.identity(3).matrix, np.eye(3))
+        assert np.array_equal(harness._build_transform("identity", DenseOperator(np.eye(3))),
+                              np.eye(3))
 
     def test_custom_passthrough(self):
-        w = np.array([[1.0, -2.0]])
-        assert np.array_equal(SparsifyingTransform.custom(w).matrix, w)
+        # any 2-D array-like as wide as the operator is W, taken as given
+        op, _, y = random_problem(12, n=3, m=5)
+        listed = solve_one(op, [[-1, 1, 0], [0, -1, 1]], y, 0.2)
+        built = solve_one(op, diff1d(3), y, 0.2)
+        assert np.array_equal(listed.x, built.x) and listed.certified[0]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 30, 50])
     def test_diff1d_and_identity_norms_are_exact(self, n):
-        identity = SparsifyingTransform.identity(n)
-        assert abs(identity.norm - np.linalg.norm(identity.matrix, 2)) <= 1e-12
+        # the spectra of the plain matrices have closed forms
+        assert abs(np.linalg.norm(np.eye(n), 2) - 1.0) <= 1e-12
         if n >= 2:
-            t = SparsifyingTransform.diff1d(n)
-            assert abs(t.norm - np.linalg.norm(t.matrix, 2)) <= 1e-12
+            assert abs(np.linalg.norm(diff1d(n), 2) - 2.0 * np.cos(np.pi / (2 * n))) <= 1e-12
 
     @pytest.mark.parametrize("side", [2, 3, 5, 8, 12])
     def test_grad2d_norm_is_exact(self, side):
-        t = SparsifyingTransform.grad2d(side)
-        assert abs(t.norm - np.linalg.norm(t.matrix, 2)) <= 1e-12
-
-    def test_custom_norm_computed_at_build(self):
-        w = rng_for(9).standard_normal((5, 4))
-        t = SparsifyingTransform.custom(w)
-        assert t.norm == float(np.linalg.norm(w, 2))
-        assert SparsifyingTransform.custom(np.zeros((0, 3))).norm == 0.0
+        closed = 2.0 * np.sqrt(2.0) * np.cos(np.pi / (2 * side))
+        assert abs(np.linalg.norm(grad2d(side), 2) - closed) <= 1e-12
 
     def test_problem_validation(self):
         op = DenseOperator(np.eye(3))
         with pytest.raises(ValueError):
-            solve_one(op, SparsifyingTransform.identity(3), np.zeros(3), 0.0)
+            solve_one(op, np.eye(3), np.zeros(3), 0.0)
         with pytest.raises(ValueError):
-            solve_one(op, SparsifyingTransform.identity(3), np.zeros(4), 0.1)
+            solve_one(op, np.eye(3), np.zeros(4), 0.1)
         with pytest.raises(ValueError):
-            solve_one(op, SparsifyingTransform.identity(4), np.zeros(3), 0.1)
+            solve_one(op, np.eye(4), np.zeros(3), 0.1)
+        with pytest.raises(ValueError, match="matrix"):
+            solve_one(op, np.ones(3), np.zeros(3), 0.1)
+        with pytest.raises(ValueError, match="matrix"):
+            solve_one(op, np.eye(3)[None], np.zeros(3), 0.1)
 
 
 class TestSolve:
@@ -134,7 +132,7 @@ class TestSolve:
         a /= np.linalg.norm(a, 2)
         op = DenseOperator(a)
         y = rng.standard_normal(10)
-        sol = solve_one(op, SparsifyingTransform.diff1d(6), y, 1e-12, tol=1e-12, max_iter=100000)
+        sol = solve_one(op, diff1d(6), y, 1e-12, tol=1e-12, max_iter=100000)
         lsq = np.linalg.lstsq(a, y, rcond=None)[0]
         assert np.abs(sol.x[:, 0] - lsq).max() <= 1e-4
 
@@ -183,16 +181,16 @@ def batch_case(kind):
     if kind == "identity":
         n = m = 6
         op = DenseOperator(np.eye(n))
-        transform = SparsifyingTransform.identity(n)
+        transform = np.eye(n)
     elif kind == "diff1d":
         n, m = 16, 24
         a = rng.standard_normal((m, n))
         op = DenseOperator(a / np.linalg.norm(a, 2))
-        transform = SparsifyingTransform.diff1d(n)
+        transform = diff1d(n)
     else:
         op = build_radon_operator(6, 8, 11)
         n, m = op.n, op.m
-        transform = SparsifyingTransform.grad2d(6)
+        transform = grad2d(6)
     y = rng.standard_normal((m, 5))
     y[:, 1] = 0.0
     alphas = np.array([0.01, 0.3, 0.05, 1.0, 0.1])
@@ -248,7 +246,7 @@ class TestSolveBatch:
         with pytest.raises(ValueError):
             solve_batch(op, transform, y[:-1], alphas)
         with pytest.raises(ValueError, match="as wide as the operator"):
-            solve_batch(op, SparsifyingTransform.identity(op.n + 1), y, alphas)
+            solve_batch(op, np.eye(op.n + 1), y, alphas)
 
 
 def bvls_reference(op, transform, y, alpha):
@@ -262,7 +260,7 @@ def bvls_reference(op, transform, y, alpha):
     """
     u, s, vt = np.linalg.svd(op.entries, full_matrices=False)
     assert s.size == op.n and s[-1] > 1e-8 * s[0], "needs full column rank"
-    design = (alpha / 2.0) * (vt @ transform.matrix.T) / s[:, None]
+    design = (alpha / 2.0) * (vt @ transform.T) / s[:, None]
     target = u.T @ y
     gamma = np.zeros(design.shape[1])
     if gamma.size:
@@ -298,7 +296,7 @@ def staggered_case():
     op = DenseOperator(a / np.linalg.norm(a, 2))
     y = rng.standard_normal((9, 20)) * np.geomspace(0.01, 10.0, 20)
     alphas = np.geomspace(0.02, 3.0, 20)
-    return op, SparsifyingTransform.diff1d(7), y, alphas
+    return op, diff1d(7), y, alphas
 
 
 def tiny_row_case():
@@ -312,14 +310,14 @@ def tiny_row_case():
     w = rng.standard_normal((6, 1))
     w[0] *= 5.4e-4 / np.linalg.norm(w[0])
     y = rng.standard_normal((4, 20))
-    return DenseOperator(a), SparsifyingTransform.custom(w), y, rng.uniform(0.05, 2.0, 20)
+    return DenseOperator(a), w, y, rng.uniform(0.05, 2.0, 20)
 
 
 def reference_admm_objectives(op, transform, y, alpha, steps):
     """Objective of the x-iterate of each of the first ``steps`` ADMM steps,
     one plain step at a time: x from the normal equations, then the
     soft-threshold and the dual update."""
-    a, w = op.entries, transform.matrix
+    a, w = op.entries, transform
     rho = lasso.KAPPA * alpha
     normal = 2.0 * a.T @ a + rho * w.T @ w
     z = u = np.zeros(w.shape[0])
@@ -402,7 +400,7 @@ class TestEngineMatchesReference:
         sigma = np.linalg.svd(a, compute_uv=False)
         assume(sigma[-1] >= 1e-3 * sigma[0])
         op = DenseOperator(a)
-        transform = SparsifyingTransform.custom(rng.standard_normal((p, n)))
+        transform = rng.standard_normal((p, n))
         y = rng.standard_normal((n + extra, batch))
         alphas = rng.uniform(0.05, 2.0, batch)
         x0 = rng.standard_normal((n, batch)) if seed % 2 else None
@@ -473,7 +471,7 @@ class TestSubgradientBound:
                                           (random_problem(7), 0.1),
                                           (random_problem(8, kind="identity"), 0.1)):
             sol = solve_one(op, transform, y, alpha)
-            lhs = np.linalg.norm(transform.matrix.T @ sol.gamma[:, 0])
+            lhs = np.linalg.norm(transform.T @ sol.gamma[:, 0])
             assert lhs <= 2.0 / alpha * compute_svd(op).sigma[0] * np.linalg.norm(y) + 1e-8
 
 
@@ -485,7 +483,7 @@ def restarts(op, transform, y, alpha, count, seed):
     batch = solve_batch(op, transform, np.tile(y[:, None], count), np.full(count, alpha), x0=x0)
     assert batch.converged.all()
     images = op.entries @ batch.x
-    l1 = np.abs(transform.matrix @ batch.x).sum(axis=0)
+    l1 = np.abs(transform @ batch.x).sum(axis=0)
     spread_ax = np.linalg.norm(images[:, :, None] - images[:, None, :], axis=0).max()
     return batch, spread_ax, np.ptp(l1)
 
@@ -505,7 +503,7 @@ class TestInvariance:
         a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         op = DenseOperator(a / np.linalg.norm(a, 2))
         y = np.array([2.0, -1.0])
-        batch, spread_ax, spread_l1 = restarts(op, SparsifyingTransform.identity(3), y, 0.05,
+        batch, spread_ax, spread_l1 = restarts(op, np.eye(3), y, 0.05,
                                                5, seed=3)
         assert max(spread_ax, spread_l1) <= 1e-6 * (1.0 + np.linalg.norm(y))
         # LP oracle: the shared l1 value solves min ||x||_1 s.t. Ax = u*
@@ -527,7 +525,7 @@ class TestInvariance:
         op = DenseOperator(a / np.linalg.norm(a, 2))
         assert np.abs(op.entries @ np.ones(8)).max() <= 1e-14
         y = rng_for(35).standard_normal(12)
-        batch, spread_ax, spread_l1 = restarts(op, SparsifyingTransform.diff1d(8), y, 0.05,
+        batch, spread_ax, spread_l1 = restarts(op, diff1d(8), y, 0.05,
                                                4, seed=1)
         assert max(spread_ax, spread_l1) <= 1e-6 * (1.0 + np.linalg.norm(y))
         assert (batch.kkt_residual <= 1e-9).all()
@@ -539,78 +537,163 @@ class TestInvariance:
         assert np.array_equal(first.x, second.x) and np.array_equal(first.gamma, second.gamma)
 
 
-def search(op, transform, tuples, grid, **kwargs):
-    """The grid search over one set of tuples."""
-    return grid_search_alphas(op, transform, [tuples], grid, **kwargs)[0]
+TUNE_CONFIG = """
+[operator]
+kind = integration
+n = {n}
+
+[data]
+count = 3
+
+[method]
+kind = lasso
+transform = {transform}
+"""
+
+
+def alpha_tune(tmp_path, capsys, *args, n=12, transform="identity"):
+    """Run ``alpha-tune`` at seed 0; returns the exit code, stdout, stderr,
+    the rule CSV (None when none was written) and the
+    :func:`~regbench.harness.solve_lasso_samples` results it scored."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    config = tmp_path / "tune.cfg"
+    config.write_text(TUNE_CONFIG.format(n=n, transform=transform))
+    out = tmp_path / "tune"
+    scores, score = [], harness.solve_lasso_samples
+
+    def recording(*a, **k):
+        scores.append(score(*a, **k))
+        return scores[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "solve_lasso_samples", recording)
+        code = harness.cli_main(["alpha-tune", "--config", str(config), "--out", str(out),
+                                 "--seed", "0", *args])
+    captured = capsys.readouterr()
+    rule = out / "alpha_rule.csv"
+    return code, captured.out, captured.err, rule.read_text() if rule.exists() else None, scores
+
+
+def capped(monkeypatch, max_iter):
+    """Cap every solve of the harness at ``max_iter`` ADMM steps."""
+    monkeypatch.setattr(harness, "solve_batch", partial(solve_batch, max_iter=max_iter))
 
 
 class TestGridSearch:
-    def test_singleton_grid(self, op50):
-        transform = SparsifyingTransform.identity(50)
-        x = np.zeros(50)
-        result = search(op50, transform, [(x, np.zeros(50))], [0.7])
-        assert result.alpha_star == 0.7
+    """``alpha-tune``'s choice per noise level: the first grid alpha of the
+    smallest mean error among the cells whose solves all converged."""
 
-    def test_noiseless_prefers_smallest_alpha(self):
-        rng = rng_for(44)
-        a = rng.standard_normal((12, 8))
-        a /= np.linalg.norm(a, 2)
-        op = DenseOperator(a)
-        transform = SparsifyingTransform.identity(8)
-        x = rng.standard_normal(8)
-        tuples = [(x, a @ x)]
-        result = search(op, transform, tuples, [1e-6, 0.05, 0.5], tol=1e-11, max_iter=100000)
-        assert result.alpha_star == 1e-6
+    def test_singleton_grid(self, tmp_path, capsys):
+        code, out, err, rule, _ = alpha_tune(tmp_path, capsys, "--delta-grid", "0.01 0.1",
+                                             "--alpha-grid", "0.7")
+        assert (code, err) == (0, "")
+        assert rule == "delta,alpha\n0.01,0.7\n0.1,0.7\n"
+        assert out.startswith("delta=0.01 alpha=0.7\ndelta=0.1 alpha=0.7\n")
 
-    def test_duplicate_entries_take_first(self):
-        op = DenseOperator(np.eye(4))
-        transform = SparsifyingTransform.identity(4)
-        result = search(op, transform, [(np.zeros(4), np.zeros(4))], [0.3, 0.3])
-        assert result.alpha_star == 0.3
-        assert len(result.errors) == 2
+    def test_noiseless_prefers_smallest_alpha(self, tmp_path, capsys):
+        code, _, err, rule, (scores,) = alpha_tune(tmp_path, capsys, "--delta-grid", "0",
+                                                   "--alpha-grid", "0.05 1e-6 0.5", n=8)
+        assert (code, err) == (0, "")
+        assert rule == "delta,alpha\n0.0,1e-06\n"
+        assert scores.converged.all()
+        assert scores.errors[:, 1].mean() < 1e-4 < scores.errors[:, 0].mean()
 
-    def test_failures_recorded_and_all_failed_raises(self):
-        op, transform, y = random_problem(55)
-        tuples = [(np.zeros(16), y)]
-        result = search(op, transform, tuples, [0.1, 0.2], tol=1e-14, max_iter=200000)
-        assert not result.failures
-        with pytest.raises(RuntimeError, match="failed"):
-            search(op, transform, tuples, [0.1], tol=1e-14, max_iter=2)
+    def test_duplicate_entries_take_first(self, tmp_path, capsys):
+        # alphas 100 and 1000 both give x = 0, so their cells tie exactly
+        for grid, first in (("1000 100 100", 1000.0), ("100 1000 100", 100.0)):
+            code, _, _, rule, (scores,) = alpha_tune(tmp_path, capsys, "--delta-grid", "0.1",
+                                                     "--alpha-grid", grid)
+            assert code == 0
+            assert rule == f"delta,alpha\n0.1,{first!r}\n"
+            assert scores.errors.shape == (3, 2, 1)  # the repeated 100 is scored once
+            assert np.array_equal(scores.errors[:, 0], scores.errors[:, 1])
 
-    def test_one_failing_tuple_fails_the_cell(self):
-        # at alpha 0.01 the third tuple is certified after 100 steps, the
-        # others after at most 50; at alphas 0.1 and 1 every tuple needs at
-        # most 50
-        op, transform, y = random_problem(0)
-        tuples = [(np.zeros(16), np.zeros(24)), (np.zeros(16), y), (np.ones(16), 0.1 * y)]
-        result = search(op, transform, tuples, [0.01, 0.1, 1.0], max_iter=50)
-        assert [alpha for alpha, _ in result.failures] == [0.01]
-        assert result.failures[0][1].startswith("no convergence after 50 iterations (residual ")
-        assert result.solution.converged.sum() == 8
-        assert [alpha for alpha, _ in result.errors] == [0.1, 1.0]
-        for alpha, mean_err in result.errors:
-            errs = [np.linalg.norm(solve_one(op, transform, data, alpha).x[:, 0] - x) / 4.0
-                    for x, data in tuples]
-            assert mean_err == pytest.approx(np.mean(errs), rel=1e-12)
+    def test_failures_recorded_and_all_failed_raises(self, tmp_path, capsys, monkeypatch):
+        code, _, err, _, _ = alpha_tune(tmp_path, capsys, "--delta-grid", "0.01 0.1",
+                                        "--alpha-grid", "0.001 0.01 0.1")
+        assert (code, err) == (0, "")
+        # one step certifies none of these cells
+        capped(monkeypatch, 1)
+        code, out, err, rule, (scores,) = alpha_tune(tmp_path / "capped", capsys,
+                                                     "--delta-grid", "0.01 0.1",
+                                                     "--alpha-grid", "0.001 0.01 0.1")
+        assert code == 2
+        assert (out, err) == ("", "numerical failure: every grid cell failed to converge\n")
+        assert rule is None
+        assert not scores.converged.any()
 
-    def test_sets_share_one_batch_and_match_separate_searches(self):
-        op, transform, y = random_problem(56)
-        sets = [[(np.zeros(16), y)],
-                [(np.zeros(16), 0.5 * y), (np.ones(16), -y)]]
-        together = grid_search_alphas(op, transform, sets, [0.05, 0.5])
-        for tuples, result in zip(sets, together):
-            alone = search(op, transform, tuples, [0.05, 0.5])
-            assert (result.alpha_star, result.failures) == (alone.alpha_star, alone.failures)
-            assert np.allclose(result.errors, alone.errors, rtol=1e-12, atol=0.0)
+    def test_one_failing_tuple_fails_the_cell(self, tmp_path, capsys, monkeypatch):
+        # under a 50-step cap only the first tuple at alpha 0.1 fails (it
+        # needs 75 steps); the knot comes from the other three cells
+        capped(monkeypatch, 50)
+        code, out, err, rule, (scores,) = alpha_tune(tmp_path, capsys, "--delta-grid", "0.01",
+                                                     "--alpha-grid", "0.001 0.01 0.1 1")
+        assert code == 0
+        assert scores.converged[:, :, 0].tolist() == [[True, True, False, True],
+                                                      [True, True, True, True],
+                                                      [True, True, True, True]]
+        assert err.startswith("delta=0.01 alpha=0.1: no convergence after 50 iterations (residual ")
+        assert len(err.splitlines()) == 1
+        op = harness.build_integration_operator(12)
+        truths, _ = harness.build_dataset(op, harness.DataSpec(count=3), 0)
+        means = {}
+        for ai, alpha in ((0, 0.001), (1, 0.01), (3, 1.0)):
+            errs = []
+            for i in range(3):
+                y = op.entries @ truths[:, i] + 0.01 * rng_for(0, 0, i).standard_normal(op.m)
+                x = solve_one(op, np.eye(12), y, alpha).x[:, 0]
+                errs.append(np.linalg.norm(x - truths[:, i]) / np.sqrt(12))
+            means[alpha] = np.mean(errs)
+            assert scores.errors[:, ai, 0].mean() == pytest.approx(means[alpha], rel=1e-12)
+        assert rule == f"delta,alpha\n0.01,{min(means, key=means.get)!r}\n"
 
-    def test_empty_inputs_rejected(self, op50):
-        transform = SparsifyingTransform.identity(50)
-        with pytest.raises(ValueError):
-            grid_search_alphas(op50, transform, [], [0.1])
-        with pytest.raises(ValueError):
-            search(op50, transform, [], [0.1])
-        with pytest.raises(ValueError):
-            search(op50, transform, [(np.zeros(50), np.zeros(50))], [])
+    def test_sets_share_one_batch_and_match_separate_searches(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # every problem in one solve_batch call, or one call per tuple: the
+        # same rule and the same cell means up to round-off
+        args = ("--delta-grid", "0.1 0.2 0.5", "--alpha-grid", "0.001 0.1 1")
+        calls = []
+
+        def counting(op, w, y, alphas, **kwargs):
+            calls.append(y.shape[1])
+            return solve_batch(op, w, y, alphas, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_batch", counting)
+        code, _, _, together, (one,) = alpha_tune(tmp_path / "one", capsys, *args, n=30,
+                                                  transform="diff1d")
+        monkeypatch.setattr(harness, "LASSO_BATCH_COLUMNS", 1)
+        code_each, _, _, alone, (each,) = alpha_tune(tmp_path / "each", capsys, *args, n=30,
+                                                     transform="diff1d")
+        assert code == code_each == 0
+        assert calls == [27, 9, 9, 9]
+        assert together == alone
+        assert one.converged.all() and each.converged.all()
+        assert np.allclose(one.errors.mean(axis=0), each.errors.mean(axis=0), rtol=1e-10, atol=0.0)
+
+    def test_repeated_delta_is_config_error(self, tmp_path, capsys):
+        # refused before any solve, and no rule is written
+        code, out, err, rule, scores = alpha_tune(tmp_path, capsys, "--delta-grid", "0.1 0.1")
+        assert (code, out, rule, scores) == (1, "", None, [])
+        assert err == "config error: --delta-grid repeats a level\n"
+
+    def test_repeated_alphas_are_solved_once(self, tmp_path, capsys):
+        runs = []
+        for name, grid in (("repeated", "0.1 0.1 1"), ("distinct", "0.1 1")):
+            code, out, err, rule, (scores,) = alpha_tune(
+                tmp_path / name, capsys, "--delta-grid", "0.01 0.1", "--tuples", "2",
+                "--alpha-grid", grid)
+            solver = json.loads((tmp_path / name / "tune" / "manifest.json").read_text())["solver"]
+            runs.append((code, out.replace(str(tmp_path / name), "DIR"), err, rule, solver))
+        assert runs[0] == runs[1]
+        # 2 tuples x 2 distinct alphas x 2 levels
+        assert runs[0][0] == 0 and runs[0][4]["solves"] == 8
+
+    def test_empty_inputs_rejected(self, tmp_path, capsys):
+        for args in (("--alpha-grid", ""), ("--delta-grid", ","), ("--tuples", "0"),
+                     ("--alpha-grid", "0.1 -1")):
+            code, out, err, rule, scores = alpha_tune(tmp_path, capsys, *args)
+            assert (code, out, rule, scores) == (1, "", None, [])
+            assert err.startswith("config error: ")
 
 
 class TestAlphaRule:
