@@ -21,7 +21,10 @@ The sparsifying matrix W is a plain array (:func:`_build_transform`).
 
 Each CLI command builds its operator once (with at most one SVD, see
 :func:`~regbench.linop.spectral_normalize`), hands it to the ``run_*``
-function and checksums the same operator for the manifest.
+function, which requires it, and checksums the same operator for the
+manifest.  A ``run_*`` result holds what the command writes: the CSV
+columns, the printed summary and the manifest's bound checks and solver
+totals.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ from .datagen import (
 from .dimscan import DimScanResult, scan
 from .lasso import (
     AlphaRule,
-    BatchSolution,
     alpha_for_delta,
     diff1d,
     grad2d,
@@ -302,8 +304,9 @@ def build_dataset(op: DenseOperator, spec: DataSpec, seed: int):
 
 @dataclass(frozen=True)
 class ErrorGrid:
-    """Mean errors, relative errors, and analytic overlays on the
-    (delta_bar, delta) grid, plus bound-check diagnostics."""
+    """Mean errors, relative errors, alphas and the worst-case overlay on
+    the (delta_bar, delta) grid, plus the bound-check and solver totals of
+    the manifest."""
 
     delta_bar: tuple[float, ...]
     delta: tuple[float, ...]
@@ -311,8 +314,6 @@ class ErrorGrid:
     relative_errors: np.ndarray = field(repr=False)
     wc_overlay: np.ndarray = field(repr=False)
     alphas: np.ndarray = field(repr=False)
-    sentinel_fraction: np.ndarray = field(repr=False)
-    mean_realized_delta: np.ndarray = field(repr=False)
     rho_overlay: float
     violations: int
     checked: int
@@ -320,19 +321,17 @@ class ErrorGrid:
     solver: dict | None = None
 
 
-def run_mismatch_grid(config: ExperimentConfig,
-                      op: DenseOperator | None = None) -> ErrorGrid:
+def run_mismatch_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     """Mean reconstruction errors when the rule is tuned at one noise level
-    and applied at another, with the analytic worst-case overlay.
-
-    ``op`` is the configured operator when the caller has already built
-    it; otherwise it is built here.
+    and applied at another, with the analytic worst-case overlay; ``op`` is
+    the configured operator (:func:`build_operator`).
 
     The source constant is either estimated from the data through the
     adjoint pseudoinverse, supplied as a number, or taken per sample from
-    the generated data (``rho = per-sample``).  Cells where the tuning
-    level exceeds the source constant use the zero reconstruction and are
-    flagged through the sentinel fraction and an ``inf`` alpha in the CSV.
+    the generated data (``rho = per-sample``).  A sample whose source
+    constant is below the tuning level takes the zero reconstruction; the
+    CSV's alpha is the overlay's, ``inf`` where the overlay source constant
+    is below the tuning level.
 
     Every cell works in spectral coefficients: the errors of sample x under
     the filter ``s / (s^2 + alpha)`` are one call of
@@ -344,8 +343,6 @@ def run_mismatch_grid(config: ExperimentConfig,
     """
     if config.method.kind not in ("tikhonov", "lasso"):
         raise ConfigError(f"mismatch grid supports tikhonov or lasso, not {config.method.kind!r}")
-    if op is None:
-        op = build_operator(config.operator)
     if config.method.kind == "lasso":
         return _run_lasso_grid(config, op)
     # the rule's alpha = delta_bar / rho is 0 at delta_bar = 0; the LASSO
@@ -376,20 +373,16 @@ def run_mismatch_grid(config: ExperimentConfig,
     outside = np.sum((x_mat - v @ x_coeff) ** 2, axis=0)
 
     err_sum = np.zeros((len(bars), len(deltas)))
-    sentinels = np.zeros((len(bars), 1))
-    level_sum = 0.0
     violations = checked = 0
     min_margin = np.inf
     for si in range(count):
         block = noise_block(config.seed, si, realizations, op.m)
         noise_coeff = u.T @ block.T
         level = np.linalg.norm(block, axis=1) / root_m
-        level_sum += level.sum()
         realized = deltas[:, None] * level  # per (delta, realization)
         for bi, delta_bar in enumerate(bars):
             rule_alpha = optimal_alpha(delta_bar, rho_values[si])
             if rule_alpha is ZERO_RECONSTRUCTION:
-                sentinels[bi] += 1
                 errors = np.full(realized.shape, weighted_norm(x_mat[:, si]))
                 bounds = np.full(realized.shape, rho_values[si])
             else:
@@ -403,24 +396,21 @@ def run_mismatch_grid(config: ExperimentConfig,
                 checked += margin.size
                 min_margin = min(min_margin, float(margin.min()))
 
-    cells = count * realizations
-    return _assemble_grid(config, err_sum / cells,
-                          np.tile(deltas * level_sum / cells, (len(bars), 1)),
-                          np.tile(sentinels / count, (1, len(deltas))), rho_overlay,
+    return _assemble_grid(config, err_sum / (count * realizations), rho_overlay,
                           violations=violations, checked=checked, min_margin=min_margin)
 
 
 @dataclass(frozen=True)
 class LassoScores:
     """Per-problem results of :func:`solve_lasso_samples`, each array
-    indexed (sample, alpha, data column), and the solver calls that
-    produced them, for :func:`~regbench.lasso.solver_totals`."""
+    indexed (sample, alpha, data column), and the
+    :func:`~regbench.lasso.solver_totals` of the distinct problems solved."""
 
     errors: np.ndarray
     converged: np.ndarray
     iterations: np.ndarray
     residual: np.ndarray
-    batches: tuple[BatchSolution, ...]
+    solver: dict
 
 
 def solve_lasso_samples(op: DenseOperator, w: np.ndarray, truths: np.ndarray, alphas,
@@ -437,11 +427,14 @@ def solve_lasso_samples(op: DenseOperator, w: np.ndarray, truths: np.ndarray, al
     samples share one :func:`~regbench.lasso.solve_batch` call of at most
     ``LASSO_BATCH_COLUMNS`` columns (one sample when a sample alone is
     larger), ordered (sample, alpha, data column).  A problem's error is
-    ``||x - truth|| / sqrt(n)``.
+    ``||x - truth|| / sqrt(n)``.  Of a call's solution only the per-column
+    vectors scored here or totalled for the manifest are kept; its x and
+    gamma are dropped before the next call.
     """
     distinct, index = np.unique(np.asarray(alphas, dtype=float), return_inverse=True)
     count = truths.shape[1]
-    errors, batches = [], []
+    kept = ("converged", "iterations", "residual", "certified", "kkt_residual")
+    columns = {name: [] for name in ("errors",) + kept}
     first = 0
     while first < count:
         data = [sample_data(first)]
@@ -451,18 +444,20 @@ def solve_lasso_samples(op: DenseOperator, w: np.ndarray, truths: np.ndarray, al
         sol = solve_batch(op, w, np.hstack([np.tile(d, distinct.size) for d in data]),
                           np.tile(np.repeat(distinct, data[0].shape[1]), len(data)))
         truth = np.repeat(truths[:, first:end], width, axis=1)
-        errors.append(np.linalg.norm(sol.x - truth, axis=0) / np.sqrt(op.n))
-        batches.append(sol)
+        columns["errors"].append(np.linalg.norm(sol.x - truth, axis=0) / np.sqrt(op.n))
+        for name in kept:
+            columns[name].append(getattr(sol, name))
+        del sol, truth
         first = end
+    columns = {name: np.concatenate(parts) for name, parts in columns.items()}
 
-    def per_problem(columns):
-        return np.concatenate(columns).reshape(count, distinct.size, -1)[:, index]
+    def per_problem(name):
+        return columns[name].reshape(count, distinct.size, -1)[:, index]
 
-    return LassoScores(errors=per_problem(errors),
-                       converged=per_problem([sol.converged for sol in batches]),
-                       iterations=per_problem([sol.iterations for sol in batches]),
-                       residual=per_problem([sol.residual for sol in batches]),
-                       batches=tuple(batches))
+    return LassoScores(errors=per_problem("errors"), converged=per_problem("converged"),
+                       iterations=per_problem("iterations"), residual=per_problem("residual"),
+                       solver=solver_totals(columns["iterations"], columns["certified"],
+                                            columns["converged"], columns["kkt_residual"]))
 
 
 def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
@@ -478,9 +473,9 @@ def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     its relative KKT residual within the solver's tolerance, so a cell's
     mean is not biased by solves dropped for slow convergence; a cell
     averages its converged solves and reads NaN only when none of them
-    converged.  ``solver`` holds :func:`~regbench.lasso.solver_totals` over
-    the distinct problems: ``solves`` counts each problem once, however
-    many bars share it.
+    converged.  ``solver`` holds the :func:`~regbench.lasso.solver_totals`
+    that :func:`solve_lasso_samples` takes over the distinct problems:
+    ``solves`` counts each problem once, however many bars share it.
     """
     x_mat, _ = build_dataset(op, config.data, config.seed)
     count = x_mat.shape[1]
@@ -496,12 +491,10 @@ def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     bars, deltas = config.grid.delta_bar, np.asarray(config.grid.delta)
     realizations = config.grid.realizations
     alphas = np.array([alpha_for_delta(rule, delta_bar) for delta_bar in bars])
-    levels = []
 
     def sample_data(si):
         """Sample si's data under every (delta, realization), in that order."""
         block = noise_block(config.seed, si, realizations, op.m)
-        levels.append(np.linalg.norm(block, axis=1).sum() / np.sqrt(op.m))
         return (y_mat[:, si] + deltas[:, None, None] * block).reshape(-1, op.m).T
 
     scores = solve_lasso_samples(op, w, x_mat, alphas, sample_data)
@@ -512,17 +505,14 @@ def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
         err_sum += np.where(sample_converged, sample_errors, 0.0).sum(axis=2)
         solved += sample_converged.sum(axis=2)
 
-    solver = solver_totals(*scores.batches)
-    realized = deltas * sum(levels) / (count * realizations)
     rho_overlay = float(estimate_source_constant(op, x_mat).mean())
     with np.errstate(invalid="ignore"):
         mean_errors = err_sum / solved
-    return _assemble_grid(config, mean_errors, np.tile(realized, (len(bars), 1)),
-                          np.zeros((len(bars), len(deltas))), rho_overlay,
-                          alphas=np.tile(alphas[:, None], (1, len(deltas))), solver=solver)
+    return _assemble_grid(config, mean_errors, rho_overlay,
+                          alphas=np.tile(alphas[:, None], (1, len(deltas))), solver=scores.solver)
 
 
-def _assemble_grid(config, mean_errors, realized, sentinel, rho_overlay, alphas=None,
+def _assemble_grid(config, mean_errors, rho_overlay, alphas=None,
                    violations=0, checked=0, min_margin=np.inf, solver=None) -> ErrorGrid:
     """Relative errors against the diagonal cell plus the overlays.
 
@@ -552,8 +542,7 @@ def _assemble_grid(config, mean_errors, realized, sentinel, rho_overlay, alphas=
                 wc_overlay[bi] = wc_bound(rule_alpha, np.asarray(deltas), rho_overlay)
     return ErrorGrid(delta_bar=bars, delta=deltas, mean_errors=mean_errors,
                      relative_errors=relative, wc_overlay=wc_overlay,
-                     alphas=alphas, sentinel_fraction=sentinel,
-                     mean_realized_delta=realized, rho_overlay=rho_overlay,
+                     alphas=alphas, rho_overlay=rho_overlay,
                      violations=violations, checked=checked,
                      min_margin=float(min_margin), solver=solver)
 
@@ -562,6 +551,7 @@ def _build_transform(kind: str, op: DenseOperator) -> np.ndarray:
     """The configured sparsifying matrix W, as wide as the operator."""
     if kind == "identity":
         return np.eye(op.n)
+    _check(op.n >= 2, f"{kind} transform needs an operator at least two wide")
     if kind == "diff1d":
         return diff1d(op.n)
     side = int(round(op.n ** 0.5))
@@ -570,19 +560,13 @@ def _build_transform(kind: str, op: DenseOperator) -> np.ndarray:
     return grad2d(side)
 
 
-def run_dim_experiment(config: ExperimentConfig,
-                       op: DenseOperator | None = None) -> DimScanResult:
-    """Dimension scan of the first configured sample over the noise grid.
-
-    ``op`` is the configured operator when the caller has already built
-    it; otherwise it is built here.
-    """
+def run_dim_experiment(config: ExperimentConfig, op: DenseOperator) -> DimScanResult:
+    """Dimension scan of the first configured sample over the noise grid;
+    ``op`` is the configured operator (:func:`build_operator`)."""
     if config.method.kind != "truncated":
         raise ConfigError("dim scan needs a truncated method")
     if config.method.alpha is None:
         raise ConfigError("dim scan needs an explicit alpha")
-    if op is None:
-        op = build_operator(config.operator)
     truths, _ = build_dataset(op, config.data, config.seed)
     if config.method.basis == "svd":
         basis = svd_basis(op)
@@ -845,7 +829,8 @@ def _cmd_lasso_solve(args) -> int:
         fh.write("sample_id,component,value\n")
         for comp, val in enumerate(x):
             fh.write(f"{args.sample},{comp},{_fmt(val)}\n")
-    make_manifest(config, op, wall, solver=solver_totals(sol)).write(out / "manifest.json")
+    solver = solver_totals(sol.iterations, sol.certified, sol.converged, sol.kkt_residual)
+    make_manifest(config, op, wall, solver=solver).write(out / "manifest.json")
     print(f"objective={_fmt(objective)} iterations={iterations} "
           f"kkt_residual={sol.kkt_residual[0]:.3e} "
           f"error={_fmt(weighted_norm(x - x_true))}")
@@ -901,8 +886,7 @@ def _cmd_alpha_tune(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rule.to_csv(out / "alpha_rule.csv")
-    make_manifest(config, op, wall, solver=solver_totals(*scores.batches)).write(
-        out / "manifest.json")
+    make_manifest(config, op, wall, solver=scores.solver).write(out / "manifest.json")
     print(f"wrote {out / 'alpha_rule.csv'}")
     return 0
 

@@ -312,13 +312,12 @@ def solve_batch(op: DenseOperator, w: np.ndarray, Y: np.ndarray,
                          kkt_residual=kkt_abs, certified=certified)
 
 
-def solver_totals(*batches: BatchSolution) -> dict:
-    """Manifest totals over the columns of ``batches``: ``solves``,
+def solver_totals(iterations: np.ndarray, certified: np.ndarray, converged: np.ndarray,
+                  kkt: np.ndarray) -> dict:
+    """Manifest totals over solved columns, given the :class:`BatchSolution`
+    vectors of the same name (``kkt`` is ``kkt_residual``): ``solves``,
     ``certified``, ``failures`` (not converged), the median and max of
     ``iterations``, and ``kkt_max``, the largest absolute KKT residual."""
-    iterations, certified, converged, kkt = (
-        np.concatenate([getattr(batch, name) for batch in batches])
-        for name in ("iterations", "certified", "converged", "kkt_residual"))
     return {"solves": int(iterations.size), "certified": int(np.sum(certified)),
             "failures": int(np.sum(~converged)),
             "iterations_median": float(np.median(iterations)),

@@ -325,10 +325,11 @@ def _svd_sidecar(path) -> Path:
     return Path(str(path) + ".svd")
 
 
-def save_operator(path, op: DenseOperator, include_svd: bool = True) -> None:
-    """Write the operator container; a cached SVD goes to ``<path>.svd``."""
+def save_operator(path, op: DenseOperator) -> None:
+    """Write the operator container, and the SVD to the sidecar
+    ``<path>.svd`` whenever one is cached."""
     save_matrix(path, op.entries)
-    if include_svd and op._svd is not None:
+    if op._svd is not None:
         svd = op._svd
         with open(_svd_sidecar(path), "wb") as fh:
             fh.write(MAGIC)

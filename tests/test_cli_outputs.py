@@ -17,6 +17,7 @@ is the alpha of the smallest exact cell mean.  Knots must agree exactly,
 per-cell mean errors to 1e-10 relative, and no cell may fail.
 """
 
+import json
 import math
 from functools import partial
 
@@ -245,7 +246,8 @@ def test_alpha_tune_matches_sequential_solves(tmp_path, capsys, monkeypatch, see
     # errors are indexed (tuple, alpha, delta)
     assert scores.errors.shape == (10, 3, len(pins))
     assert scores.converged.all()
-    assert all(batch.certified.all() for batch in scores.batches)
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    assert solver["certified"] == solver["solves"] == scores.errors.size
     for di, (_, _, cells) in enumerate(pins):
         for ai, alpha in enumerate(cells):
             mean_error = float(np.mean(scores.errors[:, ai, di]))

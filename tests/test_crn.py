@@ -57,8 +57,8 @@ WIDE_RADON = ExperimentConfig(
 
 
 def reference_grid(config, draw=None):
-    """Mean errors, mean realized noise levels and bound margins; ``draw``
-    realizations are drawn per sample and the first ``R`` used."""
+    """Mean errors and bound margins; ``draw`` realizations are drawn per
+    sample and the first ``R`` used."""
     op = build_operator(config.operator)
     svd = compute_svd(op)
     truths, sample_rho = build_dataset(op, config.data, config.seed)
@@ -69,7 +69,6 @@ def reference_grid(config, draw=None):
         rhos = [datagen.estimate_source_constant(op, truths).mean()] * count
     bars, deltas, reps = config.grid.delta_bar, config.grid.delta, config.grid.realizations
     errors = np.zeros((len(bars), len(deltas), count, reps))
-    realized = np.zeros_like(errors)
     margins = []
     s = svd.sigma
     for si, x in enumerate(truths.T):
@@ -79,26 +78,25 @@ def reference_grid(config, draw=None):
             alpha = optimal_alpha(delta_bar, rhos[si])
             for di, delta in enumerate(deltas):
                 noisy = y[:, None] + delta * block.T
-                realized[bi, di, si] = np.linalg.norm(noisy - y[:, None], axis=0) / np.sqrt(op.m)
+                realized = np.linalg.norm(noisy - y[:, None], axis=0) / np.sqrt(op.m)
                 if alpha is ZERO_RECONSTRUCTION:
                     errors[bi, di, si] = weighted_norm(x)
                     bounds = np.full(reps, rhos[si])
                 else:
                     rec = filtered_solve(svd, s / (s * s + alpha), noisy)
                     errors[bi, di, si] = np.linalg.norm(rec - x[:, None], axis=0) / np.sqrt(op.n)
-                    bounds = wc_bound(alpha, realized[bi, di, si], rhos[si])
+                    bounds = wc_bound(alpha, realized, rhos[si])
                 if sample_rho is not None:
                     margins.append(bounds - errors[bi, di, si])
     margins = np.concatenate(margins) if margins else np.zeros(0)
-    return errors.mean(axis=(2, 3)), realized.mean(axis=(2, 3)), margins
+    return errors.mean(axis=(2, 3)), margins
 
 
 @pytest.mark.parametrize("config", [INTEGRATION, WIDE_RADON], ids=["integration", "wide-radon"])
 def test_grid_matches_data_space_reference(config):
-    grid = run_mismatch_grid(config)
-    mean_errors, realized, margins = reference_grid(config)
+    grid = run_mismatch_grid(config, build_operator(config.operator))
+    mean_errors, margins = reference_grid(config)
     np.testing.assert_allclose(grid.mean_errors, mean_errors, rtol=REL_TOL, atol=0.0)
-    np.testing.assert_allclose(grid.mean_realized_delta, realized, rtol=REL_TOL, atol=0.0)
     assert grid.checked == margins.size
     assert grid.violations == int((margins < -1e-9).sum()) == 0
     if margins.size:
@@ -106,9 +104,12 @@ def test_grid_matches_data_space_reference(config):
 
 
 def test_integration_case_has_sentinels_and_wide_case_leaves_the_row_space():
-    grid = run_mismatch_grid(INTEGRATION)
-    assert 0.0 < grid.sentinel_fraction[2, 0] < 1.0
-    assert grid.checked == 5 * 6 * 9
+    # some, not all, samples take the zero reconstruction at delta_bar 0.6
+    op = build_operator(INTEGRATION.operator)
+    sample_rho = build_dataset(op, INTEGRATION.data, INTEGRATION.seed)[1]
+    zero = [optimal_alpha(0.6, rho) is ZERO_RECONSTRUCTION for rho in sample_rho]
+    assert 0 < sum(zero) < len(zero)
+    assert run_mismatch_grid(INTEGRATION, op).checked == 5 * 6 * 9
     op = build_operator(WIDE_RADON.operator)
     assert op.m < op.n
     v = compute_svd(op).right_vectors
@@ -117,9 +118,16 @@ def test_integration_case_has_sentinels_and_wide_case_leaves_the_row_space():
 
 
 def test_every_cell_sees_the_same_noise():
-    grid = run_mismatch_grid(WIDE_RADON)
-    ratios = grid.mean_realized_delta / np.asarray(grid.delta)
-    np.testing.assert_allclose(ratios, ratios[0, 0], rtol=1e-14, atol=0.0)
+    # a cell's noise does not depend on its place in the grid: each cell of
+    # the full grid equals the grid of that one cell
+    op = build_operator(WIDE_RADON.operator)
+    grid = run_mismatch_grid(WIDE_RADON, op)
+    for bi, delta_bar in enumerate(WIDE_RADON.grid.delta_bar):
+        for di, delta in enumerate(WIDE_RADON.grid.delta):
+            cell = replace(WIDE_RADON, grid=replace(WIDE_RADON.grid, delta_bar=(delta_bar,),
+                                                    delta=(delta,)))
+            np.testing.assert_allclose(run_mismatch_grid(cell, op).mean_errors[0, 0],
+                                       grid.mean_errors[bi, di], rtol=REL_TOL, atol=0.0)
 
 
 def test_noise_block_rows_are_prefix_stable():
@@ -135,9 +143,9 @@ def test_grid_realizations_are_prefix_stable():
     one = ExperimentConfig(operator=INTEGRATION.operator, data=INTEGRATION.data,
                            grid=GridSpec(delta_bar=(0.1,), delta=(0.1,), realizations=1),
                            method=INTEGRATION.method, seed=INTEGRATION.seed)
-    mean_errors, _, _ = reference_grid(one, draw=INTEGRATION.grid.realizations)
-    np.testing.assert_allclose(run_mismatch_grid(one).mean_errors, mean_errors,
-                               rtol=REL_TOL, atol=0.0)
+    mean_errors, _ = reference_grid(one, draw=INTEGRATION.grid.realizations)
+    np.testing.assert_allclose(run_mismatch_grid(one, build_operator(one.operator)).mean_errors,
+                               mean_errors, rtol=REL_TOL, atol=0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -154,7 +162,7 @@ def test_grid_never_violates_the_worst_case_bound(n, seed, count, realizations, 
         grid=GridSpec(delta_bar=tuple(bars), delta=tuple(deltas), realizations=realizations),
         method=MethodSpec(kind="tikhonov", rho="per-sample"),
         seed=seed)
-    grid = run_mismatch_grid(config)
+    grid = run_mismatch_grid(config, build_operator(config.operator))
     assert grid.checked == len(bars) * len(deltas) * count * realizations
     assert grid.violations == 0
 
@@ -212,7 +220,7 @@ SCAN_INTEGRATION = ExperimentConfig(
 
 @pytest.mark.parametrize("config", [SCAN_RADON, SCAN_INTEGRATION], ids=["radon", "integration"])
 def test_scan_matches_data_space_reference(config):
-    result = run_dim_experiment(config)
+    result = run_dim_experiment(config, build_operator(config.operator))
     np.testing.assert_allclose(result.mean_errors, reference_scan(config),
                                rtol=REL_TOL, atol=0.0)
 
@@ -232,7 +240,7 @@ SCAN_BASES = ExperimentConfig(
 def test_scan_matches_pixel_space_reference_on_every_basis(basis, exact_truth):
     config = replace(SCAN_BASES, method=replace(SCAN_BASES.method, basis=basis,
                                                 exact_truth=exact_truth))
-    result = run_dim_experiment(config)
+    result = run_dim_experiment(config, build_operator(config.operator))
     np.testing.assert_allclose(result.mean_errors, reference_scan(config),
                                rtol=REL_TOL, atol=0.0)
 

@@ -283,7 +283,7 @@ class TestMismatchGrid:
                           realizations=10),
             method=MethodSpec(kind="tikhonov", rho="estimate"),
             seed=7)
-        return run_mismatch_grid(config)
+        return run_mismatch_grid(config, build_operator(config.operator))
 
     def test_relative_diagonal_is_one(self, grid):
         assert np.abs(np.diag(grid.relative_errors) - 1.0).max() <= 1e-12
@@ -311,7 +311,7 @@ class TestMismatchGrid:
                           realizations=10),
             method=MethodSpec(kind="tikhonov", rho="estimate"),
             seed=7)
-        again = run_mismatch_grid(config)
+        again = run_mismatch_grid(config, build_operator(config.operator))
         assert np.array_equal(again.mean_errors, grid.mean_errors)
 
     def test_sentinel_flagged_for_large_delta_bar(self):
@@ -321,10 +321,16 @@ class TestMismatchGrid:
             grid=GridSpec(delta_bar=(0.01, 2.0), delta=(0.01,), realizations=3),
             method=MethodSpec(kind="tikhonov", rho="per-sample"),
             seed=1)
-        grid = run_mismatch_grid(config)
-        assert grid.sentinel_fraction[1, 0] == 1.0
-        assert grid.sentinel_fraction[0, 0] == 0.0
+        op = build_operator(config.operator)
+        truths, sample_rho = build_dataset(op, config.data, config.seed)
+        assert sample_rho.max() < 2.0
+        grid = run_mismatch_grid(config, op)
+        # every sample takes the zero reconstruction at delta_bar 2, none at 0.01
         assert np.isinf(grid.alphas[1, 0])
+        assert np.isfinite(grid.alphas[0, 0])
+        assert grid.mean_errors[1, 0] == pytest.approx(
+            np.mean(np.linalg.norm(truths, axis=0)) / np.sqrt(op.n), rel=1e-12)
+        assert grid.mean_errors[0, 0] < grid.mean_errors[1, 0]
         assert grid.violations == 0
 
     def test_per_sample_requires_source_elements(self):
@@ -335,7 +341,7 @@ class TestMismatchGrid:
             method=MethodSpec(kind="tikhonov", rho="per-sample"),
             seed=1)
         with pytest.raises(ConfigError, match="per-sample"):
-            run_mismatch_grid(config)
+            run_mismatch_grid(config, build_operator(config.operator))
 
     def test_lasso_grid_runs(self):
         config = ExperimentConfig(
@@ -344,7 +350,7 @@ class TestMismatchGrid:
             grid=GridSpec(delta_bar=(0.01, 0.1), delta=(0.01, 0.1), realizations=2),
             method=MethodSpec(kind="lasso", transform="identity", alpha=0.05),
             seed=3)
-        grid = run_mismatch_grid(config)
+        grid = run_mismatch_grid(config, build_operator(config.operator))
         assert grid.mean_errors.shape == (2, 2)
         assert np.abs(np.diag(grid.relative_errors) - 1.0).max() <= 1e-12
 
@@ -356,7 +362,7 @@ class TestMismatchGrid:
             grid=GridSpec(delta_bar=(0.01, 0.1), delta=(0.1,), realizations=1),
             method=MethodSpec(kind="lasso", transform="identity", alpha=0.05),
             seed=3)
-        grid = run_mismatch_grid(config)
+        grid = run_mismatch_grid(config, build_operator(config.operator))
         assert np.isnan(grid.wc_overlay).all()
         assert (grid.alphas == 0.05).all()
 
@@ -368,7 +374,7 @@ class TestMismatchGrid:
             grid=GridSpec(delta_bar=(0.1, 0.1 + 0.2), delta=(0.3, 0.1), realizations=2),
             method=MethodSpec(kind="tikhonov", rho=2.0),
             seed=3)
-        grid = run_mismatch_grid(config)
+        grid = run_mismatch_grid(config, build_operator(config.operator))
         assert grid.relative_errors[1, 0] == 1.0
         assert grid.relative_errors[0, 1] == 1.0
         assert grid.relative_errors[0, 0] == grid.mean_errors[0, 0] / grid.mean_errors[1, 0]
@@ -381,7 +387,7 @@ class TestCsvEmission:
             data=DataSpec(kind="source", count=2),
             grid=GridSpec(delta_bar=(0.01, 0.1), delta=(0.01, 0.1, 0.2), realizations=2),
             seed=2)
-        grid = run_mismatch_grid(config)
+        grid = run_mismatch_grid(config, build_operator(config.operator))
         emit_mismatch_csv(grid, tmp_path / "grid.csv")
         lines = (tmp_path / "grid.csv").read_text().splitlines()
         assert lines[0] == "delta_bar,delta,mean_error,relative_error,wc_bound,alpha"
@@ -396,8 +402,7 @@ class TestCsvEmission:
     def test_empty_grid_header_only(self, tmp_path):
         empty = ErrorGrid(delta_bar=(), delta=(), mean_errors=np.zeros((0, 0)),
                           relative_errors=np.zeros((0, 0)), wc_overlay=np.zeros((0, 0)),
-                          alphas=np.zeros((0, 0)), sentinel_fraction=np.zeros((0, 0)),
-                          mean_realized_delta=np.zeros((0, 0)), rho_overlay=1.0,
+                          alphas=np.zeros((0, 0)), rho_overlay=1.0,
                           violations=0, checked=0, min_margin=np.inf)
         emit_mismatch_csv(empty, tmp_path / "empty.csv")
         assert (tmp_path / "empty.csv").read_text() == (
@@ -409,7 +414,7 @@ class TestCsvEmission:
             data=DataSpec(kind="source", count=2),
             grid=GridSpec(delta_bar=(0.1,), delta=(0.1,), realizations=2),
             seed=4)
-        grid = run_mismatch_grid(config)
+        grid = run_mismatch_grid(config, build_operator(config.operator))
         emit_mismatch_csv(grid, tmp_path / "a.csv")
         emit_mismatch_csv(grid, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -424,7 +429,7 @@ class TestDimExperiment:
             method=MethodSpec(kind="truncated", basis="svd", alpha=0.5,
                               m_grid=(2, 4, 6, 8), exact_truth=True),
             seed=6)
-        result = run_dim_experiment(config)
+        result = run_dim_experiment(config, build_operator(config.operator))
         assert result.mean_errors.shape == (4, 2)
         assert result.estimated_n in (2, 4, 6, 8)
 
@@ -434,12 +439,12 @@ class TestDimExperiment:
             data=DataSpec(kind="subspace", count=1, n_dim=2),
             method=MethodSpec(kind="truncated", alpha=None))
         with pytest.raises(ConfigError, match="alpha"):
-            run_dim_experiment(config)
+            run_dim_experiment(config, build_operator(config.operator))
 
     def test_mismatch_method_rejected(self):
         config = ExperimentConfig(method=MethodSpec(kind="tikhonov"))
         with pytest.raises(ConfigError):
-            run_dim_experiment(config)
+            run_dim_experiment(config, build_operator(config.operator))
 
 
 class TestManifest:
@@ -749,12 +754,13 @@ alpha = 0.05
             return solve_batch(*args, **kwargs)
 
         monkeypatch.setattr(harness, "solve_batch", counting)
-        grid = run_mismatch_grid(config)
+        grid = run_mismatch_grid(config, build_operator(config.operator))
         assert calls == [[0.05, 0.5]]
         assert grid.solver["solves"] == 2 * 3 * 3 * 2
         assert grid.solver["failures"] == 0
         for bi, bar in enumerate(config.grid.delta_bar):
-            one = run_mismatch_grid(replace(config, grid=replace(config.grid, delta_bar=(bar,))))
+            one_bar = replace(config, grid=replace(config.grid, delta_bar=(bar,)))
+            one = run_mismatch_grid(one_bar, build_operator(config.operator))
             assert np.array_equal(grid.mean_errors[bi], one.mean_errors[0])
             assert np.array_equal(grid.alphas[bi], one.alphas[0])
 
@@ -792,9 +798,9 @@ alpha_rule = {rule}
             return solve_batch(*args, max_iter=75, **kwargs)
 
         monkeypatch.setattr(harness, "solve_batch", counting)
-        together = run_mismatch_grid(config)
+        together = run_mismatch_grid(config, build_operator(config.operator))
         monkeypatch.setattr(harness, "LASSO_BATCH_COLUMNS", 1)
-        per_sample = run_mismatch_grid(config)
+        per_sample = run_mismatch_grid(config, build_operator(config.operator))
         assert calls == [24, 8, 8, 8]
         assert together.solver["failures"] == per_sample.solver["failures"] > 0
         assert together.solver["solves"] == per_sample.solver["solves"] == 24
@@ -803,7 +809,6 @@ alpha_rule = {rule}
         assert np.isnan(together.mean_errors).any()
         assert np.allclose(together.mean_errors, per_sample.mean_errors,
                            rtol=1e-10, atol=0.0, equal_nan=True)
-        assert np.array_equal(together.mean_realized_delta, per_sample.mean_realized_delta)
 
     def test_lasso_grid_records_failures_instead_of_aborting(self, tmp_path, capsys, monkeypatch):
         # with the rule alpha-tune writes at seed 0 and a 100-step cap, some
@@ -1009,6 +1014,17 @@ m_grid = {m_grid}
         assert cli_main(["alpha-tune", "--config", cfg, "--out", str(tmp_path / "out"),
                          "--tuples", tuples]) == 1
         assert f"config error: --tuples {tuples} outside [1, 3]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, transform", [("lasso-solve", "diff1d"),
+                                                    ("mismatch-grid", "grad2d")])
+    def test_one_wide_operator_is_config_error(self, tmp_path, capsys, command, transform):
+        # a one-wide operator has no differences to take
+        cfg = Path(self.levels_config(tmp_path, "lasso"))
+        cfg.write_text(cfg.read_text().replace("n = 12", "n = 1").replace(
+            "kind = lasso", f"kind = lasso\ntransform = {transform}"))
+        assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert (f"config error: {transform} transform needs an operator at least two wide"
+                in capsys.readouterr().err)
 
     FILE_CONFIG = """
 [operator]
