@@ -10,13 +10,13 @@ same rows (common random numbers):
   ``y_s + delta * block[r]`` in every cell;
 - ``dim-scan`` (sample 0, R realizations) draws R + 1 rows: row 0 perturbs
   the reference reconstruction, realization r is ``y_0 + delta * block[r + 1]``;
-- ``lasso-solve`` uses row 0 of the chosen sample's block.
+- ``lasso-solve`` uses row 0 of the chosen sample's block;
+- ``alpha-tune`` is a LASSO grid of one realization: tuple i at level delta
+  sees ``lasso-solve --sample i --delta delta``'s data.
 
-``alpha-tune`` draws the noise of tuple i at level index d from its own
-stream ``(seed, d, i)``, not from a common-random-numbers block.
-
-Both LASSO commands, ``alpha-tune`` and the sparse ``mismatch-grid``, solve
-and score their problems through one function, :func:`solve_lasso_samples`.
+Both LASSO commands, ``alpha-tune`` and the sparse ``mismatch-grid``, build
+their noisy data, solve and score through one function,
+:func:`solve_lasso_samples`.
 The sparsifying matrix W is a plain array (:func:`_build_transform`).
 
 Each CLI command builds its operator once (with at most one SVD, see
@@ -50,7 +50,6 @@ from .datagen import (
     noise_block,
     pca_basis,
     phantom_images,
-    rng_for,
     sample_source_data,
     svd_basis,
 )
@@ -74,7 +73,7 @@ from .linop import (
     save_operator,
     weighted_norm,
 )
-from .tikhonov import ZERO_RECONSTRUCTION, optimal_alpha, wc_bound
+from .tikhonov import optimal_alpha, wc_bound
 
 
 class ConfigError(ValueError):
@@ -329,9 +328,8 @@ def run_mismatch_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     The source constant is either estimated from the data through the
     adjoint pseudoinverse, supplied as a number, or taken per sample from
     the generated data (``rho = per-sample``).  A sample whose source
-    constant is below the tuning level takes the zero reconstruction; the
-    CSV's alpha is the overlay's, ``inf`` where the overlay source constant
-    is below the tuning level.
+    constant is below the tuning level takes the zero reconstruction, whose
+    rule alpha is ``inf``; the CSV's alpha is the overlay's.
 
     Every cell works in spectral coefficients: the errors of sample x under
     the filter ``s / (s^2 + alpha)`` are one call of
@@ -382,13 +380,14 @@ def run_mismatch_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
         realized = deltas[:, None] * level  # per (delta, realization)
         for bi, delta_bar in enumerate(bars):
             rule_alpha = optimal_alpha(delta_bar, rho_values[si])
-            if rule_alpha is ZERO_RECONSTRUCTION:
+            # the zero reconstruction's error is ||x|| itself; the coefficient
+            # split of the kernel would round it differently
+            if rule_alpha == math.inf:
                 errors = np.full(realized.shape, weighted_norm(x_mat[:, si]))
-                bounds = np.full(realized.shape, rho_values[si])
             else:
                 errors = filtered_errors(s / (s * s + rule_alpha), y_coeff[:, si], noise_coeff,
                                          deltas, x_coeff[:, si], outside[si], op.n)
-                bounds = wc_bound(rule_alpha, realized, rho_values[si])
+            bounds = wc_bound(rule_alpha, realized, rho_values[si])
             err_sum[bi] += errors.sum(axis=1)
             if sample_rho is not None:
                 margin = bounds - errors
@@ -403,8 +402,10 @@ def run_mismatch_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
 @dataclass(frozen=True)
 class LassoScores:
     """Per-problem results of :func:`solve_lasso_samples`, each array
-    indexed (sample, alpha, data column), and the
-    :func:`~regbench.lasso.solver_totals` of the distinct problems solved."""
+    indexed (sample, alpha, data column), where data column
+    ``d * realizations + r`` is realization r at level ``deltas[d]``, and
+    the :func:`~regbench.lasso.solver_totals` of the distinct problems
+    solved."""
 
     errors: np.ndarray
     converged: np.ndarray
@@ -414,17 +415,19 @@ class LassoScores:
 
 
 def solve_lasso_samples(op: DenseOperator, w: np.ndarray, truths: np.ndarray, alphas,
-                        sample_data) -> LassoScores:
-    """Solve and score the LASSO problem of every (sample, alpha, data
-    column); the one scoring path of ``alpha-tune`` and the sparse grid.
+                        deltas, realizations: int, seed: int) -> LassoScores:
+    """Solve and score the LASSO problem of every (sample, alpha, delta,
+    realization); the one data layout and scoring path of ``alpha-tune``
+    and the sparse grid.
 
-    ``truths`` holds one sample per column, and ``sample_data(s)`` returns
-    the data columns of sample s, an (m, k) matrix with the same k for
-    every sample.  It is called once per sample, when the sample's chunk is
-    solved, so only one chunk's data is held at a time.  Each distinct
-    alpha is solved once, and its results fill every position of
-    ``alphas`` that holds it.  The distinct problems of consecutive whole
-    samples share one :func:`~regbench.lasso.solve_batch` call of at most
+    ``truths`` holds one sample per column.  The clean data ``y = A truths``
+    is one matrix product, and sample s's data columns are
+    ``y_s + delta * noise_block(seed, s, realizations, m)[r]``, ordered
+    (delta, realization); they are built when the sample's chunk is solved,
+    so only one chunk's data is held at a time.  Each distinct alpha is
+    solved once, and its results fill every position of ``alphas`` that
+    holds it.  The distinct problems of consecutive whole samples share one
+    :func:`~regbench.lasso.solve_batch` call of at most
     ``LASSO_BATCH_COLUMNS`` columns (one sample when a sample alone is
     larger), ordered (sample, alpha, data column).  A problem's error is
     ``||x - truth|| / sqrt(n)``.  Of a call's solution only the per-column
@@ -432,23 +435,24 @@ def solve_lasso_samples(op: DenseOperator, w: np.ndarray, truths: np.ndarray, al
     gamma are dropped before the next call.
     """
     distinct, index = np.unique(np.asarray(alphas, dtype=float), return_inverse=True)
-    count = truths.shape[1]
+    deltas = np.asarray(deltas, dtype=float)
+    count, columns_per_sample = truths.shape[1], deltas.size * realizations
+    width = distinct.size * columns_per_sample
+    y_mat = op.entries @ truths
     kept = ("converged", "iterations", "residual", "certified", "kkt_residual")
     columns = {name: [] for name in ("errors",) + kept}
-    first = 0
-    while first < count:
-        data = [sample_data(first)]
-        width = distinct.size * data[0].shape[1]
-        end = min(first + max(1, LASSO_BATCH_COLUMNS // width), count)
-        data += [sample_data(si) for si in range(first + 1, end)]
+    step = max(1, LASSO_BATCH_COLUMNS // width)
+    for first in range(0, count, step):
+        end = min(first + step, count)
+        data = [(y_mat[:, si] + deltas[:, None, None] * noise_block(seed, si, realizations, op.m))
+                .reshape(-1, op.m).T for si in range(first, end)]
         sol = solve_batch(op, w, np.hstack([np.tile(d, distinct.size) for d in data]),
-                          np.tile(np.repeat(distinct, data[0].shape[1]), len(data)))
+                          np.tile(np.repeat(distinct, columns_per_sample), len(data)))
         truth = np.repeat(truths[:, first:end], width, axis=1)
         columns["errors"].append(np.linalg.norm(sol.x - truth, axis=0) / np.sqrt(op.n))
         for name in kept:
             columns[name].append(getattr(sol, name))
         del sol, truth
-        first = end
     columns = {name: np.concatenate(parts) for name, parts in columns.items()}
 
     def per_problem(name):
@@ -463,7 +467,7 @@ def solve_lasso_samples(op: DenseOperator, w: np.ndarray, truths: np.ndarray, al
 def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     """Mismatch grid for the sparse method; alpha comes from the tuned rule
     evaluated at the training noise level.  The noise blocks are the
-    Tikhonov grid's.
+    Tikhonov grid's, and :func:`solve_lasso_samples` builds the data.
 
     Bars that the rule maps to the same alpha pose the same problems, and
     :func:`solve_lasso_samples` solves each distinct (alpha, delta,
@@ -487,17 +491,10 @@ def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     else:
         raise ConfigError("lasso method needs alpha or alpha_rule")
 
-    y_mat = op.entries @ x_mat
-    bars, deltas = config.grid.delta_bar, np.asarray(config.grid.delta)
+    bars, deltas = config.grid.delta_bar, config.grid.delta
     realizations = config.grid.realizations
     alphas = np.array([alpha_for_delta(rule, delta_bar) for delta_bar in bars])
-
-    def sample_data(si):
-        """Sample si's data under every (delta, realization), in that order."""
-        block = noise_block(config.seed, si, realizations, op.m)
-        return (y_mat[:, si] + deltas[:, None, None] * block).reshape(-1, op.m).T
-
-    scores = solve_lasso_samples(op, w, x_mat, alphas, sample_data)
+    scores = solve_lasso_samples(op, w, x_mat, alphas, deltas, realizations, config.seed)
     shape = (count, len(bars), len(deltas), realizations)
     err_sum, solved = np.zeros((len(bars), len(deltas))), np.zeros((len(bars), len(deltas)))
     for sample_errors, sample_converged in zip(scores.errors.reshape(shape),
@@ -530,16 +527,9 @@ def _assemble_grid(config, mean_errors, rho_overlay, alphas=None,
     if alphas is not None:
         wc_overlay = np.full(shape, np.nan)
     else:
-        wc_overlay = np.zeros(shape)
-        alphas = np.zeros(shape)
-        for bi, delta_bar in enumerate(bars):
-            rule_alpha = optimal_alpha(delta_bar, rho_overlay)
-            if rule_alpha is ZERO_RECONSTRUCTION:
-                alphas[bi] = np.inf
-                wc_overlay[bi] = rho_overlay
-            else:
-                alphas[bi] = rule_alpha
-                wc_overlay[bi] = wc_bound(rule_alpha, np.asarray(deltas), rho_overlay)
+        rule = [optimal_alpha(delta_bar, rho_overlay) for delta_bar in bars]
+        alphas = np.tile(np.array(rule)[:, None], (1, len(deltas)))
+        wc_overlay = np.array([wc_bound(alpha, np.asarray(deltas), rho_overlay) for alpha in rule])
     return ErrorGrid(delta_bar=bars, delta=deltas, mean_errors=mean_errors,
                      relative_errors=relative, wc_overlay=wc_overlay,
                      alphas=alphas, rho_overlay=rho_overlay,
@@ -749,7 +739,7 @@ def _cmd_wc_curve(args) -> int:
     rule_alpha = optimal_alpha(args.delta, args.rho)
     grid = list(np.geomspace(1e-4, 1.0, args.points))
     # noise-free data gives the rule's alpha 0, where the bound is undefined
-    if rule_alpha is not ZERO_RECONSTRUCTION and rule_alpha > 0:
+    if 0 < rule_alpha < math.inf:
         grid.append(rule_alpha)
     alphas = sorted(set(grid))
     bounds = [wc_bound(a, args.delta, args.rho) for a in alphas]
@@ -852,14 +842,9 @@ def _cmd_alpha_tune(args) -> int:
     _check(grid and all(0 < a < math.inf for a in grid),
            "--alpha-grid needs positive alphas, all finite")
     alphas = list(dict.fromkeys(grid))  # a repeated entry is tried once, at its first place
-
-    def tuple_data(i):
-        """Tuple i's data at every level; level d draws from stream (seed, d, i)."""
-        clean = apply(op, truths[:, i].copy())
-        return np.column_stack([clean + delta * rng_for(config.seed, di, i).standard_normal(op.m)
-                                for di, delta in enumerate(deltas)])
-
-    scores = solve_lasso_samples(op, w, truths[:, :args.tuples], alphas, tuple_data)
+    # one realization: tuple i at level delta sees lasso-solve's data for
+    # --sample i --delta delta
+    scores = solve_lasso_samples(op, w, truths[:, :args.tuples], alphas, deltas, 1, config.seed)
     wall = time.perf_counter() - start
     # per level, the first alpha of the smallest mean error among the cells
     # whose solves all converged

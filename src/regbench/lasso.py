@@ -184,21 +184,20 @@ def _polish(ata, w, aty, alphas, signs, tol):
 
 
 def solve_batch(op: DenseOperator, w: np.ndarray, Y: np.ndarray,
-                alphas, tol: float = TOL, max_iter: int = 20000,
-                x0: np.ndarray | None = None) -> BatchSolution:
+                alphas, tol: float = TOL, max_iter: int = 20000) -> BatchSolution:
     """Solve the problem of each column of ``Y`` (m x B), column j with
     penalty ``alphas[j]``, by ADMM with active-set polish (see the module
     docstring).  This is the one solver entry point: a single problem is
     a one-column batch.
 
-    The start is ``x0`` (n x B) or zero, with ``z = W x0`` and ``u = 0``.  A
-    column whose relative KKT residual at the start (with gamma = 0) is
-    already within ``tol`` stops there, after 0 steps.  The others run in
-    chunks of ``POLISH_EVERY`` steps, fewer when ``max_iter`` leaves fewer.
-    After each chunk, every live column takes the x-update of its current
-    (z, u) and ``gamma = KAPPA u``; the polish is tried where the module
-    docstring says; and a column stops when it is certified or when its
-    relative KKT residual (see :func:`_kkt`) is within ``tol``, by default
+    Every column starts from ``x = z = u = 0``.  A column whose relative KKT
+    residual at the start (with gamma = 0) is already within ``tol`` stops
+    there, after 0 steps.  The others run in chunks of ``POLISH_EVERY``
+    steps, fewer when ``max_iter`` leaves fewer.  After each chunk, every
+    live column takes the x-update of its current (z, u) and
+    ``gamma = KAPPA u``; the polish is tried where the module docstring
+    says; and a column stops when it is certified or when its relative KKT
+    residual (see :func:`_kkt`) is within ``tol``, by default
     ``TOL`` = 1e-10.  ``iterations`` counts the ADMM steps a column ran: 0,
     a multiple of ``POLISH_EVERY``, or ``max_iter``.  A column still live
     at ``max_iter`` returns its last x-update and is not converged.  A
@@ -224,7 +223,7 @@ def solve_batch(op: DenseOperator, w: np.ndarray, Y: np.ndarray,
     # depend on the other columns of the batch
     n = op.n
     ata, aty = 2.0 * (a.T @ a), 2.0 * np.einsum("mb,mn->bn", y, a)
-    x = np.zeros((batch, n)) if x0 is None else np.array(x0, dtype=float).reshape(n, batch).T
+    x = np.zeros((batch, n))
     z = x @ w.T
     gamma = np.zeros_like(z)
     kkt_abs, residual = _kkt(ata, w, x, aty, gamma, alpha)

@@ -2,7 +2,9 @@
 
 The worst-case bound and the mismatch ratio are evaluated exactly from
 their piecewise closed forms; reconstruction is the SVD filter kernel
-:func:`~regbench.linop.filtered_solve`.
+:func:`~regbench.linop.filtered_solve`.  The parameter rule gives
+``alpha = inf`` where the optimal scheme returns the zero vector, and the
+bound takes that alpha as its limit.
 """
 
 from __future__ import annotations
@@ -12,20 +14,6 @@ import math
 import numpy as np
 
 from .linop import DenseOperator, compute_svd, filtered_solve
-
-
-class _ZeroReconstruction:
-    """Sentinel for the parameter rule when the noise level exceeds the
-    source bound: the optimal scheme returns the zero vector.  Downstream
-    code must branch on it; it never enters float arithmetic."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "ZERO_RECONSTRUCTION"
-
-
-ZERO_RECONSTRUCTION = _ZeroReconstruction()
 
 
 def reconstruct(op: DenseOperator, y: np.ndarray, alpha: float) -> np.ndarray:
@@ -45,8 +33,9 @@ def wc_bound(alpha: float, delta, rho: float):
     """Closed-form worst-case reconstruction error for noise level ``delta``
     and source constant ``rho`` at regularization strength ``alpha``.
 
-    ``delta`` may be an array of noise levels; the result then has its
-    shape, otherwise it is a float.
+    ``alpha = inf`` is the zero reconstruction, whose bound is its limit
+    ``rho``.  ``delta`` may be an array of noise levels; the result then has
+    its shape, otherwise it is a float.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -55,18 +44,20 @@ def wc_bound(alpha: float, delta, rho: float):
         raise ValueError("need delta >= 0 and rho > 0")
     if alpha <= 1.0:
         out = 0.5 * (delta_arr / math.sqrt(alpha) + math.sqrt(alpha) * rho)
-    else:
+    elif alpha < math.inf:
         out = (delta_arr + alpha * rho) / (1.0 + alpha)
+    else:
+        out = np.full(delta_arr.shape, float(rho))
     return float(out) if out.ndim == 0 else out
 
 
-def optimal_alpha(delta: float, rho: float):
-    """A-priori rule ``alpha = delta / rho``; returns the zero-reconstruction
-    sentinel once the noise level exceeds the source bound."""
+def optimal_alpha(delta: float, rho: float) -> float:
+    """A-priori rule ``alpha = delta / rho``; ``inf``, the zero
+    reconstruction, once the noise level exceeds the source bound."""
     if delta < 0 or rho <= 0:
         raise ValueError("need delta >= 0 and rho > 0")
     if delta > rho:
-        return ZERO_RECONSTRUCTION
+        return math.inf
     return delta / rho
 
 

@@ -154,19 +154,19 @@ LASSO_TUNE_ARGS = ("--delta-grid", "0.1 0.2 0.5", "--alpha-grid", "0.001 0.1 1",
 # cell
 ALPHA_TUNE_PINS = {
     0: [
-        (0.1, 1.0, {0.001: 1.8864626112163065, 0.1: 0.06890842475726583, 1.0: 0.06748505202404151}),
-        (0.2, 1.0, {0.001: 4.533061536136604, 0.1: 0.2255404934522177, 1.0: 0.07647366811003113}),
-        (0.5, 1.0, {0.001: 11.670678648352158, 0.1: 1.013512763361181, 1.0: 0.10283692429054332}),
+        (0.1, 0.1, {0.001: 1.9016253343200085, 0.1: 0.06553974362233446, 1.0: 0.06625838776400307}),
+        (0.2, 1.0, {0.001: 4.490539747563663, 0.1: 0.12786381876818706, 1.0: 0.06908572941132968}),
+        (0.5, 1.0, {0.001: 12.401972804157825, 0.1: 1.0888335930052502, 1.0: 0.12031243753824186}),
     ],
     1: [
-        (0.1, 1.0, {0.001: 2.083169364599005, 0.1: 0.08007754504252382, 1.0: 0.07238275681297313}),
-        (0.2, 1.0, {0.001: 4.3597840724095835, 0.1: 0.17854087375106628, 1.0: 0.0699787012073372}),
-        (0.5, 1.0, {0.001: 12.953425359069692, 0.1: 1.095112411361615, 1.0: 0.11416488778179171}),
+        (0.1, 0.1, {0.001: 2.1841368160350028, 0.1: 0.0562241317152903, 1.0: 0.06845563432038397}),
+        (0.2, 1.0, {0.001: 5.091023575661383, 0.1: 0.13006773945133848, 1.0: 0.07122586809008431}),
+        (0.5, 1.0, {0.001: 13.920179054025065, 0.1: 0.9538089393387293, 1.0: 0.0735661089806084}),
     ],
     2: [
-        (0.1, 0.1, {0.001: 1.7725800272527035, 0.1: 0.06945869098141275, 1.0: 0.07491580294672508}),
-        (0.2, 1.0, {0.001: 4.752151938057969, 0.1: 0.20895585197013702, 1.0: 0.08342146143899279}),
-        (0.5, 1.0, {0.001: 12.173821644613302, 0.1: 0.8974708519031847, 1.0: 0.1614893268278497}),
+        (0.1, 1.0, {0.001: 1.9785097520138801, 0.1: 0.07995331158784649, 1.0: 0.06820488740043196}),
+        (0.2, 1.0, {0.001: 4.600918427032551, 0.1: 0.2024661473023411, 1.0: 0.07409963386253994}),
+        (0.5, 1.0, {0.001: 12.61027242502863, 0.1: 0.9951402085588406, 1.0: 0.183112432152948}),
     ],
 }
 
@@ -246,12 +246,32 @@ def test_alpha_tune_matches_sequential_solves(tmp_path, capsys, monkeypatch, see
     # errors are indexed (tuple, alpha, delta)
     assert scores.errors.shape == (10, 3, len(pins))
     assert scores.converged.all()
-    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["noise_scheme"] == "crn-v2"
+    solver = manifest["solver"]
     assert solver["certified"] == solver["solves"] == scores.errors.size
     for di, (_, _, cells) in enumerate(pins):
         for ai, alpha in enumerate(cells):
             mean_error = float(np.mean(scores.errors[:, ai, di]))
             assert math.isclose(mean_error, cells[alpha], rel_tol=1e-10, abs_tol=0.0)
+
+
+def test_alpha_tune_cells_are_lasso_solve_problems(tmp_path, capsys, monkeypatch):
+    # alpha-tune draws the common-random-number blocks: its problem (tuple
+    # i, alpha, delta) is lasso-solve's --sample i --delta delta --alpha alpha
+    results = recorded_searches(monkeypatch)
+    args = ("--delta-grid", "0.1 0.2 0.5", "--alpha-grid", "0.001 0.1 1", "--tuples", "3")
+    run_cli(tmp_path, capsys, "alpha-tune", LASSO_TUNE, *args)
+    (scores,) = results
+    assert scores.errors.shape == (3, 3, 3) and scores.converged.all()
+    for i in range(3):
+        for ai, alpha in enumerate((0.001, 0.1, 1.0)):
+            for di, delta in enumerate((0.1, 0.2, 0.5)):
+                _, stdout = run_cli(tmp_path, capsys, "lasso-solve", LASSO_TUNE,
+                                    "--sample", str(i), "--delta", repr(delta),
+                                    "--alpha", repr(alpha))
+                error = float(stdout.split("error=")[1])
+                assert math.isclose(scores.errors[i, ai, di], error, rel_tol=1e-12, abs_tol=0.0)
 
 
 def test_alpha_tune_reports_failed_cells_on_stderr(tmp_path, capsys, monkeypatch):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regbench import datagen, dimscan, harness
+from regbench import datagen, dimscan
 from regbench.datagen import NOISE_TAG, coordinate_basis, noise_block, pca_basis, rng_for, svd_basis
 from regbench.dimscan import scan
 from regbench.harness import (
@@ -32,7 +32,7 @@ from regbench.harness import (
     run_mismatch_grid,
 )
 from regbench.linop import compute_svd, filtered_solve, weighted_norm
-from regbench.tikhonov import ZERO_RECONSTRUCTION, optimal_alpha, reconstruct, wc_bound
+from regbench.tikhonov import optimal_alpha, reconstruct, wc_bound
 from test_truncated import restricted_normal_solve
 
 REL_TOL = 1e-12
@@ -79,13 +79,12 @@ def reference_grid(config, draw=None):
             for di, delta in enumerate(deltas):
                 noisy = y[:, None] + delta * block.T
                 realized = np.linalg.norm(noisy - y[:, None], axis=0) / np.sqrt(op.m)
-                if alpha is ZERO_RECONSTRUCTION:
+                if alpha == np.inf:
                     errors[bi, di, si] = weighted_norm(x)
-                    bounds = np.full(reps, rhos[si])
                 else:
                     rec = filtered_solve(svd, s / (s * s + alpha), noisy)
                     errors[bi, di, si] = np.linalg.norm(rec - x[:, None], axis=0) / np.sqrt(op.n)
-                    bounds = wc_bound(alpha, realized, rhos[si])
+                bounds = wc_bound(alpha, realized, rhos[si])
                 if sample_rho is not None:
                     margins.append(bounds - errors[bi, di, si])
     margins = np.concatenate(margins) if margins else np.zeros(0)
@@ -107,7 +106,7 @@ def test_integration_case_has_sentinels_and_wide_case_leaves_the_row_space():
     # some, not all, samples take the zero reconstruction at delta_bar 0.6
     op = build_operator(INTEGRATION.operator)
     sample_rho = build_dataset(op, INTEGRATION.data, INTEGRATION.seed)[1]
-    zero = [optimal_alpha(0.6, rho) is ZERO_RECONSTRUCTION for rho in sample_rho]
+    zero = [optimal_alpha(0.6, rho) == np.inf for rho in sample_rho]
     assert 0 < sum(zero) < len(zero)
     assert run_mismatch_grid(INTEGRATION, op).checked == 5 * 6 * 9
     op = build_operator(WIDE_RADON.operator)
@@ -333,7 +332,6 @@ def test_no_random_stream_is_used_twice(tmp_path, monkeypatch, command, kind, ar
         return real(seed, *path)
 
     monkeypatch.setattr(datagen, "rng_for", recording)
-    monkeypatch.setattr(harness, "rng_for", recording)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(LASSO_CFG.replace("kind = tikhonov", f"kind = {kind}"))
     assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),

@@ -6,7 +6,6 @@ import pytest
 from regbench.datagen import rng_for, sample_source_data
 from regbench.linop import DenseOperator, apply, compute_svd, weighted_norm
 from regbench.tikhonov import (
-    ZERO_RECONSTRUCTION,
     optimal_alpha,
     reconstruct,
     relative_wc,
@@ -102,7 +101,7 @@ class TestWcBound:
         # the fields of a bound record are the function's keywords
         assert wc_bound(alpha=0.5, delta=0.1, rho=1.0) == wc_bound(0.5, 0.1, 1.0)
 
-    @pytest.mark.parametrize("alpha", [0.03, 1.0, 4.0])
+    @pytest.mark.parametrize("alpha", [0.03, 1.0, 4.0, math.inf])
     def test_array_delta_matches_scalar(self, alpha):
         deltas = np.array([0.0, 0.01, 0.2, 1.5])
         values = wc_bound(alpha, deltas, 0.8)
@@ -126,14 +125,21 @@ class TestOptimalAlpha:
         assert optimal_alpha(0.1, 1.0) == pytest.approx(0.1)
 
     def test_sentinel_beyond_rho(self):
-        assert optimal_alpha(2.0, 1.0) is ZERO_RECONSTRUCTION
-        assert optimal_alpha(delta=2.0, rho=1.0) is ZERO_RECONSTRUCTION
+        # alpha = inf is the zero reconstruction
+        assert optimal_alpha(2.0, 1.0) == math.inf
+        assert optimal_alpha(delta=2.0, rho=1.0) == math.inf
 
     def test_boundary(self):
         assert optimal_alpha(1.0, 1.0) == 1.0
 
-    def test_sentinel_repr(self):
-        assert repr(ZERO_RECONSTRUCTION) == "ZERO_RECONSTRUCTION"
+    def test_zero_reconstruction_bound_is_rho(self):
+        # the bound at alpha = inf is its alpha -> inf limit rho, the error
+        # bound of the zero reconstruction, for scalar and array levels
+        alpha = optimal_alpha(2.0, 0.5)
+        assert wc_bound(alpha, 2.0, 0.5) == 0.5
+        bounds = wc_bound(alpha, np.array([0.0, 0.6, 3.0]), 0.5)
+        assert bounds.dtype == float and bounds.tolist() == [0.5, 0.5, 0.5]
+        assert wc_bound(1e12, 2.0, 0.5) == pytest.approx(0.5, rel=1e-11)
 
 
 class TestRelativeWc:
