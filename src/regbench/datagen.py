@@ -128,6 +128,8 @@ def pca_basis(data, n_components: int) -> Basis:
     if n_components > x.shape[0]:
         raise ValueError("need at least as many samples as components")
     centered = x - x.mean(axis=0)
+    # centring makes the data rank-deficient, where linop's Gram route would
+    # always fall back to this same LAPACK SVD
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     comps = vt[:n_components].T.copy()
     from .linop import _orient_columns

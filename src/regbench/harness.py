@@ -609,9 +609,12 @@ NOISE_SCHEME = "crn-v2"
 @dataclass(frozen=True)
 class RunManifest:
     """Run provenance, with the numpy version that computed the numbers.
-    The bound-check totals are those of a Tikhonov mismatch grid and stay
-    ``None`` for other commands; ``min_margin`` is also ``None`` when
-    nothing was checked.  ``solver`` holds the LASSO solver totals of the
+    ``wall_time_s`` is the run up to writing its outputs, and
+    ``operator_s`` the part of it spent in :func:`build_operator`, which
+    for a generated operator includes its factorization.  The bound-check
+    totals are those of a Tikhonov mismatch grid and stay ``None`` for
+    other commands; ``min_margin`` is also ``None`` when nothing was
+    checked.  ``solver`` holds the LASSO solver totals of the
     LASSO grid, ``alpha-tune`` and ``lasso-solve``
     (:func:`~regbench.lasso.solver_totals`: solves, certified, failures,
     median and max iterations, max KKT residual) and is ``None``
@@ -623,6 +626,7 @@ class RunManifest:
     tool_version: str
     numpy_version: str
     wall_time_s: float
+    operator_s: float
     noise_scheme: str = NOISE_SCHEME
     checked: int | None = None
     violations: int | None = None
@@ -646,7 +650,8 @@ def operator_checksum(op: DenseOperator) -> str:
 
 
 def make_manifest(config: ExperimentConfig, op: DenseOperator, wall_time_s: float,
-                  grid: ErrorGrid | None = None, solver: dict | None = None) -> RunManifest:
+                  operator_s: float, grid: ErrorGrid | None = None,
+                  solver: dict | None = None) -> RunManifest:
     """The run's manifest; a grid brings its bound checks and solver
     totals, a LASSO command without a grid passes its ``solver`` totals."""
     checks = dict(solver=solver) if grid is None else dict(
@@ -655,7 +660,7 @@ def make_manifest(config: ExperimentConfig, op: DenseOperator, wall_time_s: floa
     return RunManifest(master_seed=config.seed, config_hash=config_hash(config),
                        operator_checksum=operator_checksum(op),
                        tool_version=__version__, numpy_version=np.__version__,
-                       wall_time_s=wall_time_s, **checks)
+                       wall_time_s=wall_time_s, operator_s=operator_s, **checks)
 
 
 # ---------------------------------------------------------------------------
@@ -759,12 +764,13 @@ def _cmd_mismatch_grid(args) -> int:
     config = _require_config(args)
     start = time.perf_counter()
     op = build_operator(config.operator)
+    operator_s = time.perf_counter() - start
     grid = run_mismatch_grid(config, op)
     wall = time.perf_counter() - start
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     emit_mismatch_csv(grid, out / "mismatch_grid.csv")
-    make_manifest(config, op, wall, grid).write(out / "manifest.json")
+    make_manifest(config, op, wall, operator_s, grid).write(out / "manifest.json")
     print(f"wrote {out / 'mismatch_grid.csv'} (rho={_fmt(grid.rho_overlay)})")
     if grid.checked:
         print(f"bound checks: {grid.checked - grid.violations}/{grid.checked} "
@@ -779,12 +785,13 @@ def _cmd_dim_scan(args) -> int:
     config = _require_config(args)
     start = time.perf_counter()
     op = build_operator(config.operator)
+    operator_s = time.perf_counter() - start
     result = run_dim_experiment(config, op)
     wall = time.perf_counter() - start
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     emit_dimscan_csv(result, config.method.basis, out / "dim_scan.csv")
-    make_manifest(config, op, wall).write(out / "manifest.json")
+    make_manifest(config, op, wall, operator_s).write(out / "manifest.json")
     print(f"estimated_N={result.estimated_n}")
     return 0
 
@@ -793,6 +800,7 @@ def _cmd_lasso_solve(args) -> int:
     config = _require_config(args)
     start = time.perf_counter()
     op = build_operator(config.operator)
+    operator_s = time.perf_counter() - start
     truths, _ = build_dataset(op, config.data, config.seed)
     if not 0 <= args.sample < truths.shape[1]:
         raise ConfigError(f"sample index {args.sample} out of range")
@@ -820,7 +828,7 @@ def _cmd_lasso_solve(args) -> int:
         for comp, val in enumerate(x):
             fh.write(f"{args.sample},{comp},{_fmt(val)}\n")
     solver = solver_totals(sol.iterations, sol.certified, sol.converged, sol.kkt_residual)
-    make_manifest(config, op, wall, solver=solver).write(out / "manifest.json")
+    make_manifest(config, op, wall, operator_s, solver=solver).write(out / "manifest.json")
     print(f"objective={_fmt(objective)} iterations={iterations} "
           f"kkt_residual={sol.kkt_residual[0]:.3e} "
           f"error={_fmt(weighted_norm(x - x_true))}")
@@ -831,6 +839,7 @@ def _cmd_alpha_tune(args) -> int:
     config = _require_config(args)
     start = time.perf_counter()
     op = build_operator(config.operator)
+    operator_s = time.perf_counter() - start
     truths, _ = build_dataset(op, config.data, config.seed)
     if not 1 <= args.tuples <= truths.shape[1]:
         raise ConfigError(f"--tuples {args.tuples} outside [1, {truths.shape[1]}]")
@@ -871,7 +880,7 @@ def _cmd_alpha_tune(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rule.to_csv(out / "alpha_rule.csv")
-    make_manifest(config, op, wall, solver=scores.solver).write(out / "manifest.json")
+    make_manifest(config, op, wall, operator_s, solver=scores.solver).write(out / "manifest.json")
     print(f"wrote {out / 'alpha_rule.csv'}")
     return 0
 

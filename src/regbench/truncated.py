@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import Basis
-from .linop import DenseOperator, SvdSystem, compute_svd
+from .linop import DenseOperator, SvdSystem, _thin_svd, compute_svd
 
 
 def restricted_system(op: DenseOperator, basis: Basis, m: int) -> SvdSystem:
@@ -28,8 +28,8 @@ def restricted_system(op: DenseOperator, basis: Basis, m: int) -> SvdSystem:
 
     The ``"svd"`` basis, which must hold this operator's right singular
     vectors, slices the operator's cached system; any other orthonormal
-    basis takes one thin SVD of ``A B_m`` and maps its right vectors back
-    through ``B_m``.
+    basis takes one thin SVD of ``A B_m`` (:func:`~regbench.linop._thin_svd`)
+    and maps its right vectors back through ``B_m``.
     """
     if m < 0 or m > basis.size:
         raise ValueError("basis truncation level out of range")
@@ -37,8 +37,8 @@ def restricted_system(op: DenseOperator, basis: Basis, m: int) -> SvdSystem:
         svd = compute_svd(op)
         return SvdSystem(svd.sigma[:m], svd.left_vectors[:, :m], svd.right_vectors[:, :m])
     b = basis.vectors[:, :m]
-    u, s, vt = np.linalg.svd(op.entries @ b, full_matrices=False)
-    return SvdSystem(sigma=s, left_vectors=u, right_vectors=b @ vt.T)
+    svd = _thin_svd(op.entries @ b)
+    return SvdSystem(svd.sigma, svd.left_vectors, b @ svd.right_vectors)
 
 
 @dataclass(frozen=True)

@@ -450,10 +450,11 @@ class TestDimExperiment:
 class TestManifest:
     def test_fields_and_write(self, tmp_path, small_config):
         op = build_operator(small_config.operator)
-        manifest = make_manifest(small_config, op, wall_time_s=1.5)
+        manifest = make_manifest(small_config, op, wall_time_s=1.5, operator_s=0.25)
         manifest.write(tmp_path / "manifest.json")
         payload = json.loads((tmp_path / "manifest.json").read_text())
         assert payload["master_seed"] == 7
+        assert payload["wall_time_s"] == 1.5 and payload["operator_s"] == 0.25
         assert payload["tool_version"] == harness.__version__
         assert payload["numpy_version"] == np.__version__
         assert len(payload["operator_checksum"]) == 64
@@ -461,7 +462,8 @@ class TestManifest:
 
     def test_noise_scheme_without_grid(self, tmp_path, small_config):
         op = build_operator(small_config.operator)
-        make_manifest(small_config, op, wall_time_s=1.5).write(tmp_path / "manifest.json")
+        make_manifest(small_config, op, wall_time_s=1.5, operator_s=0.25).write(
+            tmp_path / "manifest.json")
         payload = json.loads((tmp_path / "manifest.json").read_text())
         assert payload["noise_scheme"] == "crn-v2"
         assert payload["checked"] is None and payload["min_margin"] is None
@@ -622,6 +624,16 @@ class TestBuildOnce:
         manifest = json.loads((out / "manifest.json").read_text())
         op = build_operator(OperatorSpec(kind="radon", side=8, angles=6, offsets=9))
         assert manifest["operator_checksum"] == harness.operator_checksum(op)
+
+    @pytest.mark.parametrize("command, tail", [("mismatch-grid", RADON_GRID_TAIL),
+                                               ("dim-scan", RADON_DIM_TAIL)],
+                             ids=["mismatch-grid", "dim-scan"])
+    def test_operator_time_is_part_of_the_wall_time(self, tmp_path, command, tail):
+        cfg = tmp_path / "radon.cfg"
+        cfg.write_text(RADON_SMALL + tail)
+        assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "manifest.json").read_text())
+        assert 0.0 < payload["operator_s"] <= payload["wall_time_s"]
 
 
 class TestCli:

@@ -1,5 +1,6 @@
 import math
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,110 @@ class TestSvd:
     def test_norm_matches_power_iteration(self, op50):
         assert compute_svd(op50).sigma[0] == pytest.approx(
             power_iteration_norm(op50.entries), rel=1e-6)
+
+
+def lapack_svd(a):
+    """LAPACK's thin SVD with the sign convention: the factorization every
+    operator took before the Gram route, and the fallback's exact form."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    v = vt.T.copy()
+    linop._orient_columns(v, u)
+    return u, s, v
+
+
+def graded(kappa, seed, rows=300, cols=200):
+    """A random ``rows x cols`` matrix with singular values geometric from
+    1 down to ``1 / kappa``."""
+    rng = np.random.default_rng(seed)
+    left = np.linalg.qr(rng.standard_normal((rows, cols)))[0]
+    right = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
+    return (left * np.geomspace(1.0, 1.0 / kappa, cols)) @ right.T
+
+
+@pytest.fixture(scope="module")
+def paper_radon():
+    return radon_matrix(28, 30, 41)
+
+
+def rank_deficient_product():
+    rng = np.random.default_rng(5)
+    return rng.standard_normal((20, 6)) @ rng.standard_normal((6, 10))
+
+
+class TestGramRoute:
+    """``_thin_svd`` factors well-conditioned tall operators through their
+    Gram matrix and leaves every other matrix to LAPACK."""
+
+    # cond(A) < 1e3, so lambda_min / lambda_max of A^T A exceeds GRAM_TOL
+    GRAM = {
+        "integration-50": lambda: integration_matrix(50),
+        "radon-8-12-13": lambda: radon_matrix(8, 12, 13),
+        **{f"graded-{kappa:g}": partial(graded, kappa, 0) for kappa in (10, 100, 500, 990)},
+        # all singular values 1: the column norms differ only by round-off,
+        # so eigh's order is not theirs and the modes must be sorted
+        "orthonormal-columns": partial(graded, 1, 6, 30, 20),
+    }
+    FALLBACK = {
+        "radon-6-5-9": lambda: radon_matrix(6, 5, 9),  # rank-deficient
+        "wide": lambda: np.random.default_rng(4).standard_normal((5, 9)),
+        "rank-deficient-product": rank_deficient_product,
+        "beyond-tolerance": partial(graded, 1010, 0),
+        "no-columns": lambda: np.zeros((4, 0)),
+        "zero": lambda: np.zeros((3, 2)),
+    }
+
+    @staticmethod
+    def gram_route(a, monkeypatch):
+        calls = []
+        real_svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *x, **k: calls.append(1) or real_svd(*x, **k))
+        svd = linop._thin_svd(a)
+        monkeypatch.undo()
+        assert calls == [], "took LAPACK's SVD, not the Gram route"
+        return svd
+
+    def check_against_lapack(self, a, monkeypatch):
+        svd = self.gram_route(a, monkeypatch)
+        _, s0, _ = lapack_svd(a)
+        s, u, v = svd.sigma, svd.left_vectors, svd.right_vectors
+        eye = np.eye(s.size)
+        assert np.max(np.abs(s - s0) / s0) <= 1e-13
+        assert np.abs(u.T @ u - eye).max() <= 1e-14
+        assert np.abs(v.T @ v - eye).max() <= 1e-14
+        assert np.abs(a @ v - u * s).max() <= 1e-14 * s[0]
+        assert (np.diff(s) <= 0).all()
+        assert u.flags.c_contiguous and v.flags.c_contiguous
+
+    @pytest.mark.parametrize("name", GRAM)
+    def test_matches_lapack(self, name, monkeypatch):
+        self.check_against_lapack(self.GRAM[name](), monkeypatch)
+
+    def test_matches_lapack_on_the_paper_radon_operator(self, paper_radon, monkeypatch):
+        self.check_against_lapack(paper_radon, monkeypatch)
+
+    @pytest.mark.parametrize("name", FALLBACK)
+    def test_fallback_is_lapack_bit_for_bit(self, name):
+        a = self.FALLBACK[name]()
+        svd = linop._thin_svd(a)
+        for got, want in zip((svd.left_vectors, svd.sigma, svd.right_vectors), lapack_svd(a)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_tall_zero_operator_rejected(self):
+        with pytest.raises(ValueError, match="zero operator"):
+            spectral_normalize(DenseOperator(np.zeros((3, 2))))
+
+    def test_repeats_are_bit_identical(self, paper_radon):
+        # large enough for BLAS to run on several threads
+        first, second = linop._thin_svd(paper_radon), linop._thin_svd(paper_radon.copy())
+        for field in ("sigma", "left_vectors", "right_vectors"):
+            assert getattr(first, field).tobytes() == getattr(second, field).tobytes()
+
+    def test_paper_radon_sidecar_round_trip(self, paper_radon, tmp_path):
+        op = spectral_normalize(DenseOperator(paper_radon))
+        save_operator(tmp_path / "op.rgb", op)
+        loaded = load_operator(tmp_path / "op.rgb")  # validates the sidecar
+        for field in ("sigma", "left_vectors", "right_vectors"):
+            assert getattr(loaded._svd, field).tobytes() == getattr(op._svd, field).tobytes()
 
 
 class TestApply:
