@@ -115,7 +115,10 @@ def estimate_source_constant(op: DenseOperator, truths: np.ndarray) -> np.ndarra
 
 def pca_basis(data, n_components: int) -> Basis:
     """Top principal components of mean-centered data, one sample per row,
-    variance-ordered.
+    variance-ordered; at most ``n_components`` of them, and none past the
+    numerical rank of the centered data (singular values above
+    ``max(shape) * eps * sigma_1``), since LAPACK picks the directions
+    beyond it arbitrarily.
 
     Component signs follow the same first-significant-entry-positive
     convention as the operator SVD.  Non-contiguous ``data``, such as a
@@ -130,8 +133,9 @@ def pca_basis(data, n_components: int) -> Basis:
     centered = x - x.mean(axis=0)
     # centring makes the data rank-deficient, where linop's Gram route would
     # always fall back to this same LAPACK SVD
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    comps = vt[:n_components].T.copy()
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    rank = int(np.count_nonzero(s > max(x.shape) * np.finfo(float).eps * s.max(initial=0.0)))
+    comps = vt[:min(n_components, rank)].T.copy()
     from .linop import _orient_columns
 
     _orient_columns(comps)

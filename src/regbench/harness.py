@@ -25,15 +25,31 @@ function, which requires it, and checksums the same operator for the
 manifest.  A ``run_*`` result holds what the command writes: the CSV
 columns, the printed summary and the manifest's bound checks and solver
 totals.
+
+An operator is factored once per machine and thread setting, not once per
+command: before :func:`build_operator` factors a matrix, it looks for the
+matrix's singular system in the SVD cache, ``$XDG_CACHE_HOME/regbench/``
+(by default ``~/.cache/regbench/``).  An entry is an SVD container
+(:func:`~regbench.linop.write_svd`) named by :func:`svd_cache_key`, a
+sha256 over the matrix's shape and bytes, the source of
+:mod:`regbench.linop`, the numpy version and the BLAS thread setting, so a
+command that reads an entry writes the bytes it would have written after
+factoring.  Entries are checked like a ``.svd`` sidecar.  A paper-scale
+Radon entry (1230 x 784) is 12.6 MB, and nothing is evicted; deleting the
+directory is always safe.  The manifest's ``svd_source`` says whether the
+SVD was computed, read from the cache or read from a ``file`` operator's
+sidecar.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -42,7 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, linop
 from .datagen import (
     coordinate_basis,
     estimate_source_constant,
@@ -65,13 +81,16 @@ from .lasso import (
 from .linop import (
     DenseOperator,
     apply,
-    build_integration_operator,
-    build_radon_operator,
     compute_svd,
     filtered_errors,
+    integration_matrix,
     load_operator,
+    radon_matrix,
+    read_svd,
     save_operator,
+    spectral_normalize,
     weighted_norm,
+    write_svd,
 )
 from .tikhonov import optimal_alpha, wc_bound
 
@@ -260,12 +279,61 @@ def _read(loader, path):
         raise ConfigError(str(exc) if str(path) in str(exc) else f"{path}: {exc}") from exc
 
 
+def svd_cache_key(a: np.ndarray) -> str:
+    """sha256 over the matrix ``a`` (shape and bytes), the source of
+    :mod:`regbench.linop`, the numpy version and the BLAS thread setting
+    (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and the number of CPUs
+    the process may run on), on which the factorization's bits depend."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = (os.environ.get("OPENBLAS_NUM_THREADS"), os.environ.get("OMP_NUM_THREADS"), cpus)
+    digest = hashlib.sha256(repr((a.shape, np.__version__, threads)).encode())
+    digest.update(hashlib.sha256(Path(linop.__file__).read_bytes()).digest())
+    digest.update(np.ascontiguousarray(a, dtype="<f8"))
+    return digest.hexdigest()
+
+
+def _attach_svd(op: DenseOperator) -> None:
+    """Attach the SVD of ``op`` from the cache (``svd_source`` ``"cache"``),
+    or compute it and store it there.  An entry that
+    :func:`~regbench.linop.read_svd` rejects is computed again and
+    overwritten, with one line on stderr; an unreadable or unwritable
+    cache is passed over."""
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"))
+    path = cache / "regbench" / f"{svd_cache_key(op.entries)}.svd"
+    try:
+        op._svd = read_svd(path, op.entries)
+        op.svd_source = "cache"
+        return
+    except OSError:
+        pass
+    except ValueError as exc:
+        print(f"replacing a bad SVD cache entry: {exc}", file=sys.stderr)
+    compute_svd(op)
+    partial_path = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_svd(partial_path, op._svd)
+        os.replace(partial_path, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            partial_path.unlink()
+
+
 def build_operator(spec: OperatorSpec) -> DenseOperator:
-    if spec.kind == "integration":
-        return build_integration_operator(spec.n)
-    if spec.kind == "radon":
-        return build_radon_operator(spec.side, spec.angles, spec.offsets)
-    return _read(load_operator, spec.path)
+    """The configured operator with its SVD attached: a ``file`` operator's
+    sidecar when it has one, else the SVD cache's entry for the matrix that
+    is factored (the raw matrix of a generated operator, before
+    :func:`~regbench.linop.spectral_normalize`), else a new factorization,
+    which is then cached."""
+    if spec.kind == "file":
+        op = _read(load_operator, spec.path)
+        if op._svd is None:
+            _attach_svd(op)
+        return op
+    raw = DenseOperator(integration_matrix(spec.n) if spec.kind == "integration"
+                        else radon_matrix(spec.side, spec.angles, spec.offsets))
+    _attach_svd(raw)
+    return spectral_normalize(raw)
 
 
 def build_dataset(op: DenseOperator, spec: DataSpec, seed: int):
@@ -564,6 +632,9 @@ def run_dim_experiment(config: ExperimentConfig, op: DenseOperator) -> DimScanRe
         basis = coordinate_basis(op.n, config.seed)
     else:
         basis = pca_basis(truths.T, min(truths.shape))
+        _check(max(config.method.m_grid) <= basis.size,
+               f"m_grid level {max(config.method.m_grid)} exceeds the numerical rank "
+               f"{basis.size} of the centred samples (basis = pca)")
     if max(config.method.m_grid) > basis.size:
         raise ConfigError("m_grid exceeds the basis size")
     return scan(op, basis, truths[:, 0].copy(), config)
@@ -610,8 +681,11 @@ NOISE_SCHEME = "crn-v2"
 class RunManifest:
     """Run provenance, with the numpy version that computed the numbers.
     ``wall_time_s`` is the run up to writing its outputs, and
-    ``operator_s`` the part of it spent in :func:`build_operator`, which
-    for a generated operator includes its factorization.  The bound-check
+    ``operator_s`` the part of it spent in :func:`build_operator`: the
+    build, the SVD cache lookup and, on a miss, the factorization.
+    ``svd_source`` says where the operator's SVD came from: ``"computed"``
+    (factored in this run), ``"cache"`` (the SVD cache) or ``"sidecar"``
+    (a ``file`` operator's ``.svd`` sidecar).  The bound-check
     totals are those of a Tikhonov mismatch grid and stay ``None`` for
     other commands; ``min_margin`` is also ``None`` when nothing was
     checked.  ``solver`` holds the LASSO solver totals of the
@@ -627,6 +701,7 @@ class RunManifest:
     numpy_version: str
     wall_time_s: float
     operator_s: float
+    svd_source: str | None
     noise_scheme: str = NOISE_SCHEME
     checked: int | None = None
     violations: int | None = None
@@ -660,7 +735,8 @@ def make_manifest(config: ExperimentConfig, op: DenseOperator, wall_time_s: floa
     return RunManifest(master_seed=config.seed, config_hash=config_hash(config),
                        operator_checksum=operator_checksum(op),
                        tool_version=__version__, numpy_version=np.__version__,
-                       wall_time_s=wall_time_s, operator_s=operator_s, **checks)
+                       wall_time_s=wall_time_s, operator_s=operator_s,
+                       svd_source=op.svd_source, **checks)
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +757,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regbench",
         description="Regularization bench: worst-case curves, mismatch grids, "
-                    "dimension scans, and sparse reconstruction.")
+                    "dimension scans, and sparse reconstruction.",
+        epilog="Each operator's singular system is cached in $XDG_CACHE_HOME/regbench/ "
+               "(default ~/.cache/regbench/), keyed by a sha256 over the factored matrix, "
+               "the source of regbench.linop, the numpy version and the BLAS thread "
+               "setting (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and the usable CPU count). "
+               "A Radon entry at paper scale is about 12.6 MB, and nothing is evicted; "
+               "deleting the directory is always safe.")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--config", type=str, default=None, help="config file")
     parser.add_argument("--out", type=str, default=".", help="output directory")
@@ -726,7 +808,6 @@ def _require_config(args) -> ExperimentConfig:
 def _cmd_operator(args) -> int:
     config = _require_config(args)
     op = build_operator(config.operator)
-    compute_svd(op)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     target = out / "operator.rgb"

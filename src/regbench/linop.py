@@ -12,11 +12,15 @@ divided by the norm, same vectors) instead of factorizing again.  Two
 kernels serve every spectral filter: :func:`filtered_solve` builds a
 reconstruction, and :func:`filtered_errors` measures the errors of many
 noisy reconstructions in singular-vector coefficients without building them.
+One SVD container format, written by :func:`write_svd` and checked by
+:func:`read_svd`, serves both the ``.svd`` sidecar of a saved operator and
+the harness's SVD cache.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -76,6 +80,8 @@ class DenseOperator:
 
     entries: np.ndarray
     _svd: SvdSystem | None = field(default=None, repr=False, compare=False)
+    # where _svd came from: "computed", "sidecar" or (set by the harness) "cache"
+    svd_source: str | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.ascontiguousarray(np.asarray(self.entries, dtype=float))
@@ -173,6 +179,7 @@ def compute_svd(op: DenseOperator) -> SvdSystem:
     if not np.isfinite(a).all():
         raise ValueError("operator has non-finite entries")
     op._svd = _thin_svd(a)
+    op.svd_source = "computed"
     return op._svd
 
 
@@ -259,7 +266,8 @@ def spectral_normalize(op: DenseOperator) -> DenseOperator:
     return DenseOperator(op.entries / top,
                          _svd=SvdSystem(sigma=svd.sigma / top,
                                         left_vectors=svd.left_vectors,
-                                        right_vectors=svd.right_vectors))
+                                        right_vectors=svd.right_vectors),
+                         svd_source=op.svd_source)
 
 
 def integration_matrix(n: int) -> np.ndarray:
@@ -344,34 +352,100 @@ def build_radon_operator(img_side: int, n_angles: int, n_offsets: int) -> DenseO
     return spectral_normalize(DenseOperator(radon_matrix(img_side, n_angles, n_offsets)))
 
 
-# Binary container: b"RGB1", then rows and cols as 64-bit little-endian
-# unsigned integers, then row-major float64 payload.
+# Binary containers: b"RGB1", then a header of 64-bit little-endian unsigned
+# integers, then a float64 little-endian payload.  The matrix container's
+# header is (rows, cols) and its payload the row-major entries; the SVD
+# container's header is (m, n, k) and its payload sigma (k,), then U (m, k)
+# and V (n, k), each row-major.
+
+def _read_payload(fh, path, count: int, name: str) -> np.ndarray:
+    """The ``count`` float64 values that follow the header of the open
+    container ``fh``, read once into one array; the file must end there.
+    ``name`` names the payload in errors."""
+    extra = os.fstat(fh.fileno()).st_size - fh.tell() - 8 * count
+    if extra < 0:
+        raise ValueError(f"{path}: truncated {name}")
+    if extra > 0:
+        raise ValueError(f"{path}: {extra} trailing bytes after the {name}")
+    payload = np.empty(count, dtype="<f8")
+    if fh.readinto(payload) != payload.nbytes:
+        raise ValueError(f"{path}: truncated {name}")
+    return payload.astype(float, copy=False)
+
 
 def save_matrix(path, array: np.ndarray) -> None:
-    array = np.ascontiguousarray(np.asarray(array, dtype=float))
+    array = np.asarray(array, dtype=float)
     if array.ndim != 2:
         raise ValueError("only 2-D arrays are serialized")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(_HEADER.pack(array.shape[0], array.shape[1]))
-        fh.write(array.astype("<f8").tobytes(order="C"))
+        np.ascontiguousarray(array, dtype="<f8").tofile(fh)
 
 
 def load_matrix(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if len(data) < 4 + _HEADER.size:
-        raise ValueError(f"{path}: truncated container header")
-    if data[:4] != MAGIC:
-        raise ValueError(f"{path}: bad container magic {data[:4]!r}")
-    rows, cols = _HEADER.unpack_from(data, 4)
-    start = 4 + _HEADER.size
-    need = start + rows * cols * 8
-    if len(data) < need:
-        raise ValueError(f"{path}: truncated container payload")
-    if len(data) > need:
-        raise ValueError(f"{path}: {len(data) - need} trailing bytes after the payload")
-    flat = np.frombuffer(data[start:need], dtype="<f8")
-    return flat.reshape(rows, cols).astype(float)
+    with open(path, "rb") as fh:
+        head = fh.read(4 + _HEADER.size)
+        if len(head) < 4 + _HEADER.size:
+            raise ValueError(f"{path}: truncated container header")
+        if head[:4] != MAGIC:
+            raise ValueError(f"{path}: bad container magic {head[:4]!r}")
+        rows, cols = _HEADER.unpack_from(head, 4)
+        return _read_payload(fh, path, rows * cols, "container payload").reshape(rows, cols)
+
+
+def write_svd(path, svd: SvdSystem) -> None:
+    """Write a singular system to an SVD container, the format of the
+    ``.svd`` sidecar and of the harness's SVD cache."""
+    with open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(_SVD_HEADER.pack(svd.left_vectors.shape[0], svd.right_vectors.shape[0],
+                                  svd.n_modes))
+        for arr in (svd.sigma, svd.left_vectors, svd.right_vectors):
+            np.ascontiguousarray(arr, dtype="<f8").tofile(fh)
+
+
+def _near_identity(q: np.ndarray) -> bool:
+    """``max |Q^T Q - I| <= SIDECAR_TOL``, without forming I."""
+    gram = q.T @ q
+    gram.flat[::gram.shape[0] + 1] -= 1.0
+    return bool(np.abs(gram, out=gram).max() <= SIDECAR_TOL)
+
+
+def read_svd(path, entries: np.ndarray) -> SvdSystem:
+    """Read an SVD container (:func:`write_svd`) that must hold the full
+    singular system of the matrix ``entries``: ``min(m, n)`` finite modes,
+    singular values nonnegative and nonincreasing, orthonormal vectors with
+    ``A V = U S``, all within ``SIDECAR_TOL``, and nothing after it.  The
+    payload is read once; the checks take one ``m x k`` temporary."""
+    with open(path, "rb") as fh:
+        head = fh.read(4 + _SVD_HEADER.size)
+        if len(head) < 4 + _SVD_HEADER.size:
+            raise ValueError(f"{path}: truncated SVD header")
+        if head[:4] != MAGIC:
+            raise ValueError(f"{path}: bad container magic")
+        m, n, k = _SVD_HEADER.unpack_from(head, 4)
+        if (m, n) != entries.shape:
+            raise ValueError(f"{path}: SVD shape {(m, n)} does not match operator {entries.shape}")
+        if k != min(m, n):
+            raise ValueError(f"{path}: {k} singular modes, expected {min(m, n)}")
+        payload = _read_payload(fh, path, k + m * k + n * k, "SVD payload")
+    if not np.isfinite(payload).all():
+        raise ValueError(f"{path}: non-finite SVD payload")
+    sigma, left, right = np.split(payload, [k, k + m * k])
+    # truncation keeps a prefix of the modes, so they must be ordered
+    if (sigma < 0).any() or (np.diff(sigma) > 0).any():
+        raise ValueError(f"{path}: singular values are not nonnegative and nonincreasing")
+    left, right = left.reshape(m, k), right.reshape(n, k)
+    if _near_identity(left) and _near_identity(right):
+        residual = entries @ right
+        # U S in row blocks, so that it is never a second m x k temporary
+        for first in range(0, m, 256):
+            residual[first:first + 256] -= left[first:first + 256] * sigma
+        # written so that a NaN entry of the operator fails the check
+        if np.abs(residual, out=residual).max() <= SIDECAR_TOL * sigma[0]:
+            return SvdSystem(sigma=sigma, left_vectors=left, right_vectors=right)
+    raise ValueError(f"{path}: not an orthonormal singular system of the operator")
 
 
 def _svd_sidecar(path) -> Path:
@@ -383,57 +457,17 @@ def save_operator(path, op: DenseOperator) -> None:
     ``<path>.svd`` whenever one is cached."""
     save_matrix(path, op.entries)
     if op._svd is not None:
-        svd = op._svd
-        with open(_svd_sidecar(path), "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(_SVD_HEADER.pack(op.m, op.n, svd.n_modes))
-            fh.write(svd.sigma.astype("<f8").tobytes())
-            fh.write(svd.left_vectors.astype("<f8").tobytes(order="C"))
-            fh.write(svd.right_vectors.astype("<f8").tobytes(order="C"))
+        write_svd(_svd_sidecar(path), op._svd)
 
 
 def load_operator(path) -> DenseOperator:
-    """Read an operator container, attaching the SVD sidecar if present.
-
-    The sidecar must hold the full singular system of this operator
-    (``min(m, n)`` finite modes, singular values nonnegative and
-    nonincreasing, orthonormal vectors with ``A V = U S``, all within
-    ``SIDECAR_TOL``) and nothing after it.  Without a sidecar the SVD is
-    left to the first :func:`compute_svd`.
+    """Read an operator container, attaching the SVD sidecar
+    (:func:`read_svd`) if present.  Without a sidecar the SVD is left to
+    the first :func:`compute_svd`.
     """
-    entries = load_matrix(path)
-    op = DenseOperator(entries)
+    op = DenseOperator(load_matrix(path))
     sidecar = _svd_sidecar(path)
     if sidecar.exists():
-        data = sidecar.read_bytes()
-        if len(data) < 4 + _SVD_HEADER.size:
-            raise ValueError(f"{sidecar}: truncated SVD header")
-        if data[:4] != MAGIC:
-            raise ValueError(f"{sidecar}: bad container magic")
-        m, n, k = _SVD_HEADER.unpack_from(data, 4)
-        if (m, n) != op.shape:
-            raise ValueError(f"{sidecar}: SVD shape {(m, n)} does not match operator {op.shape}")
-        if k != min(m, n):
-            raise ValueError(f"{sidecar}: {k} singular modes, expected {min(m, n)}")
-        start = 4 + _SVD_HEADER.size
-        need = start + 8 * (k + m * k + n * k)
-        if len(data) < need:
-            raise ValueError(f"{sidecar}: truncated SVD payload")
-        if len(data) > need:
-            raise ValueError(f"{sidecar}: {len(data) - need} trailing bytes after the SVD payload")
-        payload = np.frombuffer(data[start:need], dtype="<f8").astype(float)
-        if not np.isfinite(payload).all():
-            raise ValueError(f"{sidecar}: non-finite SVD payload")
-        sigma, left, right = np.split(payload, [k, k + m * k])
-        # truncation keeps a prefix of the modes, so they must be ordered
-        if (sigma < 0).any() or (np.diff(sigma) > 0).any():
-            raise ValueError(f"{sidecar}: singular values are not nonnegative and nonincreasing")
-        left, right = left.reshape(m, k), right.reshape(n, k)
-        eye = np.eye(k)
-        # written so that a NaN entry of the operator fails the check
-        if not (np.abs(left.T @ left - eye).max() <= SIDECAR_TOL
-                and np.abs(right.T @ right - eye).max() <= SIDECAR_TOL
-                and np.abs(op.entries @ right - left * sigma).max() <= SIDECAR_TOL * sigma[0]):
-            raise ValueError(f"{sidecar}: not an orthonormal singular system of the operator")
-        op._svd = SvdSystem(sigma=sigma, left_vectors=left, right_vectors=right)
+        op._svd = read_svd(sidecar, op.entries)
+        op.svd_source = "sidecar"
     return op

@@ -20,6 +20,7 @@ from regbench import datagen, dimscan
 from regbench.datagen import NOISE_TAG, coordinate_basis, noise_block, pca_basis, rng_for, svd_basis
 from regbench.dimscan import scan
 from regbench.harness import (
+    ConfigError,
     DataSpec,
     ExperimentConfig,
     GridSpec,
@@ -224,8 +225,9 @@ def test_scan_matches_data_space_reference(config):
                                rtol=REL_TOL, atol=0.0)
 
 
-# subspace data of dimension 5 under 12 samples, so the pca basis has 12
-# vectors; level 0 reconstructs zero
+# subspace data of dimension 5 under 12 samples; level 0 reconstructs zero.
+# The pca basis stops at the rank 5 of the centred samples, so its scan
+# stops there too
 SCAN_BASES = ExperimentConfig(
     operator=OperatorSpec(kind="integration", n=30),
     data=DataSpec(kind="subspace", count=12, n_dim=5),
@@ -237,11 +239,18 @@ SCAN_BASES = ExperimentConfig(
 @pytest.mark.parametrize("exact_truth", [True, False], ids=["exact", "reference"])
 @pytest.mark.parametrize("basis", ["svd", "pca", "coordinate"])
 def test_scan_matches_pixel_space_reference_on_every_basis(basis, exact_truth):
-    config = replace(SCAN_BASES, method=replace(SCAN_BASES.method, basis=basis,
+    m_grid = (0, 2, 4, 5) if basis == "pca" else SCAN_BASES.method.m_grid
+    config = replace(SCAN_BASES, method=replace(SCAN_BASES.method, basis=basis, m_grid=m_grid,
                                                 exact_truth=exact_truth))
     result = run_dim_experiment(config, build_operator(config.operator))
     np.testing.assert_allclose(result.mean_errors, reference_scan(config),
                                rtol=REL_TOL, atol=0.0)
+
+
+def test_pca_levels_past_the_centred_rank_are_rejected():
+    config = replace(SCAN_BASES, method=replace(SCAN_BASES.method, basis="pca"))
+    with pytest.raises(ConfigError, match="m_grid level 12 exceeds the numerical rank 5 "):
+        run_dim_experiment(config, build_operator(config.operator))
 
 
 @pytest.mark.parametrize("exact_truth", [True, False])

@@ -238,6 +238,13 @@ class TestPcaBasis:
                               compute_uv=False)
         assert sines.max() <= 1e-6
 
+    def test_stops_at_the_numerical_rank(self):
+        # 30 samples in a 3-plane: the components past it are LAPACK's choice
+        rng = np.random.default_rng(2)
+        data = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 10))
+        assert pca_basis(data, 8).vectors.shape == (10, 3)
+        assert pca_basis(data, 2).vectors.shape == (10, 2)
+
     def test_empty_basis(self):
         basis = pca_basis(np.ones((3, 4)), 0)
         assert basis.vectors.shape == (4, 0)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regbench import harness, lasso
+from regbench import harness, lasso, linop
 from regbench.datagen import phantom_images, sample_source_data
 from regbench.harness import (
     ConfigError,
@@ -518,7 +518,7 @@ realizations = 3
 kind = {kind}
 basis = {basis}
 alpha = 0.05
-m_grid = 2 4 8
+m_grid = 2 3 4
 """
 
 
@@ -592,8 +592,9 @@ m_grid = 2 4 8
 
 
 class TestBuildOnce:
-    """A command builds its operator once, factorizes it once, and
-    checksums that same operator for the manifest."""
+    """A command builds its operator once, factorizes it at most once (not
+    at all when the SVD cache holds it), and checksums that same operator
+    for the manifest."""
 
     @pytest.fixture()
     def counts(self, monkeypatch):
@@ -634,6 +635,119 @@ class TestBuildOnce:
         assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "manifest.json").read_text())
         assert 0.0 < payload["operator_s"] <= payload["wall_time_s"]
+
+    # the SVD cache: a command factors its operator only when the cache has
+    # no valid entry for it, and writes the same bytes either way
+
+    @pytest.fixture()
+    def factorizations(self, monkeypatch):
+        shapes = []
+        real = linop._thin_svd
+
+        def counted(a):
+            shapes.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(linop, "_thin_svd", counted)
+        return shapes
+
+    @staticmethod
+    def run(tmp_path, name, text, command="mismatch-grid"):
+        """(CSV bytes, svd_source) of one run of ``command`` on ``text``."""
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / name
+        assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        (csv,) = out.glob("*.csv")
+        return csv.read_bytes(), json.loads((out / "manifest.json").read_text())["svd_source"]
+
+    # the side-8 operator takes LAPACK's SVD, the 12-angle one the Gram route
+    @pytest.mark.parametrize("command, text", [
+        ("mismatch-grid", RADON_SMALL + RADON_GRID_TAIL),
+        ("dim-scan", RADON_SMALL + RADON_DIM_TAIL),
+        ("mismatch-grid", RADON_SMALL.replace("angles = 6", "angles = 12").replace(
+            "offsets = 9", "offsets = 13") + RADON_GRID_TAIL),
+    ], ids=["mismatch-grid", "dim-scan", "gram-route"])
+    def test_warm_run_factors_nothing(self, tmp_path, factorizations, svd_cache, command, text):
+        cold_csv, cold_source = self.run(tmp_path, "cold", text, command)
+        assert len(factorizations) == 1
+        warm_csv, warm_source = self.run(tmp_path, "warm", text, command)
+        assert len(factorizations) == 1
+        assert warm_csv == cold_csv
+        assert (cold_source, warm_source) == ("computed", "cache")
+        assert [p.suffix for p in svd_cache.iterdir()] == [".svd"]
+
+    @pytest.mark.parametrize("damage", ["truncated", "bad-magic", "trailing-bytes", "perturbed-u"])
+    def test_bad_entry_is_factored_again_and_overwritten(self, tmp_path, capsys, factorizations,
+                                                         svd_cache, damage):
+        text = RADON_SMALL + RADON_GRID_TAIL
+        cold_csv, _ = self.run(tmp_path, "cold", text)
+        (entry,) = svd_cache.iterdir()
+        good = entry.read_bytes()
+        if damage == "truncated":
+            entry.write_bytes(good[:-8])
+        elif damage == "bad-magic":
+            entry.write_bytes(b"NOPE" + good[4:])
+        elif damage == "trailing-bytes":
+            entry.write_bytes(good + bytes(8))
+        else:
+            blob = bytearray(good)
+            k = linop._SVD_HEADER.unpack_from(good, 4)[2]
+            start = 4 + linop._SVD_HEADER.size + 8 * k
+            first = np.frombuffer(good, dtype="<f8", count=1, offset=start)
+            blob[start:start + 8] = (first + 1e-3).astype("<f8").tobytes()
+            entry.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert self.run(tmp_path, "again", text) == (cold_csv, "computed")
+        assert len(factorizations) == 2
+        assert entry.read_bytes() == good
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(entry) in err
+
+    def test_unwritable_cache_is_passed_over(self, tmp_path, capsys, monkeypatch, factorizations):
+        text = RADON_SMALL + RADON_GRID_TAIL
+        cached_csv, _ = self.run(tmp_path, "cached", text)
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        capsys.readouterr()
+        for name in ("first", "second"):
+            assert self.run(tmp_path, name, text) == (cached_csv, "computed")
+        assert len(factorizations) == 3
+        assert capsys.readouterr().err == ""
+        assert blocker.read_text() == ""
+
+    def test_file_operator(self, tmp_path, factorizations, svd_cache):
+        # a file operator with a sidecar uses it; one without uses the cache
+        op = linop.DenseOperator(linop.radon_matrix(8, 6, 9))
+        linop.compute_svd(op)
+        linop.save_operator(tmp_path / "op.rgb", op)
+        linop.save_matrix(tmp_path / "bare.rgb", op.entries)
+        factorizations.clear()
+        text = RADON_SMALL.replace("kind = radon", "kind = file\npath = {}") + RADON_GRID_TAIL
+        sidecar = self.run(tmp_path, "sidecar", text.format(tmp_path / "op.rgb"))
+        assert sidecar[1] == "sidecar" and not factorizations
+        bare = text.format(tmp_path / "bare.rgb")
+        assert self.run(tmp_path, "cold", bare) == (sidecar[0], "computed")
+        assert self.run(tmp_path, "warm", bare) == (sidecar[0], "cache")
+        assert len(factorizations) == 1 and len(list(svd_cache.iterdir())) == 1
+
+    def test_key(self, monkeypatch):
+        a = np.arange(6.0).reshape(2, 3)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        keys = [harness.svd_cache_key(a)]
+        assert harness.svd_cache_key(a.copy()) == keys[0]
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        keys.append(harness.svd_cache_key(a))
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        keys.append(harness.svd_cache_key(a))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        keys.append(harness.svd_cache_key(a))
+        keys.append(harness.svd_cache_key(a.reshape(3, 2)))
+        keys.append(harness.svd_cache_key(a + 1.0))
+        assert len(set(keys)) == len(keys)
 
 
 class TestCli:
