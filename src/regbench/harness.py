@@ -32,13 +32,14 @@ matrix's singular system in the SVD cache, ``$XDG_CACHE_HOME/regbench/``
 (by default ``~/.cache/regbench/``).  An entry is an SVD container
 (:func:`~regbench.linop.write_svd`) named by :func:`svd_cache_key`, a
 sha256 over the matrix's shape and bytes, the source of
-:mod:`regbench.linop`, the numpy version and the BLAS thread setting, so a
-command that reads an entry writes the bytes it would have written after
-factoring.  Entries are checked like a ``.svd`` sidecar.  A paper-scale
-Radon entry (1230 x 784) is 12.6 MB, and nothing is evicted; deleting the
-directory is always safe.  The manifest's ``svd_source`` says whether the
-SVD was computed, read from the cache or read from a ``file`` operator's
-sidecar.
+:mod:`regbench.linop`, the numpy version, the BLAS library, its thread
+and kernel settings and the host, so a command that reads an entry
+writes the bytes it would have written after factoring, even when the
+cache directory is shared between machines.  Entries are checked like a
+``.svd`` sidecar.  A paper-scale Radon entry (1230 x 784) is 12.6 MB, and
+nothing is evicted; deleting the directory is always safe.  The
+manifest's ``svd_source`` says whether the SVD was computed, read from the
+cache or read from a ``file`` operator's sidecar.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -279,14 +281,43 @@ def _read(loader, path):
         raise ConfigError(str(exc) if str(path) in str(exc) else f"{path}: {exc}") from exc
 
 
+# the environment variables that set the BLAS's thread count or its kernels
+_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "GOTO_NUM_THREADS", "OPENBLAS_CORETYPE")
+
+
+def _blas_library() -> str:
+    """Name and version of the BLAS numpy was built against ('' where numpy
+    does not report them)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 only prints its config
+        return ""
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
+def _cpu_model() -> str:
+    """The CPU's model name, from ``/proc/cpuinfo`` where there is one."""
+    with contextlib.suppress(OSError):
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.partition(":")[2].strip()
+    return platform.processor()
+
+
 def svd_cache_key(a: np.ndarray) -> str:
-    """sha256 over the matrix ``a`` (shape and bytes), the source of
-    :mod:`regbench.linop`, the numpy version and the BLAS thread setting
-    (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and the number of CPUs
-    the process may run on), on which the factorization's bits depend."""
+    """sha256 over everything the bits of the factorization of ``a`` depend
+    on: the matrix (shape and bytes), the source of :mod:`regbench.linop`,
+    the numpy version, the BLAS library, its settings (the variables in
+    ``_BLAS_ENV`` and the number of CPUs the process may run on) and the
+    host (name, machine type and CPU model, since OpenBLAS picks its
+    kernels by CPU at run time)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threads = (os.environ.get("OPENBLAS_NUM_THREADS"), os.environ.get("OMP_NUM_THREADS"), cpus)
-    digest = hashlib.sha256(repr((a.shape, np.__version__, threads)).encode())
+    setting = (a.shape, np.__version__, _blas_library(),
+               tuple(os.environ.get(name) for name in _BLAS_ENV), cpus,
+               platform.node(), platform.machine(), _cpu_model())
+    digest = hashlib.sha256(repr(setting).encode())
     digest.update(hashlib.sha256(Path(linop.__file__).read_bytes()).digest())
     digest.update(np.ascontiguousarray(a, dtype="<f8"))
     return digest.hexdigest()
@@ -632,11 +663,10 @@ def run_dim_experiment(config: ExperimentConfig, op: DenseOperator) -> DimScanRe
         basis = coordinate_basis(op.n, config.seed)
     else:
         basis = pca_basis(truths.T, min(truths.shape))
-        _check(max(config.method.m_grid) <= basis.size,
-               f"m_grid level {max(config.method.m_grid)} exceeds the numerical rank "
-               f"{basis.size} of the centred samples (basis = pca)")
-    if max(config.method.m_grid) > basis.size:
-        raise ConfigError("m_grid exceeds the basis size")
+    rank = (", the numerical rank of the centred samples"
+            if config.method.basis == "pca" else "")
+    _check(max(config.method.m_grid) <= basis.size,
+           f"m_grid level {max(config.method.m_grid)} exceeds the basis size {basis.size}{rank}")
     return scan(op, basis, truths[:, 0].copy(), config)
 
 
@@ -760,8 +790,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "dimension scans, and sparse reconstruction.",
         epilog="Each operator's singular system is cached in $XDG_CACHE_HOME/regbench/ "
                "(default ~/.cache/regbench/), keyed by a sha256 over the factored matrix, "
-               "the source of regbench.linop, the numpy version and the BLAS thread "
-               "setting (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and the usable CPU count). "
+               "the source of regbench.linop, the numpy version, the BLAS library, its "
+               "settings (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, MKL_NUM_THREADS, "
+               "GOTO_NUM_THREADS, OPENBLAS_CORETYPE and the usable CPU count) and the host "
+               "(name, machine type and CPU model). "
                "A Radon entry at paper scale is about 12.6 MB, and nothing is evicted; "
                "deleting the directory is always safe.")
     parser.add_argument("--seed", type=int, default=0, help="master seed")

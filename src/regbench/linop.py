@@ -277,11 +277,6 @@ def integration_matrix(n: int) -> np.ndarray:
     return np.tril(np.ones((n, n)))
 
 
-def build_integration_operator(n: int) -> DenseOperator:
-    """Discrete integration operator on R^n, scaled to spectral norm one."""
-    return spectral_normalize(DenseOperator(integration_matrix(n)))
-
-
 def radon_matrix(img_side: int, n_angles: int, n_offsets: int) -> np.ndarray:
     """Raw (unnormalized) parallel-beam projector matrix.
 
@@ -345,11 +340,6 @@ def radon_matrix(img_side: int, n_angles: int, n_offsets: int) -> np.ndarray:
               ray[inside] * (side * side) + j[inside] * side + i[inside],
               length[inside])
     return mat
-
-
-def build_radon_operator(img_side: int, n_angles: int, n_offsets: int) -> DenseOperator:
-    """Dense parallel-beam tomography operator, scaled to spectral norm one."""
-    return spectral_normalize(DenseOperator(radon_matrix(img_side, n_angles, n_offsets)))
 
 
 # Binary containers: b"RGB1", then a header of 64-bit little-endian unsigned

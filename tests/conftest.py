@@ -1,6 +1,6 @@
 import pytest
 
-from regbench.linop import build_integration_operator, compute_svd
+from regbench.harness import OperatorSpec, build_operator
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -22,6 +22,4 @@ def svd_cache(tmp_path, monkeypatch):
 
 @pytest.fixture(scope="session")
 def op50():
-    op = build_integration_operator(50)
-    compute_svd(op)
-    return op
+    return build_operator(OperatorSpec(kind="integration", n=50))

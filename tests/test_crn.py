@@ -249,7 +249,8 @@ def test_scan_matches_pixel_space_reference_on_every_basis(basis, exact_truth):
 
 def test_pca_levels_past_the_centred_rank_are_rejected():
     config = replace(SCAN_BASES, method=replace(SCAN_BASES.method, basis="pca"))
-    with pytest.raises(ConfigError, match="m_grid level 12 exceeds the numerical rank 5 "):
+    with pytest.raises(ConfigError, match="m_grid level 12 exceeds the basis size 5, "
+                                          "the numerical rank of the centred samples"):
         run_dim_experiment(config, build_operator(config.operator))
 
 

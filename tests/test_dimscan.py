@@ -3,8 +3,8 @@ import pytest
 
 from regbench.datagen import Basis, noise_block, rng_for, svd_basis
 from regbench.dimscan import CONSENSUS_DELTA_MIN, reference_reconstruction, scan
-from regbench.harness import ExperimentConfig, GridSpec, MethodSpec
-from regbench.linop import apply, build_radon_operator, compute_svd, weighted_norm
+from regbench.harness import ExperimentConfig, GridSpec, MethodSpec, OperatorSpec, build_operator
+from regbench.linop import apply, compute_svd, weighted_norm
 from regbench.tikhonov import reconstruct
 from regbench.truncated import ExpectedErrorModel, alpha_threshold, argmin_expected_level
 
@@ -78,7 +78,7 @@ def test_svd_kernel_matches_restricted_normal_equations(op50, planted_sample, ex
 
 
 def test_svd_kernel_matches_composed_svd_on_radon():
-    op = build_radon_operator(6, 5, 9)
+    op = build_operator(OperatorSpec(kind="radon", side=6, angles=5, offsets=9))
     basis = svd_basis(op)
     x = basis.vectors[:, :5] @ rng_for(3, 0).uniform(-1.0, 1.0, size=5)
     config = scan_config((1, 5, 12, 36), 0.01, (0.05, 0.2), realizations=4, seed=4)

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -732,22 +733,39 @@ class TestBuildOnce:
         assert self.run(tmp_path, "warm", bare) == (sidecar[0], "cache")
         assert len(factorizations) == 1 and len(list(svd_cache.iterdir())) == 1
 
-    def test_key(self, monkeypatch):
+    def test_key(self, monkeypatch, tmp_path):
+        # each input changes the key; they are changed one after another
         a = np.arange(6.0).reshape(2, 3)
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        for name in harness._BLAS_ENV:
+            monkeypatch.delenv(name, raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         keys = [harness.svd_cache_key(a)]
         assert harness.svd_cache_key(a.copy()) == keys[0]
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        keys.append(harness.svd_cache_key(a))
-        monkeypatch.setenv("OMP_NUM_THREADS", "1")
-        keys.append(harness.svd_cache_key(a))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        keys.append(harness.svd_cache_key(a))
+        for name in harness._BLAS_ENV:
+            monkeypatch.setenv(name, "1")
+            keys.append(harness.svd_cache_key(a))
+        source = tmp_path / "linop.py"
+        source.write_text("# another linop\n")
+        for target, name, value in [
+            (os, "sched_getaffinity", lambda pid: {0}),
+            (platform, "node", lambda: "another-host"),
+            (platform, "machine", lambda: "aarch64"),
+            (harness, "_cpu_model", lambda: "another CPU"),
+            (harness, "_blas_library", lambda: "mkl 2024.0"),
+            (np, "__version__", "0.0.0"),
+            (linop, "__file__", str(source)),
+        ]:
+            monkeypatch.setattr(target, name, value, raising=False)
+            keys.append(harness.svd_cache_key(a))
         keys.append(harness.svd_cache_key(a.reshape(3, 2)))
         keys.append(harness.svd_cache_key(a + 1.0))
         assert len(set(keys)) == len(keys)
+
+    def test_key_host_and_blas(self, monkeypatch):
+        assert harness._cpu_model() and harness._blas_library()
+        # numpy < 1.25 has no config dict
+        monkeypatch.setattr(np, "show_config", lambda: print("config"))
+        assert harness._blas_library() == ""
 
 
 class TestCli:

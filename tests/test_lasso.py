@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from regbench import harness, lasso
 from regbench.datagen import noise_block, rng_for
 from regbench.lasso import AlphaRule, BatchSolution, alpha_for_delta, diff1d, grad2d, solve_batch
-from regbench.linop import DenseOperator, build_integration_operator, build_radon_operator, compute_svd
+from regbench.linop import DenseOperator, compute_svd
 
 
 def soft(v, threshold):
@@ -190,7 +190,7 @@ def batch_case(kind):
         op = DenseOperator(a / np.linalg.norm(a, 2))
         transform = diff1d(n)
     else:
-        op = build_radon_operator(6, 8, 11)
+        op = harness.build_operator(harness.OperatorSpec(kind="radon", side=6, angles=8, offsets=11))
         n, m = op.n, op.m
         transform = grad2d(6)
     y = rng.standard_normal((m, 5))
@@ -664,7 +664,7 @@ class TestGridSearch:
                                                       [True, True, True, True]]
         assert err.startswith("delta=0.01 alpha=0.001: no convergence after 75 iterations (residual ")
         assert len(err.splitlines()) == 1
-        op = build_integration_operator(12)
+        op = harness.build_operator(harness.OperatorSpec(n=12))
         truths, _ = harness.build_dataset(op, harness.DataSpec(count=3), 0)
         means = {}
         for ai, alpha in ((1, 0.01), (2, 0.1), (3, 1.0)):

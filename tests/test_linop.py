@@ -13,8 +13,6 @@ from regbench.linop import (
     DenseOperator,
     apply,
     apply_adjoint,
-    build_integration_operator,
-    build_radon_operator,
     compute_svd,
     filtered_errors,
     filtered_solve,
@@ -28,6 +26,11 @@ from regbench.linop import (
     spectral_normalize,
     weighted_norm,
 )
+
+
+def normalized(matrix):
+    """``matrix`` as an operator scaled to spectral norm one."""
+    return spectral_normalize(DenseOperator(matrix))
 
 
 def power_iteration_norm(mat, iters=500, seed=0):
@@ -65,7 +68,7 @@ class TestIntegrationOperator:
                               [[1, 0, 0], [1, 1, 0], [1, 1, 1]])
 
     def test_n1_normalizes_to_one(self):
-        op = build_integration_operator(1)
+        op = normalized(integration_matrix(1))
         assert op.entries[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert compute_svd(op).sigma[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -131,7 +134,7 @@ def small_raw():
 
 class TestRadonOperator:
     def test_paper_scale_shape(self):
-        op = build_radon_operator(28, 30, 41)
+        op = normalized(radon_matrix(28, 30, 41))
         assert op.shape == (1230, 784)
         assert abs(compute_svd(op).sigma[0] - 1.0) <= 1e-10
 
@@ -154,7 +157,7 @@ class TestRadonOperator:
                     chord_length(theta, t, side), abs=1e-9)
 
     def test_adjoint_identity(self):
-        op = build_radon_operator(6, 4, 7)
+        op = normalized(radon_matrix(6, 4, 7))
         rng = np.random.default_rng(1)
         x, y = rng.standard_normal(op.n), rng.standard_normal(op.m)
         assert abs(apply(op, x) @ y - x @ apply_adjoint(op, y)) <= 1e-10
@@ -490,7 +493,7 @@ class TestNormalization:
         assert svd.right_vectors is raw_svd.right_vectors
 
     def test_attached_svd_is_a_singular_system(self):
-        op = build_radon_operator(6, 4, 7)
+        op = normalized(radon_matrix(6, 4, 7))
         svd = compute_svd(op)
         rebuilt = svd.left_vectors @ np.diag(svd.sigma) @ svd.right_vectors.T
         assert np.abs(rebuilt - op.entries).max() <= 1e-12
@@ -500,12 +503,12 @@ class TestNormalization:
             spectral_normalize(DenseOperator(np.zeros((2, 3))))
 
     def test_idempotent(self):
-        op = build_integration_operator(20)
+        op = normalized(integration_matrix(20))
         again = spectral_normalize(op)
         assert np.abs(again.entries - op.entries).max() <= 1e-12
 
     def test_unit_norm_flag(self):
-        op = build_integration_operator(20)
+        op = normalized(integration_matrix(20))
         assert abs(compute_svd(op).sigma[0] - 1.0) <= 1e-10
 
 
@@ -537,7 +540,7 @@ class TestContainer:
         assert len(blob) == 20 + 2 * 8
 
     def test_operator_roundtrip_with_svd(self, tmp_path):
-        op = build_integration_operator(9)
+        op = normalized(integration_matrix(9))
         svd = compute_svd(op)
         save_operator(tmp_path / "op.rgb", op)
         loaded = load_operator(tmp_path / "op.rgb")
@@ -575,7 +578,7 @@ class TestSvdSidecar:
 
     @pytest.fixture()
     def saved(self, tmp_path):
-        op = build_integration_operator(4)
+        op = normalized(integration_matrix(4))
         compute_svd(op)
         save_operator(tmp_path / "op.rgb", op)
         return tmp_path / "op.rgb", tmp_path / "op.rgb.svd"
