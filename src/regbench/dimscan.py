@@ -83,7 +83,12 @@ def scan(op: DenseOperator, basis: Basis, x_true: np.ndarray,
     for mi, m in enumerate(m_grid):
         system = restricted_system(op, basis, m)
         s, u, w = system.sigma, system.left_vectors, system.right_vectors
-        ref_coeff = w.T @ reference
+        if basis.kind == "svd":
+            ref_coeff = w.T @ reference
+        else:
+            # W = B_m V is orthonormal only to round-off; a least-squares
+            # residual is orthogonal to W, so the split below has no cross term
+            ref_coeff = np.linalg.lstsq(w, reference, rcond=None)[0]
         outside = float(np.sum((reference - w @ ref_coeff) ** 2))
         errors = filtered_errors(s / (s * s + method.alpha), u.T @ y_true, u.T @ noise,
                                  deltas, ref_coeff, outside, op.n)

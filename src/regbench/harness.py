@@ -722,7 +722,9 @@ class RunManifest:
     LASSO grid, ``alpha-tune`` and ``lasso-solve``
     (:func:`~regbench.lasso.solver_totals`: solves, certified, failures,
     median and max iterations, max KKT residual) and is ``None``
-    otherwise."""
+    otherwise.  ``peak_rss_mb`` is the process's peak resident set size in
+    MiB when the manifest was made (``getrusage``'s ``ru_maxrss``), ``None``
+    where the ``resource`` module is missing."""
 
     master_seed: int
     config_hash: str
@@ -732,6 +734,7 @@ class RunManifest:
     wall_time_s: float
     operator_s: float
     svd_source: str | None
+    peak_rss_mb: float | None
     noise_scheme: str = NOISE_SCHEME
     checked: int | None = None
     violations: int | None = None
@@ -751,7 +754,21 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def operator_checksum(op: DenseOperator) -> str:
-    return hashlib.sha256(op.entries.tobytes()).hexdigest()
+    """sha256 of the entries' bytes, hashed in place (they are C-contiguous)."""
+    return hashlib.sha256(op.entries).hexdigest()
+
+
+def peak_rss_mb() -> float | None:
+    """This process's peak resident set size so far, in MiB (``ru_maxrss``
+    counts bytes on macOS, KiB elsewhere); ``None`` without ``resource``.
+    ``resource`` is imported here, after the work, not with the module,
+    where it raised the peak of every command by about 0.15 MB."""
+    try:
+        import resource
+    except ImportError:  # not on Windows
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
 
 
 def make_manifest(config: ExperimentConfig, op: DenseOperator, wall_time_s: float,
@@ -766,7 +783,7 @@ def make_manifest(config: ExperimentConfig, op: DenseOperator, wall_time_s: floa
                        operator_checksum=operator_checksum(op),
                        tool_version=__version__, numpy_version=np.__version__,
                        wall_time_s=wall_time_s, operator_s=operator_s,
-                       svd_source=op.svd_source, **checks)
+                       svd_source=op.svd_source, peak_rss_mb=peak_rss_mb(), **checks)
 
 
 # ---------------------------------------------------------------------------

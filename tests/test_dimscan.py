@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from regbench.datagen import Basis, noise_block, rng_for, svd_basis
+from regbench.datagen import Basis, noise_block, pca_basis, rng_for, svd_basis
 from regbench.dimscan import CONSENSUS_DELTA_MIN, reference_reconstruction, scan
-from regbench.harness import ExperimentConfig, GridSpec, MethodSpec, OperatorSpec, build_operator
+from regbench.harness import (
+    DataSpec,
+    ExperimentConfig,
+    GridSpec,
+    MethodSpec,
+    OperatorSpec,
+    build_dataset,
+    build_operator,
+)
 from regbench.linop import apply, compute_svd, weighted_norm
 from regbench.tikhonov import reconstruct
 from regbench.truncated import ExpectedErrorModel, alpha_threshold, argmin_expected_level
@@ -85,6 +93,50 @@ def test_svd_kernel_matches_composed_svd_on_radon():
     kernel = scan(op, basis, x, config)
     composed = scan(op, Basis(kind="coordinate", vectors=basis.vectors), x, config)
     assert np.abs(kernel.mean_errors - composed.mean_errors).max() <= 1e-10
+
+
+def extended_mean_errors(op, basis, x, reference, config):
+    """The scan's mean errors from the restricted normal equations, solved
+    by Gaussian elimination in ``np.longdouble``."""
+    ld = np.longdouble
+    a, ref = op.entries.astype(ld), reference.astype(ld)
+    block = noise_block(config.seed, 0, config.grid.realizations + 1, op.m).astype(ld)
+    means = np.zeros((len(config.method.m_grid), len(config.grid.delta)))
+    for mi, m in enumerate(config.method.m_grid):
+        b = basis.vectors[:, :m].astype(ld)
+        ab = a @ b
+        for di, delta in enumerate(config.grid.delta):
+            gram = ab.T @ ab + ld(config.method.alpha) * np.eye(m, dtype=ld)
+            rhs = ab.T @ (a @ x.astype(ld) + ld(delta) * block[1:]).T
+            for i in range(m):  # partial pivoting
+                p = i + int(np.argmax(np.abs(gram[i:, i])))
+                gram[[i, p]], rhs[[i, p]] = gram[[p, i]], rhs[[p, i]]
+                factor = gram[i + 1:, i:i + 1] / gram[i, i]
+                gram[i + 1:] -= factor * gram[i]
+                rhs[i + 1:] -= factor * rhs[i]
+            coeff = np.zeros_like(rhs)
+            for i in reversed(range(m)):
+                coeff[i] = (rhs[i] - gram[i, i + 1:] @ coeff[i + 1:]) / gram[i, i]
+            err = b @ coeff - ref[:, None]
+            means[mi, di] = float(np.mean(np.sqrt(np.mean(err * err, axis=0))))
+    return means
+
+
+def test_pca_scan_matches_extended_precision():
+    # W = B_m V is orthonormal only to round-off; the least-squares
+    # reference coefficients keep the error split free of a cross term
+    op = build_operator(OperatorSpec(kind="integration", n=50))
+    errors = []
+    for seed in range(10):
+        truths, _ = build_dataset(op, DataSpec(kind="subspace", count=20, n_dim=16), seed)
+        basis, x = pca_basis(truths.T, 20), truths[:, 0].copy()
+        config = scan_config((8, 14), 0.01, (0.001,), realizations=20, seed=seed)
+        block = noise_block(seed, 0, 21, op.m)
+        reference = reference_reconstruction(op, x, 0.03, 0.01, block[0])
+        want = extended_mean_errors(op, basis, x, reference, config)
+        errors.extend(np.abs(scan(op, basis, x, config).mean_errors / want - 1).ravel())
+    eps = np.finfo(float).eps
+    assert np.median(errors) <= 2e-15 and max(errors) <= 20 * eps
 
 
 def test_reference_shift_is_bounded_by_reference_error(op50, planted_sample):

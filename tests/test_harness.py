@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 import platform
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -460,6 +462,18 @@ class TestManifest:
         assert payload["numpy_version"] == np.__version__
         assert len(payload["operator_checksum"]) == 64
         assert payload["config_hash"] == config_hash(small_config)
+        assert payload["peak_rss_mb"] > 0
+
+    def test_checksum_hashes_the_entries_in_place(self):
+        op = linop.DenseOperator(np.random.default_rng(3).standard_normal((1000, 1000)))
+        tracemalloc.start()
+        try:
+            digest = harness.operator_checksum(op)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert digest == hashlib.sha256(op.entries.tobytes()).hexdigest()
 
     def test_noise_scheme_without_grid(self, tmp_path, small_config):
         op = build_operator(small_config.operator)

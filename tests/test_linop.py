@@ -1,5 +1,6 @@
 import math
 import tempfile
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -21,10 +22,12 @@ from regbench.linop import (
     load_operator,
     pinv_adjoint_apply,
     radon_matrix,
+    read_svd,
     save_matrix,
     save_operator,
     spectral_normalize,
     weighted_norm,
+    write_svd,
 )
 
 
@@ -475,6 +478,59 @@ class TestFilteredErrors:
                 assert errors[di, r] == pytest.approx(want, rel=1e-12)
 
 
+    @staticmethod
+    def broadcast_reference(filt, data_coeff, noise_coeff, deltas, ref_coeff, outside, n):
+        """The kernel as one (levels, modes, realizations) broadcast."""
+        diff = ((filt * data_coeff - ref_coeff)[None, :, None]
+                + np.asarray(deltas)[:, None, None] * (filt[:, None] * noise_coeff))
+        return np.sqrt(np.sum(diff * diff, axis=1) + outside) / np.sqrt(n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(levels=st.integers(1, 4), k=st.integers(1, 24), r=st.integers(1, 7),
+           layout=st.sampled_from(["contiguous", "column slice", "transposed"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bit_identical_to_the_broadcast(self, levels, k, r, layout, seed):
+        rng = np.random.default_rng(seed)
+        filt, data_coeff, ref_coeff = (rng.standard_normal(k) for _ in range(3))
+        if layout == "contiguous":
+            noise_coeff = rng.standard_normal((k, r))
+        elif layout == "column slice":
+            noise_coeff = rng.standard_normal((k, r + 3))[:, :r]
+        else:
+            noise_coeff = rng.standard_normal((r, k)).T
+        deltas = (0.0, *rng.uniform(0.0, 2.0, size=levels - 1))
+        args = (filt, data_coeff, noise_coeff, deltas, ref_coeff, float(rng.uniform(0.0, 3.0)), 37)
+        assert np.array_equal(filtered_errors(*args), self.broadcast_reference(*args))
+
+    def test_bit_identical_on_a_slice_of_the_left_vectors(self):
+        # the dimension scan's shapes: the first m modes of a singular system
+        rng = np.random.default_rng(29)
+        svd = compute_svd(normalized(radon_matrix(8, 12, 13)))
+        for m in (1, 17, 64):
+            u, v = svd.left_vectors[:, :m], svd.right_vectors[:, :m]
+            filt = svd.sigma[:m] / (svd.sigma[:m] ** 2 + 0.01)
+            y, ref = rng.standard_normal(u.shape[0]), rng.standard_normal(v.shape[0])
+            args = (filt, u.T @ y, u.T @ rng.standard_normal((u.shape[0], 9)),
+                    (0.001, 0.1, 1.0), v.T @ ref, float(np.sum((ref - v @ (v.T @ ref)) ** 2)),
+                    v.shape[0])
+            assert np.array_equal(filtered_errors(*args), self.broadcast_reference(*args))
+
+    def test_allocates_no_array_per_level(self):
+        # filt * g, one work buffer and numpy's small iteration buffers;
+        # the broadcast held three (levels, k, R) arrays
+        k, r, levels = 400, 300, 6
+        rng = np.random.default_rng(31)
+        args = (rng.standard_normal(k), rng.standard_normal(k), rng.standard_normal((k, r)),
+                np.linspace(0.0, 1.0, levels), rng.standard_normal(k), 0.5, k)
+        tracemalloc.start()
+        try:
+            errors = filtered_errors(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - errors.nbytes < 3 * k * r * 8
+
+
 class TestNormalization:
     def test_reuses_the_raw_svd(self, monkeypatch):
         raw = DenseOperator(radon_matrix(6, 4, 7))
@@ -653,6 +709,93 @@ class TestSvdSidecar:
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="orthonormal singular system"):
             load_operator(path)
+
+
+class TestBlockedSidecarChecks:
+    """:func:`read_svd` checks U^T U and V^T V in blocks of 128 columns and
+    A V - U S in blocks of 256 rows; a defect past the first block of each
+    is still rejected."""
+
+    SHAPES = [(300, 129), (340, 144), (300, 256)]
+
+    @staticmethod
+    def system(m, n):
+        """An m x n operator built from orthonormal factors and a
+        geometric spectrum from 1 down to 0.1, and those factors."""
+        rng = np.random.default_rng(m * 1000 + n)
+        k = min(m, n)
+        left = np.linalg.qr(rng.standard_normal((m, k)))[0]
+        right = np.linalg.qr(rng.standard_normal((n, k)))[0]
+        sigma = np.geomspace(1.0, 0.1, k)
+        return (left * sigma) @ right.T, sigma, left, right
+
+    @staticmethod
+    def rotate_last_two(vectors, angle=0.3):
+        """``vectors`` with its last two columns turned by ``angle``."""
+        c, s = math.cos(angle), math.sin(angle)
+        turned = vectors.copy()
+        turned[:, -2:] = vectors[:, -2:] @ np.array([[c, -s], [s, c]])
+        return turned
+
+    @staticmethod
+    def read(tmp_path, entries, sigma, left, right):
+        write_svd(tmp_path / "op.svd", linop.SvdSystem(sigma, left, right))
+        return read_svd(tmp_path / "op.svd", entries)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_valid_system_accepted(self, tmp_path, shape):
+        entries, sigma, left, right = self.system(*shape)
+        svd = self.read(tmp_path, entries, sigma, left, right)
+        assert np.array_equal(svd.left_vectors, left) and np.array_equal(svd.right_vectors, right)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_left_vectors_off_orthogonal_in_the_last_block(self, tmp_path, shape):
+        # V orthonormal and A V = U S to round-off; U^T U is off only
+        # between the last two modes
+        entries, sigma, _, right = self.system(*shape)
+        right = self.rotate_last_two(right)
+        with pytest.raises(ValueError, match="orthonormal singular system"):
+            self.read(tmp_path, entries, sigma, entries @ right / sigma, right)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_right_vectors_off_orthogonal_in_the_last_block(self, tmp_path, shape):
+        # U orthonormal and A V = U S to round-off, with V = V S^-1 G S for
+        # a rotation G of the last two modes; V^T V is off only there
+        entries, sigma, left, right = self.system(*shape)
+        turned = self.rotate_last_two(left)
+        right = self.rotate_last_two(right / sigma) * sigma
+        assert np.abs(entries @ right - turned * sigma).max() <= 1e-12
+        with pytest.raises(ValueError, match="orthonormal singular system"):
+            self.read(tmp_path, entries, sigma, turned, right)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_residual_only_in_the_last_row_block(self, tmp_path, shape):
+        entries, sigma, left, right = self.system(*shape)
+        entries[-1, 0] += 1e-4
+        with pytest.raises(ValueError, match="orthonormal singular system"):
+            self.read(tmp_path, entries, sigma, left, right)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_nonfinite_last_row_behind_a_valid_sidecar(self, tmp_path, shape):
+        entries, sigma, left, right = self.system(*shape)
+        entries[-1, -1] = np.nan
+        save_matrix(tmp_path / "op.rgb", entries)
+        write_svd(tmp_path / "op.rgb.svd", linop.SvdSystem(sigma, left, right))
+        with pytest.raises(ValueError, match="orthonormal singular system"):
+            load_operator(tmp_path / "op.rgb")
+
+    def test_checks_allocate_less_than_one_left_vector_array(self, tmp_path):
+        m, n = 1000, 300
+        entries, sigma, left, right = self.system(m, n)
+        write_svd(tmp_path / "op.svd", linop.SvdSystem(sigma, left, right))
+        payload = 8 * (n + m * n + n * n)
+        tracemalloc.start()
+        try:
+            read_svd(tmp_path / "op.svd", entries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - payload < 8 * m * n
 
 
 @settings(max_examples=25, deadline=None)
