@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linop import DenseOperator, apply_adjoint, compute_svd, pinv_adjoint_apply, weighted_norm
+from .linop import DenseOperator, compute_svd, pinv_adjoint_apply, weighted_norm
 
 
 def rng_for(master_seed: int, *path: int) -> np.random.Generator:
@@ -75,7 +75,7 @@ def sample_source_data(op: DenseOperator, count: int, seed: int,
     truths, rho = np.empty((op.n, count)), np.empty(count)
     for i in range(count):
         z = u @ rng_for(seed, i).uniform(-1.0, 1.0, size=u.shape[1])
-        truths[:, i] = apply_adjoint(op, z)
+        truths[:, i] = op.entries.T @ z
         rho[i] = weighted_norm(z)
     return truths, rho
 

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .datagen import Basis, noise_block
-from .linop import DenseOperator, apply, filtered_errors
+from .linop import DenseOperator, filtered_errors
 from .tikhonov import reconstruct
 from .truncated import restricted_system
 
@@ -43,7 +43,7 @@ def reference_reconstruction(op: DenseOperator, x_true: np.ndarray,
                              noise: np.ndarray) -> np.ndarray:
     """Full (untruncated) reconstruction of the clean data perturbed by
     ``delta_ref * noise``, used as a truth stand-in."""
-    return reconstruct(op, apply(op, x_true) + delta_ref * noise, alpha_ref)
+    return reconstruct(op, op.entries @ x_true + delta_ref * noise, alpha_ref)
 
 
 def scan(op: DenseOperator, basis: Basis, x_true: np.ndarray,
@@ -76,7 +76,7 @@ def scan(op: DenseOperator, basis: Basis, x_true: np.ndarray,
     else:
         reference = reference_reconstruction(op, x_true, method.alpha_ref,
                                              method.delta_ref, block[0])
-    y_true = apply(op, x_true)
+    y_true = op.entries @ x_true
     noise = block[1:].T
 
     mean_errors = np.zeros((len(m_grid), len(deltas)))

@@ -19,27 +19,28 @@ their noisy data, solve and score through one function,
 :func:`solve_lasso_samples`.
 The sparsifying matrix W is a plain array (:func:`_build_transform`).
 
-Each CLI command builds its operator once (with at most one SVD, see
-:func:`~regbench.linop.spectral_normalize`), hands it to the ``run_*``
-function, which requires it, and checksums the same operator for the
-manifest.  A ``run_*`` result holds what the command writes: the CSV
-columns, the printed summary and the manifest's bound checks and solver
-totals.
+One driver runs the four experiment subcommands (``mismatch-grid``,
+``dim-scan``, ``lasso-solve``, ``alpha-tune``).  It reads the config,
+builds the operator once (with at most one SVD, see
+:func:`~regbench.linop.spectral_normalize`) and times the build, runs the
+command's body, stamps the wall time, creates ``--out``, writes the
+body's one output file and ``manifest.json`` (which checksums the same
+operator), and prints the body's summary lines.  A body does only its
+command's own work: it hands the operator to a ``run_*`` function, which
+requires it, and returns its output file's name and writer, its summary
+lines and its manifest fields (bound checks, solver totals).
 
 An operator is factored once per machine and thread setting, not once per
 command: before :func:`build_operator` factors a matrix, it looks for the
 matrix's singular system in the SVD cache, ``$XDG_CACHE_HOME/regbench/``
 (by default ``~/.cache/regbench/``).  An entry is an SVD container
-(:func:`~regbench.linop.write_svd`) named by :func:`svd_cache_key`, a
-sha256 over the matrix's shape and bytes, the source of
-:mod:`regbench.linop`, the numpy version, the BLAS library, its thread
-and kernel settings and the host, so a command that reads an entry
-writes the bytes it would have written after factoring, even when the
-cache directory is shared between machines.  Entries are checked like a
-``.svd`` sidecar.  A paper-scale Radon entry (1230 x 784) is 12.6 MB, and
-nothing is evicted; deleting the directory is always safe.  The
-manifest's ``svd_source`` says whether the SVD was computed, read from the
-cache or read from a ``file`` operator's sidecar.
+(:func:`~regbench.linop.write_svd`) named by :func:`svd_cache_key`, whose
+docstring lists what the key covers, so a command that reads an entry
+writes the bytes it would have written after factoring.  Entries are
+checked like a ``.svd`` sidecar.  A paper-scale Radon entry (1230 x 784)
+is 12.6 MB, and nothing is evicted; deleting the directory is always
+safe.  The manifest's ``svd_source`` says whether the SVD was computed,
+read from the cache or read from a ``file`` operator's sidecar.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ from .lasso import (
 )
 from .linop import (
     DenseOperator,
-    apply,
     compute_svd,
     filtered_errors,
     integration_matrix,
@@ -434,9 +434,16 @@ def run_mismatch_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     the filter ``s / (s^2 + alpha)`` are one call of
     :func:`~regbench.linop.filtered_errors` per (sample, tuning level), with
     the part of x outside the operator's row space as its out-of-span term.
-    Realized noise levels are checked against the worst-case bound one
-    realization at a time on generated data, which has per-sample source
-    constants.
+
+    On generated data every realization is checked against the worst-case
+    bound at the alpha the rule chose, its realized noise level and the
+    sample's own source constant (not the rule's), times ``sqrt(m / n)``:
+    errors are weighted per ``sqrt(n)``, while noise and the source
+    constant, which live in data space, are weighted per ``sqrt(m)``.  The
+    CSV's worst-case overlay carries the same factor.  The rule, the zero
+    reconstruction's bound and the bound's ``alpha > 1`` branch presume
+    ``||A|| <= 1``, so an operator with ``sigma_1 > 1 + 1e-12`` (a ``file``
+    operator that was not normalized) is a config error.
     """
     if config.method.kind not in ("tikhonov", "lasso"):
         raise ConfigError(f"mismatch grid supports tikhonov or lasso, not {config.method.kind!r}")
@@ -446,9 +453,12 @@ def run_mismatch_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     # rule clamps to its first knot instead
     if min(config.grid.delta_bar) <= 0:
         raise ConfigError("delta_bar must be positive for the tikhonov grid")
+    svd = compute_svd(op)
+    top = float(svd.sigma.max(initial=0.0))
+    _check(top <= 1 + 1e-12, f"the tikhonov grid needs an operator of norm at most 1, "
+           f"not sigma_1 = {top:.6g}; `regbench operator` saves a normalized one")
     x_mat, sample_rho = build_dataset(op, config.data, config.seed)
     count = x_mat.shape[1]
-    svd = compute_svd(op)
 
     rho_spec = config.method.rho
     if rho_spec == "per-sample":
@@ -464,7 +474,7 @@ def run_mismatch_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     bars, deltas = config.grid.delta_bar, np.asarray(config.grid.delta)
     realizations = config.grid.realizations
     s, u, v = svd.sigma, svd.left_vectors, svd.right_vectors
-    root_m = np.sqrt(op.m)
+    root_m, scale = np.sqrt(op.m), math.sqrt(op.m / op.n)
     x_coeff = v.T @ x_mat
     y_coeff = u.T @ (op.entries @ x_mat)
     outside = np.sum((x_mat - v @ x_coeff) ** 2, axis=0)
@@ -486,15 +496,14 @@ def run_mismatch_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
             else:
                 errors = filtered_errors(s / (s * s + rule_alpha), y_coeff[:, si], noise_coeff,
                                          deltas, x_coeff[:, si], outside[si], op.n)
-            bounds = wc_bound(rule_alpha, realized, rho_values[si])
             err_sum[bi] += errors.sum(axis=1)
             if sample_rho is not None:
-                margin = bounds - errors
+                margin = scale * wc_bound(rule_alpha, realized, sample_rho[si]) - errors
                 violations += int((margin < -1e-9).sum())
                 checked += margin.size
                 min_margin = min(min_margin, float(margin.min()))
 
-    return _assemble_grid(config, err_sum / (count * realizations), rho_overlay,
+    return _assemble_grid(config, err_sum / (count * realizations), rho_overlay, wc_scale=scale,
                           violations=violations, checked=checked, min_margin=min_margin)
 
 
@@ -608,13 +617,14 @@ def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
                           alphas=np.tile(alphas[:, None], (1, len(deltas))), solver=scores.solver)
 
 
-def _assemble_grid(config, mean_errors, rho_overlay, alphas=None,
+def _assemble_grid(config, mean_errors, rho_overlay, alphas=None, wc_scale=1.0,
                    violations=0, checked=0, min_margin=np.inf, solver=None) -> ErrorGrid:
     """Relative errors against the diagonal cell plus the overlays.
 
     Without ``alphas`` (the Tikhonov grid) the rule's alphas and the
-    worst-case overlay come from ``rho_overlay``; with them (the sparse
-    grid) the overlay, which does not bound the sparse method, is NaN.
+    worst-case overlay, times ``wc_scale``, come from ``rho_overlay``; with
+    them (the sparse grid) the overlay, which does not bound the sparse
+    method, is NaN.
     """
     bars, deltas = config.grid.delta_bar, config.grid.delta
     shape = mean_errors.shape
@@ -628,7 +638,8 @@ def _assemble_grid(config, mean_errors, rho_overlay, alphas=None,
     else:
         rule = [optimal_alpha(delta_bar, rho_overlay) for delta_bar in bars]
         alphas = np.tile(np.array(rule)[:, None], (1, len(deltas)))
-        wc_overlay = np.array([wc_bound(alpha, np.asarray(deltas), rho_overlay) for alpha in rule])
+        wc_overlay = wc_scale * np.array([wc_bound(alpha, np.asarray(deltas), rho_overlay)
+                                          for alpha in rule])
     return ErrorGrid(delta_bar=bars, delta=deltas, mean_errors=mean_errors,
                      relative_errors=relative, wc_overlay=wc_overlay,
                      alphas=alphas, rho_overlay=rho_overlay,
@@ -675,33 +686,32 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def emit_mismatch_csv(grid: ErrorGrid, path) -> None:
+def _write_csv(path, header: str, rows) -> None:
+    """A CSV file of ``header`` and one line per row: floats through
+    :func:`_fmt`, anything else through ``str``."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("delta_bar,delta,mean_error,relative_error,wc_bound,alpha\n")
-        for bi, delta_bar in enumerate(grid.delta_bar):
-            for di, delta in enumerate(grid.delta):
-                fh.write(",".join([
-                    _fmt(delta_bar), _fmt(delta),
-                    _fmt(grid.mean_errors[bi, di]),
-                    _fmt(grid.relative_errors[bi, di]),
-                    _fmt(grid.wc_overlay[bi, di]),
-                    _fmt(grid.alphas[bi, di]),
-                ]) + "\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+def emit_mismatch_csv(grid: ErrorGrid, path) -> None:
+    _write_csv(path, "delta_bar,delta,mean_error,relative_error,wc_bound,alpha",
+               ((delta_bar, delta, grid.mean_errors[bi, di], grid.relative_errors[bi, di],
+                 grid.wc_overlay[bi, di], grid.alphas[bi, di])
+                for bi, delta_bar in enumerate(grid.delta_bar)
+                for di, delta in enumerate(grid.delta)))
 
 
 def emit_dimscan_csv(result: DimScanResult, basis_kind: str, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("basis,M,delta,mean_error\n")
-        for mi, m in enumerate(result.m_grid):
-            for di, delta in enumerate(result.delta_list):
-                fh.write(f"{basis_kind},{m},{_fmt(delta)},{_fmt(result.mean_errors[mi, di])}\n")
+    _write_csv(path, "basis,M,delta,mean_error",
+               ((basis_kind, m, delta, result.mean_errors[mi, di])
+                for mi, m in enumerate(result.m_grid)
+                for di, delta in enumerate(result.delta_list)))
 
 
 def emit_wc_curve_csv(alphas, bounds, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("alpha,bound\n")
-        for a, b in zip(alphas, bounds):
-            fh.write(f"{_fmt(a)},{_fmt(b)}\n")
+    _write_csv(path, "alpha,bound", zip(alphas, bounds))
 
 
 NOISE_SCHEME = "crn-v2"
@@ -772,13 +782,10 @@ def peak_rss_mb() -> float | None:
 
 
 def make_manifest(config: ExperimentConfig, op: DenseOperator, wall_time_s: float,
-                  operator_s: float, grid: ErrorGrid | None = None,
-                  solver: dict | None = None) -> RunManifest:
-    """The run's manifest; a grid brings its bound checks and solver
-    totals, a LASSO command without a grid passes its ``solver`` totals."""
-    checks = dict(solver=solver) if grid is None else dict(
-        checked=grid.checked, violations=grid.violations,
-        min_margin=grid.min_margin if grid.checked else None, solver=grid.solver)
+                  operator_s: float, **checks) -> RunManifest:
+    """The run's manifest; ``checks`` are the command's bound-check and
+    solver fields of :class:`RunManifest` (``checked``, ``violations``,
+    ``min_margin``, ``solver``)."""
     return RunManifest(master_seed=config.seed, config_hash=config_hash(config),
                        operator_checksum=operator_checksum(op),
                        tool_version=__version__, numpy_version=np.__version__,
@@ -890,47 +897,45 @@ def _cmd_wc_curve(args) -> int:
     return 0
 
 
-def _cmd_mismatch_grid(args) -> int:
+def _run_experiment(body, args) -> int:
+    """The shared steps of every experiment subcommand (module docstring)
+    around ``body(args, config, op)``, which returns ``(file name,
+    writer(path), summary lines, manifest fields)``."""
     config = _require_config(args)
     start = time.perf_counter()
     op = build_operator(config.operator)
     operator_s = time.perf_counter() - start
+    name, write, summary, checks = body(args, config, op)
+    wall = time.perf_counter() - start
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write(out / name)
+    make_manifest(config, op, wall, operator_s, **checks).write(out / "manifest.json")
+    print(*summary, sep="\n")
+    return 0
+
+
+def _mismatch_grid(args, config: ExperimentConfig, op: DenseOperator):
     grid = run_mismatch_grid(config, op)
-    wall = time.perf_counter() - start
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    emit_mismatch_csv(grid, out / "mismatch_grid.csv")
-    make_manifest(config, op, wall, operator_s, grid).write(out / "manifest.json")
-    print(f"wrote {out / 'mismatch_grid.csv'} (rho={_fmt(grid.rho_overlay)})")
+    summary = [f"wrote {Path(args.out) / 'mismatch_grid.csv'} (rho={_fmt(grid.rho_overlay)})"]
     if grid.checked:
-        print(f"bound checks: {grid.checked - grid.violations}/{grid.checked} "
-              f"within bound, min margin {grid.min_margin:.3e}")
+        summary.append(f"bound checks: {grid.checked - grid.violations}/{grid.checked} "
+                       f"within bound, min margin {grid.min_margin:.3e}")
     if grid.solver:
-        print(f"solver: {grid.solver['failures']}/{grid.solver['solves']} solves "
-              f"did not converge")
-    return 0
+        summary.append(f"solver: {grid.solver['failures']}/{grid.solver['solves']} solves "
+                       f"did not converge")
+    checks = dict(checked=grid.checked, violations=grid.violations,
+                  min_margin=grid.min_margin if grid.checked else None, solver=grid.solver)
+    return "mismatch_grid.csv", partial(emit_mismatch_csv, grid), summary, checks
 
 
-def _cmd_dim_scan(args) -> int:
-    config = _require_config(args)
-    start = time.perf_counter()
-    op = build_operator(config.operator)
-    operator_s = time.perf_counter() - start
+def _dim_scan(args, config: ExperimentConfig, op: DenseOperator):
     result = run_dim_experiment(config, op)
-    wall = time.perf_counter() - start
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    emit_dimscan_csv(result, config.method.basis, out / "dim_scan.csv")
-    make_manifest(config, op, wall, operator_s).write(out / "manifest.json")
-    print(f"estimated_N={result.estimated_n}")
-    return 0
+    return ("dim_scan.csv", partial(emit_dimscan_csv, result, config.method.basis),
+            [f"estimated_N={result.estimated_n}"], {})
 
 
-def _cmd_lasso_solve(args) -> int:
-    config = _require_config(args)
-    start = time.perf_counter()
-    op = build_operator(config.operator)
-    operator_s = time.perf_counter() - start
+def _lasso_solve(args, config: ExperimentConfig, op: DenseOperator):
     truths, _ = build_dataset(op, config.data, config.seed)
     if not 0 <= args.sample < truths.shape[1]:
         raise ConfigError(f"sample index {args.sample} out of range")
@@ -941,35 +946,25 @@ def _cmd_lasso_solve(args) -> int:
         raise ConfigError("lasso-solve needs --alpha or a method alpha")
     _check(0 < alpha < math.inf, f"--alpha must be positive and finite, not {alpha!r}")
     x_true = truths[:, args.sample].copy()
-    y = apply(op, x_true) + args.delta * noise_block(config.seed, args.sample, 1, op.m)[0]
+    y = op.entries @ x_true + args.delta * noise_block(config.seed, args.sample, 1, op.m)[0]
     sol = solve_batch(op, w, y[:, None], [alpha])
     iterations = int(sol.iterations[0])
     if not sol.converged[0]:
         raise RuntimeError(f"no convergence after {iterations} iterations "
                            f"(residual {sol.residual[0]:.3e})")
-    wall = time.perf_counter() - start
     x = sol.x[:, 0]
     r = op.entries @ x - y
     objective = float(r @ r + alpha * np.abs(w @ x).sum())
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "lasso_solution.csv", "w", newline="\n") as fh:
-        fh.write("sample_id,component,value\n")
-        for comp, val in enumerate(x):
-            fh.write(f"{args.sample},{comp},{_fmt(val)}\n")
+    summary = [f"objective={_fmt(objective)} iterations={iterations} "
+               f"kkt_residual={sol.kkt_residual[0]:.3e} "
+               f"error={_fmt(weighted_norm(x - x_true))}"]
     solver = solver_totals(sol.iterations, sol.certified, sol.converged, sol.kkt_residual)
-    make_manifest(config, op, wall, operator_s, solver=solver).write(out / "manifest.json")
-    print(f"objective={_fmt(objective)} iterations={iterations} "
-          f"kkt_residual={sol.kkt_residual[0]:.3e} "
-          f"error={_fmt(weighted_norm(x - x_true))}")
-    return 0
+    rows = [(args.sample, comp, val) for comp, val in enumerate(x)]
+    return ("lasso_solution.csv", partial(_write_csv, header="sample_id,component,value",
+                                          rows=rows), summary, dict(solver=solver))
 
 
-def _cmd_alpha_tune(args) -> int:
-    config = _require_config(args)
-    start = time.perf_counter()
-    op = build_operator(config.operator)
-    operator_s = time.perf_counter() - start
+def _alpha_tune(args, config: ExperimentConfig, op: DenseOperator):
     truths, _ = build_dataset(op, config.data, config.seed)
     if not 1 <= args.tuples <= truths.shape[1]:
         raise ConfigError(f"--tuples {args.tuples} outside [1, {truths.shape[1]}]")
@@ -984,44 +979,37 @@ def _cmd_alpha_tune(args) -> int:
     # one realization: tuple i at level delta sees lasso-solve's data for
     # --sample i --delta delta
     scores = solve_lasso_samples(op, w, truths[:, :args.tuples], alphas, deltas, 1, config.seed)
-    wall = time.perf_counter() - start
     # per level, the first alpha of the smallest mean error among the cells
-    # whose solves all converged
-    failures, knots = [], []
+    # whose solves all converged; each failed cell is one line on stderr,
+    # printed before a level with no converged cell stops the run
+    knots = []
     for di, delta in enumerate(deltas):
         cells = []
         for ai, alpha in enumerate(alphas):
             failed = np.flatnonzero(~scores.converged[:, ai, di])
             if failed.size:
                 first = failed[0]
-                failures.append(f"delta={_fmt(delta)} alpha={_fmt(alpha)}: no convergence after "
-                                f"{scores.iterations[first, ai, di]} iterations "
-                                f"(residual {scores.residual[first, ai, di]:.3e})")
+                print(f"delta={_fmt(delta)} alpha={_fmt(alpha)}: no convergence after "
+                      f"{scores.iterations[first, ai, di]} iterations "
+                      f"(residual {scores.residual[first, ai, di]:.3e})", file=sys.stderr)
             else:
                 cells.append((alpha, float(np.mean(scores.errors[:, ai, di]))))
         if not cells:
-            raise RuntimeError("every grid cell failed to converge")
+            raise RuntimeError(f"every grid cell failed to converge at delta={_fmt(delta)}")
         knots.append((delta, min(cells, key=lambda cell: cell[1])[0]))
-    for line in failures:
-        print(line, file=sys.stderr)
-    for delta, alpha in knots:
-        print(f"delta={_fmt(delta)} alpha={_fmt(alpha)}")
-    rule = AlphaRule(tuple(knots))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rule.to_csv(out / "alpha_rule.csv")
-    make_manifest(config, op, wall, operator_s, solver=scores.solver).write(out / "manifest.json")
-    print(f"wrote {out / 'alpha_rule.csv'}")
-    return 0
+    summary = [f"delta={_fmt(delta)} alpha={_fmt(alpha)}" for delta, alpha in knots]
+    summary.append(f"wrote {Path(args.out) / 'alpha_rule.csv'}")
+    return ("alpha_rule.csv", AlphaRule(tuple(knots)).to_csv, summary,
+            dict(solver=scores.solver))
 
 
 _COMMANDS = {
     "operator": _cmd_operator,
     "wc-curve": _cmd_wc_curve,
-    "mismatch-grid": _cmd_mismatch_grid,
-    "dim-scan": _cmd_dim_scan,
-    "lasso-solve": _cmd_lasso_solve,
-    "alpha-tune": _cmd_alpha_tune,
+    "mismatch-grid": partial(_run_experiment, _mismatch_grid),
+    "dim-scan": partial(_run_experiment, _dim_scan),
+    "lasso-solve": partial(_run_experiment, _lasso_solve),
+    "alpha-tune": partial(_run_experiment, _alpha_tune),
 }
 
 
@@ -1038,10 +1026,7 @@ def cli_main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (np.linalg.LinAlgError, ValueError, RuntimeError) as exc:

@@ -183,21 +183,6 @@ def compute_svd(op: DenseOperator) -> SvdSystem:
     return op._svd
 
 
-def apply(op: DenseOperator, x: np.ndarray) -> np.ndarray:
-    """Forward map ``A x``."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != op.n:
-        raise ValueError(f"expected input of length {op.n}, got {x.shape[0]}")
-    return op.entries @ x
-
-def apply_adjoint(op: DenseOperator, y: np.ndarray) -> np.ndarray:
-    """Adjoint map ``A* y`` in the Euclidean inner product (transpose)."""
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] != op.m:
-        raise ValueError(f"expected input of length {op.m}, got {y.shape[0]}")
-    return op.entries.T @ y
-
-
 def pinv_adjoint_apply(op: DenseOperator, x: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     """Apply the pseudoinverse of the adjoint, ``(A*)^+ x``, to one vector
     (n,) or to the columns of an (n, B) block.

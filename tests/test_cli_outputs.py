@@ -54,15 +54,15 @@ rho = estimate
 
 RADON_GRID_CSV = """\
 delta_bar,delta,mean_error,relative_error,wc_bound,alpha
-0.01,0.01,0.04549923722921366,1.0,0.08923680490325403,0.012557754132607166
-0.01,0.1,0.29745665436261437,1.7835328734285676,0.49080242696789717,0.012557754132607166
-0.01,0.5,1.4785011163854163,5.096892182409248,2.2755385250329776,0.012557754132607166
-0.1,0.01,0.1125935722790857,2.4746254912333527,0.15520535503570038,0.12557754132607166
-0.1,0.1,0.16677946271368674,1.0,0.2821915546103643,0.12557754132607166
-0.1,0.5,0.6301031938526319,2.172178300893069,0.8465746638310929,0.12557754132607166
-0.5,0.01,0.19676783654916727,4.324640335351132,0.32180974438041055,0.6278877066303583
-0.5,0.1,0.20119677999210955,1.2063642412465834,0.37859969927107123,0.6278877066303583
-0.5,0.5,0.2900789468311931,1.0,0.6309994987851187,0.6278877066303583
+0.01,0.01,0.04549923722921366,1.0,0.12718201495632062,0.012557754132607166
+0.01,0.1,0.29745665436261437,1.7835328734285676,0.6995010822597634,0.012557754132607166
+0.01,0.5,1.4785011163854163,5.096892182409248,3.2431413813861756,0.012557754132607166
+0.1,0.01,0.1125935722790857,2.4746254912333527,0.22120166456936538,0.12557754132607166
+0.1,0.1,0.16677946271368674,1.0,0.40218484467157345,0.12557754132607166
+0.1,0.5,0.6301031938526319,2.172178300893069,1.2065545340147201,0.12557754132607166
+0.5,0.01,0.19676783654916727,4.324640335351132,0.45864945262497436,0.6278877066303583
+0.5,0.1,0.20119677999210955,1.2063642412465834,0.5395875913234993,0.6278877066303583
+0.5,0.5,0.2900789468311931,1.0,0.8993126522058321,0.6278877066303583
 """
 
 # per-sample source constants straddle delta_bar = 0.6, so two of the five

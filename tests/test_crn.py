@@ -56,10 +56,23 @@ WIDE_RADON = ExperimentConfig(
     method=MethodSpec(kind="tikhonov", rho="estimate"),
     seed=3)
 
+# 156 measurements of a 64-pixel image with source data: the bound is
+# checked with each sample's own source constant, which the estimated rule
+# constant is not, and in pixel-weighted errors, sqrt(m / n) above the
+# data-weighted bound
+TALL_RADON = ExperimentConfig(
+    operator=OperatorSpec(kind="radon", side=8, angles=12, offsets=13),
+    data=DataSpec(kind="source", count=4),
+    grid=GridSpec(delta_bar=(0.01, 0.1, 0.5, 1.0), delta=(0.01, 0.1, 0.5, 1.0), realizations=5),
+    method=MethodSpec(kind="tikhonov", rho="estimate"),
+    seed=0)
+
 
 def reference_grid(config, draw=None):
     """Mean errors and bound margins; ``draw`` realizations are drawn per
-    sample and the first ``R`` used."""
+    sample and the first ``R`` used.  A realization's bound is
+    ``sqrt(m / n) * wc_bound`` at the rule's alpha, its realized noise level
+    and its sample's own source constant."""
     op = build_operator(config.operator)
     svd = compute_svd(op)
     truths, sample_rho = build_dataset(op, config.data, config.seed)
@@ -71,7 +84,7 @@ def reference_grid(config, draw=None):
     bars, deltas, reps = config.grid.delta_bar, config.grid.delta, config.grid.realizations
     errors = np.zeros((len(bars), len(deltas), count, reps))
     margins = []
-    s = svd.sigma
+    s, scale = svd.sigma, np.sqrt(op.m / op.n)
     for si, x in enumerate(truths.T):
         y = op.entries @ x
         block = rng_for(config.seed, NOISE_TAG, si).standard_normal((draw or reps, op.m))[:reps]
@@ -85,14 +98,15 @@ def reference_grid(config, draw=None):
                 else:
                     rec = filtered_solve(svd, s / (s * s + alpha), noisy)
                     errors[bi, di, si] = np.linalg.norm(rec - x[:, None], axis=0) / np.sqrt(op.n)
-                bounds = wc_bound(alpha, realized, rhos[si])
                 if sample_rho is not None:
+                    bounds = scale * wc_bound(alpha, realized, sample_rho[si])
                     margins.append(bounds - errors[bi, di, si])
     margins = np.concatenate(margins) if margins else np.zeros(0)
     return errors.mean(axis=(2, 3)), margins
 
 
-@pytest.mark.parametrize("config", [INTEGRATION, WIDE_RADON], ids=["integration", "wide-radon"])
+@pytest.mark.parametrize("config", [INTEGRATION, WIDE_RADON, TALL_RADON],
+                         ids=["integration", "wide-radon", "tall-radon"])
 def test_grid_matches_data_space_reference(config):
     grid = run_mismatch_grid(config, build_operator(config.operator))
     mean_errors, margins = reference_grid(config)

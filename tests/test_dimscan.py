@@ -12,7 +12,7 @@ from regbench.harness import (
     build_dataset,
     build_operator,
 )
-from regbench.linop import apply, compute_svd, weighted_norm
+from regbench.linop import compute_svd, weighted_norm
 from regbench.tikhonov import reconstruct
 from regbench.truncated import ExpectedErrorModel, alpha_threshold, argmin_expected_level
 
@@ -164,7 +164,7 @@ def test_reference_reconstruction_perturbs_the_clean_data(op50, planted_sample):
     _, x = planted_sample
     noise = noise_block(4, 0, 1, 50)[0]
     ref = reference_reconstruction(op50, x, 0.03, 0.01, noise)
-    assert np.array_equal(ref, reconstruct(op50, apply(op50, x) + 0.01 * noise, 0.03))
+    assert np.array_equal(ref, reconstruct(op50, op50.entries @ x + 0.01 * noise, 0.03))
     assert not np.array_equal(ref, reference_reconstruction(op50, x, 0.03, 0.01, 2 * noise))
 
 

@@ -734,7 +734,8 @@ class TestBuildOnce:
 
     def test_file_operator(self, tmp_path, factorizations, svd_cache):
         # a file operator with a sidecar uses it; one without uses the cache
-        op = linop.DenseOperator(linop.radon_matrix(8, 6, 9))
+        raw = linop.DenseOperator(linop.radon_matrix(8, 6, 9))
+        op = linop.DenseOperator(linop.spectral_normalize(raw).entries)
         linop.compute_svd(op)
         linop.save_operator(tmp_path / "op.rgb", op)
         linop.save_matrix(tmp_path / "bare.rgb", op.entries)
@@ -746,6 +747,45 @@ class TestBuildOnce:
         assert self.run(tmp_path, "cold", bare) == (sidecar[0], "computed")
         assert self.run(tmp_path, "warm", bare) == (sidecar[0], "cache")
         assert len(factorizations) == 1 and len(list(svd_cache.iterdir())) == 1
+
+    def test_tikhonov_grid_rejects_an_unnormalized_file_operator(self, tmp_path, capsys):
+        # the rule, the zero reconstruction's bound and wc_bound's alpha > 1
+        # branch presume ||A|| <= 1; a saved raw matrix breaks them all
+        linop.save_matrix(tmp_path / "raw.rgb", linop.integration_matrix(30))
+        text = """
+[operator]
+kind = file
+path = {}
+
+[data]
+count = 3
+
+[grid]
+delta_bar = 0.01 0.1
+delta = 0.01 0.1
+realizations = 4
+"""
+        (tmp_path / "raw.cfg").write_text(text.format(tmp_path / "raw.rgb"))
+        argv = ["--config", str(tmp_path / "raw.cfg"), "--out", str(tmp_path / "raw")]
+        assert cli_main(["mismatch-grid", *argv]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: the tikhonov grid needs an operator of norm at most 1, "
+            "not sigma_1 = 19.419;")
+        # the operator that `operator` saves is normalized: it runs from its
+        # sidecar and, with the sidecar gone, from a new factorization
+        (tmp_path / "int.cfg").write_text("[operator]\nn = 30\n")
+        assert cli_main(["operator", "--config", str(tmp_path / "int.cfg"),
+                         "--out", str(tmp_path / "op")]) == 0
+        saved = tmp_path / "op" / "operator.rgb"
+        (tmp_path / "saved.cfg").write_text(text.format(saved))
+        for source in ("sidecar", "computed"):
+            capsys.readouterr()
+            assert cli_main(["mismatch-grid", "--config", str(tmp_path / "saved.cfg"),
+                             "--out", str(tmp_path / source)]) == 0
+            assert "bound checks: 48/48 within bound" in capsys.readouterr().out
+            manifest = json.loads((tmp_path / source / "manifest.json").read_text())
+            assert manifest["svd_source"] == source
+            Path(f"{saved}.svd").unlink(missing_ok=True)
 
     def test_key(self, monkeypatch, tmp_path):
         # each input changes the key; they are changed one after another

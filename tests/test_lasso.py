@@ -648,7 +648,12 @@ class TestGridSearch:
                                                      "--delta-grid", "0.01 0.1",
                                                      "--alpha-grid", "0.001 0.01 0.1")
         assert code == 2
-        assert (out, err) == ("", "numerical failure: every grid cell failed to converge\n")
+        # the failed level's cells are reported, and the error names the level
+        *failures, last = err.splitlines()
+        assert out == "" and len(failures) == 3
+        for line, alpha in zip(failures, ("0.001", "0.01", "0.1")):
+            assert line.startswith(f"delta=0.01 alpha={alpha}: no convergence after 1 iterations ")
+        assert last == "numerical failure: every grid cell failed to converge at delta=0.01"
         assert rule is None
         assert not scores.converged.any()
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from regbench.datagen import rng_for, sample_source_data
-from regbench.linop import DenseOperator, apply, compute_svd, weighted_norm
+from regbench.linop import DenseOperator, compute_svd, weighted_norm
 from regbench.tikhonov import (
     optimal_alpha,
     reconstruct,
@@ -22,7 +22,7 @@ class TestFilter:
         # a mode at sigma = sqrt(alpha) is halved
         op = DenseOperator(np.diag([1.0, 0.5]))
         x = np.array([0.0, 1.0])
-        assert np.allclose(reconstruct(op, apply(op, x), 0.25), 0.5 * x, rtol=0.0, atol=1e-15)
+        assert np.allclose(reconstruct(op, op.entries @ x, 0.25), 0.5 * x, rtol=0.0, atol=1e-15)
 
     def test_zero_sigma(self):
         # data along a zero singular direction is not inverted
@@ -186,7 +186,7 @@ class TestBoundValidity:
         # deterministic inequality with realized noise norms and true rho
         truths, rho = sample_source_data(op50, 4, seed=21)
         for si, x in enumerate(truths.T):
-            y = apply(op50, x)
+            y = op50.entries @ x
             for ai, alpha in enumerate((0.003, 0.05, 0.4, 1.0)):
                 for r in range(5):
                     noisy = y + 0.1 * rng_for(55, si, ai, r).standard_normal(y.size)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from regbench.datagen import Basis, coordinate_basis, rng_for, svd_basis
 from regbench.harness import ConfigError, MethodSpec, load_config
-from regbench.linop import DenseOperator, apply, compute_svd, filtered_solve, integration_matrix
+from regbench.linop import DenseOperator, compute_svd, filtered_solve, integration_matrix
 from regbench.tikhonov import reconstruct
 from regbench.truncated import (
     ExpectedErrorModel,
@@ -204,7 +204,7 @@ class TestSubspaceReconstruct:
         for basis in (svd_basis(op50), coordinate_basis(50, seed=3)):
             system = restricted_system(op50, basis, 4)
             for j in range(4):
-                column = apply(op50, basis.vectors[:, j])
+                column = op50.entries @ basis.vectors[:, j]
                 recovered = filtered_solve(system, 1.0 / system.sigma, column)
                 assert np.abs(recovered - basis.vectors[:, j]).max() <= 1e-8
 
