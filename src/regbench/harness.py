@@ -19,19 +19,24 @@ their noisy data, solve and score through one function,
 :func:`solve_lasso_samples`.
 The sparsifying matrix W is a plain array (:func:`_build_transform`).
 
+Every operator kind takes one path, :func:`build_operator`: the raw matrix,
+generated or read as stored, gets its SVD from a ``file``'s sidecar, the SVD
+cache or one factorization, and is divided by its norm, so every command
+runs with ``sigma_1`` exactly 1.0.  ``regbench operator`` saves the raw
+matrix and its SVD, so a saved operator reruns as the generated one.
+
 One driver runs the four experiment subcommands (``mismatch-grid``,
 ``dim-scan``, ``lasso-solve``, ``alpha-tune``).  It reads the config,
-builds the operator once (with at most one SVD, see
-:func:`~regbench.linop.spectral_normalize`) and times the build, runs the
-command's body, stamps the wall time, creates ``--out``, writes the
-body's one output file and ``manifest.json`` (which checksums the same
-operator), and prints the body's summary lines.  A body does only its
+builds the operator once and times the build, runs the command's body,
+stamps the wall time, creates ``--out``, writes the body's one output
+file and ``manifest.json`` (which checksums the same operator), and
+prints the body's summary lines.  A body does only its
 command's own work: it hands the operator to a ``run_*`` function, which
 requires it, and returns its output file's name and writer, its summary
 lines and its manifest fields (bound checks, solver totals).
 
 An operator is factored once per machine and thread setting, not once per
-command: before :func:`build_operator` factors a matrix, it looks for the
+command: before :func:`build_operator` factors a raw matrix, it looks for the
 matrix's singular system in the SVD cache, ``$XDG_CACHE_HOME/regbench/``
 (by default ``~/.cache/regbench/``).  An entry is an SVD container
 (:func:`~regbench.linop.write_svd`) named by :func:`svd_cache_key`, whose
@@ -350,21 +355,27 @@ def _attach_svd(op: DenseOperator) -> None:
             partial_path.unlink()
 
 
-def build_operator(spec: OperatorSpec) -> DenseOperator:
-    """The configured operator with its SVD attached: a ``file`` operator's
-    sidecar when it has one, else the SVD cache's entry for the matrix that
-    is factored (the raw matrix of a generated operator, before
-    :func:`~regbench.linop.spectral_normalize`), else a new factorization,
-    which is then cached."""
+def _raw_operator(spec: OperatorSpec) -> DenseOperator:
+    """The configured matrix as generated or stored, before
+    :func:`~regbench.linop.spectral_normalize`, with its SVD attached: a
+    ``file`` operator's sidecar when it has one, else the SVD cache's entry
+    for the matrix, else a new factorization, which is then cached."""
     if spec.kind == "file":
         op = _read(load_operator, spec.path)
-        if op._svd is None:
-            _attach_svd(op)
-        return op
-    raw = DenseOperator(integration_matrix(spec.n) if spec.kind == "integration"
-                        else radon_matrix(spec.side, spec.angles, spec.offsets))
-    _attach_svd(raw)
-    return spectral_normalize(raw)
+        _check(op.entries.any(), f"{spec.path}: cannot normalize the zero operator")
+    else:
+        op = DenseOperator(integration_matrix(spec.n) if spec.kind == "integration"
+                           else radon_matrix(spec.side, spec.angles, spec.offsets))
+    if op._svd is None:
+        _attach_svd(op)
+    return op
+
+
+def build_operator(spec: OperatorSpec) -> DenseOperator:
+    """:func:`_raw_operator` divided by its norm, so ``sigma_1`` is exactly
+    1.0 for every kind; a normalized ``file`` whose sidecar's ``sigma_1`` is
+    1.0 is divided by exactly 1.0 and keeps its bytes."""
+    return spectral_normalize(_raw_operator(spec))
 
 
 def build_dataset(op: DenseOperator, spec: DataSpec, seed: int):
@@ -422,7 +433,8 @@ class ErrorGrid:
 def run_mismatch_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     """Mean reconstruction errors when the rule is tuned at one noise level
     and applied at another, with the analytic worst-case overlay; ``op`` is
-    the configured operator (:func:`build_operator`).
+    the configured operator (:func:`build_operator`), whose norm is 1, as
+    the rule and the bound presume.
 
     The source constant is either estimated from the data through the
     adjoint pseudoinverse, supplied as a number, or taken per sample from
@@ -440,10 +452,7 @@ def run_mismatch_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     sample's own source constant (not the rule's), times ``sqrt(m / n)``:
     errors are weighted per ``sqrt(n)``, while noise and the source
     constant, which live in data space, are weighted per ``sqrt(m)``.  The
-    CSV's worst-case overlay carries the same factor.  The rule, the zero
-    reconstruction's bound and the bound's ``alpha > 1`` branch presume
-    ``||A|| <= 1``, so an operator with ``sigma_1 > 1 + 1e-12`` (a ``file``
-    operator that was not normalized) is a config error.
+    CSV's worst-case overlay carries the same factor.
     """
     if config.method.kind not in ("tikhonov", "lasso"):
         raise ConfigError(f"mismatch grid supports tikhonov or lasso, not {config.method.kind!r}")
@@ -454,9 +463,6 @@ def run_mismatch_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     if min(config.grid.delta_bar) <= 0:
         raise ConfigError("delta_bar must be positive for the tikhonov grid")
     svd = compute_svd(op)
-    top = float(svd.sigma.max(initial=0.0))
-    _check(top <= 1 + 1e-12, f"the tikhonov grid needs an operator of norm at most 1, "
-           f"not sigma_1 = {top:.6g}; `regbench operator` saves a normalized one")
     x_mat, sample_rho = build_dataset(op, config.data, config.seed)
     count = x_mat.shape[1]
 
@@ -826,7 +832,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     sub.add_parser("operator", parents=[shared],
-                   help="build and save the configured operator")
+                   help="save the configured operator's raw matrix and its SVD sidecar")
 
     wc = sub.add_parser("wc-curve", parents=[shared],
                         help="closed-form worst-case curve over alpha")
@@ -863,13 +869,13 @@ def _require_config(args) -> ExperimentConfig:
 
 def _cmd_operator(args) -> int:
     config = _require_config(args)
-    op = build_operator(config.operator)
+    op = _raw_operator(config.operator)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     target = out / "operator.rgb"
     save_operator(target, op)
     print(f"operator kind={config.operator.kind} m={op.m} n={op.n} "
-          f"checksum={operator_checksum(op)}")
+          f"checksum={operator_checksum(spectral_normalize(op))}")
     print(f"saved {target}")
     return 0
 

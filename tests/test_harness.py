@@ -748,44 +748,83 @@ class TestBuildOnce:
         assert self.run(tmp_path, "warm", bare) == (sidecar[0], "cache")
         assert len(factorizations) == 1 and len(list(svd_cache.iterdir())) == 1
 
-    def test_tikhonov_grid_rejects_an_unnormalized_file_operator(self, tmp_path, capsys):
-        # the rule, the zero reconstruction's bound and wc_bound's alpha > 1
-        # branch presume ||A|| <= 1; a saved raw matrix breaks them all
+    def test_tikhonov_grid_normalizes_a_raw_file_operator(self, tmp_path, capsys):
+        # a raw matrix saved by hand runs as its generated twin: the grid,
+        # the bound checks and the operator checksum are the same
         linop.save_matrix(tmp_path / "raw.rgb", linop.integration_matrix(30))
-        text = """
+        tail = "\n[data]\ncount = 3\n\n[grid]\ndelta_bar = 0.01 0.1\ndelta = 0.01 0.1\n" \
+               "realizations = 4\n"
+        runs = {}
+        for name, operator in (("generated", "n = 30"),
+                               ("raw", f"kind = file\npath = {tmp_path / 'raw.rgb'}")):
+            (tmp_path / f"{name}.cfg").write_text(f"[operator]\n{operator}\n{tail}")
+            capsys.readouterr()
+            assert cli_main(["mismatch-grid", "--config", str(tmp_path / f"{name}.cfg"),
+                             "--out", str(tmp_path / name)]) == 0
+            assert "bound checks: 48/48 within bound" in capsys.readouterr().out
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            runs[name] = ((tmp_path / name / "mismatch_grid.csv").read_bytes(),
+                          manifest["operator_checksum"])
+        assert runs["raw"] == runs["generated"]
+
+    def test_saved_operator_reruns_as_generated(self, tmp_path, capsys, monkeypatch):
+        # the 156 x 64 Radon operator on source data: the file that
+        # `operator` saves gives the generated operator's bytes with its
+        # sidecar, without it on a warm cache and without it on a cold one,
+        # and so does a file saved normalized beside its normalized SVD
+        generated = """
 [operator]
-kind = file
-path = {}
+kind = radon
+side = 8
+angles = 12
+offsets = 13
 
 [data]
-count = 3
+count = 4
 
 [grid]
-delta_bar = 0.01 0.1
-delta = 0.01 0.1
-realizations = 4
+realizations = 5
 """
-        (tmp_path / "raw.cfg").write_text(text.format(tmp_path / "raw.rgb"))
-        argv = ["--config", str(tmp_path / "raw.cfg"), "--out", str(tmp_path / "raw")]
-        assert cli_main(["mismatch-grid", *argv]) == 1
-        assert capsys.readouterr().err.startswith(
-            "config error: the tikhonov grid needs an operator of norm at most 1, "
-            "not sigma_1 = 19.419;")
-        # the operator that `operator` saves is normalized: it runs from its
-        # sidecar and, with the sidecar gone, from a new factorization
-        (tmp_path / "int.cfg").write_text("[operator]\nn = 30\n")
-        assert cli_main(["operator", "--config", str(tmp_path / "int.cfg"),
+
+        def run(name, text):
+            (tmp_path / f"{name}.cfg").write_text(text)
+            out = tmp_path / name
+            assert cli_main(["mismatch-grid", "--config", str(tmp_path / f"{name}.cfg"),
+                             "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            return ((out / "mismatch_grid.csv").read_bytes(), manifest["operator_checksum"],
+                    manifest["svd_source"])
+
+        want = run("generated", generated)[:2]
+        capsys.readouterr()
+        assert cli_main(["operator", "--config", str(tmp_path / "generated.cfg"),
                          "--out", str(tmp_path / "op")]) == 0
+        assert f"checksum={want[1]}" in capsys.readouterr().out
         saved = tmp_path / "op" / "operator.rgb"
-        (tmp_path / "saved.cfg").write_text(text.format(saved))
-        for source in ("sidecar", "computed"):
-            capsys.readouterr()
-            assert cli_main(["mismatch-grid", "--config", str(tmp_path / "saved.cfg"),
-                             "--out", str(tmp_path / source)]) == 0
-            assert "bound checks: 48/48 within bound" in capsys.readouterr().out
-            manifest = json.loads((tmp_path / source / "manifest.json").read_text())
-            assert manifest["svd_source"] == source
-            Path(f"{saved}.svd").unlink(missing_ok=True)
+        file_config = generated.replace("kind = radon", "kind = file\npath = {}")
+        assert run("sidecar", file_config.format(saved)) == (*want, "sidecar")
+        Path(f"{saved}.svd").unlink()
+        assert run("warm", file_config.format(saved)) == (*want, "cache")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "fresh-cache"))
+        assert run("cold", file_config.format(saved)) == (*want, "computed")
+        normalized = tmp_path / "normalized.rgb"
+        linop.save_operator(normalized, build_operator(
+            OperatorSpec(kind="radon", side=8, angles=12, offsets=13)))
+        assert run("normalized", file_config.format(normalized)) == (*want, "sidecar")
+
+    @pytest.mark.parametrize("kind", ["integration", "radon", "raw-file", "normalized-file",
+                                      "normalized-file-without-sidecar"])
+    def test_every_operator_has_norm_exactly_one(self, tmp_path, kind):
+        path = tmp_path / "op.rgb"
+        if kind == "raw-file":
+            linop.save_matrix(path, linop.radon_matrix(8, 6, 9))
+        elif kind.startswith("normalized-file"):
+            linop.save_operator(path, build_operator(OperatorSpec(kind="integration", n=20)))
+            if kind.endswith("without-sidecar"):
+                Path(f"{path}.svd").unlink()
+        spec = (OperatorSpec(kind="file", path=str(path)) if "file" in kind
+                else OperatorSpec(kind=kind, n=20, side=8, angles=6, offsets=9))
+        assert linop.compute_svd(build_operator(spec)).sigma[0] == 1.0
 
     def test_key(self, monkeypatch, tmp_path):
         # each input changes the key; they are changed one after another
@@ -1272,6 +1311,33 @@ realizations = 2
         assert code == 1
         assert err.startswith("config error: ") and str(bad) in err
         assert "truncated" in err
+
+    @pytest.mark.parametrize("command", ["mismatch-grid", "dim-scan"])
+    @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "bare"])
+    @pytest.mark.parametrize("entries, message", [("nan", "non-finite container payload"),
+                                                  ("zero", "cannot normalize the zero operator")],
+                             ids=["nan", "zero"])
+    def test_malformed_operator_file_is_config_error(self, tmp_path, capsys, command, sidecar,
+                                                     entries, message):
+        matrix = linop.integration_matrix(16) if entries == "nan" else np.zeros((16, 16))
+        if sidecar:
+            linop.write_svd(tmp_path / "op.rgb.svd",
+                            linop.compute_svd(linop.DenseOperator(matrix.copy())))
+        if entries == "nan":
+            matrix[3, 2] = np.nan
+        linop.save_matrix(tmp_path / "op.rgb", matrix)
+        if command == "mismatch-grid":
+            code, err = self.run_file_config(tmp_path, capsys, operator="file",
+                                             op_path=tmp_path / "op.rgb")
+        else:
+            cfg = tmp_path / "dim.cfg"
+            cfg.write_text(f"[operator]\nkind = file\npath = {tmp_path / 'op.rgb'}\n\n"
+                           "[method]\nkind = truncated\nalpha = 0.01\nm_grid = 2 4\n")
+            code = cli_main(["dim-scan", "--config", str(cfg), "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"config error: {tmp_path / 'op.rgb'}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("corruption", ["scaled-left-vectors", "other-operator"])
     def test_inconsistent_sidecar_is_config_error(self, tmp_path, capsys, corruption):

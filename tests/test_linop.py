@@ -587,6 +587,15 @@ class TestContainer:
         assert int.from_bytes(blob[12:20], "little") == 1
         assert len(blob) == 20 + 2 * 8
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_payload_rejected(self, tmp_path, value):
+        mat = np.ones((3, 4))
+        mat[2, 1] = value
+        save_matrix(tmp_path / "m.rgb", mat)
+        with pytest.raises(ValueError) as info:
+            load_matrix(tmp_path / "m.rgb")
+        assert str(info.value) == f"{tmp_path / 'm.rgb'}: non-finite container payload"
+
     def test_operator_roundtrip_with_svd(self, tmp_path):
         op = normalized(integration_matrix(9))
         svd = compute_svd(op)
@@ -695,12 +704,15 @@ class TestSvdSidecar:
             load_operator(path)
 
     def test_nonfinite_operator_behind_a_valid_sidecar_rejected(self, saved):
-        path, _ = saved
-        blob = bytearray(path.read_bytes())
-        blob[20:28] = np.array([np.nan]).astype("<f8").tobytes()
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="orthonormal singular system"):
+        # load_matrix refuses the NaN first; read_svd refuses it as well
+        path, sidecar = saved
+        entries = load_matrix(path)
+        entries[0, 0] = np.nan
+        save_matrix(path, entries)
+        with pytest.raises(ValueError, match="non-finite container payload"):
             load_operator(path)
+        with pytest.raises(ValueError, match="orthonormal singular system"):
+            read_svd(sidecar, entries)
 
 
 class TestBlockedSidecarChecks:
@@ -771,10 +783,8 @@ class TestBlockedSidecarChecks:
     def test_nonfinite_last_row_behind_a_valid_sidecar(self, tmp_path, shape):
         entries, sigma, left, right = self.system(*shape)
         entries[-1, -1] = np.nan
-        save_matrix(tmp_path / "op.rgb", entries)
-        write_svd(tmp_path / "op.rgb.svd", linop.SvdSystem(sigma, left, right))
         with pytest.raises(ValueError, match="orthonormal singular system"):
-            load_operator(tmp_path / "op.rgb")
+            self.read(tmp_path, entries, sigma, left, right)
 
     def test_checks_allocate_less_than_one_left_vector_array(self, tmp_path):
         m, n = 1000, 300
