@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linop import DenseOperator, compute_svd, pinv_adjoint_apply, weighted_norm
+from .linop import DenseOperator, _orient_columns, compute_svd, pinv_adjoint_apply, weighted_norm
 
 
 def rng_for(master_seed: int, *path: int) -> np.random.Generator:
@@ -136,8 +136,6 @@ def pca_basis(data, n_components: int) -> Basis:
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     rank = int(np.count_nonzero(s > max(x.shape) * np.finfo(float).eps * s.max(initial=0.0)))
     comps = vt[:min(n_components, rank)].T.copy()
-    from .linop import _orient_columns
-
     _orient_columns(comps)
     return Basis(kind="pca", vectors=comps)
 

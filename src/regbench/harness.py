@@ -14,16 +14,16 @@ same rows (common random numbers):
 - ``alpha-tune`` is a LASSO grid of one realization: tuple i at level delta
   sees ``lasso-solve --sample i --delta delta``'s data.
 
-Both LASSO commands, ``alpha-tune`` and the sparse ``mismatch-grid``, build
-their noisy data, solve and score through one function,
-:func:`solve_lasso_samples`.
+``alpha-tune`` and the sparse ``mismatch-grid`` build their noisy data,
+solve and score through one function, :func:`solve_lasso_samples`;
+``lasso-solve`` solves one column.
 The sparsifying matrix W is a plain array (:func:`_build_transform`).
 
 Every operator kind takes one path, :func:`build_operator`: the raw matrix,
-generated or read as stored, gets its SVD from a ``file``'s sidecar, the SVD
-cache or one factorization, and is divided by its norm, so every command
-runs with ``sigma_1`` exactly 1.0.  ``regbench operator`` saves the raw
-matrix and its SVD, so a saved operator reruns as the generated one.
+generated or read as stored, gets its SVD from the SVD cache or one
+factorization, and is divided by its norm, so every command runs with
+``sigma_1`` exactly 1.0.  ``regbench operator`` saves the raw matrix, so a
+saved operator reruns as the generated one.
 
 One driver runs the four experiment subcommands (``mismatch-grid``,
 ``dim-scan``, ``lasso-solve``, ``alpha-tune``).  It reads the config,
@@ -41,11 +41,11 @@ matrix's singular system in the SVD cache, ``$XDG_CACHE_HOME/regbench/``
 (by default ``~/.cache/regbench/``).  An entry is an SVD container
 (:func:`~regbench.linop.write_svd`) named by :func:`svd_cache_key`, whose
 docstring lists what the key covers, so a command that reads an entry
-writes the bytes it would have written after factoring.  Entries are
-checked like a ``.svd`` sidecar.  A paper-scale Radon entry (1230 x 784)
-is 12.6 MB, and nothing is evicted; deleting the directory is always
-safe.  The manifest's ``svd_source`` says whether the SVD was computed,
-read from the cache or read from a ``file`` operator's sidecar.
+writes the bytes it would have written after factoring.  Every entry is
+checked by :func:`~regbench.linop.read_svd`.  A paper-scale Radon entry
+(1230 x 784) is 12.6 MB, and nothing is evicted; deleting the directory
+is always safe.  The manifest's ``svd_source`` says whether the SVD was
+computed or read from the cache.
 """
 
 from __future__ import annotations
@@ -91,10 +91,10 @@ from .linop import (
     compute_svd,
     filtered_errors,
     integration_matrix,
-    load_operator,
+    load_matrix,
     radon_matrix,
     read_svd,
-    save_operator,
+    save_matrix,
     spectral_normalize,
     weighted_norm,
     write_svd,
@@ -248,14 +248,14 @@ def load_config(path, seed: int = 0) -> ExperimentConfig:
     ``__post_init__``.
 
     Raises :class:`ConfigError`, which the CLI reports as
-    ``config error: ...`` with exit status 1, for an unreadable file, an
-    unknown section (``[DEFAULT]`` included) or key, a value that does not
-    parse, and a value its spec rejects.
+    ``config error: ...`` with exit status 1, for an unreadable or
+    non-UTF-8 file, an unknown section (``[DEFAULT]`` included) or key, a
+    value that does not parse, and a value its spec rejects.
     """
     parser = configparser.ConfigParser(interpolation=None, default_section=None)
     try:
-        parser.read_string(Path(path).read_text())
-    except configparser.Error as exc:
+        parser.read_string(Path(path).read_text(encoding="utf-8"))
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     sections = {f.name: type(f.default) for f in fields(ExperimentConfig) if is_dataclass(f.default)}
@@ -357,24 +357,21 @@ def _attach_svd(op: DenseOperator) -> None:
 
 def _raw_operator(spec: OperatorSpec) -> DenseOperator:
     """The configured matrix as generated or stored, before
-    :func:`~regbench.linop.spectral_normalize`, with its SVD attached: a
-    ``file`` operator's sidecar when it has one, else the SVD cache's entry
-    for the matrix, else a new factorization, which is then cached."""
+    :func:`~regbench.linop.spectral_normalize`, with its SVD attached
+    (:func:`_attach_svd`)."""
     if spec.kind == "file":
-        op = _read(load_operator, spec.path)
+        op = DenseOperator(_read(load_matrix, spec.path))
         _check(op.entries.any(), f"{spec.path}: cannot normalize the zero operator")
     else:
         op = DenseOperator(integration_matrix(spec.n) if spec.kind == "integration"
                            else radon_matrix(spec.side, spec.angles, spec.offsets))
-    if op._svd is None:
-        _attach_svd(op)
+    _attach_svd(op)
     return op
 
 
 def build_operator(spec: OperatorSpec) -> DenseOperator:
     """:func:`_raw_operator` divided by its norm, so ``sigma_1`` is exactly
-    1.0 for every kind; a normalized ``file`` whose sidecar's ``sigma_1`` is
-    1.0 is divided by exactly 1.0 and keeps its bytes."""
+    1.0 for every kind."""
     return spectral_normalize(_raw_operator(spec))
 
 
@@ -730,8 +727,7 @@ class RunManifest:
     ``operator_s`` the part of it spent in :func:`build_operator`: the
     build, the SVD cache lookup and, on a miss, the factorization.
     ``svd_source`` says where the operator's SVD came from: ``"computed"``
-    (factored in this run), ``"cache"`` (the SVD cache) or ``"sidecar"``
-    (a ``file`` operator's ``.svd`` sidecar).  The bound-check
+    (factored in this run) or ``"cache"`` (the SVD cache).  The bound-check
     totals are those of a Tikhonov mismatch grid and stay ``None`` for
     other commands; ``min_margin`` is also ``None`` when nothing was
     checked.  ``solver`` holds the LASSO solver totals of the
@@ -818,8 +814,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="regbench",
         description="Regularization bench: worst-case curves, mismatch grids, "
                     "dimension scans, and sparse reconstruction.",
-        epilog="Each operator's singular system is cached in $XDG_CACHE_HOME/regbench/ "
-               "(default ~/.cache/regbench/), keyed by a sha256 over the factored matrix, "
+        epilog="Each operator's singular system is stored only in the SVD cache, "
+               "$XDG_CACHE_HOME/regbench/ (default ~/.cache/regbench/), "
+               "keyed by a sha256 over the factored matrix, "
                "the source of regbench.linop, the numpy version, the BLAS library, its "
                "settings (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, MKL_NUM_THREADS, "
                "GOTO_NUM_THREADS, OPENBLAS_CORETYPE and the usable CPU count) and the host "
@@ -832,7 +829,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     sub.add_parser("operator", parents=[shared],
-                   help="save the configured operator's raw matrix and its SVD sidecar")
+                   help="save the configured operator's raw matrix to operator.rgb")
 
     wc = sub.add_parser("wc-curve", parents=[shared],
                         help="closed-form worst-case curve over alpha")
@@ -864,6 +861,7 @@ def _require_config(args) -> ExperimentConfig:
         raise ConfigError("this subcommand needs --config")
     if not Path(args.config).exists():
         raise ConfigError(f"config file {args.config} not found")
+    _check(args.seed >= 0, f"--seed must be nonnegative, not {args.seed}")
     return load_config(args.config, seed=args.seed)
 
 
@@ -873,7 +871,7 @@ def _cmd_operator(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     target = out / "operator.rgb"
-    save_operator(target, op)
+    save_matrix(target, op.entries)
     print(f"operator kind={config.operator.kind} m={op.m} n={op.n} "
           f"checksum={operator_checksum(spectral_normalize(op))}")
     print(f"saved {target}")
@@ -897,8 +895,7 @@ def _cmd_wc_curve(args) -> int:
     best = alphas[int(np.argmin(bounds))]
     print(f"min_alpha={_fmt(best)}")
     out = Path(args.out)
-    if args.out != ".":
-        out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     emit_wc_curve_csv(alphas, bounds, out / "wc_curve.csv")
     return 0
 

@@ -12,9 +12,8 @@ divided by the norm, same vectors) instead of factorizing again.  Two
 kernels serve every spectral filter: :func:`filtered_solve` builds a
 reconstruction, and :func:`filtered_errors` measures the errors of many
 noisy reconstructions in singular-vector coefficients without building them.
-One SVD container format, written by :func:`write_svd` and checked by
-:func:`read_svd`, serves both the ``.svd`` sidecar of a saved operator and
-the harness's SVD cache.
+The harness's SVD cache stores each singular system in one container
+format, written by :func:`write_svd` and checked by :func:`read_svd`.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +30,7 @@ MAGIC = b"RGB1"
 _HEADER = struct.Struct("<QQ")
 _SVD_HEADER = struct.Struct("<QQQ")
 
-SIDECAR_TOL = 1e-8  # bound on max |U^T U - I|, |V^T V - I|, |A V - U S| / sigma_1
+SVD_TOL = 1e-8  # bound on max |U^T U - I|, |V^T V - I|, |A V - U S| / sigma_1
 
 # _thin_svd factors through the Gram matrix when lambda_min(A^T A) exceeds
 # GRAM_TOL * lambda_max(A^T A), i.e. when cond(A) < 1e3
@@ -80,7 +78,7 @@ class DenseOperator:
 
     entries: np.ndarray
     _svd: SvdSystem | None = field(default=None, repr=False, compare=False)
-    # where _svd came from: "computed", "sidecar" or (set by the harness) "cache"
+    # where _svd came from: "computed" or (set by the harness) "cache"
     svd_source: str | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -153,7 +151,7 @@ def _thin_svd(a: np.ndarray) -> SvdSystem:
             u = a @ v
             s = np.linalg.norm(u, axis=0)
             # sigma nonincreasing, equal values in order of decreasing lambda;
-            # np.take keeps C order, the layout a loaded sidecar has
+            # np.take keeps C order, the layout read_svd returns
             order = n - 1 - np.argsort(-s[::-1], kind="stable")
             v, s, u = np.take(v, order, axis=1), s[order], np.take(u, order, axis=1)
             u /= s
@@ -388,7 +386,7 @@ def load_matrix(path) -> np.ndarray:
 
 def write_svd(path, svd: SvdSystem) -> None:
     """Write a singular system to an SVD container, the format of the
-    ``.svd`` sidecar and of the harness's SVD cache."""
+    harness's SVD cache."""
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(_SVD_HEADER.pack(svd.left_vectors.shape[0], svd.right_vectors.shape[0],
@@ -398,12 +396,12 @@ def write_svd(path, svd: SvdSystem) -> None:
 
 
 def _near_identity(q: np.ndarray) -> bool:
-    """``max |Q^T Q - I| <= SIDECAR_TOL`` (a NaN fails) over the upper
+    """``max |Q^T Q - I| <= SVD_TOL`` (a NaN fails) over the upper
     triangle, formed as ``Q[:, j:j+128]^T Q[:, j:]`` one block at a time."""
     for first in range(0, q.shape[1], 128):
         gram = q[:, first:first + 128].T @ q[:, first:]
         gram.flat[::gram.shape[1] + 1] -= 1.0
-        if not np.abs(gram, out=gram).max() <= SIDECAR_TOL:
+        if not np.abs(gram, out=gram).max() <= SVD_TOL:
             return False
     return True
 
@@ -412,7 +410,7 @@ def read_svd(path, entries: np.ndarray) -> SvdSystem:
     """Read an SVD container (:func:`write_svd`) that must hold the full
     singular system of the matrix ``entries``: ``min(m, n)`` finite modes,
     singular values nonnegative and nonincreasing, orthonormal vectors with
-    ``A V = U S``, all within ``SIDECAR_TOL``, and nothing after it.  The
+    ``A V = U S``, all within ``SVD_TOL``, and nothing after it.  The
     payload is read once; the checks form ``U^T U``, ``V^T V`` and
     ``A V - U S`` in blocks of at most 128 columns or 256 rows, so no
     temporary is the size of ``U`` or of ``U^T U``."""
@@ -440,33 +438,9 @@ def read_svd(path, entries: np.ndarray) -> SvdSystem:
             residual = entries[first:first + 256] @ right
             residual -= left[first:first + 256] * sigma
             # written so that a NaN entry of the operator fails the check
-            if not np.abs(residual, out=residual).max() <= SIDECAR_TOL * sigma[0]:
+            if not np.abs(residual, out=residual).max() <= SVD_TOL * sigma[0]:
                 break
         else:
             return SvdSystem(sigma=sigma, left_vectors=left, right_vectors=right)
     raise ValueError(f"{path}: not an orthonormal singular system of the operator")
 
-
-def _svd_sidecar(path) -> Path:
-    return Path(str(path) + ".svd")
-
-
-def save_operator(path, op: DenseOperator) -> None:
-    """Write the operator container, and the SVD to the sidecar
-    ``<path>.svd`` whenever one is cached."""
-    save_matrix(path, op.entries)
-    if op._svd is not None:
-        write_svd(_svd_sidecar(path), op._svd)
-
-
-def load_operator(path) -> DenseOperator:
-    """Read an operator container, attaching the SVD sidecar
-    (:func:`read_svd`) if present.  Without a sidecar the SVD is left to
-    the first :func:`compute_svd`.
-    """
-    op = DenseOperator(load_matrix(path))
-    sidecar = _svd_sidecar(path)
-    if sidecar.exists():
-        op._svd = read_svd(sidecar, op.entries)
-        op.svd_source = "sidecar"
-    return op

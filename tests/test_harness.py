@@ -269,11 +269,10 @@ class TestDatasets:
             build_dataset(op, DataSpec(kind="phantom", count=1), seed=0)
 
     def test_operator_file_roundtrip(self, tmp_path):
-        from regbench.linop import save_operator
+        linop.save_matrix(tmp_path / "op.rgb", linop.integration_matrix(8))
         op = build_operator(OperatorSpec(kind="integration", n=8))
-        save_operator(tmp_path / "op.rgb", op)
         loaded = build_operator(OperatorSpec(kind="file", path=str(tmp_path / "op.rgb")))
-        assert np.array_equal(loaded.entries, op.entries)
+        assert loaded.entries.tobytes() == op.entries.tobytes()
 
 
 class TestMismatchGrid:
@@ -733,19 +732,19 @@ class TestBuildOnce:
         assert blocker.read_text() == ""
 
     def test_file_operator(self, tmp_path, factorizations, svd_cache):
-        # a file operator with a sidecar uses it; one without uses the cache
-        raw = linop.DenseOperator(linop.radon_matrix(8, 6, 9))
-        op = linop.DenseOperator(linop.spectral_normalize(raw).entries)
-        linop.compute_svd(op)
-        linop.save_operator(tmp_path / "op.rgb", op)
-        linop.save_matrix(tmp_path / "bare.rgb", op.entries)
+        # a file operator is factored once and then read from the cache,
+        # which the generated operator shares; a .svd file left beside it
+        # by an earlier version is ignored
+        raw = linop.radon_matrix(8, 6, 9)
+        linop.save_matrix(tmp_path / "op.rgb", raw)
+        linop.write_svd(tmp_path / "op.rgb.svd", linop.compute_svd(linop.DenseOperator(raw)))
         factorizations.clear()
-        text = RADON_SMALL.replace("kind = radon", "kind = file\npath = {}") + RADON_GRID_TAIL
-        sidecar = self.run(tmp_path, "sidecar", text.format(tmp_path / "op.rgb"))
-        assert sidecar[1] == "sidecar" and not factorizations
-        bare = text.format(tmp_path / "bare.rgb")
-        assert self.run(tmp_path, "cold", bare) == (sidecar[0], "computed")
-        assert self.run(tmp_path, "warm", bare) == (sidecar[0], "cache")
+        text = (RADON_SMALL.replace("kind = radon", f"kind = file\npath = {tmp_path / 'op.rgb'}")
+                + RADON_GRID_TAIL)
+        cold = self.run(tmp_path, "cold", text)
+        assert cold[1] == "computed" and len(factorizations) == 1
+        assert self.run(tmp_path, "warm", text) == (cold[0], "cache")
+        assert self.run(tmp_path, "generated", RADON_SMALL + RADON_GRID_TAIL) == (cold[0], "cache")
         assert len(factorizations) == 1 and len(list(svd_cache.iterdir())) == 1
 
     def test_tikhonov_grid_normalizes_a_raw_file_operator(self, tmp_path, capsys):
@@ -768,10 +767,9 @@ class TestBuildOnce:
         assert runs["raw"] == runs["generated"]
 
     def test_saved_operator_reruns_as_generated(self, tmp_path, capsys, monkeypatch):
-        # the 156 x 64 Radon operator on source data: the file that
-        # `operator` saves gives the generated operator's bytes with its
-        # sidecar, without it on a warm cache and without it on a cold one,
-        # and so does a file saved normalized beside its normalized SVD
+        # the 156 x 64 Radon operator on source data: `operator` saves the
+        # raw matrix alone and fills the SVD cache, and the saved file gives
+        # the generated operator's bytes on that warm cache and on a cold one
         generated = """
 [operator]
 kind = radon
@@ -795,33 +793,27 @@ realizations = 5
             return ((out / "mismatch_grid.csv").read_bytes(), manifest["operator_checksum"],
                     manifest["svd_source"])
 
-        want = run("generated", generated)[:2]
-        capsys.readouterr()
+        (tmp_path / "generated.cfg").write_text(generated)
         assert cli_main(["operator", "--config", str(tmp_path / "generated.cfg"),
                          "--out", str(tmp_path / "op")]) == 0
-        assert f"checksum={want[1]}" in capsys.readouterr().out
+        printed = capsys.readouterr().out
         saved = tmp_path / "op" / "operator.rgb"
-        file_config = generated.replace("kind = radon", "kind = file\npath = {}")
-        assert run("sidecar", file_config.format(saved)) == (*want, "sidecar")
-        Path(f"{saved}.svd").unlink()
-        assert run("warm", file_config.format(saved)) == (*want, "cache")
+        assert [path.name for path in saved.parent.iterdir()] == ["operator.rgb"]
+        *want, source = run("generated", generated)
+        assert source == "cache" and f"checksum={want[1]}" in printed
+        file_config = generated.replace("kind = radon", f"kind = file\npath = {saved}")
+        assert run("warm", file_config) == (*want, "cache")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "fresh-cache"))
-        assert run("cold", file_config.format(saved)) == (*want, "computed")
-        normalized = tmp_path / "normalized.rgb"
-        linop.save_operator(normalized, build_operator(
-            OperatorSpec(kind="radon", side=8, angles=12, offsets=13)))
-        assert run("normalized", file_config.format(normalized)) == (*want, "sidecar")
+        assert run("cold", file_config) == (*want, "computed")
 
-    @pytest.mark.parametrize("kind", ["integration", "radon", "raw-file", "normalized-file",
+    @pytest.mark.parametrize("kind", ["integration", "radon", "raw-file",
                                       "normalized-file-without-sidecar"])
     def test_every_operator_has_norm_exactly_one(self, tmp_path, kind):
         path = tmp_path / "op.rgb"
         if kind == "raw-file":
             linop.save_matrix(path, linop.radon_matrix(8, 6, 9))
         elif kind.startswith("normalized-file"):
-            linop.save_operator(path, build_operator(OperatorSpec(kind="integration", n=20)))
-            if kind.endswith("without-sidecar"):
-                Path(f"{path}.svd").unlink()
+            linop.save_matrix(path, build_operator(OperatorSpec(kind="integration", n=20)).entries)
         spec = (OperatorSpec(kind="file", path=str(path)) if "file" in kind
                 else OperatorSpec(kind=kind, n=20, side=8, angles=6, offsets=9))
         assert linop.compute_svd(build_operator(spec)).sigma[0] == 1.0
@@ -1225,6 +1217,7 @@ m_grid = {m_grid}
         ("wc-curve", ["--rho", "1", "--delta", "2", "--points", "0"], "wc-curve needs --points >= 1"),
         ("wc-curve", ["--rho", "inf", "--delta", "0.1"], "wc-curve needs --rho > 0 and --delta >= 0, both finite"),
         ("wc-curve", ["--rho", "1", "--delta", "inf"], "wc-curve needs --rho > 0 and --delta >= 0, both finite"),
+        ("mismatch-grid", ["--seed", "-1"], "--seed must be nonnegative, not -1"),
     ])
     def test_bad_flag_is_config_error(self, tmp_path, capsys, command, args, message):
         cfg = self.levels_config(tmp_path, "lasso")
@@ -1235,10 +1228,12 @@ m_grid = {m_grid}
         (("realizations = 2", "realisations = 3"), ["unknown key 'realisations' in section [grid]"]),
         (("alpha = 0.05", "alpha = 0.05\nexact_truth = maybe"),
          ["[method] exact_truth", "'maybe' is not a boolean word"]),
-    ], ids=["misspelt-key", "non-boolean"])
+        (("alpha = 0.05", "alpha = 0.05\n# \udcff"), ["exp.cfg: ", "can't decode byte 0xff"]),
+    ], ids=["misspelt-key", "non-boolean", "non-utf8"])
     def test_config_mistake_names_key_and_section(self, tmp_path, capsys, edit, words):
         cfg = Path(self.levels_config(tmp_path, "truncated"))
-        cfg.write_text(cfg.read_text().replace(*edit))
+        # a lone surrogate escape stands for a raw byte that is not UTF-8
+        cfg.write_bytes(cfg.read_text().replace(*edit).encode("utf-8", "surrogateescape"))
         assert cli_main(["dim-scan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
@@ -1289,25 +1284,17 @@ realizations = 2
         code = cli_main(["mismatch-grid", "--config", str(cfg), "--out", str(tmp_path / "out")])
         return code, capsys.readouterr().err
 
-    @staticmethod
-    def saved_operator(tmp_path):
-        from regbench.linop import compute_svd, save_operator
-        op = build_operator(OperatorSpec(kind="integration", n=16))
-        compute_svd(op)
-        save_operator(tmp_path / "op.rgb", op)
-        return tmp_path / "op.rgb"
-
-    @pytest.mark.parametrize("damaged", ["container", "sidecar", "idx"])
+    @pytest.mark.parametrize("damaged", ["container", "idx"])
     def test_truncated_input_file_is_config_error(self, tmp_path, capsys, damaged):
-        path = self.saved_operator(tmp_path)
         if damaged == "idx":
             bad = tmp_path / "bad.idx"
             bad.write_bytes(bytes(7))
             code, err = self.run_file_config(tmp_path, capsys, data="idx", data_path=bad)
         else:
-            bad = path if damaged == "container" else Path(str(path) + ".svd")
+            bad = tmp_path / "op.rgb"
+            linop.save_matrix(bad, linop.integration_matrix(16))
             bad.write_bytes(bad.read_bytes()[:7])
-            code, err = self.run_file_config(tmp_path, capsys, operator="file", op_path=path)
+            code, err = self.run_file_config(tmp_path, capsys, operator="file", op_path=bad)
         assert code == 1
         assert err.startswith("config error: ") and str(bad) in err
         assert "truncated" in err
@@ -1319,6 +1306,7 @@ realizations = 2
                              ids=["nan", "zero"])
     def test_malformed_operator_file_is_config_error(self, tmp_path, capsys, command, sidecar,
                                                      entries, message):
+        # a valid .svd left beside the file by an earlier version is ignored
         matrix = linop.integration_matrix(16) if entries == "nan" else np.zeros((16, 16))
         if sidecar:
             linop.write_svd(tmp_path / "op.rgb.svd",
@@ -1338,26 +1326,6 @@ realizations = 2
         assert code == 1
         assert err == f"config error: {tmp_path / 'op.rgb'}: {message}\n"
         assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("corruption", ["scaled-left-vectors", "other-operator"])
-    def test_inconsistent_sidecar_is_config_error(self, tmp_path, capsys, corruption):
-        from regbench.linop import compute_svd, save_operator
-        path = self.saved_operator(tmp_path)
-        sidecar = Path(str(path) + ".svd")
-        if corruption == "other-operator":
-            other = build_operator(OperatorSpec(kind="radon", side=4, angles=4, offsets=4))
-            compute_svd(other)
-            save_operator(tmp_path / "other.rgb", other)
-            sidecar.write_bytes((tmp_path / "other.rgb.svd").read_bytes())
-        else:
-            blob = bytearray(sidecar.read_bytes())
-            start = 4 + 24 + 8 * 16
-            left = np.frombuffer(bytes(blob[start:start + 8 * 256]), dtype="<f8")
-            blob[start:start + 8 * 256] = (3.0 * left).astype("<f8").tobytes()
-            sidecar.write_bytes(bytes(blob))
-        code, err = self.run_file_config(tmp_path, capsys, operator="file", op_path=path)
-        assert code == 1
-        assert err.startswith("config error: ") and str(sidecar) in err
 
     @pytest.mark.parametrize("data_extra, words", [
         ("indices = 1 1", ["indices", "distinct"]),

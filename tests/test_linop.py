@@ -17,12 +17,10 @@ from regbench.linop import (
     filtered_solve,
     integration_matrix,
     load_matrix,
-    load_operator,
     pinv_adjoint_apply,
     radon_matrix,
     read_svd,
     save_matrix,
-    save_operator,
     spectral_normalize,
     weighted_norm,
     write_svd,
@@ -345,11 +343,12 @@ class TestGramRoute:
             assert getattr(first, field).tobytes() == getattr(second, field).tobytes()
 
     def test_paper_radon_sidecar_round_trip(self, paper_radon, tmp_path):
+        # the SVD container of the cache, which read_svd validates
         op = spectral_normalize(DenseOperator(paper_radon))
-        save_operator(tmp_path / "op.rgb", op)
-        loaded = load_operator(tmp_path / "op.rgb")  # validates the sidecar
+        write_svd(tmp_path / "op.svd", op._svd)
+        loaded = read_svd(tmp_path / "op.svd", op.entries)
         for field in ("sigma", "left_vectors", "right_vectors"):
-            assert getattr(loaded._svd, field).tobytes() == getattr(op._svd, field).tobytes()
+            assert getattr(loaded, field).tobytes() == getattr(op._svd, field).tobytes()
 
 
 class TestApply:
@@ -599,11 +598,13 @@ class TestContainer:
     def test_operator_roundtrip_with_svd(self, tmp_path):
         op = normalized(integration_matrix(9))
         svd = compute_svd(op)
-        save_operator(tmp_path / "op.rgb", op)
-        loaded = load_operator(tmp_path / "op.rgb")
-        assert np.array_equal(loaded.entries, op.entries)
-        assert np.array_equal(loaded._svd.sigma, svd.sigma)
-        assert np.array_equal(loaded._svd.left_vectors, svd.left_vectors)
+        save_matrix(tmp_path / "op.rgb", op.entries)
+        write_svd(tmp_path / "op.svd", svd)
+        entries = load_matrix(tmp_path / "op.rgb")
+        loaded = read_svd(tmp_path / "op.svd", entries)
+        assert np.array_equal(entries, op.entries)
+        assert np.array_equal(loaded.sigma, svd.sigma)
+        assert np.array_equal(loaded.left_vectors, svd.left_vectors)
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "bad.rgb").write_bytes(b"NOPE" + bytes(16))
@@ -631,88 +632,103 @@ def test_operator_entries_are_readonly(op50):
 
 
 class TestSvdSidecar:
-    """The ``.svd`` sidecar must describe exactly one full singular system."""
+    """An SVD container (:func:`write_svd`, the SVD cache's format) must
+    describe exactly one full singular system of the operator it is read
+    for."""
 
     @pytest.fixture()
     def saved(self, tmp_path):
-        op = normalized(integration_matrix(4))
-        compute_svd(op)
-        save_operator(tmp_path / "op.rgb", op)
-        return tmp_path / "op.rgb", tmp_path / "op.rgb.svd"
+        entries = normalized(integration_matrix(4)).entries
+        write_svd(tmp_path / "op.svd", compute_svd(DenseOperator(entries)))
+        return entries, tmp_path / "op.svd"
 
     def test_too_many_modes_rejected(self, saved):
         # k = 5 for a 4x4 operator, payload sized to match the claim
-        path, sidecar = saved
+        entries, path = saved
         header = b"RGB1" + linop._SVD_HEADER.pack(4, 4, 5)
-        sidecar.write_bytes(header + np.ones(5 + 4 * 5 + 4 * 5).astype("<f8").tobytes())
+        path.write_bytes(header + np.ones(5 + 4 * 5 + 4 * 5).astype("<f8").tobytes())
         with pytest.raises(ValueError, match="singular modes"):
-            load_operator(path)
+            read_svd(path, entries)
 
     def test_nonfinite_payload_rejected(self, saved):
-        path, sidecar = saved
-        blob = bytearray(sidecar.read_bytes())
+        entries, path = saved
+        blob = bytearray(path.read_bytes())
         start = 4 + linop._SVD_HEADER.size
         blob[start + 8:start + 16] = np.array([np.nan]).astype("<f8").tobytes()
-        sidecar.write_bytes(bytes(blob))
+        path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="non-finite"):
-            load_operator(path)
+            read_svd(path, entries)
 
     def test_trailing_bytes_rejected(self, saved):
-        path, sidecar = saved
-        sidecar.write_bytes(sidecar.read_bytes() + bytes(8))
+        entries, path = saved
+        path.write_bytes(path.read_bytes() + bytes(8))
         with pytest.raises(ValueError, match="trailing"):
-            load_operator(path)
+            read_svd(path, entries)
 
     def test_unsorted_singular_values_rejected(self, saved):
-        path, sidecar = saved
-        blob = bytearray(sidecar.read_bytes())
+        entries, path = saved
+        blob = bytearray(path.read_bytes())
         start = 4 + linop._SVD_HEADER.size
         first, last = bytes(blob[start:start + 8]), bytes(blob[start + 24:start + 32])
         blob[start:start + 8], blob[start + 24:start + 32] = last, first
-        sidecar.write_bytes(bytes(blob))
+        path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="nonincreasing"):
-            load_operator(path)
+            read_svd(path, entries)
 
     def test_truncated_header_rejected(self, saved):
-        path, sidecar = saved
-        sidecar.write_bytes(b"RGB1" + bytes(8))
+        entries, path = saved
+        path.write_bytes(b"RGB1" + bytes(8))
         with pytest.raises(ValueError, match="truncated"):
-            load_operator(path)
+            read_svd(path, entries)
 
-    @staticmethod
-    def write_sidecar(sidecar, sigma, left, right):
-        m, k = left.shape
-        sidecar.write_bytes(b"RGB1" + linop._SVD_HEADER.pack(m, right.shape[0], k)
-                            + np.concatenate([sigma, left.ravel(), right.ravel()]).astype("<f8").tobytes())
+    def test_bad_magic_rejected(self, saved):
+        entries, path = saved
+        path.write_bytes(b"NOPE" + path.read_bytes()[4:])
+        with pytest.raises(ValueError, match="magic"):
+            read_svd(path, entries)
+
+    def test_other_shape_rejected(self, saved):
+        entries, path = saved
+        with pytest.raises(ValueError, match=r"SVD shape \(4, 4\) does not match operator \(4, 5\)"):
+            read_svd(path, np.hstack([entries, entries[:, :1]]))
+
+    def test_another_operators_system_rejected(self, saved):
+        # a valid singular system of the same shape, but of another matrix
+        entries, path = saved
+        write_svd(path, compute_svd(DenseOperator(radon_matrix(2, 2, 2))))
+        with pytest.raises(ValueError, match="orthonormal singular system"):
+            read_svd(path, entries)
 
     def test_vectors_that_factor_but_are_not_singular_rejected(self, saved):
         # V orthonormal and A V = U S hold exactly, but U is not orthonormal
-        path, sidecar = saved
-        entries = load_matrix(path)
+        entries, path = saved
         right = np.linalg.qr(np.random.default_rng(1).standard_normal((4, 4)))[0]
         sigma = np.array([4.0, 3.0, 2.0, 1.0])
-        self.write_sidecar(sidecar, sigma, entries @ right / sigma, right)
+        write_svd(path, linop.SvdSystem(sigma, entries @ right / sigma, right))
         with pytest.raises(ValueError, match="orthonormal singular system"):
-            load_operator(path)
+            read_svd(path, entries)
 
     def test_scaled_right_vectors_and_values_rejected(self, saved):
         # U orthonormal and A V = U S hold, but V is not orthonormal
-        path, sidecar = saved
-        svd = compute_svd(load_operator(path))
-        self.write_sidecar(sidecar, 2.0 * svd.sigma, svd.left_vectors, 2.0 * svd.right_vectors)
+        entries, path = saved
+        svd = read_svd(path, entries)
+        write_svd(path, linop.SvdSystem(2.0 * svd.sigma, svd.left_vectors, 2.0 * svd.right_vectors))
         with pytest.raises(ValueError, match="orthonormal singular system"):
-            load_operator(path)
+            read_svd(path, entries)
+
+    def test_scaled_left_vectors_rejected(self, saved):
+        entries, path = saved
+        svd = read_svd(path, entries)
+        write_svd(path, linop.SvdSystem(svd.sigma, 3.0 * svd.left_vectors, svd.right_vectors))
+        with pytest.raises(ValueError, match="orthonormal singular system"):
+            read_svd(path, entries)
 
     def test_nonfinite_operator_behind_a_valid_sidecar_rejected(self, saved):
-        # load_matrix refuses the NaN first; read_svd refuses it as well
-        path, sidecar = saved
-        entries = load_matrix(path)
+        entries, path = saved
+        entries = entries.copy()
         entries[0, 0] = np.nan
-        save_matrix(path, entries)
-        with pytest.raises(ValueError, match="non-finite container payload"):
-            load_operator(path)
         with pytest.raises(ValueError, match="orthonormal singular system"):
-            read_svd(sidecar, entries)
+            read_svd(path, entries)
 
 
 class TestBlockedSidecarChecks:
@@ -804,21 +820,20 @@ class TestBlockedSidecarChecks:
 @given(rows=st.integers(1, 8), cols=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
 def test_containers_round_trip_and_reject_every_prefix(rows, cols, seed):
     entries = np.random.default_rng(seed).standard_normal((rows, cols))
-    op = DenseOperator(entries)
-    svd = compute_svd(op)
+    svd = compute_svd(DenseOperator(entries))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "op.rgb"
+        svd_path = Path(tmp) / "op.svd"
         save_matrix(path, entries)
+        write_svd(svd_path, svd)
         assert load_matrix(path).tobytes() == entries.tobytes()
-        save_operator(path, op)
-        loaded = load_operator(path)
-        assert loaded.entries.tobytes() == entries.tobytes()
+        loaded = read_svd(svd_path, entries)
         for name in ("sigma", "left_vectors", "right_vectors"):
-            assert getattr(loaded._svd, name).tobytes() == getattr(svd, name).tobytes()
-        for target, load in ((path, load_matrix), (Path(tmp) / "op.rgb.svd", load_operator)):
+            assert getattr(loaded, name).tobytes() == getattr(svd, name).tobytes()
+        for target, load in ((path, load_matrix), (svd_path, partial(read_svd, entries=entries))):
             blob = target.read_bytes()
             for cut in range(len(blob)):
                 target.write_bytes(blob[:cut])
                 with pytest.raises(ValueError):
-                    load(path)
+                    load(target)
             target.write_bytes(blob)
