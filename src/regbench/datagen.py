@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -154,20 +153,26 @@ def svd_basis(op: DenseOperator) -> Basis:
 _IDX3_MAGIC = 0x00000803
 
 
-def load_idx_images(path) -> np.ndarray:
-    """Load an IDX3 image file (big-endian) as a ``(count, rows * cols)``
-    array, one image per row flattened row-major, pixels scaled to [0, 1]."""
-    data = Path(path).read_bytes()
-    if len(data) < 16:
-        raise ValueError(f"{path}: truncated IDX header")
-    magic, count, rows, cols = struct.unpack(">IIII", data[:16])
-    if magic != _IDX3_MAGIC:
-        raise ValueError(f"{path}: bad IDX magic 0x{magic:08x}")
-    need = 16 + count * rows * cols
-    if len(data) < need:
-        raise ValueError(f"{path}: truncated IDX payload ({len(data)} < {need} bytes)")
-    pixels = np.frombuffer(data[16:need], dtype=np.uint8).astype(float) / 255.0
-    return pixels.reshape(count, rows * cols)
+def load_idx_images(path, count: int | None = None) -> np.ndarray:
+    """Load the first ``count`` images (all by default) of an IDX3 image
+    file (big-endian) as a ``(count, rows * cols)`` array, one image per row
+    flattened row-major, pixels scaled to [0, 1].  Only those images are
+    read, after the file's size has been checked against its header."""
+    with open(path, "rb") as fh:
+        head = fh.read(16)
+        if len(head) < 16:
+            raise ValueError(f"{path}: truncated IDX header")
+        magic, total, rows, cols = struct.unpack(">IIII", head)
+        if magic != _IDX3_MAGIC:
+            raise ValueError(f"{path}: bad IDX magic 0x{magic:08x}")
+        size, need = fh.seek(0, 2), 16 + total * rows * cols
+        if size < need:
+            raise ValueError(f"{path}: truncated IDX payload ({size} < {need} bytes)")
+        take = total if count is None else min(count, total)
+        fh.seek(16)
+        data = fh.read(take * rows * cols)
+    pixels = np.frombuffer(data, dtype=np.uint8).astype(float) / 255.0
+    return pixels.reshape(take, rows * cols)
 
 
 def phantom_images(side: int, count: int, seed: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .datagen import Basis, noise_block
 from .linop import DenseOperator, filtered_errors
-from .tikhonov import reconstruct
+from .tikhonov import reconstruct, tikhonov_filter
 from .truncated import restricted_system
 
 if TYPE_CHECKING:
@@ -60,9 +60,10 @@ def scan(op: DenseOperator, basis: Basis, x_true: np.ndarray,
     Each truncation level is one singular system
     (:func:`~regbench.truncated.restricted_system`; the ``"svd"`` basis must
     hold this operator's right singular vectors) with the Tikhonov filter
-    ``s / (s^2 + alpha)``, and its errors at every noise level and
-    realization are one call of the coefficient-space error kernel
-    :func:`~regbench.linop.filtered_errors`; no reconstruction is built.
+    :func:`~regbench.tikhonov.tikhonov_filter`, and its errors at every
+    noise level and realization are one call of the coefficient-space error
+    kernel :func:`~regbench.linop.filtered_errors`; no reconstruction is
+    built.
     Realization r at noise level delta is ``y + delta * block[r + 1]`` at
     every truncation level; ties in the per-level means break toward the
     smallest level.  The consensus estimate is the mode of the per-level
@@ -90,7 +91,7 @@ def scan(op: DenseOperator, basis: Basis, x_true: np.ndarray,
             # residual is orthogonal to W, so the split below has no cross term
             ref_coeff = np.linalg.lstsq(w, reference, rcond=None)[0]
         outside = float(np.sum((reference - w @ ref_coeff) ** 2))
-        errors = filtered_errors(s / (s * s + method.alpha), u.T @ y_true, u.T @ noise,
+        errors = filtered_errors(tikhonov_filter(s, method.alpha), u.T @ y_true, u.T @ noise,
                                  deltas, ref_coeff, outside, op.n)
         mean_errors[mi] = errors.mean(axis=1)
 

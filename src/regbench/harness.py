@@ -38,14 +38,14 @@ lines and its manifest fields (bound checks, solver totals).
 An operator is factored once per machine and thread setting, not once per
 command: before :func:`build_operator` factors a raw matrix, it looks for the
 matrix's singular system in the SVD cache, ``$XDG_CACHE_HOME/regbench/``
-(by default ``~/.cache/regbench/``).  An entry is an SVD container
-(:func:`~regbench.linop.write_svd`) named by :func:`svd_cache_key`, whose
-docstring lists what the key covers, so a command that reads an entry
-writes the bytes it would have written after factoring.  Every entry is
-checked by :func:`~regbench.linop.read_svd`.  A paper-scale Radon entry
-(1230 x 784) is 12.6 MB, and nothing is evicted; deleting the directory
-is always safe.  The manifest's ``svd_source`` says whether the SVD was
-computed or read from the cache.
+(by default ``~/.cache/regbench/``).  An entry is one matrix container,
+sigma over U over V (:func:`~regbench.linop.write_svd`), named by
+:func:`svd_cache_key`, whose docstring lists what the key covers, so a
+command that reads an entry writes the bytes it would have written after
+factoring.  :func:`~regbench.linop.read_svd` checks every entry.  A
+paper-scale Radon entry (1230 x 784) is 12.6 MB, and nothing is evicted;
+deleting the directory is always safe.  The manifest's ``svd_source``
+says whether the SVD was computed or read from the cache.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ from .linop import (
     weighted_norm,
     write_svd,
 )
-from .tikhonov import optimal_alpha, wc_bound
+from .tikhonov import optimal_alpha, tikhonov_filter, wc_bound
 
 
 class ConfigError(ValueError):
@@ -313,17 +313,19 @@ def _cpu_model() -> str:
 
 def svd_cache_key(a: np.ndarray) -> str:
     """sha256 over everything the bits of the factorization of ``a`` depend
-    on: the matrix (shape and bytes), the source of :mod:`regbench.linop`,
-    the numpy version, the BLAS library, its settings (the variables in
-    ``_BLAS_ENV`` and the number of CPUs the process may run on) and the
-    host (name, machine type and CPU model, since OpenBLAS picks its
-    kernels by CPU at run time)."""
+    on: the matrix (shape and bytes), the code (bytecode, constants, names)
+    of ``linop._thin_svd`` and ``linop._orient_columns``, so also the Python
+    version that compiled them, ``linop.GRAM_TOL``, the numpy version, the
+    BLAS library, its settings (the variables in ``_BLAS_ENV`` and the
+    number of CPUs the process may run on) and the host (name, machine type
+    and CPU model, since OpenBLAS picks its kernels by CPU at run time)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    setting = (a.shape, np.__version__, _blas_library(),
+    code = [(f.__code__.co_code, f.__code__.co_consts, f.__code__.co_names)
+            for f in (linop._thin_svd, linop._orient_columns)]
+    setting = (a.shape, code, linop.GRAM_TOL, np.__version__, _blas_library(),
                tuple(os.environ.get(name) for name in _BLAS_ENV), cpus,
                platform.node(), platform.machine(), _cpu_model())
     digest = hashlib.sha256(repr(setting).encode())
-    digest.update(hashlib.sha256(Path(linop.__file__).read_bytes()).digest())
     digest.update(np.ascontiguousarray(a, dtype="<f8"))
     return digest.hexdigest()
 
@@ -395,7 +397,7 @@ def build_dataset(op: DenseOperator, spec: DataSpec, seed: int):
     if spec.kind == "idx":
         _check(Path(spec.path).is_file(), f"[data] path {spec.path}: no such IDX file "
                "(kind = phantom needs no file)")
-        images = _read(load_idx_images, spec.path)[:spec.count]
+        images = _read(partial(load_idx_images, count=spec.count), spec.path)
         if len(images) < spec.count:
             raise ConfigError(f"{spec.path}: fewer than {spec.count} images")
         if images.shape[1] != op.n:
@@ -440,7 +442,7 @@ def run_mismatch_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     rule alpha is ``inf``; the CSV's alpha is the overlay's.
 
     Every cell works in spectral coefficients: the errors of sample x under
-    the filter ``s / (s^2 + alpha)`` are one call of
+    the filter :func:`~regbench.tikhonov.tikhonov_filter` are one call of
     :func:`~regbench.linop.filtered_errors` per (sample, tuning level), with
     the part of x outside the operator's row space as its out-of-span term.
 
@@ -497,8 +499,8 @@ def run_mismatch_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
             if rule_alpha == math.inf:
                 errors = np.full(realized.shape, weighted_norm(x_mat[:, si]))
             else:
-                errors = filtered_errors(s / (s * s + rule_alpha), y_coeff[:, si], noise_coeff,
-                                         deltas, x_coeff[:, si], outside[si], op.n)
+                errors = filtered_errors(tikhonov_filter(s, rule_alpha), y_coeff[:, si],
+                                         noise_coeff, deltas, x_coeff[:, si], outside[si], op.n)
             err_sum[bi] += errors.sum(axis=1)
             if sample_rho is not None:
                 margin = scale * wc_bound(rule_alpha, realized, sample_rho[si]) - errors
@@ -816,11 +818,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "dimension scans, and sparse reconstruction.",
         epilog="Each operator's singular system is stored only in the SVD cache, "
                "$XDG_CACHE_HOME/regbench/ (default ~/.cache/regbench/), "
-               "keyed by a sha256 over the factored matrix, "
-               "the source of regbench.linop, the numpy version, the BLAS library, its "
-               "settings (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, MKL_NUM_THREADS, "
-               "GOTO_NUM_THREADS, OPENBLAS_CORETYPE and the usable CPU count) and the host "
-               "(name, machine type and CPU model). "
+               "as one RGB1 matrix (sigma, U and V stacked as rows) keyed by a sha256 over "
+               "the factored matrix, the code of regbench.linop's _thin_svd and "
+               "_orient_columns as compiled by this Python, GRAM_TOL, the numpy version, "
+               "the BLAS library, its settings (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, "
+               "MKL_NUM_THREADS, GOTO_NUM_THREADS, OPENBLAS_CORETYPE and the usable CPU "
+               "count) and the host (name, machine type and CPU model). "
                "A Radon entry at paper scale is about 12.6 MB, and nothing is evicted; "
                "deleting the directory is always safe.")
     parser.add_argument("--seed", type=int, default=0, help="master seed")

@@ -12,8 +12,10 @@ divided by the norm, same vectors) instead of factorizing again.  Two
 kernels serve every spectral filter: :func:`filtered_solve` builds a
 reconstruction, and :func:`filtered_errors` measures the errors of many
 noisy reconstructions in singular-vector coefficients without building them.
-The harness's SVD cache stores each singular system in one container
-format, written by :func:`write_svd` and checked by :func:`read_svd`.
+Every matrix is stored in one binary container format, read by
+:func:`load_matrix`; the harness's SVD cache stores each singular system
+as one such matrix, sigma over U over V (:func:`write_svd`), which
+:func:`read_svd` checks.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import numpy as np
 MAGIC = b"RGB1"
 
 _HEADER = struct.Struct("<QQ")
-_SVD_HEADER = struct.Struct("<QQQ")
 
 SVD_TOL = 1e-8  # bound on max |U^T U - I|, |V^T V - I|, |A V - U S| / sigma_1
 
@@ -339,38 +340,27 @@ def radon_matrix(img_side: int, n_angles: int, n_offsets: int) -> np.ndarray:
     return mat
 
 
-# Binary containers: b"RGB1", then a header of 64-bit little-endian unsigned
-# integers, then a float64 little-endian payload.  The matrix container's
-# header is (rows, cols) and its payload the row-major entries; the SVD
-# container's header is (m, n, k) and its payload sigma (k,), then U (m, k)
-# and V (n, k), each row-major.
+# The binary container: b"RGB1", the header (rows, cols) as 64-bit
+# little-endian unsigned integers, then the row-major float64 little-endian
+# entries.  An SVD cache entry is one such matrix of 1 + m + n rows and
+# k = min(m, n) columns: sigma, then U (m, k), then V (n, k).
 
-def _read_payload(fh, path, count: int, name: str) -> np.ndarray:
-    """The ``count`` float64 values that follow the header of the open
-    container ``fh``, read once into one array; the file must end there.
-    ``name`` names the payload in errors."""
-    extra = os.fstat(fh.fileno()).st_size - fh.tell() - 8 * count
-    if extra < 0:
-        raise ValueError(f"{path}: truncated {name}")
-    if extra > 0:
-        raise ValueError(f"{path}: {extra} trailing bytes after the {name}")
-    payload = np.empty(count, dtype="<f8")
-    if fh.readinto(payload) != payload.nbytes:
-        raise ValueError(f"{path}: truncated {name}")
-    return payload.astype(float, copy=False)
-
-
-def save_matrix(path, array: np.ndarray) -> None:
-    array = np.asarray(array, dtype=float)
-    if array.ndim != 2:
-        raise ValueError("only 2-D arrays are serialized")
+def save_matrix(path, *blocks: np.ndarray) -> None:
+    """Write the 2-D arrays ``blocks``, of one width, as one matrix
+    container whose rows are theirs in order; nothing is stacked in memory."""
+    blocks = [np.asarray(block, dtype=float) for block in blocks]
+    if len({block.shape[1:] for block in blocks}) != 1 or blocks[0].ndim != 2:
+        raise ValueError("only 2-D arrays of one width are serialized")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(_HEADER.pack(array.shape[0], array.shape[1]))
-        np.ascontiguousarray(array, dtype="<f8").tofile(fh)
+        fh.write(_HEADER.pack(sum(block.shape[0] for block in blocks), blocks[0].shape[1]))
+        for block in blocks:
+            np.ascontiguousarray(block, dtype="<f8").tofile(fh)
 
 
 def load_matrix(path) -> np.ndarray:
+    """Read a matrix container: the magic, a header matching the file's
+    length and finite entries, read once into the returned array."""
     with open(path, "rb") as fh:
         head = fh.read(4 + _HEADER.size)
         if len(head) < 4 + _HEADER.size:
@@ -378,21 +368,23 @@ def load_matrix(path) -> np.ndarray:
         if head[:4] != MAGIC:
             raise ValueError(f"{path}: bad container magic {head[:4]!r}")
         rows, cols = _HEADER.unpack_from(head, 4)
-        payload = _read_payload(fh, path, rows * cols, "container payload")
+        extra = os.fstat(fh.fileno()).st_size - fh.tell() - 8 * rows * cols
+        if extra < 0:
+            raise ValueError(f"{path}: truncated container payload")
+        if extra > 0:
+            raise ValueError(f"{path}: {extra} trailing bytes after the container payload")
+        payload = np.empty(rows * cols, dtype="<f8")
+        if fh.readinto(payload) != payload.nbytes:
+            raise ValueError(f"{path}: truncated container payload")
     if not np.isfinite(payload).all():
         raise ValueError(f"{path}: non-finite container payload")
-    return payload.reshape(rows, cols)
+    return payload.astype(float, copy=False).reshape(rows, cols)
 
 
 def write_svd(path, svd: SvdSystem) -> None:
-    """Write a singular system to an SVD container, the format of the
-    harness's SVD cache."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_SVD_HEADER.pack(svd.left_vectors.shape[0], svd.right_vectors.shape[0],
-                                  svd.n_modes))
-        for arr in (svd.sigma, svd.left_vectors, svd.right_vectors):
-            np.ascontiguousarray(arr, dtype="<f8").tofile(fh)
+    """Write a singular system as the SVD cache stores it: one matrix
+    container of sigma over U over V."""
+    save_matrix(path, svd.sigma[None], svd.left_vectors, svd.right_vectors)
 
 
 def _near_identity(q: np.ndarray) -> bool:
@@ -407,32 +399,23 @@ def _near_identity(q: np.ndarray) -> bool:
 
 
 def read_svd(path, entries: np.ndarray) -> SvdSystem:
-    """Read an SVD container (:func:`write_svd`) that must hold the full
-    singular system of the matrix ``entries``: ``min(m, n)`` finite modes,
-    singular values nonnegative and nonincreasing, orthonormal vectors with
-    ``A V = U S``, all within ``SVD_TOL``, and nothing after it.  The
-    payload is read once; the checks form ``U^T U``, ``V^T V`` and
-    ``A V - U S`` in blocks of at most 128 columns or 256 rows, so no
-    temporary is the size of ``U`` or of ``U^T U``."""
-    with open(path, "rb") as fh:
-        head = fh.read(4 + _SVD_HEADER.size)
-        if len(head) < 4 + _SVD_HEADER.size:
-            raise ValueError(f"{path}: truncated SVD header")
-        if head[:4] != MAGIC:
-            raise ValueError(f"{path}: bad container magic")
-        m, n, k = _SVD_HEADER.unpack_from(head, 4)
-        if (m, n) != entries.shape:
-            raise ValueError(f"{path}: SVD shape {(m, n)} does not match operator {entries.shape}")
-        if k != min(m, n):
-            raise ValueError(f"{path}: {k} singular modes, expected {min(m, n)}")
-        payload = _read_payload(fh, path, k + m * k + n * k, "SVD payload")
-    if not np.isfinite(payload).all():
-        raise ValueError(f"{path}: non-finite SVD payload")
-    sigma, left, right = np.split(payload, [k, k + m * k])
+    """Read an SVD cache entry (:func:`write_svd`) that must hold the full
+    singular system of the matrix ``entries``: a matrix container
+    (:func:`load_matrix`) of ``1 + m + n`` rows and ``k = min(m, n)``
+    columns, its singular values nonnegative and nonincreasing, its vectors
+    orthonormal with ``A V = U S``, all within ``SVD_TOL``.  The container
+    is read once, and sigma, U and V are views of its rows; the checks form
+    ``U^T U``, ``V^T V`` and ``A V - U S`` in blocks of at most 128 columns
+    or 256 rows, so no temporary is the size of ``U`` or of ``U^T U``."""
+    stacked = load_matrix(path)
+    m, n = entries.shape
+    if stacked.shape != (1 + m + n, min(m, n)):
+        raise ValueError(f"{path}: SVD entry of shape {stacked.shape}, expected "
+                         f"{(1 + m + n, min(m, n))} for operator {entries.shape}")
+    sigma, left, right = stacked[0], stacked[1:1 + m], stacked[1 + m:]
     # truncation keeps a prefix of the modes, so they must be ordered
     if (sigma < 0).any() or (np.diff(sigma) > 0).any():
         raise ValueError(f"{path}: singular values are not nonnegative and nonincreasing")
-    left, right = left.reshape(m, k), right.reshape(n, k)
     if _near_identity(left) and _near_identity(right):
         for first in range(0, m, 256):
             residual = entries[first:first + 256] @ right

@@ -25,8 +25,12 @@ def reconstruct(op: DenseOperator, y: np.ndarray, alpha: float) -> np.ndarray:
     if y.shape[0] != op.m:
         raise ValueError(f"expected data of length {op.m}, got {y.shape[0]}")
     svd = compute_svd(op)
-    s = svd.sigma
-    return filtered_solve(svd, s / (s * s + alpha), y)
+    return filtered_solve(svd, tikhonov_filter(svd.sigma, alpha), y)
+
+
+def tikhonov_filter(sigma: np.ndarray, alpha: float) -> np.ndarray:
+    """The Tikhonov spectral filter ``sigma / (sigma^2 + alpha)``."""
+    return sigma / (sigma * sigma + alpha)
 
 
 def wc_bound(alpha: float, delta, rho: float):

@@ -263,6 +263,27 @@ class TestDatasets:
         assert cli_main(["mismatch-grid", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert not (tmp_path / "out").exists()
 
+    def test_idx_converts_only_the_images_it_takes(self, tmp_path):
+        # three 8x8 images of 4,000: far less memory than the whole file as
+        # floats, and the same pixels as the whole file's first three
+        path = tmp_path / "many.idx3"
+        pixels = np.random.default_rng(2).integers(0, 256, (4000, 64), dtype=np.uint8)
+        path.write_bytes(struct.pack(">IIII", 0x00000803, 4000, 8, 8) + pixels.tobytes())
+        op = linop.DenseOperator(np.ones((1, 64)))
+        spec = DataSpec(kind="idx", count=3, path=str(path))
+        tracemalloc.start()
+        try:
+            truths, _ = build_dataset(op, spec, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < pixels.size * 8 // 20
+        assert truths.tobytes() == np.ascontiguousarray(pixels[:3].T / 255.0).tobytes()
+        # a file shorter than its header says is refused, however few it takes
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ConfigError, match="truncated IDX payload"):
+            build_dataset(op, replace(spec, count=1), seed=0)
+
     def test_phantom_requires_square(self):
         op = build_operator(OperatorSpec(kind="integration", n=10))
         with pytest.raises(ConfigError, match="square"):
@@ -691,7 +712,8 @@ class TestBuildOnce:
         assert (cold_source, warm_source) == ("computed", "cache")
         assert [p.suffix for p in svd_cache.iterdir()] == [".svd"]
 
-    @pytest.mark.parametrize("damage", ["truncated", "bad-magic", "trailing-bytes", "perturbed-u"])
+    @pytest.mark.parametrize("damage", ["truncated", "bad-magic", "trailing-bytes", "nan",
+                                        "perturbed-u", "transposed", "old-format"])
     def test_bad_entry_is_factored_again_and_overwritten(self, tmp_path, capsys, factorizations,
                                                          svd_cache, damage):
         text = RADON_SMALL + RADON_GRID_TAIL
@@ -704,12 +726,23 @@ class TestBuildOnce:
             entry.write_bytes(b"NOPE" + good[4:])
         elif damage == "trailing-bytes":
             entry.write_bytes(good + bytes(8))
+        elif damage == "old-format":
+            # sigma, U and V under an (m, n, k) header, as earlier versions wrote
+            m, n = linop.radon_matrix(8, 6, 9).shape
+            entry.write_bytes(good[:4] + struct.pack("<QQQ", m, n, min(m, n)) + good[20:])
+        elif damage == "transposed":
+            # the system of A^T: V's rows where U's are, and U's where V's are
+            m = linop.radon_matrix(8, 6, 9).shape[0]
+            sigma, left, right = np.split(linop.load_matrix(entry), [1, 1 + m])
+            linop.save_matrix(entry, sigma, right, left)
         else:
+            # the first value of sigma (nan) or of U (perturbed-u)
             blob = bytearray(good)
-            k = linop._SVD_HEADER.unpack_from(good, 4)[2]
-            start = 4 + linop._SVD_HEADER.size + 8 * k
+            k = linop._HEADER.unpack_from(good, 4)[1]
+            start = 4 + linop._HEADER.size + (0 if damage == "nan" else 8 * k)
             first = np.frombuffer(good, dtype="<f8", count=1, offset=start)
-            blob[start:start + 8] = (first + 1e-3).astype("<f8").tobytes()
+            value = np.full(1, np.nan) if damage == "nan" else first + 1e-3
+            blob[start:start + 8] = value.astype("<f8").tobytes()
             entry.write_bytes(bytes(blob))
         capsys.readouterr()
         assert self.run(tmp_path, "again", text) == (cold_csv, "computed")
@@ -829,8 +862,6 @@ realizations = 5
         for name in harness._BLAS_ENV:
             monkeypatch.setenv(name, "1")
             keys.append(harness.svd_cache_key(a))
-        source = tmp_path / "linop.py"
-        source.write_text("# another linop\n")
         for target, name, value in [
             (os, "sched_getaffinity", lambda pid: {0}),
             (platform, "node", lambda: "another-host"),
@@ -838,10 +869,17 @@ realizations = 5
             (harness, "_cpu_model", lambda: "another CPU"),
             (harness, "_blas_library", lambda: "mkl 2024.0"),
             (np, "__version__", "0.0.0"),
-            (linop, "__file__", str(source)),
+            (linop, "GRAM_TOL", 1e-7),
+            (linop, "_thin_svd", lambda entries: linop.SvdSystem(*np.linalg.svd(entries))),
+            (linop, "_orient_columns", lambda vectors, *paired: None),
         ]:
             monkeypatch.setattr(target, name, value, raising=False)
             keys.append(harness.svd_cache_key(a))
+        # the rest of linop's source is not in the key
+        source = tmp_path / "linop.py"
+        source.write_text("# another linop\n")
+        monkeypatch.setattr(linop, "__file__", str(source))
+        assert harness.svd_cache_key(a) == keys[-1]
         keys.append(harness.svd_cache_key(a.reshape(3, 2)))
         keys.append(harness.svd_cache_key(a + 1.0))
         assert len(set(keys)) == len(keys)

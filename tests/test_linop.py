@@ -343,7 +343,7 @@ class TestGramRoute:
             assert getattr(first, field).tobytes() == getattr(second, field).tobytes()
 
     def test_paper_radon_sidecar_round_trip(self, paper_radon, tmp_path):
-        # the SVD container of the cache, which read_svd validates
+        # an SVD cache entry, which read_svd validates
         op = spectral_normalize(DenseOperator(paper_radon))
         write_svd(tmp_path / "op.svd", op._svd)
         loaded = read_svd(tmp_path / "op.svd", op.entries)
@@ -595,6 +595,25 @@ class TestContainer:
             load_matrix(tmp_path / "m.rgb")
         assert str(info.value) == f"{tmp_path / 'm.rgb'}: non-finite container payload"
 
+    def test_row_blocks_are_one_matrix(self, tmp_path):
+        # blocks of one width are written under one header, as if stacked
+        top, bottom = np.arange(6.0).reshape(2, 3), np.arange(3.0).reshape(1, 3)
+        save_matrix(tmp_path / "blocks.rgb", top, bottom)
+        save_matrix(tmp_path / "stacked.rgb", np.vstack([top, bottom]))
+        assert (tmp_path / "blocks.rgb").read_bytes() == (tmp_path / "stacked.rgb").read_bytes()
+        for blocks in [(top, bottom.T), (top.ravel(),), ()]:
+            with pytest.raises(ValueError, match="only 2-D arrays of one width"):
+                save_matrix(tmp_path / "bad.rgb", *blocks)
+
+    def test_svd_entry_is_one_matrix(self, tmp_path):
+        # sigma over U over V, byte for byte, read back by load_matrix
+        svd = compute_svd(DenseOperator(radon_matrix(3, 4, 5)))
+        write_svd(tmp_path / "op.svd", svd)
+        stacked = load_matrix(tmp_path / "op.svd")
+        assert stacked.shape == (1 + 20 + 9, 9)
+        assert stacked.tobytes() == np.vstack([svd.sigma, svd.left_vectors,
+                                               svd.right_vectors]).tobytes()
+
     def test_operator_roundtrip_with_svd(self, tmp_path):
         op = normalized(integration_matrix(9))
         svd = compute_svd(op)
@@ -632,7 +651,7 @@ def test_operator_entries_are_readonly(op50):
 
 
 class TestSvdSidecar:
-    """An SVD container (:func:`write_svd`, the SVD cache's format) must
+    """An SVD cache entry (:func:`write_svd`, one matrix container) must
     describe exactly one full singular system of the operator it is read
     for."""
 
@@ -643,17 +662,16 @@ class TestSvdSidecar:
         return entries, tmp_path / "op.svd"
 
     def test_too_many_modes_rejected(self, saved):
-        # k = 5 for a 4x4 operator, payload sized to match the claim
+        # 5 modes of a 4x4 operator, stacked as an entry would stack them
         entries, path = saved
-        header = b"RGB1" + linop._SVD_HEADER.pack(4, 4, 5)
-        path.write_bytes(header + np.ones(5 + 4 * 5 + 4 * 5).astype("<f8").tobytes())
-        with pytest.raises(ValueError, match="singular modes"):
+        save_matrix(path, np.ones((1 + 4 + 4, 5)))
+        with pytest.raises(ValueError, match=r"SVD entry of shape \(9, 5\), expected \(9, 4\)"):
             read_svd(path, entries)
 
     def test_nonfinite_payload_rejected(self, saved):
         entries, path = saved
         blob = bytearray(path.read_bytes())
-        start = 4 + linop._SVD_HEADER.size
+        start = 4 + linop._HEADER.size
         blob[start + 8:start + 16] = np.array([np.nan]).astype("<f8").tobytes()
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="non-finite"):
@@ -668,7 +686,7 @@ class TestSvdSidecar:
     def test_unsorted_singular_values_rejected(self, saved):
         entries, path = saved
         blob = bytearray(path.read_bytes())
-        start = 4 + linop._SVD_HEADER.size
+        start = 4 + linop._HEADER.size
         first, last = bytes(blob[start:start + 8]), bytes(blob[start + 24:start + 32])
         blob[start:start + 8], blob[start + 24:start + 32] = last, first
         path.write_bytes(bytes(blob))
@@ -689,8 +707,19 @@ class TestSvdSidecar:
 
     def test_other_shape_rejected(self, saved):
         entries, path = saved
-        with pytest.raises(ValueError, match=r"SVD shape \(4, 4\) does not match operator \(4, 5\)"):
+        with pytest.raises(ValueError, match=r"SVD entry of shape \(9, 4\), expected \(10, 4\) "
+                                             r"for operator \(4, 5\)"):
             read_svd(path, np.hstack([entries, entries[:, :1]]))
+
+    @pytest.mark.parametrize("shape", [(4, 6), (6, 4)])
+    def test_transposed_operators_system_rejected(self, tmp_path, shape):
+        # A^T's system stacks to A's shape, (1 + m + n) x min(m, n), but its
+        # first m rows of vectors are not A's orthonormal left vectors
+        entries = np.random.default_rng(3).standard_normal(shape)
+        write_svd(tmp_path / "op.svd", compute_svd(DenseOperator(entries.T)))
+        assert load_matrix(tmp_path / "op.svd").shape == (1 + sum(shape), min(shape))
+        with pytest.raises(ValueError, match="orthonormal singular system"):
+            read_svd(tmp_path / "op.svd", entries)
 
     def test_another_operators_system_rejected(self, saved):
         # a valid singular system of the same shape, but of another matrix
@@ -801,6 +830,16 @@ class TestBlockedSidecarChecks:
         entries[-1, -1] = np.nan
         with pytest.raises(ValueError, match="orthonormal singular system"):
             self.read(tmp_path, entries, sigma, left, right)
+
+    def test_write_allocates_no_stacked_copy(self, tmp_path):
+        svd = linop.SvdSystem(*self.system(1000, 300)[1:])
+        tracemalloc.start()
+        try:
+            write_svd(tmp_path / "op.svd", svd)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 300 * 300 // 10  # a tenth of V
 
     def test_checks_allocate_less_than_one_left_vector_array(self, tmp_path):
         m, n = 1000, 300
