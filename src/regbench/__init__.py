@@ -1,6 +1,6 @@
 """Deterministic bench for regularized reconstruction of linear inverse problems.
 
-The package provides dense benchmark operators with cached singular systems,
+The package provides dense benchmark operators built with their singular systems,
 source-condition data generators, Tikhonov and truncated-Tikhonov
 reconstruction with closed-form worst-case error bounds, subspace dimension
 scanning, a generalized-LASSO solver with KKT diagnostics, and a CLI harness

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import DenseOperator, _orient_columns, compute_svd, pinv_adjoint_apply, weighted_norm
+from .linop import DenseOperator, _orient_columns, pinv_adjoint_apply, weighted_norm
 
 
 def rng_for(master_seed: int, *path: int) -> np.random.Generator:
@@ -62,7 +62,7 @@ def sample_source_data(op: DenseOperator, count: int, seed: int,
     each sample's source constant, the weighted norm of its ``z``, as a
     ``(count,)`` array.
     """
-    svd = compute_svd(op)
+    svd = op.svd
     u = svd.left_vectors
     if indices is not None:
         idx = np.asarray(indices, dtype=int)
@@ -147,7 +147,7 @@ def coordinate_basis(n: int, seed: int) -> Basis:
 
 def svd_basis(op: DenseOperator) -> Basis:
     """Right singular vectors of the operator as a reconstruction basis."""
-    return Basis(kind="svd", vectors=compute_svd(op).right_vectors)
+    return Basis(kind="svd", vectors=op.svd.right_vectors)
 
 
 _IDX3_MAGIC = 0x00000803

@@ -20,10 +20,10 @@ solve and score through one function, :func:`solve_lasso_samples`;
 The sparsifying matrix W is a plain array (:func:`_build_transform`).
 
 Every operator kind takes one path, :func:`build_operator`: the raw matrix,
-generated or read as stored, gets its SVD from the SVD cache or one
-factorization, and is divided by its norm, so every command runs with
-``sigma_1`` exactly 1.0.  ``regbench operator`` saves the raw matrix, so a
-saved operator reruns as the generated one.
+generated or read as stored, is built into an operator together with its
+SVD, read from the SVD cache or factored once, and is divided by its norm,
+so every command runs with ``sigma_1`` exactly 1.0.  ``regbench operator``
+saves the raw matrix, so a saved operator reruns as the generated one.
 
 One driver runs the four experiment subcommands (``mismatch-grid``,
 ``dim-scan``, ``lasso-solve``, ``alpha-tune``).  It reads the config,
@@ -36,16 +36,19 @@ requires it, and returns its output file's name and writer, its summary
 lines and its manifest fields (bound checks, solver totals).
 
 An operator is factored once per machine and thread setting, not once per
-command: before :func:`build_operator` factors a raw matrix, it looks for the
-matrix's singular system in the SVD cache, ``$XDG_CACHE_HOME/regbench/``
-(by default ``~/.cache/regbench/``).  An entry is one matrix container,
-sigma over U over V (:func:`~regbench.linop.write_svd`), named by
-:func:`svd_cache_key`, whose docstring lists what the key covers, so a
-command that reads an entry writes the bytes it would have written after
-factoring.  :func:`~regbench.linop.read_svd` checks every entry.  A
+command: :func:`build_operator` builds a raw matrix with the singular system
+that the SVD cache, ``$XDG_CACHE_HOME/regbench/`` (by default
+``~/.cache/regbench/``), holds for it, and factors the matrix only when
+there is none.  An entry is one matrix container, sigma over U over V
+(:func:`~regbench.linop.write_svd`), named by :func:`svd_cache_key`, whose
+docstring lists what the key covers, so a command that reads an entry
+writes the bytes it would have written after factoring.  :func:`~regbench.linop.read_svd` checks every entry.  A
 paper-scale Radon entry (1230 x 784) is 12.6 MB, and nothing is evicted;
-deleting the directory is always safe.  The manifest's ``svd_source``
-says whether the SVD was computed or read from the cache.
+deleting the directory is always safe.  Entries written under an earlier
+key formula are never looked up again and stay until it is deleted; the
+formula last changed when it stopped covering the docstrings of the
+factorization's functions.  The manifest's ``svd_source`` says whether the
+SVD was computed or read from the cache.
 """
 
 from __future__ import annotations
@@ -88,7 +91,6 @@ from .lasso import (
 )
 from .linop import (
     DenseOperator,
-    compute_svd,
     filtered_errors,
     integration_matrix,
     load_matrix,
@@ -313,15 +315,17 @@ def _cpu_model() -> str:
 
 def svd_cache_key(a: np.ndarray) -> str:
     """sha256 over everything the bits of the factorization of ``a`` depend
-    on: the matrix (shape and bytes), the code (bytecode, constants, names)
-    of ``linop._thin_svd`` and ``linop._orient_columns``, so also the Python
-    version that compiled them, ``linop.GRAM_TOL``, the numpy version, the
-    BLAS library, its settings (the variables in ``_BLAS_ENV`` and the
-    number of CPUs the process may run on) and the host (name, machine type
-    and CPU model, since OpenBLAS picks its kernels by CPU at run time)."""
+    on: the matrix (shape and bytes), the code (bytecode, constants but not
+    the docstring, names) of ``linop._thin_svd`` and
+    ``linop._orient_columns``, so also the Python version that compiled
+    them, ``linop.GRAM_TOL``, the numpy version, the BLAS library, its
+    settings (the variables in ``_BLAS_ENV`` and the number of CPUs the
+    process may run on) and the host (name, machine type and CPU model,
+    since OpenBLAS picks its kernels by CPU at run time)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    code = [(f.__code__.co_code, f.__code__.co_consts, f.__code__.co_names)
-            for f in (linop._thin_svd, linop._orient_columns)]
+    # a docstring is the first constant
+    code = [(f.__code__.co_code, f.__code__.co_consts[f.__doc__ is not None:],
+             f.__code__.co_names) for f in (linop._thin_svd, linop._orient_columns)]
     setting = (a.shape, code, linop.GRAM_TOL, np.__version__, _blas_library(),
                tuple(os.environ.get(name) for name in _BLAS_ENV), cpus,
                platform.node(), platform.machine(), _cpu_model())
@@ -330,44 +334,37 @@ def svd_cache_key(a: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def _attach_svd(op: DenseOperator) -> None:
-    """Attach the SVD of ``op`` from the cache (``svd_source`` ``"cache"``),
-    or compute it and store it there.  An entry that
-    :func:`~regbench.linop.read_svd` rejects is computed again and
-    overwritten, with one line on stderr; an unreadable or unwritable
+def _raw_operator(spec: OperatorSpec) -> DenseOperator:
+    """The configured matrix as generated or stored, before
+    :func:`~regbench.linop.spectral_normalize`, built with its SVD from the
+    cache (``svd_source`` ``"cache"``), or factored and stored there.  An
+    entry that :func:`~regbench.linop.read_svd` rejects is factored again
+    and overwritten, with one line on stderr; an unreadable or unwritable
     cache is passed over."""
+    if spec.kind == "file":
+        a = _read(load_matrix, spec.path)
+        # an empty matrix is DenseOperator's to reject
+        _check(a.any() or not a.size, f"{spec.path}: cannot normalize the zero operator")
+    else:
+        a = (integration_matrix(spec.n) if spec.kind == "integration"
+             else radon_matrix(spec.side, spec.angles, spec.offsets))
     cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"))
-    path = cache / "regbench" / f"{svd_cache_key(op.entries)}.svd"
+    path = cache / "regbench" / f"{svd_cache_key(a)}.svd"
     try:
-        op._svd = read_svd(path, op.entries)
-        op.svd_source = "cache"
-        return
+        return DenseOperator(a, read_svd(path, a), "cache")
     except OSError:
         pass
     except ValueError as exc:
         print(f"replacing a bad SVD cache entry: {exc}", file=sys.stderr)
-    compute_svd(op)
+    op = DenseOperator(a)
     partial_path = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        write_svd(partial_path, op._svd)
+        write_svd(partial_path, op.svd)
         os.replace(partial_path, path)
     except OSError:
         with contextlib.suppress(OSError):
             partial_path.unlink()
-
-
-def _raw_operator(spec: OperatorSpec) -> DenseOperator:
-    """The configured matrix as generated or stored, before
-    :func:`~regbench.linop.spectral_normalize`, with its SVD attached
-    (:func:`_attach_svd`)."""
-    if spec.kind == "file":
-        op = DenseOperator(_read(load_matrix, spec.path))
-        _check(op.entries.any(), f"{spec.path}: cannot normalize the zero operator")
-    else:
-        op = DenseOperator(integration_matrix(spec.n) if spec.kind == "integration"
-                           else radon_matrix(spec.side, spec.angles, spec.offsets))
-    _attach_svd(op)
     return op
 
 
@@ -461,7 +458,7 @@ def run_mismatch_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     # rule clamps to its first knot instead
     if min(config.grid.delta_bar) <= 0:
         raise ConfigError("delta_bar must be positive for the tikhonov grid")
-    svd = compute_svd(op)
+    svd = op.svd
     x_mat, sample_rho = build_dataset(op, config.data, config.seed)
     count = x_mat.shape[1]
 
@@ -728,10 +725,10 @@ class RunManifest:
     ``wall_time_s`` is the run up to writing its outputs, and
     ``operator_s`` the part of it spent in :func:`build_operator`: the
     build, the SVD cache lookup and, on a miss, the factorization.
-    ``svd_source`` says where the operator's SVD came from: ``"computed"``
-    (factored in this run) or ``"cache"`` (the SVD cache).  The bound-check
-    totals are those of a Tikhonov mismatch grid and stay ``None`` for
-    other commands; ``min_margin`` is also ``None`` when nothing was
+    ``svd_source`` says where the operator's SVD came from, which is always
+    one of ``"computed"`` (factored in this run) and ``"cache"`` (the SVD
+    cache).  The bound-check totals are those of a Tikhonov mismatch grid
+    and stay ``None`` for other commands; ``min_margin`` is also ``None`` when nothing was
     checked.  ``solver`` holds the LASSO solver totals of the
     LASSO grid, ``alpha-tune`` and ``lasso-solve``
     (:func:`~regbench.lasso.solver_totals`: solves, certified, failures,
@@ -747,7 +744,7 @@ class RunManifest:
     numpy_version: str
     wall_time_s: float
     operator_s: float
-    svd_source: str | None
+    svd_source: str
     peak_rss_mb: float | None
     noise_scheme: str = NOISE_SCHEME
     checked: int | None = None
@@ -820,12 +817,15 @@ def _build_parser() -> argparse.ArgumentParser:
                "$XDG_CACHE_HOME/regbench/ (default ~/.cache/regbench/), "
                "as one RGB1 matrix (sigma, U and V stacked as rows) keyed by a sha256 over "
                "the factored matrix, the code of regbench.linop's _thin_svd and "
-               "_orient_columns as compiled by this Python, GRAM_TOL, the numpy version, "
+               "_orient_columns (docstrings left out) as compiled by this Python, GRAM_TOL, "
+               "the numpy version, "
                "the BLAS library, its settings (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, "
                "MKL_NUM_THREADS, GOTO_NUM_THREADS, OPENBLAS_CORETYPE and the usable CPU "
                "count) and the host (name, machine type and CPU model). "
                "A Radon entry at paper scale is about 12.6 MB, and nothing is evicted; "
-               "deleting the directory is always safe.")
+               "deleting the directory is always safe. Entries written under an earlier "
+               "key formula, such as one that covered those docstrings, are never read "
+               "again.")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--config", type=str, default=None, help="config file")
     parser.add_argument("--out", type=str, default=".", help="output directory")

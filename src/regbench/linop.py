@@ -1,14 +1,15 @@
 """Dense linear operators, singular systems, weighted norms, and benchmarks.
 
-Everything here is plain float64 dense algebra.  Operators are immutable
-after construction; the singular value decomposition is computed once,
-sign-fixed for reproducibility, and cached on the operator.
-:func:`_thin_svd` is the one factorization: a symmetric eigensolve of the
-Gram matrix ``A^T A`` where the operator is well conditioned, LAPACK's
-thin SVD elsewhere.  Repeated factorizations are bit-identical for a fixed
-BLAS thread count; BLAS and LAPACK may round differently at another count.
-:func:`spectral_normalize` reuses the raw operator's SVD (singular values
-divided by the norm, same vectors) instead of factorizing again.  Two
+Everything here is plain float64 dense algebra.  An operator is one
+immutable value built with its singular system: the one it is given or,
+without one, the factorization of its entries, sign-fixed for
+reproducibility.  :func:`_thin_svd` is the one factorization: a symmetric
+eigensolve of the Gram matrix ``A^T A`` where the operator is well
+conditioned, LAPACK's thin SVD elsewhere.  Repeated factorizations are
+bit-identical for a fixed BLAS thread count; BLAS and LAPACK may round
+differently at another count.  :func:`spectral_normalize` reuses the raw
+operator's SVD (singular values divided by the norm, same vectors) instead
+of factorizing again.  Two
 kernels serve every spectral filter: :func:`filtered_solve` builds a
 reconstruction, and :func:`filtered_errors` measures the errors of many
 noisy reconstructions in singular-vector coefficients without building them.
@@ -73,21 +74,28 @@ class SvdSystem:
         return self.sigma.size
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseOperator:
-    """An m-by-n real operator stored densely (row-major)."""
+    """An m-by-n real operator stored densely (row-major), built with its
+    singular system ``svd``: the one passed in or, without one,
+    :func:`_thin_svd` of the entries, which must then be finite.
+    ``svd_source`` says where the system came from, ``"computed"`` (factored
+    here) unless it is given (the harness passes ``"cache"``)."""
 
     entries: np.ndarray
-    _svd: SvdSystem | None = field(default=None, repr=False, compare=False)
-    # where _svd came from: "computed" or (set by the harness) "cache"
-    svd_source: str | None = field(default=None, repr=False, compare=False)
+    svd: SvdSystem | None = field(default=None, repr=False, compare=False)
+    svd_source: str = field(default="computed", repr=False, compare=False)
 
     def __post_init__(self):
         a = np.ascontiguousarray(np.asarray(self.entries, dtype=float))
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError("operator entries must form a nonempty 2-D matrix")
         a.setflags(write=False)
-        self.entries = a
+        object.__setattr__(self, "entries", a)
+        if self.svd is None:
+            if not np.isfinite(a).all():
+                raise ValueError("operator has non-finite entries")
+            object.__setattr__(self, "svd", _thin_svd(a))
 
     @property
     def m(self) -> int:
@@ -122,7 +130,7 @@ def _thin_svd(a: np.ndarray) -> SvdSystem:
     """Thin SVD of a finite matrix: ``min(m, n)`` modes, singular values
     nonincreasing, right vectors carrying the sign convention of
     :func:`_orient_columns`.  Private, so that a profile attributes its time
-    to the caller (:func:`compute_svd` or the truncated method's
+    to the caller (:class:`DenseOperator` or the truncated method's
     ``restricted_system``).
 
     A tall or square ``a`` whose Gram matrix has ``lambda_min > GRAM_TOL *
@@ -169,17 +177,9 @@ def _thin_svd(a: np.ndarray) -> SvdSystem:
 
 
 def compute_svd(op: DenseOperator) -> SvdSystem:
-    """Deterministic full SVD of ``op`` (:func:`_thin_svd`), cached on the
-    operator.  Raises on non-finite entries.
-    """
-    if op._svd is not None:
-        return op._svd
-    a = op.entries
-    if not np.isfinite(a).all():
-        raise ValueError("operator has non-finite entries")
-    op._svd = _thin_svd(a)
-    op.svd_source = "computed"
-    return op._svd
+    """``op.svd``, the system the operator was built with; kept by this name
+    because the benchmark's set-up script (``bench/run.py``) calls it."""
+    return op.svd
 
 
 def pinv_adjoint_apply(op: DenseOperator, x: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
@@ -195,7 +195,7 @@ def pinv_adjoint_apply(op: DenseOperator, x: np.ndarray, rel_tol: float = 1e-12)
     x = np.asarray(x, dtype=float)
     if x.shape[0] != op.n:
         raise ValueError(f"expected input of length {op.n}, got {x.shape[0]}")
-    svd = compute_svd(op)
+    svd = op.svd
     k = int(np.count_nonzero(svd.sigma > rel_tol * svd.sigma[0]))
     adjoint = SvdSystem(svd.sigma, svd.right_vectors, svd.left_vectors)
     return filtered_solve(adjoint, 1.0 / svd.sigma[:k], x)
@@ -249,23 +249,21 @@ def spectral_normalize(op: DenseOperator) -> DenseOperator:
     """Divide the operator by its spectral norm, so that the result's
     ``sigma_1`` is exactly 1.0; the harness normalizes every operator here,
     and nowhere else.  Idempotent up to 1e-12, and bit for bit on an
-    operator whose attached ``sigma_1`` is already 1.0.
+    operator whose ``sigma_1`` is already 1.0.
 
-    The result carries the input's SVD with the singular values divided by
-    the norm, so normalizing costs one factorization, not two.  The entries
-    are copied: dividing in place cut the peak memory of a paper-scale Radon
-    command with a cached SVD by 1.8 MB but raised it by 2.7 MB where the
-    SVD is factored, whose freed temporaries stay resident and hold the copy.
+    The result is built with the input's SVD, the singular values divided
+    by the norm, so normalizing factors nothing.  The entries are copied:
+    dividing in place cut the peak memory of a paper-scale Radon command
+    with a cached SVD by 1.8 MB but raised it by 2.7 MB where the SVD is
+    factored, whose freed temporaries stay resident and hold the copy.
     """
-    svd = compute_svd(op)
+    svd = op.svd
     top = float(svd.sigma[0])
     if top == 0.0:
         raise ValueError("cannot normalize the zero operator")
     return DenseOperator(op.entries / top,
-                         _svd=SvdSystem(sigma=svd.sigma / top,
-                                        left_vectors=svd.left_vectors,
-                                        right_vectors=svd.right_vectors),
-                         svd_source=op.svd_source)
+                         SvdSystem(svd.sigma / top, svd.left_vectors, svd.right_vectors),
+                         op.svd_source)
 
 
 def integration_matrix(n: int) -> np.ndarray:
@@ -331,13 +329,11 @@ def radon_matrix(img_side: int, n_angles: int, n_offsets: int) -> np.ndarray:
     j = np.floor(point_y[ray] + mid * dir_y[ray] + half).astype(np.int64)
     inside = (i >= 0) & (i < side) & (j >= 0) & (j < side)
 
-    mat = np.zeros((n_angles * n_offsets, side * side))
-    # np.add.at adds in index order, so each entry sums its pieces in the
+    rows, cols = n_angles * n_offsets, side * side
+    # np.bincount adds in index order, so each entry sums its pieces in the
     # order they lie along the ray
-    np.add.at(mat.reshape(-1),
-              ray[inside] * (side * side) + j[inside] * side + i[inside],
-              length[inside])
-    return mat
+    return np.bincount(ray[inside] * cols + j[inside] * side + i[inside],
+                       weights=length[inside], minlength=rows * cols).reshape(rows, cols)
 
 
 # The binary container: b"RGB1", the header (rows, cols) as 64-bit

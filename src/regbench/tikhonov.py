@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .linop import DenseOperator, compute_svd, filtered_solve
+from .linop import DenseOperator, filtered_solve
 
 
 def reconstruct(op: DenseOperator, y: np.ndarray, alpha: float) -> np.ndarray:
@@ -24,7 +24,7 @@ def reconstruct(op: DenseOperator, y: np.ndarray, alpha: float) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape[0] != op.m:
         raise ValueError(f"expected data of length {op.m}, got {y.shape[0]}")
-    svd = compute_svd(op)
+    svd = op.svd
     return filtered_solve(svd, tikhonov_filter(svd.sigma, alpha), y)
 
 

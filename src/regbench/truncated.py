@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import Basis
-from .linop import DenseOperator, SvdSystem, _thin_svd, compute_svd
+from .linop import DenseOperator, SvdSystem, _thin_svd
 
 
 def restricted_system(op: DenseOperator, basis: Basis, m: int) -> SvdSystem:
@@ -27,14 +27,14 @@ def restricted_system(op: DenseOperator, basis: Basis, m: int) -> SvdSystem:
     with right vectors in the operator's domain.
 
     The ``"svd"`` basis, which must hold this operator's right singular
-    vectors, slices the operator's cached system; any other orthonormal
+    vectors, slices the operator's own system; any other orthonormal
     basis takes one thin SVD of ``A B_m`` (:func:`~regbench.linop._thin_svd`)
     and maps its right vectors back through ``B_m``.
     """
     if m < 0 or m > basis.size:
         raise ValueError("basis truncation level out of range")
     if basis.kind == "svd":
-        svd = compute_svd(op)
+        svd = op.svd
         return SvdSystem(svd.sigma[:m], svd.left_vectors[:, :m], svd.right_vectors[:, :m])
     b = basis.vectors[:, :m]
     svd = _thin_svd(op.entries @ b)

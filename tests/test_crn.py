@@ -32,7 +32,7 @@ from regbench.harness import (
     run_dim_experiment,
     run_mismatch_grid,
 )
-from regbench.linop import compute_svd, filtered_solve, weighted_norm
+from regbench.linop import filtered_solve, weighted_norm
 from regbench.tikhonov import optimal_alpha, reconstruct, wc_bound
 from test_truncated import restricted_normal_solve
 
@@ -74,7 +74,7 @@ def reference_grid(config, draw=None):
     ``sqrt(m / n) * wc_bound`` at the rule's alpha, its realized noise level
     and its sample's own source constant."""
     op = build_operator(config.operator)
-    svd = compute_svd(op)
+    svd = op.svd
     truths, sample_rho = build_dataset(op, config.data, config.seed)
     count = truths.shape[1]
     if config.method.rho == "per-sample":
@@ -126,7 +126,7 @@ def test_integration_case_has_sentinels_and_wide_case_leaves_the_row_space():
     assert run_mismatch_grid(INTEGRATION, op).checked == 5 * 6 * 9
     op = build_operator(WIDE_RADON.operator)
     assert op.m < op.n
-    v = compute_svd(op).right_vectors
+    v = op.svd.right_vectors
     x = build_dataset(op, WIDE_RADON.data, WIDE_RADON.seed)[0][:, 0]
     assert np.linalg.norm(x - v @ (v.T @ x)) > 0.1 * np.linalg.norm(x)
 
@@ -308,7 +308,7 @@ def test_scan_realization_r_is_row_r_plus_one(op50, monkeypatch):
     y = op50.entries @ x
     assert len(calls) == 2
     for (data_coeff, noise_coeff, deltas), m in zip(calls, config.method.m_grid):
-        u = compute_svd(op50).left_vectors[:, :m]
+        u = op50.svd.left_vectors[:, :m]
         assert deltas == config.grid.delta
         assert np.array_equal(data_coeff, u.T @ y)
         assert noise_coeff.shape == (m, 4)

@@ -18,7 +18,7 @@ from regbench.datagen import (
     svd_basis,
 )
 from regbench.harness import ConfigError, DataSpec, ExperimentConfig, GridSpec, MethodSpec
-from regbench.linop import DenseOperator, compute_svd, weighted_norm
+from regbench.linop import DenseOperator, weighted_norm
 from regbench.truncated import ExpectedErrorModel
 
 
@@ -50,7 +50,7 @@ class TestSourceData:
         # z_i rebuilt from the documented stream (seed, i) and all left vectors
         truths, rho = sample_source_data(op50, 5, seed=0)
         assert truths.shape == (50, 5) and rho.shape == (5,)
-        u = compute_svd(op50).left_vectors
+        u = op50.svd.left_vectors
         for i in range(5):
             z = u @ rng_for(0, i).uniform(-1.0, 1.0, size=50)
             assert np.linalg.norm(truths[:, i] - op50.entries.T @ z) <= 1e-10
@@ -78,7 +78,7 @@ class TestSubspaceData:
 
     def test_orthogonal_complement_is_empty(self, op50):
         indices = (0, 3, 7)
-        svd = compute_svd(op50)
+        svd = op50.svd
         others = np.setdiff1d(np.arange(50), indices)
         truths, _ = sample_source_data(op50, 4, seed=1, indices=indices)
         offplane = svd.right_vectors[:, others].T @ truths
@@ -106,7 +106,7 @@ class TestBasisCoefficientData:
 
     def test_samples_stay_in_span(self, op50):
         indices = (5, 1, 9, 2)
-        svd = compute_svd(op50)
+        svd = op50.svd
         truths, _ = sample_source_data(op50, 4, seed=2, indices=indices)
         v, s = svd.right_vectors[:, indices], svd.sigma[list(indices)]
         for i in range(4):
@@ -119,7 +119,7 @@ class TestBasisCoefficientData:
         assert np.array_equal(rho, [0.0])
 
     def test_coefficient_variance_is_one_third(self, op50):
-        svd = compute_svd(op50)
+        svd = op50.svd
         truths, _ = sample_source_data(op50, 10**4, seed=5, indices=(0,))
         coeffs = svd.right_vectors[:, 0] @ truths / svd.sigma[0]
         assert np.var(coeffs) == pytest.approx(1.0 / 3.0, rel=0.05)
@@ -210,7 +210,7 @@ class TestSourceConstant:
             op = DenseOperator(a)
             truths = rng.standard_normal((5, 9)).T
         values = estimate_source_constant(op, truths)
-        svd = compute_svd(op)
+        svd = op.svd
         keep = svd.sigma > PINV_REL_TOL * svd.sigma[0]
         assert 0 < keep.sum() < svd.sigma.size or case == "integration"
         for i, x in enumerate(truths.T):

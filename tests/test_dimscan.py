@@ -12,7 +12,7 @@ from regbench.harness import (
     build_dataset,
     build_operator,
 )
-from regbench.linop import compute_svd, weighted_norm
+from regbench.linop import weighted_norm
 from regbench.tikhonov import reconstruct
 from regbench.truncated import ExpectedErrorModel, alpha_threshold, argmin_expected_level
 
@@ -44,7 +44,7 @@ def test_noiseless_scan_recovers_dimension_exactly(op50, planted_sample):
 
 def test_noisy_scan_single_level(op50, planted_sample):
     basis, x = planted_sample
-    svd = compute_svd(op50)
+    svd = op50.svd
     c = svd.right_vectors[:, :8].T @ x
     model = ExpectedErrorModel(c=c, beta2=np.full(50, 0.01), sigma=svd.sigma, alpha=1.0)
     alpha = max(2.0 * alpha_threshold(model), 0.5)

@@ -770,7 +770,7 @@ class TestBuildOnce:
         # by an earlier version is ignored
         raw = linop.radon_matrix(8, 6, 9)
         linop.save_matrix(tmp_path / "op.rgb", raw)
-        linop.write_svd(tmp_path / "op.rgb.svd", linop.compute_svd(linop.DenseOperator(raw)))
+        linop.write_svd(tmp_path / "op.rgb.svd", linop.DenseOperator(raw).svd)
         factorizations.clear()
         text = (RADON_SMALL.replace("kind = radon", f"kind = file\npath = {tmp_path / 'op.rgb'}")
                 + RADON_GRID_TAIL)
@@ -849,7 +849,7 @@ realizations = 5
             linop.save_matrix(path, build_operator(OperatorSpec(kind="integration", n=20)).entries)
         spec = (OperatorSpec(kind="file", path=str(path)) if "file" in kind
                 else OperatorSpec(kind=kind, n=20, side=8, angles=6, offsets=9))
-        assert linop.compute_svd(build_operator(spec)).sigma[0] == 1.0
+        assert build_operator(spec).svd.sigma[0] == 1.0
 
     def test_key(self, monkeypatch, tmp_path):
         # each input changes the key; they are changed one after another
@@ -862,6 +862,21 @@ realizations = 5
         for name in harness._BLAS_ENV:
             monkeypatch.setenv(name, "1")
             keys.append(harness.svd_cache_key(a))
+        # _thin_svd of a copy of linop keeps the key, also with another
+        # docstring; with another constant it changes the key
+        source = Path(linop.__file__).read_text()
+        for old, new, same in [("", "", True),
+                               ("Thin SVD of a", "The thin SVD of a", True),
+                               ("- 1.0) / 2)", "- 1.0) / 3)", False)]:
+            assert old == "" or source.count(old) == 1
+            copy = {"__name__": linop.__name__}
+            exec(compile(source.replace(old, new, 1), linop.__file__, "exec"), copy)
+            monkeypatch.setattr(linop, "_thin_svd", copy["_thin_svd"])
+            key = harness.svd_cache_key(a)
+            if same:
+                assert key == keys[-1]
+            else:
+                keys.append(key)
         for target, name, value in [
             (os, "sched_getaffinity", lambda pid: {0}),
             (platform, "node", lambda: "another-host"),
@@ -883,6 +898,16 @@ realizations = 5
         keys.append(harness.svd_cache_key(a.reshape(3, 2)))
         keys.append(harness.svd_cache_key(a + 1.0))
         assert len(set(keys)) == len(keys)
+
+    def test_warm_build_factors_nothing(self, factorizations):
+        spec = OperatorSpec(kind="radon", side=12, angles=9, offsets=13)
+        cold = build_operator(spec)
+        warm = build_operator(spec)
+        assert factorizations == [cold.shape]
+        assert (cold.svd_source, warm.svd_source) == ("computed", "cache")
+        assert warm.entries.tobytes() == cold.entries.tobytes()
+        for field in ("sigma", "left_vectors", "right_vectors"):
+            assert getattr(warm.svd, field).tobytes() == getattr(cold.svd, field).tobytes()
 
     def test_key_host_and_blas(self, monkeypatch):
         assert harness._cpu_model() and harness._blas_library()
@@ -1322,6 +1347,14 @@ realizations = 2
         code = cli_main(["mismatch-grid", "--config", str(cfg), "--out", str(tmp_path / "out")])
         return code, capsys.readouterr().err
 
+    def test_empty_operator_file_is_a_numerical_failure(self, tmp_path, capsys):
+        # rejected by DenseOperator as empty, not as the zero operator
+        linop.save_matrix(tmp_path / "op.rgb", np.zeros((0, 4)))
+        code, err = self.run_file_config(tmp_path, capsys, operator="file",
+                                         op_path=tmp_path / "op.rgb")
+        assert code == 2
+        assert err == "numerical failure: operator entries must form a nonempty 2-D matrix\n"
+
     @pytest.mark.parametrize("damaged", ["container", "idx"])
     def test_truncated_input_file_is_config_error(self, tmp_path, capsys, damaged):
         if damaged == "idx":
@@ -1348,7 +1381,7 @@ realizations = 2
         matrix = linop.integration_matrix(16) if entries == "nan" else np.zeros((16, 16))
         if sidecar:
             linop.write_svd(tmp_path / "op.rgb.svd",
-                            linop.compute_svd(linop.DenseOperator(matrix.copy())))
+                            linop.DenseOperator(matrix.copy()).svd)
         if entries == "nan":
             matrix[3, 2] = np.nan
         linop.save_matrix(tmp_path / "op.rgb", matrix)

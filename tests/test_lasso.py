@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from regbench import harness, lasso
 from regbench.datagen import noise_block, rng_for
 from regbench.lasso import AlphaRule, BatchSolution, alpha_for_delta, diff1d, grad2d, solve_batch
-from regbench.linop import DenseOperator, compute_svd
+from regbench.linop import DenseOperator
 
 
 def soft(v, threshold):
@@ -492,7 +492,7 @@ class TestSubgradientBound:
                                           (random_problem(8, kind="identity"), 0.1)):
             sol = solve_one(op, transform, y, alpha)
             lhs = np.linalg.norm(transform.T @ sol.gamma[:, 0])
-            assert lhs <= 2.0 / alpha * compute_svd(op).sigma[0] * np.linalg.norm(y) + 1e-8
+            assert lhs <= 2.0 / alpha * op.svd.sigma[0] * np.linalg.norm(y) + 1e-8
 
 
 def restarts(op, transform, y, alpha, count, seed):
@@ -793,6 +793,6 @@ class TestEmpiricalLipschitz:
 
     def test_bounded_by_inverse_smallest_singular_value(self):
         op, transform, y = random_problem(66, n=6, m=10, kind="identity")
-        sigma_min = compute_svd(op).sigma[-1]
+        sigma_min = op.svd.sigma[-1]
         rate = solution_map_rate(op, transform, y, 0.2, n_probes=10, radius=0.3, seed=4)
         assert rate <= (1.0 + 1e-3) / sigma_min

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tempfile
 import tracemalloc
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from regbench import linop
 from regbench.linop import (
     DenseOperator,
-    compute_svd,
     filtered_errors,
     filtered_solve,
     integration_matrix,
@@ -69,11 +69,11 @@ class TestIntegrationOperator:
     def test_n1_normalizes_to_one(self):
         op = normalized(integration_matrix(1))
         assert op.entries[0, 0] == pytest.approx(1.0, abs=1e-12)
-        assert compute_svd(op).sigma[0] == pytest.approx(1.0, abs=1e-12)
+        assert op.svd.sigma[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_n2_singular_values_golden(self):
         # eigenvalues of [[2,1],[1,1]] are (3 +- sqrt(5))/2 by hand
-        svd = compute_svd(DenseOperator(integration_matrix(2)))
+        svd = DenseOperator(integration_matrix(2)).svd
         golden = (1 + math.sqrt(5)) / 2
         assert svd.sigma[0] == pytest.approx(golden, abs=1e-12)
         assert svd.sigma[1] == pytest.approx(golden - 1, abs=1e-12)
@@ -135,7 +135,7 @@ class TestRadonOperator:
     def test_paper_scale_shape(self):
         op = normalized(radon_matrix(28, 30, 41))
         assert op.shape == (1230, 784)
-        assert abs(compute_svd(op).sigma[0] - 1.0) <= 1e-10
+        assert abs(op.svd.sigma[0] - 1.0) <= 1e-10
 
     def test_nonnegative_entries(self, small_raw):
         assert (small_raw >= 0).all()
@@ -167,6 +167,25 @@ class TestRadonOperator:
     def test_matches_loop_reference(self, shape):
         assert np.array_equal(radon_matrix(*shape), loop_radon_matrix(*shape))
 
+    @pytest.mark.parametrize("shape", [(28, 30, 41), (12, 9, 13)])
+    def test_bytes_match_add_at(self, monkeypatch, shape):
+        # np.bincount sums each entry's pieces in index order, as np.add.at
+        # does, so the matrix the SVD cache key hashes keeps its bytes
+        pieces = []
+        real = np.bincount
+
+        def spy(index, weights, minlength):
+            pieces.append((index, weights, minlength))
+            return real(index, weights=weights, minlength=minlength)
+
+        monkeypatch.setattr(np, "bincount", spy)
+        mat = radon_matrix(*shape)
+        ((index, weights, size),) = pieces
+        want = np.zeros(size)
+        np.add.at(want, index, weights)
+        assert mat.shape == (shape[1] * shape[2], shape[0] ** 2)
+        assert mat.tobytes() == want.tobytes()
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             radon_matrix(1, 4, 5)
@@ -176,11 +195,11 @@ class TestRadonOperator:
 
 class TestSvd:
     def test_identity(self):
-        svd = compute_svd(DenseOperator(np.eye(3)))
+        svd = DenseOperator(np.eye(3)).svd
         assert np.allclose(svd.sigma, 1.0)
 
     def test_diagonal_sorted(self):
-        svd = compute_svd(DenseOperator(np.diag([3.0, 2.0, 1.0])))
+        svd = DenseOperator(np.diag([3.0, 2.0, 1.0])).svd
         assert np.array_equal(svd.sigma, [3.0, 2.0, 1.0])
         # axes are permuted so that A v_j = sigma_j u_j still holds
         mat = np.diag([3.0, 2.0, 1.0])
@@ -189,7 +208,7 @@ class TestSvd:
                                svd.sigma[j] * svd.left_vectors[:, j])
 
     def test_reconstruction_and_orthonormality(self, op50):
-        svd = compute_svd(op50)
+        svd = op50.svd
         rebuilt = svd.left_vectors @ np.diag(svd.sigma) @ svd.right_vectors.T
         assert np.abs(rebuilt - op50.entries).max() <= 1e-8 * svd.sigma[0]
         assert np.abs(svd.left_vectors.T @ svd.left_vectors - np.eye(50)).max() <= 1e-8
@@ -199,7 +218,7 @@ class TestSvd:
                                svd.sigma[j] * svd.left_vectors[:, j], atol=1e-8)
 
     def test_sign_convention(self, op50):
-        svd = compute_svd(op50)
+        svd = op50.svd
         for j in range(svd.n_modes):
             col = svd.right_vectors[:, j]
             nz = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
@@ -231,18 +250,19 @@ class TestSvd:
 
     def test_bitwise_determinism(self):
         mat = integration_matrix(17)
-        a = compute_svd(DenseOperator(mat))
-        b = compute_svd(DenseOperator(mat.copy()))
+        a = DenseOperator(mat).svd
+        b = DenseOperator(mat.copy()).svd
         assert np.array_equal(a.sigma, b.sigma)
         assert np.array_equal(a.left_vectors, b.left_vectors)
         assert np.array_equal(a.right_vectors, b.right_vectors)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            compute_svd(DenseOperator(np.array([[1.0, np.nan], [0.0, 1.0]])))
+        # at construction, which factors the entries
+        with pytest.raises(ValueError, match="operator has non-finite entries"):
+            DenseOperator(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
     def test_norm_matches_power_iteration(self, op50):
-        assert compute_svd(op50).sigma[0] == pytest.approx(
+        assert op50.svd.sigma[0] == pytest.approx(
             power_iteration_norm(op50.entries), rel=1e-6)
 
 
@@ -345,10 +365,10 @@ class TestGramRoute:
     def test_paper_radon_sidecar_round_trip(self, paper_radon, tmp_path):
         # an SVD cache entry, which read_svd validates
         op = spectral_normalize(DenseOperator(paper_radon))
-        write_svd(tmp_path / "op.svd", op._svd)
+        write_svd(tmp_path / "op.svd", op.svd)
         loaded = read_svd(tmp_path / "op.svd", op.entries)
         for field in ("sigma", "left_vectors", "right_vectors"):
-            assert getattr(loaded, field).tobytes() == getattr(op._svd, field).tobytes()
+            assert getattr(loaded, field).tobytes() == getattr(op.svd, field).tobytes()
 
 
 class TestApply:
@@ -366,7 +386,7 @@ class TestApply:
 
 class TestPinvAdjoint:
     def test_recovers_source_on_range(self, op50):
-        svd = compute_svd(op50)
+        svd = op50.svd
         rng = np.random.default_rng(5)
         z = svd.left_vectors @ rng.uniform(-1, 1, 50)
         x = op50.entries.T @ z
@@ -389,7 +409,7 @@ class TestPinvAdjoint:
     @staticmethod
     def masked_loop(op, x, rel_tol):
         """Per-column reference: the kept modes selected by a mask."""
-        svd = compute_svd(op)
+        svd = op.svd
         keep = svd.sigma > rel_tol * svd.sigma[0]
         return np.column_stack([
             svd.left_vectors[:, keep] @ ((svd.right_vectors[:, keep].T @ col) / svd.sigma[keep])
@@ -420,7 +440,7 @@ class TestPinvAdjoint:
 
 class TestFilteredSolve:
     def test_batched_equals_columnwise(self, op50):
-        svd = compute_svd(op50)
+        svd = op50.svd
         rng = np.random.default_rng(13)
         y = rng.standard_normal((50, 7))
         filt = rng.uniform(0.0, 2.0, size=(30, 7))
@@ -430,7 +450,7 @@ class TestFilteredSolve:
             assert np.abs(batched[:, c] - single).max() <= 1e-12 * np.abs(single).max()
 
     def test_shared_filter_broadcasts_over_columns(self, op50):
-        svd = compute_svd(op50)
+        svd = op50.svd
         rng = np.random.default_rng(17)
         y = rng.standard_normal((50, 4))
         filt = rng.uniform(0.0, 2.0, size=50)
@@ -438,13 +458,13 @@ class TestFilteredSolve:
                               filtered_solve(svd, np.repeat(filt[:, None], 4, axis=1), y))
 
     def test_inverse_filter_inverts_the_operator(self, op50):
-        svd = compute_svd(op50)
+        svd = op50.svd
         x = np.random.default_rng(19).standard_normal(50)
         recovered = filtered_solve(svd, 1.0 / svd.sigma, op50.entries @ x)
         assert np.abs(recovered - x).max() <= 1e-8
 
     def test_empty_filter_gives_zero(self, op50):
-        svd = compute_svd(op50)
+        svd = op50.svd
         out = filtered_solve(svd, np.zeros(0), np.ones((50, 3)))
         assert np.array_equal(out, np.zeros((50, 3)))
 
@@ -455,7 +475,7 @@ class TestFilteredErrors:
         # the right vectors
         rng = np.random.default_rng(23)
         op = DenseOperator(rng.standard_normal((6, 9)))
-        svd = compute_svd(op)
+        svd = op.svd
         filt = rng.uniform(0.0, 2.0, size=5)
         y, ref, noise = rng.standard_normal(6), rng.standard_normal(9), rng.standard_normal((6, 4))
         u, v = svd.left_vectors[:, :5], svd.right_vectors[:, :5]
@@ -496,7 +516,7 @@ class TestFilteredErrors:
     def test_bit_identical_on_a_slice_of_the_left_vectors(self):
         # the dimension scan's shapes: the first m modes of a singular system
         rng = np.random.default_rng(29)
-        svd = compute_svd(normalized(radon_matrix(8, 12, 13)))
+        svd = normalized(radon_matrix(8, 12, 13)).svd
         for m in (1, 17, 64):
             u, v = svd.left_vectors[:, :m], svd.right_vectors[:, :m]
             filt = svd.sigma[:m] / (svd.sigma[:m] ** 2 + 0.01)
@@ -525,12 +545,12 @@ class TestFilteredErrors:
 class TestNormalization:
     def test_reuses_the_raw_svd(self, monkeypatch):
         raw = DenseOperator(radon_matrix(6, 4, 7))
-        raw_svd = compute_svd(raw)
+        raw_svd = raw.svd
         calls = []
         real_svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real_svd(*a, **k))
         op = spectral_normalize(raw)
-        svd = compute_svd(op)
+        svd = op.svd
         assert calls == []
         top = raw_svd.sigma[0]
         assert np.array_equal(op.entries, raw.entries / top)
@@ -541,7 +561,7 @@ class TestNormalization:
 
     def test_attached_svd_is_a_singular_system(self):
         op = normalized(radon_matrix(6, 4, 7))
-        svd = compute_svd(op)
+        svd = op.svd
         rebuilt = svd.left_vectors @ np.diag(svd.sigma) @ svd.right_vectors.T
         assert np.abs(rebuilt - op.entries).max() <= 1e-12
 
@@ -556,7 +576,7 @@ class TestNormalization:
 
     def test_unit_norm_flag(self):
         op = normalized(integration_matrix(20))
-        assert abs(compute_svd(op).sigma[0] - 1.0) <= 1e-10
+        assert abs(op.svd.sigma[0] - 1.0) <= 1e-10
 
 
 class TestWeightedNorm:
@@ -607,7 +627,7 @@ class TestContainer:
 
     def test_svd_entry_is_one_matrix(self, tmp_path):
         # sigma over U over V, byte for byte, read back by load_matrix
-        svd = compute_svd(DenseOperator(radon_matrix(3, 4, 5)))
+        svd = DenseOperator(radon_matrix(3, 4, 5)).svd
         write_svd(tmp_path / "op.svd", svd)
         stacked = load_matrix(tmp_path / "op.svd")
         assert stacked.shape == (1 + 20 + 9, 9)
@@ -616,7 +636,7 @@ class TestContainer:
 
     def test_operator_roundtrip_with_svd(self, tmp_path):
         op = normalized(integration_matrix(9))
-        svd = compute_svd(op)
+        svd = op.svd
         save_matrix(tmp_path / "op.rgb", op.entries)
         write_svd(tmp_path / "op.svd", svd)
         entries = load_matrix(tmp_path / "op.rgb")
@@ -650,6 +670,31 @@ def test_operator_entries_are_readonly(op50):
         op50.entries[0, 0] = 5.0
 
 
+class TestOperatorValue:
+    """An operator is one immutable value, built with its singular system."""
+
+    def test_built_with_its_svd(self):
+        m = radon_matrix(6, 4, 7)
+        op = DenseOperator(m)
+        assert op.svd_source == "computed"
+        want = linop._thin_svd(m)
+        for field in ("sigma", "left_vectors", "right_vectors"):
+            assert getattr(op.svd, field).tobytes() == getattr(want, field).tobytes()
+
+    def test_given_svd_is_not_factored_again(self, monkeypatch):
+        m = radon_matrix(6, 4, 7)
+        svd = linop._thin_svd(m)
+        monkeypatch.setattr(linop, "_thin_svd", None)
+        op = DenseOperator(m, svd, "cache")
+        assert op.svd is svd and op.svd_source == "cache"
+
+    def test_frozen(self):
+        op = DenseOperator(np.eye(3))
+        for name, value in [("svd", None), ("entries", np.eye(3)), ("svd_source", "cache")]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(op, name, value)
+
+
 class TestSvdSidecar:
     """An SVD cache entry (:func:`write_svd`, one matrix container) must
     describe exactly one full singular system of the operator it is read
@@ -658,7 +703,7 @@ class TestSvdSidecar:
     @pytest.fixture()
     def saved(self, tmp_path):
         entries = normalized(integration_matrix(4)).entries
-        write_svd(tmp_path / "op.svd", compute_svd(DenseOperator(entries)))
+        write_svd(tmp_path / "op.svd", DenseOperator(entries).svd)
         return entries, tmp_path / "op.svd"
 
     def test_too_many_modes_rejected(self, saved):
@@ -716,7 +761,7 @@ class TestSvdSidecar:
         # A^T's system stacks to A's shape, (1 + m + n) x min(m, n), but its
         # first m rows of vectors are not A's orthonormal left vectors
         entries = np.random.default_rng(3).standard_normal(shape)
-        write_svd(tmp_path / "op.svd", compute_svd(DenseOperator(entries.T)))
+        write_svd(tmp_path / "op.svd", DenseOperator(entries.T).svd)
         assert load_matrix(tmp_path / "op.svd").shape == (1 + sum(shape), min(shape))
         with pytest.raises(ValueError, match="orthonormal singular system"):
             read_svd(tmp_path / "op.svd", entries)
@@ -724,7 +769,7 @@ class TestSvdSidecar:
     def test_another_operators_system_rejected(self, saved):
         # a valid singular system of the same shape, but of another matrix
         entries, path = saved
-        write_svd(path, compute_svd(DenseOperator(radon_matrix(2, 2, 2))))
+        write_svd(path, DenseOperator(radon_matrix(2, 2, 2)).svd)
         with pytest.raises(ValueError, match="orthonormal singular system"):
             read_svd(path, entries)
 
@@ -859,7 +904,7 @@ class TestBlockedSidecarChecks:
 @given(rows=st.integers(1, 8), cols=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
 def test_containers_round_trip_and_reject_every_prefix(rows, cols, seed):
     entries = np.random.default_rng(seed).standard_normal((rows, cols))
-    svd = compute_svd(DenseOperator(entries))
+    svd = DenseOperator(entries).svd
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "op.rgb"
         svd_path = Path(tmp) / "op.svd"

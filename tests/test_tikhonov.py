@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from regbench.datagen import rng_for, sample_source_data
-from regbench.linop import DenseOperator, compute_svd, weighted_norm
+from regbench.linop import DenseOperator, weighted_norm
 from regbench.tikhonov import (
     optimal_alpha,
     reconstruct,
@@ -173,7 +173,7 @@ class TestRelativeWc:
 class TestFilterEstimates:
     def test_sup_bounds_on_actual_spectrum(self, op50):
         # the classical filter estimates hold mode-wise on the real spectrum
-        sigma = compute_svd(op50).sigma
+        sigma = op50.svd.sigma
         for alpha in np.geomspace(1e-4, 1.0, 25):
             data_gain = np.abs(sigma / (sigma ** 2 + alpha)).max()
             approx_gain = np.abs((1 - sigma ** 2 / (sigma ** 2 + alpha)) * sigma).max()

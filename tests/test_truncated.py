@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from regbench.datagen import Basis, coordinate_basis, rng_for, svd_basis
 from regbench.harness import ConfigError, MethodSpec, load_config
-from regbench.linop import DenseOperator, compute_svd, filtered_solve, integration_matrix
+from regbench.linop import DenseOperator, filtered_solve, integration_matrix
 from regbench.tikhonov import reconstruct
 from regbench.truncated import (
     ExpectedErrorModel,
@@ -236,7 +236,7 @@ def test_restricted_reconstruction_solves_the_normal_equations(rows, cols, level
 def test_svd_basis_system_is_a_prefix_of_the_operator_svd(rows, cols, level, alpha, seed):
     rng = np.random.default_rng(seed)
     op = DenseOperator(rng.standard_normal((rows, cols)))
-    full = compute_svd(op)
+    full = op.svd
     m = min(level, full.n_modes)
     system = restricted_system(op, svd_basis(op), m)
     assert system.sigma.tobytes() == full.sigma[:m].tobytes()
@@ -251,7 +251,7 @@ class TestRestrictedOperatorBound:
     def test_restricted_gain_bounded_by_inverse_sigma(self, op50):
         # the Tikhonov gain on the leading n_dim modes never exceeds the
         # reciprocal of their smallest singular value, uniformly in alpha
-        sigma = compute_svd(op50).sigma
+        sigma = op50.svd.sigma
         n_dim = 8
         for alpha in np.geomspace(1e-4, 1.0, 30):
             gain = np.abs(sigma[:n_dim] / (sigma[:n_dim] ** 2 + alpha)).max()
