@@ -39,16 +39,11 @@ An operator is factored once per machine and thread setting, not once per
 command: :func:`build_operator` builds a raw matrix with the singular system
 that the SVD cache, ``$XDG_CACHE_HOME/regbench/`` (by default
 ``~/.cache/regbench/``), holds for it, and factors the matrix only when
-there is none.  An entry is one matrix container, sigma over U over V
-(:func:`~regbench.linop.write_svd`), named by :func:`svd_cache_key`, whose
-docstring lists what the key covers, so a command that reads an entry
-writes the bytes it would have written after factoring.  :func:`~regbench.linop.read_svd` checks every entry.  A
-paper-scale Radon entry (1230 x 784) is 12.6 MB, and nothing is evicted;
-deleting the directory is always safe.  Entries written under an earlier
-key formula are never looked up again and stay until it is deleted; the
-formula last changed when it stopped covering the docstrings of the
-factorization's functions.  The manifest's ``svd_source`` says whether the
-SVD was computed or read from the cache.
+there is none.  A paper-scale Radon entry (1230 x 784) is 12.6 MB, and
+nothing is evicted; deleting the directory is always safe.  README.md's
+"The SVD cache" states the rest: an entry's format, what its key
+(:func:`svd_cache_key`) covers and what becomes of a bad entry.  The
+manifest's ``svd_source`` says where the SVD came from.
 """
 
 from __future__ import annotations
@@ -60,7 +55,6 @@ import hashlib
 import json
 import math
 import os
-import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -69,7 +63,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, linop
+from . import __version__
 from .datagen import (
     coordinate_basis,
     estimate_source_constant,
@@ -91,6 +85,7 @@ from .lasso import (
 )
 from .linop import (
     DenseOperator,
+    factorization_fingerprint,
     filtered_errors,
     integration_matrix,
     load_matrix,
@@ -288,48 +283,10 @@ def _read(loader, path):
         raise ConfigError(str(exc) if str(path) in str(exc) else f"{path}: {exc}") from exc
 
 
-# the environment variables that set the BLAS's thread count or its kernels
-_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "GOTO_NUM_THREADS", "OPENBLAS_CORETYPE")
-
-
-def _blas_library() -> str:
-    """Name and version of the BLAS numpy was built against ('' where numpy
-    does not report them)."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy < 1.25 only prints its config
-        return ""
-    return f"{blas.get('name')} {blas.get('version')}"
-
-
-def _cpu_model() -> str:
-    """The CPU's model name, from ``/proc/cpuinfo`` where there is one."""
-    with contextlib.suppress(OSError):
-        with open("/proc/cpuinfo") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    return line.partition(":")[2].strip()
-    return platform.processor()
-
-
 def svd_cache_key(a: np.ndarray) -> str:
-    """sha256 over everything the bits of the factorization of ``a`` depend
-    on: the matrix (shape and bytes), the code (bytecode, constants but not
-    the docstring, names) of ``linop._thin_svd`` and
-    ``linop._orient_columns``, so also the Python version that compiled
-    them, ``linop.GRAM_TOL``, the numpy version, the BLAS library, its
-    settings (the variables in ``_BLAS_ENV`` and the number of CPUs the
-    process may run on) and the host (name, machine type and CPU model,
-    since OpenBLAS picks its kernels by CPU at run time)."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    # a docstring is the first constant
-    code = [(f.__code__.co_code, f.__code__.co_consts[f.__doc__ is not None:],
-             f.__code__.co_names) for f in (linop._thin_svd, linop._orient_columns)]
-    setting = (a.shape, code, linop.GRAM_TOL, np.__version__, _blas_library(),
-               tuple(os.environ.get(name) for name in _BLAS_ENV), cpus,
-               platform.node(), platform.machine(), _cpu_model())
-    digest = hashlib.sha256(repr(setting).encode())
+    """sha256 over the matrix (shape and bytes) and the rest of what the bits
+    of its factorization depend on (:func:`~regbench.linop.factorization_fingerprint`)."""
+    digest = hashlib.sha256(repr((a.shape, *factorization_fingerprint())).encode())
     digest.update(np.ascontiguousarray(a, dtype="<f8"))
     return digest.hexdigest()
 
@@ -595,7 +552,7 @@ def _run_lasso_grid(config: ExperimentConfig, op: DenseOperator) -> ErrorGrid:
     count = x_mat.shape[1]
     w = _build_transform(config.method.transform, op)
     if config.method.alpha_rule:
-        rule = _read(AlphaRule.from_csv, config.method.alpha_rule)
+        rule = _read(_read_alpha_rule, config.method.alpha_rule)
     elif config.method.alpha is not None:
         rule = AlphaRule(((1.0, config.method.alpha),))
     else:
@@ -695,6 +652,17 @@ def _write_csv(path, header: str, rows) -> None:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+def _read_alpha_rule(path) -> AlphaRule:
+    """The rule as ``alpha-tune`` writes it: the header ``delta,alpha``,
+    then one knot per line; blank lines are skipped."""
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != "delta,alpha":
+            raise ValueError(f"{path}: unexpected header {header!r}")
+        rows = [line.split(",") for line in fh if line.strip()]
+    return AlphaRule(tuple((float(d), float(a)) for d, a in rows))
 
 
 def emit_mismatch_csv(grid: ErrorGrid, path) -> None:
@@ -813,19 +781,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="regbench",
         description="Regularization bench: worst-case curves, mismatch grids, "
                     "dimension scans, and sparse reconstruction.",
-        epilog="Each operator's singular system is stored only in the SVD cache, "
-               "$XDG_CACHE_HOME/regbench/ (default ~/.cache/regbench/), "
-               "as one RGB1 matrix (sigma, U and V stacked as rows) keyed by a sha256 over "
-               "the factored matrix, the code of regbench.linop's _thin_svd and "
-               "_orient_columns (docstrings left out) as compiled by this Python, GRAM_TOL, "
-               "the numpy version, "
-               "the BLAS library, its settings (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, "
-               "MKL_NUM_THREADS, GOTO_NUM_THREADS, OPENBLAS_CORETYPE and the usable CPU "
-               "count) and the host (name, machine type and CPU model). "
-               "A Radon entry at paper scale is about 12.6 MB, and nothing is evicted; "
-               "deleting the directory is always safe. Entries written under an earlier "
-               "key formula, such as one that covered those docstrings, are never read "
-               "again.")
+        epilog="Each operator's singular system is stored only in the SVD cache, $XDG_CACHE_HOME/"
+               "regbench/ (default ~/.cache/regbench/). A Radon entry at paper scale is about "
+               "12.6 MB, and nothing is evicted; deleting the directory is always safe. "
+               "README.md (\"The SVD cache\") states what the key covers.")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--config", type=str, default=None, help="config file")
     parser.add_argument("--out", type=str, default=".", help="output directory")
@@ -1005,7 +964,7 @@ def _alpha_tune(args, config: ExperimentConfig, op: DenseOperator):
         knots.append((delta, min(cells, key=lambda cell: cell[1])[0]))
     summary = [f"delta={_fmt(delta)} alpha={_fmt(alpha)}" for delta, alpha in knots]
     summary.append(f"wrote {Path(args.out) / 'alpha_rule.csv'}")
-    return ("alpha_rule.csv", AlphaRule(tuple(knots)).to_csv, summary,
+    return ("alpha_rule.csv", partial(_write_csv, header="delta,alpha", rows=knots), summary,
             dict(solver=scores.solver))
 
 

@@ -167,7 +167,8 @@ def _polish(ata, w, aty, alphas, signs, tol):
     for row, pattern in enumerate(signs):
         off = pattern == 0
         w_off = w[off]
-        kkt = np.block([[ata, w_off.T], [w_off, np.zeros((w_off.shape[0],) * 2)]])
+        kkt = np.zeros((n + w_off.shape[0],) * 2)
+        kkt[:n, :n], kkt[:n, n:], kkt[n:, :n] = ata, w_off.T, w_off
         rhs = np.concatenate([aty[row] - alphas[row] * (pattern @ w), np.zeros(w_off.shape[0])])
         try:
             sol = np.linalg.solve(kkt, rhs)
@@ -325,7 +326,8 @@ def solver_totals(iterations: np.ndarray, certified: np.ndarray, converged: np.n
 
 @dataclass(frozen=True)
 class AlphaRule:
-    """Piecewise-linear noise-level-to-alpha rule with constant tails."""
+    """Piecewise-linear noise-level-to-alpha rule with constant tails; the
+    harness writes and reads it as ``alpha-tune``'s ``alpha_rule.csv``."""
 
     knots: tuple[tuple[float, float], ...]
 
@@ -339,25 +341,6 @@ class AlphaRule:
         if not all(math.isfinite(d) and 0 < a < math.inf for d, a in knots):
             raise ValueError("knots need finite deltas and positive, finite alphas")
         object.__setattr__(self, "knots", knots)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("delta,alpha\n")
-            for d, a in self.knots:
-                fh.write(f"{d!r},{a!r}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "AlphaRule":
-        knots = []
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "delta,alpha":
-                raise ValueError(f"{path}: unexpected header {header!r}")
-            for line in fh:
-                if line.strip():
-                    d, a = line.split(",")
-                    knots.append((float(d), float(a)))
-        return cls(tuple(knots))
 
 
 def alpha_for_delta(rule: AlphaRule, delta: float) -> float:

@@ -16,14 +16,17 @@ noisy reconstructions in singular-vector coefficients without building them.
 Every matrix is stored in one binary container format, read by
 :func:`load_matrix`; the harness's SVD cache stores each singular system
 as one such matrix, sigma over U over V (:func:`write_svd`), which
-:func:`read_svd` checks.
+:func:`read_svd` checks, keyed by :func:`factorization_fingerprint`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import platform
 import struct
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,6 +177,60 @@ def _thin_svd(a: np.ndarray) -> SvdSystem:
     v = vt.T.copy()
     _orient_columns(v, u)
     return SvdSystem(sigma=s, left_vectors=u, right_vectors=v)
+
+
+# the environment variables that set the BLAS's thread count or its kernels
+_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "GOTO_NUM_THREADS", "OPENBLAS_CORETYPE")
+
+
+def _blas_library() -> str:
+    """Name and version of the BLAS numpy was built against ('' where numpy
+    does not report them)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 only prints its config
+        return ""
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
+def _cpu_model() -> str:
+    """The CPU's model name, from ``/proc/cpuinfo`` where there is one."""
+    with contextlib.suppress(OSError), open("/proc/cpuinfo") as fh:
+        for line in fh:
+            if line.startswith("model name"):
+                return line.partition(":")[2].strip()
+    return platform.processor()
+
+
+def _stable(value, skip: int = 0):
+    """``value`` with a repr that is the same in every process: a code
+    object, also a nested one (whose repr holds its address), as
+    ``(bytecode, constants, names)`` without its first ``skip`` constants;
+    a tuple item by item; a frozenset (iterated in the order of the
+    process's string hashing) as its items sorted by repr."""
+    if isinstance(value, types.CodeType):
+        return value.co_code, _stable(value.co_consts[skip:]), value.co_names
+    if isinstance(value, (tuple, frozenset)):
+        items = tuple(map(_stable, value))
+        return items if isinstance(value, tuple) else tuple(sorted(items, key=repr))
+    return value
+
+
+def factorization_fingerprint() -> tuple:
+    """Everything but the matrix that the bits of :func:`_thin_svd` depend
+    on, with a repr that is the same in every process: the code of
+    :func:`_thin_svd` and :func:`_orient_columns` (:func:`_stable`, without
+    their docstrings), so also the Python version that compiled it;
+    ``GRAM_TOL``; the numpy version; the BLAS library and its settings (the
+    variables in ``_BLAS_ENV`` and the usable CPU count); and the host
+    (name, machine type and CPU model: OpenBLAS picks kernels by CPU)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    # a docstring is the first constant
+    code = [_stable(f.__code__, f.__doc__ is not None) for f in (_thin_svd, _orient_columns)]
+    return (code, GRAM_TOL, np.__version__, _blas_library(),
+            tuple(os.environ.get(name) for name in _BLAS_ENV), cpus,
+            platform.node(), platform.machine(), _cpu_model())
 
 
 def compute_svd(op: DenseOperator) -> SvdSystem:

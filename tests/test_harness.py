@@ -854,12 +854,12 @@ realizations = 5
     def test_key(self, monkeypatch, tmp_path):
         # each input changes the key; they are changed one after another
         a = np.arange(6.0).reshape(2, 3)
-        for name in harness._BLAS_ENV:
+        for name in linop._BLAS_ENV:
             monkeypatch.delenv(name, raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         keys = [harness.svd_cache_key(a)]
         assert harness.svd_cache_key(a.copy()) == keys[0]
-        for name in harness._BLAS_ENV:
+        for name in linop._BLAS_ENV:
             monkeypatch.setenv(name, "1")
             keys.append(harness.svd_cache_key(a))
         # _thin_svd of a copy of linop keeps the key, also with another
@@ -881,8 +881,8 @@ realizations = 5
             (os, "sched_getaffinity", lambda pid: {0}),
             (platform, "node", lambda: "another-host"),
             (platform, "machine", lambda: "aarch64"),
-            (harness, "_cpu_model", lambda: "another CPU"),
-            (harness, "_blas_library", lambda: "mkl 2024.0"),
+            (linop, "_cpu_model", lambda: "another CPU"),
+            (linop, "_blas_library", lambda: "mkl 2024.0"),
             (np, "__version__", "0.0.0"),
             (linop, "GRAM_TOL", 1e-7),
             (linop, "_thin_svd", lambda entries: linop.SvdSystem(*np.linalg.svd(entries))),
@@ -910,10 +910,38 @@ realizations = 5
             assert getattr(warm.svd, field).tobytes() == getattr(cold.svd, field).tobytes()
 
     def test_key_host_and_blas(self, monkeypatch):
-        assert harness._cpu_model() and harness._blas_library()
+        assert linop._cpu_model() and linop._blas_library()
         # numpy < 1.25 has no config dict
         monkeypatch.setattr(np, "show_config", lambda: print("config"))
-        assert harness._blas_library() == ""
+        assert linop._blas_library() == ""
+
+    def test_key_is_the_same_in_every_process(self):
+        # copies of _orient_columns with a nested code object (a generator
+        # expression) or a frozenset constant (an `in {...}` test), whose
+        # reprs differ between processes, give one key under two hash seeds;
+        # a change inside the generator expression still changes the key
+        script = """if True:
+            import sys
+            from pathlib import Path
+            import numpy as np
+            from regbench import harness, linop
+            source, old = Path(linop.__file__).read_text(), "if vectors.size == 0:"
+            assert source.count(old) == 1
+            for new in ["", *sys.argv[1:]]:
+                copy = {"__name__": linop.__name__}
+                exec(compile(source.replace(old, old[:-1] + new + ":"), linop.__file__, "exec"), copy)
+                linop._orient_columns = copy["_orient_columns"]
+                print(harness.svd_cache_key(np.eye(3)))
+        """
+        edits = [" or not all(p.ndim == 2 for p in paired)",
+                 " or not all(p.ndim == 3 for p in paired)",
+                 ' or vectors.dtype.kind in {"a", "b", "c"}']
+        runs = [subprocess.run([sys.executable, "-c", script, *edits], capture_output=True,
+                               text=True, check=True,
+                               env={**os.environ, "PYTHONHASHSEED": seed}).stdout.split()
+                for seed in ("1", "2")]
+        assert runs[0] == runs[1]
+        assert len(set(runs[0])) == len(edits) + 1
 
 
 class TestCli:

@@ -755,8 +755,8 @@ class TestAlphaRule:
 
     def test_csv_roundtrip(self, tmp_path):
         rule = AlphaRule(((0.001, 0.02), (0.1, 0.7)))
-        rule.to_csv(tmp_path / "rule.csv")
-        assert AlphaRule.from_csv(tmp_path / "rule.csv") == rule
+        harness._write_csv(tmp_path / "rule.csv", "delta,alpha", rule.knots)
+        assert harness._read_alpha_rule(tmp_path / "rule.csv") == rule
         header = (tmp_path / "rule.csv").read_text().splitlines()[0]
         assert header == "delta,alpha"
 
