@@ -11,12 +11,14 @@ same rows (common random numbers):
 - ``dim-scan`` (sample 0, R realizations) draws R + 1 rows: row 0 perturbs
   the reference reconstruction, realization r is ``y_0 + delta * block[r + 1]``;
 - ``lasso-solve`` uses row 0 of the chosen sample's block;
-- ``alpha-tune`` is a LASSO grid of one realization: tuple i at level delta
-  sees ``lasso-solve --sample i --delta delta``'s data.
+- ``alpha-tune`` is a LASSO grid of one realization, whose tuple i is sample i.
 
 ``alpha-tune`` and the sparse ``mismatch-grid`` build their noisy data,
 solve and score through one function, :func:`solve_lasso_samples`;
-``lasso-solve`` solves one column.
+``lasso-solve`` solves one column.  All three take sample s's clean data
+as one product, ``A @ truths[:, s]``, so a problem (sample, delta, alpha)
+gets bit-identical data in each, and its solutions agree to round-off,
+which depends on the batch (:func:`~regbench.lasso.solve_batch`).
 The sparsifying matrix W is a plain array (:func:`_build_transform`).
 
 Every operator kind takes one path, :func:`build_operator`: the raw matrix,
@@ -487,39 +489,39 @@ def solve_lasso_samples(op: DenseOperator, w: np.ndarray, truths: np.ndarray, al
     realization); the one data layout and scoring path of ``alpha-tune``
     and the sparse grid.
 
-    ``truths`` holds one sample per column.  The clean data ``y = A truths``
-    is one matrix product, and sample s's data columns are
-    ``y_s + delta * noise_block(seed, s, realizations, m)[r]``, ordered
+    ``truths`` holds one sample per column.  Sample s's data columns are
+    ``A @ truths[:, s] + delta * noise_block(seed, s, realizations, m)[r]``,
+    with the clean data ``lasso-solve`` computes, ordered
     (delta, realization); they are built when the sample's chunk is solved,
     so only one chunk's data is held at a time.  Each distinct alpha is
     solved once, and its results fill every position of ``alphas`` that
     holds it.  The distinct problems of consecutive whole samples share one
     :func:`~regbench.lasso.solve_batch` call of at most
     ``LASSO_BATCH_COLUMNS`` columns (one sample when a sample alone is
-    larger), ordered (sample, alpha, data column).  A problem's error is
-    ``||x - truth|| / sqrt(n)``.  Of a call's solution only the per-column
-    vectors scored here or totalled for the manifest are kept; its x and
-    gamma are dropped before the next call.
+    larger), ordered (sample, alpha, data column).  A problem's error,
+    ``||x - truth|| / sqrt(n)``, sums its column contiguously, as
+    ``lasso-solve`` does, so equal solutions score equal bits.  Of each
+    call's solution only the vectors scored or totalled here are kept.
     """
     distinct, index = np.unique(np.asarray(alphas, dtype=float), return_inverse=True)
     deltas = np.asarray(deltas, dtype=float)
     count, columns_per_sample = truths.shape[1], deltas.size * realizations
     width = distinct.size * columns_per_sample
-    y_mat = op.entries @ truths
     kept = ("converged", "iterations", "residual", "certified", "kkt_residual")
     columns = {name: [] for name in ("errors",) + kept}
     step = max(1, LASSO_BATCH_COLUMNS // width)
     for first in range(0, count, step):
         end = min(first + step, count)
-        data = [(y_mat[:, si] + deltas[:, None, None] * noise_block(seed, si, realizations, op.m))
-                .reshape(-1, op.m).T for si in range(first, end)]
+        data = [(op.entries @ truths[:, si] + deltas[:, None, None]
+                 * noise_block(seed, si, realizations, op.m)).reshape(-1, op.m).T
+                for si in range(first, end)]
         sol = solve_batch(op, w, np.hstack([np.tile(d, distinct.size) for d in data]),
                           np.tile(np.repeat(distinct, columns_per_sample), len(data)))
-        truth = np.repeat(truths[:, first:end], width, axis=1)
-        columns["errors"].append(np.linalg.norm(sol.x - truth, axis=0) / np.sqrt(op.n))
+        diff = np.subtract(sol.x, np.repeat(truths[:, first:end], width, axis=1), order="F")
+        columns["errors"].append(np.linalg.norm(diff, axis=0) / np.sqrt(op.n))
         for name in kept:
             columns[name].append(getattr(sol, name))
-        del sol, truth
+        del sol, diff
     columns = {name: np.concatenate(parts) for name, parts in columns.items()}
 
     def per_problem(name):
@@ -851,14 +853,11 @@ def _cmd_wc_curve(args) -> int:
         grid.append(rule_alpha)
     alphas = sorted(set(grid))
     bounds = [wc_bound(a, args.delta, args.rho) for a in alphas]
-    print("alpha,bound")
-    for a, b in zip(alphas, bounds):
-        print(f"{_fmt(a)},{_fmt(b)}")
-    best = alphas[int(np.argmin(bounds))]
-    print(f"min_alpha={_fmt(best)}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    emit_wc_curve_csv(alphas, bounds, out / "wc_curve.csv")
+    path = Path(args.out) / "wc_curve.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    emit_wc_curve_csv(alphas, bounds, path)
+    print(path.read_text(), end="")
+    print(f"min_alpha={_fmt(alphas[int(np.argmin(bounds))])}")
     return 0
 
 
@@ -910,7 +909,7 @@ def _lasso_solve(args, config: ExperimentConfig, op: DenseOperator):
     if alpha is None:
         raise ConfigError("lasso-solve needs --alpha or a method alpha")
     _check(0 < alpha < math.inf, f"--alpha must be positive and finite, not {alpha!r}")
-    x_true = truths[:, args.sample].copy()
+    x_true = truths[:, args.sample]
     y = op.entries @ x_true + args.delta * noise_block(config.seed, args.sample, 1, op.m)[0]
     sol = solve_batch(op, w, y[:, None], [alpha])
     iterations = int(sol.iterations[0])
@@ -922,7 +921,7 @@ def _lasso_solve(args, config: ExperimentConfig, op: DenseOperator):
     objective = float(r @ r + alpha * np.abs(w @ x).sum())
     summary = [f"objective={_fmt(objective)} iterations={iterations} "
                f"kkt_residual={sol.kkt_residual[0]:.3e} "
-               f"error={_fmt(weighted_norm(x - x_true))}"]
+               f"error={_fmt(np.linalg.norm(x - x_true, axis=0) / np.sqrt(op.n))}"]
     solver = solver_totals(sol.iterations, sol.certified, sol.converged, sol.kkt_residual)
     rows = [(args.sample, comp, val) for comp, val in enumerate(x)]
     return ("lasso_solution.csv", partial(_write_csv, header="sample_id,component,value",

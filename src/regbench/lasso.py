@@ -156,11 +156,11 @@ def _polish(ata, w, aty, alphas, signs, tol):
     {-1, 0, 1}) and check the result; returns x, gamma, whether each row is
     certified, and the absolute and relative KKT residuals.
 
-    Each row is solved on its own, so its result does not depend on the
-    other rows.  The matrix can be singular (W_C with dependent rows, or A
-    and W_C sharing a null direction); where LAPACK reports it singular,
-    the least-squares solution is taken.  Either way, only a result that
-    passes the check is certified.
+    Each row's x and gamma are solved on their own, so they do not depend
+    on the other rows; the check's residuals round with the block.  The
+    matrix can be singular (W_C with dependent rows, or A and W_C sharing
+    a null direction); where LAPACK reports it singular, the least-squares
+    solution is taken, and it is certified only if it passes the check.
     """
     n = ata.shape[0]
     x, gamma = np.empty((len(signs), n)), signs.astype(float)
@@ -188,8 +188,7 @@ def solve_batch(op: DenseOperator, w: np.ndarray, Y: np.ndarray,
                 alphas, tol: float = TOL, max_iter: int = 20000) -> BatchSolution:
     """Solve the problem of each column of ``Y`` (m x B), column j with
     penalty ``alphas[j]``, by ADMM with active-set polish (see the module
-    docstring).  This is the one solver entry point: a single problem is
-    a one-column batch.
+    docstring); a single problem is a one-column batch.
 
     Every column starts from ``x = z = u = 0``.  A column whose relative KKT
     residual at the start (with gamma = 0) is already within ``tol`` stops
@@ -202,10 +201,11 @@ def solve_batch(op: DenseOperator, w: np.ndarray, Y: np.ndarray,
     ``TOL`` = 1e-10.  ``iterations`` counts the ADMM steps a column ran: 0,
     a multiple of ``POLISH_EVERY``, or ``max_iter``.  A column still live
     at ``max_iter`` returns its last x-update and is not converged.  A
-    column's polished result does not depend on the other columns of the
-    batch.  :class:`ValueError` is raised unless ``Y`` has m rows, there is
-    one alpha per column and each is positive and finite, and the
-    transform ``w`` is a matrix as wide as the operator.
+    column's polished x does not depend on the other columns; its KKT
+    residuals, and through them when it stops, round with the batch:
+    :func:`_kkt` and the z-step multiply whole blocks of rows.  It raises
+    :class:`ValueError` unless ``Y`` has m rows, each column has one
+    positive finite alpha, and ``w`` is a matrix as wide as the operator.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -220,8 +220,8 @@ def solve_batch(op: DenseOperator, w: np.ndarray, Y: np.ndarray,
         raise ValueError("alpha must be positive and finite")
 
     # rows are problems: x is B x n, z, u and gamma are B x p.  einsum sums
-    # each row of 2 A^T y in one fixed order, so a column's polish does not
-    # depend on the other columns of the batch
+    # each row of 2 A^T y in one fixed order, so a column's polished x does
+    # not depend on the other columns of the batch
     n = op.n
     ata, aty = 2.0 * (a.T @ a), 2.0 * np.einsum("mb,mn->bn", y, a)
     x = np.zeros((batch, n))

@@ -222,14 +222,14 @@ def factorization_fingerprint() -> tuple:
     on, with a repr that is the same in every process: the code of
     :func:`_thin_svd` and :func:`_orient_columns` (:func:`_stable`, without
     their docstrings), so also the Python version that compiled it;
-    ``GRAM_TOL``; the numpy version; the BLAS library and its settings (the
-    variables in ``_BLAS_ENV`` and the usable CPU count); and the host
-    (name, machine type and CPU model: OpenBLAS picks kernels by CPU)."""
+    ``GRAM_TOL``; the numpy version; the BLAS library and its settings
+    (``_BLAS_ENV``, empty counting as unset, and the usable CPU count); and
+    the host (name, machine type and CPU model: OpenBLAS picks kernels by CPU)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     # a docstring is the first constant
     code = [_stable(f.__code__, f.__doc__ is not None) for f in (_thin_svd, _orient_columns)]
     return (code, GRAM_TOL, np.__version__, _blas_library(),
-            tuple(os.environ.get(name) for name in _BLAS_ENV), cpus,
+            tuple(os.environ.get(name) or None for name in _BLAS_ENV), cpus,
             platform.node(), platform.machine(), _cpu_model())
 
 

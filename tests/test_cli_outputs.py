@@ -235,6 +235,19 @@ def recorded_searches(monkeypatch):
     return results
 
 
+def recorded_data(monkeypatch):
+    """Route the CLI's ``solve_batch`` through a recorder; returns the list
+    each call's data ``Y`` goes to."""
+    data, solve = [], harness.solve_batch
+
+    def recording(op, w, Y, *args, **kwargs):
+        data.append(np.array(Y))
+        return solve(op, w, Y, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_batch", recording)
+    return data
+
+
 @pytest.mark.parametrize("seed", sorted(ALPHA_TUNE_PINS))
 def test_alpha_tune_matches_sequential_solves(tmp_path, capsys, monkeypatch, seed):
     results = recorded_searches(monkeypatch)
@@ -259,19 +272,39 @@ def test_alpha_tune_matches_sequential_solves(tmp_path, capsys, monkeypatch, see
 def test_alpha_tune_cells_are_lasso_solve_problems(tmp_path, capsys, monkeypatch):
     # alpha-tune draws the common-random-number blocks: its problem (tuple
     # i, alpha, delta) is lasso-solve's --sample i --delta delta --alpha alpha
-    results = recorded_searches(monkeypatch)
+    # with the very same data bits
+    results, data = recorded_searches(monkeypatch), recorded_data(monkeypatch)
     args = ("--delta-grid", "0.1 0.2 0.5", "--alpha-grid", "0.001 0.1 1", "--tuples", "3")
     run_cli(tmp_path, capsys, "alpha-tune", LASSO_TUNE, *args)
-    (scores,) = results
+    (scores,), (tuned,) = results, data
     assert scores.errors.shape == (3, 3, 3) and scores.converged.all()
     for i in range(3):
         for ai, alpha in enumerate((0.001, 0.1, 1.0)):
             for di, delta in enumerate((0.1, 0.2, 0.5)):
+                data.clear()
                 _, stdout = run_cli(tmp_path, capsys, "lasso-solve", LASSO_TUNE,
                                     "--sample", str(i), "--delta", repr(delta),
                                     "--alpha", repr(alpha))
+                (solved,) = data
+                # alpha-tune's columns are ordered (tuple, alpha, delta)
+                assert solved[:, 0].tobytes() == tuned[:, 9 * i + 3 * ai + di].tobytes()
                 error = float(stdout.split("error=")[1])
                 assert math.isclose(scores.errors[i, ai, di], error, rel_tol=1e-12, abs_tol=0.0)
+
+
+def test_alpha_tune_data_do_not_depend_on_tuples(tmp_path, capsys, monkeypatch):
+    # tuple i gets the same data bits however many tuples are tuned
+    data = recorded_data(monkeypatch)
+    grids = ("--delta-grid", "0.1 0.2 0.5", "--alpha-grid", "0.001 0.1 1")
+    columns = []
+    for tuples in (3, 10):
+        data.clear()
+        run_cli(tmp_path, capsys, "alpha-tune", LASSO_TUNE, *grids, "--tuples", str(tuples))
+        tuned = np.hstack(data)
+        # 9 columns per tuple: (alpha, delta)
+        assert tuned.shape == (30, 9 * tuples)
+        columns.append(tuned[:, :27])
+    assert columns[0].tobytes() == columns[1].tobytes()
 
 
 def test_alpha_tune_reports_failed_cells_on_stderr(tmp_path, capsys, monkeypatch):

@@ -909,6 +909,16 @@ realizations = 5
         for field in ("sigma", "left_vectors", "right_vectors"):
             assert getattr(warm.svd, field).tobytes() == getattr(cold.svd, field).tobytes()
 
+    def test_key_empty_blas_variable_is_unset(self, monkeypatch):
+        # an empty variable sets nothing, so it keys as an unset one does
+        a = np.eye(3)
+        for name in linop._BLAS_ENV:
+            monkeypatch.delenv(name, raising=False)
+        unset = harness.svd_cache_key(a)
+        for name in linop._BLAS_ENV:
+            monkeypatch.setenv(name, "")
+            assert harness.svd_cache_key(a) == unset
+
     def test_key_host_and_blas(self, monkeypatch):
         assert linop._cpu_model() and linop._blas_library()
         # numpy < 1.25 has no config dict
